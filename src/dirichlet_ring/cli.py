@@ -103,6 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=FORMATS, default="json")
             p.add_argument("--out", default=None, help="write output to a file")
 
+    def add_chain(subparsers, name, help_text):
+        p = subparsers.add_parser(name, help=help_text)
+        p.add_argument("family", choices=CHAIN_FAMILIES)
+        p.add_argument("--length", type=int, default=4)
+        p.add_argument("--dot", action="store_true", help="emit a DOT digraph")
+        add_common(p)
+        p.set_defaults(func=_cmd_chain)
+
     p_gen = sub.add_parser("gen", help="generate a named arithmetical function")
     p_gen.add_argument("tag", choices=zoo.FUNCTION_TAGS)
     p_gen.add_argument("--param", type=int, default=None,
@@ -113,28 +121,34 @@ def build_parser() -> argparse.ArgumentParser:
                             "converted to float, not the reverse)")
     p_gen.add_argument("--name", default=None, help="name stored in the output")
     add_common(p_gen)
+    p_gen.set_defaults(func=_cmd_gen)
 
     p_conv = sub.add_parser("conv", help="Dirichlet convolution of two sequence files")
     p_conv.add_argument("left")
     p_conv.add_argument("right")
     add_common(p_conv, window=False)
+    p_conv.set_defaults(func=_cmd_conv)
 
     p_inv = sub.add_parser("inv", help="convolution inverse of a sequence file")
     p_inv.add_argument("file")
     add_common(p_inv, window=False)
+    p_inv.set_defaults(func=_cmd_inv)
 
     p_norm = sub.add_parser("norm", help="least index with a nonzero value")
     p_norm.add_argument("file")
     add_common(p_norm, window=False)
+    p_norm.set_defaults(func=_cmd_norm)
 
     p_div = sub.add_parser("divide", help="exact division: divide H by F on the window")
     p_div.add_argument("dividend")
     p_div.add_argument("divisor")
     add_common(p_div, window=False)
+    p_div.set_defaults(func=_cmd_divide)
 
     p_cls = sub.add_parser("classify", help="unit/maximal status, norm, atom certificate")
     p_cls.add_argument("file")
     add_common(p_cls, window=False)
+    p_cls.set_defaults(func=_cmd_classify)
 
     p_ideal = sub.add_parser("ideal", help="ideal-family tooling")
     ideal_sub = p_ideal.add_subparsers(dest="ideal_command", required=True)
@@ -143,34 +157,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_member.add_argument("spec", help="e.g. P:6, P:6,1, I:5, K:3, J:2,3, J:~2,3, maximal")
     p_member.add_argument("file")
     add_common(p_member, window=False)
+    p_member.set_defaults(func=_cmd_ideal_member)
 
     p_quot = ideal_sub.add_parser("quotient", help="quotient by the indicator at a prime")
     p_quot.add_argument("prime", type=int)
     p_quot.add_argument("file")
     add_common(p_quot, window=False)
+    p_quot.set_defaults(func=_cmd_ideal_quotient)
 
     p_dec = ideal_sub.add_parser("decompose", help="split a member of P_m over its generators")
     p_dec.add_argument("modulus", type=int)
     p_dec.add_argument("file")
     add_common(p_dec, window=False)
+    p_dec.set_defaults(func=_cmd_ideal_decompose)
 
-    p_chain = ideal_sub.add_parser("chain", help="build a chain with separator witnesses")
-    p_chain.add_argument("family", choices=CHAIN_FAMILIES)
-    p_chain.add_argument("--length", type=int, default=4)
-    p_chain.add_argument("--dot", action="store_true", help="emit a DOT digraph")
-    add_common(p_chain)
+    add_chain(ideal_sub, "chain", "build a chain with separator witnesses")
 
     p_probe = ideal_sub.add_parser("probe", help="randomized primality refutation search")
     p_probe.add_argument("spec")
     p_probe.add_argument("--trials", type=int, default=100)
     p_probe.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_common(p_probe)
+    p_probe.set_defaults(func=_cmd_ideal_probe)
 
-    p_top_chain = sub.add_parser("chain", help="alias for 'ideal chain'")
-    p_top_chain.add_argument("family", choices=CHAIN_FAMILIES)
-    p_top_chain.add_argument("--length", type=int, default=4)
-    p_top_chain.add_argument("--dot", action="store_true")
-    add_common(p_top_chain)
+    add_chain(sub, "chain", "alias for 'ideal chain'")
 
     p_verify = sub.add_parser(
         "verify-paper",
@@ -179,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--out", default=None)
+    p_verify.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -187,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _window(args) -> int:
-    return args.n if getattr(args, "n", None) else default_window()
+    return args.n if args.n is not None else default_window()
 
 
 def _cmd_gen(args) -> int:
@@ -330,44 +341,16 @@ def _cmd_ideal_probe(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    n = args.n if args.n else default_window()
+    n = _window(args)
     results = verify.run_all(n, args.seed)
     _emit(verify.render_report(results, n, args.seed), args.out)
     return 0 if all(r.passed for r in results) else VERIFY_FAILURE
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "conv":
-            return _cmd_conv(args)
-        if args.command == "inv":
-            return _cmd_inv(args)
-        if args.command == "norm":
-            return _cmd_norm(args)
-        if args.command == "divide":
-            return _cmd_divide(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "chain":
-            return _cmd_chain(args)
-        if args.command == "verify-paper":
-            return _cmd_verify(args)
-        if args.command == "ideal":
-            if args.ideal_command == "member":
-                return _cmd_ideal_member(args)
-            if args.ideal_command == "quotient":
-                return _cmd_ideal_quotient(args)
-            if args.ideal_command == "decompose":
-                return _cmd_ideal_decompose(args)
-            if args.ideal_command == "chain":
-                return _cmd_chain(args)
-            if args.ideal_command == "probe":
-                return _cmd_ideal_probe(args)
-        raise ValueError(f"unhandled command {args.command!r}")
+        return args.func(args)
     except (ValueError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR

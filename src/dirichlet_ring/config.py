@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 DEFAULT_N = 256
 DEFAULT_SEED = 0
@@ -31,10 +30,3 @@ def default_window() -> int:
         raise ValueError(f"{ENV_WINDOW} must be a positive integer")
     return value
 
-
-@dataclass(frozen=True)
-class Config:
-    n: int = DEFAULT_N
-    seed: int = DEFAULT_SEED
-    scalar_mode: str = "exact"
-    output: str = "json"

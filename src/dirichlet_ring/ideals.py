@@ -361,20 +361,24 @@ def chain(family: str, length: int, window: int) -> ChainReport:
 # probes ------------------------------------------------------------------
 
 
-def _random_outside(spec: IdealSpec, rng: random.Random, window: int) -> ArithFunc:
+def _random_outside(
+    spec: IdealSpec, rng: random.Random, window: int
+) -> tuple[ArithFunc, int]:
+    """A random non-member and its first violating index."""
     from .sampling import random_func  # local import to avoid a cycle
 
     for _ in range(64):
         f = random_func(rng, window)
-        if not member(spec, f).is_member:
-            return f
+        verdict = member(spec, f)
+        if not verdict.is_member:
+            return f, verdict.index
     # force a violation at the first constrained index
     idxs = spec.constrained_indices(window)
     if not idxs:
         raise WindowError(f"{spec.label()} constrains nothing on window {window}")
     vals = list(random_func(rng, window).values)
     vals[idxs[0] - 1] = Fraction(1)
-    return ArithFunc(vals, EXACT)
+    return ArithFunc(vals, EXACT), idxs[0]
 
 
 def _known_counterexample(spec: IdealSpec, window: int):
@@ -420,11 +424,13 @@ def probe_prime(
     rng = random.Random(seed)
     for _ in range(trials):
         try:
-            f = _random_outside(spec, rng, window)
-            g = _random_outside(spec, rng, window)
+            f, kf = _random_outside(spec, rng, window)
+            g, kg = _random_outside(spec, rng, window)
         except WindowError:
             break
-        if member(spec, f.convolve(g)).is_member:
+        # f(kf) g(kg) lands at kf * kg; past the window the product can
+        # look like a member only because its violation is cut off
+        if kf * kg <= window and member(spec, f.convolve(g)).is_member:
             return non_member_witness(
                 note="product of two non-members lies in the ideal",
                 elements=(f, g),

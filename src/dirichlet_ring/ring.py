@@ -5,6 +5,15 @@ multiplication is Dirichlet convolution, so everything here is
 prefix-correct: entry k of any result depends only on entries at
 divisors of k.  Exact mode keeps entries as fractions; float mode exists
 for the few functions whose values are irrational.
+
+Two loops carry the whole ring.  :func:`dirichlet_product` is the
+convolution; every product in the package goes through it.  ``_solve``
+is the standard recursion for f * g = h (Apostol, *Introduction to
+Analytic Number Theory*, ch. 2) run in sieve order: once g(m) is known,
+f(i) g(m) is pushed into the accumulator at index i*m, so no index ever
+searches for its divisors.  Inversion is the quotient of e by f, and
+exact division is the same recursion plus a scan for the first index it
+cannot match.
 """
 
 from __future__ import annotations
@@ -73,17 +82,46 @@ def _detect_mode(values: Sequence[Scalar]) -> str:
     return FLOAT if has_float else EXACT
 
 
-def _divisors(k: int) -> list[int]:
-    """All divisors of k, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            small.append(d)
-            if d != k // d:
-                large.append(k // d)
-        d += 1
-    return small + large[::-1]
+def _norm(values: Sequence, n: int) -> int | None:
+    return next((i for i in range(1, n + 1) if values[i - 1]), None)
+
+
+def dirichlet_product(a: Sequence, b: Sequence, n: int, zero) -> list:
+    """(a*b)(k) for k = 1..n, where a[i - 1] holds a(i); sums start at ``zero``."""
+    out = [zero] * n
+    for i in range(1, n + 1):
+        ai = a[i - 1]
+        if not ai:
+            continue
+        for j in range(1, n // i + 1):
+            bj = b[j - 1]
+            if bj:
+                out[i * j - 1] += ai * bj
+    return out
+
+
+def _solve(h: Sequence, f: Sequence, a: int, n: int, zero) -> tuple[list, list]:
+    """Sieve-order recursion for f * g = h on 1..n, where a is the norm of f.
+
+    Returns (g, acc).  g, on 1..n//a, satisfies (f*g)(a*m) = h(a*m) for
+    every m: each g(m) is solved from h(a*m) less what the earlier values
+    pushed into acc, then f(i) g(m) is pushed into acc at i*m for i > a.
+    Since f vanishes below a, acc ends up holding (f*g)(k) at every k that
+    is not a multiple of a; entries at multiples of a are scratch.
+    """
+    lead = 1 / f[a - 1]
+    acc = [zero] * n
+    g = [zero] * (n // a)
+    for m in range(1, n // a + 1):
+        rest = h[a * m - 1] - acc[a * m - 1]
+        if not rest:
+            continue
+        gm = g[m - 1] = rest * lead
+        for i in range(a + 1, n // m + 1):
+            fi = f[i - 1]
+            if fi:
+                acc[i * m - 1] += fi * gm
+    return g, acc
 
 
 class ArithFunc:
@@ -188,16 +226,7 @@ class ArithFunc:
         """Dirichlet convolution: (f*g)(k) = sum of f(i)g(j) over ij = k."""
         self._require_same_mode(other)
         n = min(len(self._values), len(other._values))
-        a, b = self._values, other._values
-        out = [self._zero_scalar()] * n
-        for i in range(1, n + 1):
-            ai = a[i - 1]
-            if not ai:
-                continue
-            for j in range(1, n // i + 1):
-                bj = b[j - 1]
-                if bj:
-                    out[i * j - 1] += ai * bj
+        out = dirichlet_product(self._values, other._values, n, self._zero_scalar())
         return ArithFunc._raw(tuple(out), self._mode)
 
     def __mul__(self, other):
@@ -207,44 +236,41 @@ class ArithFunc:
 
     def norm(self) -> int | None:
         """Least index with a nonzero value; None when the window is all zero."""
-        for i, v in enumerate(self._values, start=1):
-            if v:
-                return i
-        return None
+        return _norm(self._values, len(self._values))
 
     def invert(self) -> "ArithFunc":
-        """Convolution inverse on the window.
+        """Convolution inverse on the window: the quotient of e by f.
 
         Exact mode produces the exact inverse.  Float mode runs the same
-        recursion in double precision; one division per index, so
-        roundoff stays small at desk-scale windows.
+        recursion in double precision; one multiplication by 1/f(1) per
+        index, so roundoff stays small at desk-scale windows.
         """
-        v = self._values
-        if not v[0]:
+        if not self._values[0]:
             raise NonUnitError("f(1) = 0: not a unit (lies in the maximal ideal)")
-        n = len(v)
-        one = Fraction(1) if self._mode == EXACT else 1.0
-        lead = one / v[0]
-        out = [self._zero_scalar()] * n
-        out[0] = lead
-        for k in range(2, n + 1):
-            acc = self._zero_scalar()
-            for d in _divisors(k)[:-1]:  # proper divisors: d | k, d < k
-                gd = out[d - 1]
-                if gd:
-                    acc += gd * v[k // d - 1]
-            if acc:
-                out[k - 1] = -lead * acc
-        return ArithFunc._raw(tuple(out), self._mode)
+        n = len(self._values)
+        e = identity(n, self._mode).values
+        g, _ = _solve(e, self._values, 1, n, self._zero_scalar())
+        return ArithFunc._raw(tuple(g), self._mode)
 
     def power(self, r: int) -> "ArithFunc":
-        """r-fold convolution power; the zeroth power is the identity."""
+        """r-fold convolution power by square-and-multiply; f^0 is the identity.
+
+        Exact results equal r sequential convolutions.  In float mode the
+        products are grouped differently, so entries may differ from the
+        sequential ones in the last bits.
+        """
         if r < 0:
             raise ValueError("negative powers: invert first")
-        out = identity(len(self._values), self._mode)
-        for _ in range(r):
-            out = out.convolve(self)
-        return out
+        if r == 0:
+            return identity(len(self._values), self._mode)
+        out, base = None, self
+        while True:
+            if r & 1:
+                out = base if out is None else out.convolve(base)
+            r >>= 1
+            if not r:
+                return out
+            base = base.convolve(base)
 
     def __pow__(self, r: int) -> "ArithFunc":
         return self.power(r)
@@ -307,29 +333,6 @@ def delta(m: int, n: int, mode: str = EXACT) -> ArithFunc:
     return ArithFunc._raw(tuple(vals), mode)
 
 
-# free-function aliases over the methods ---------------------------------
-
-
-def add(f: ArithFunc, g: ArithFunc) -> ArithFunc:
-    return f.add(g)
-
-
-def convolve(f: ArithFunc, g: ArithFunc) -> ArithFunc:
-    return f.convolve(g)
-
-
-def invert(f: ArithFunc) -> ArithFunc:
-    return f.invert()
-
-
-def norm(f: ArithFunc) -> int | None:
-    return f.norm()
-
-
-def power(f: ArithFunc, r: int) -> ArithFunc:
-    return f.power(r)
-
-
 def try_divide(h: ArithFunc, f: ArithFunc) -> ArithFunc | NotDivisibleWitness:
     """Solve f * g = h on the common window, exactly.
 
@@ -342,54 +345,18 @@ def try_divide(h: ArithFunc, f: ArithFunc) -> ArithFunc | NotDivisibleWitness:
         raise ModeMismatchError("division is exact-mode only")
     n = min(len(h), len(f))
     hv, fv = h.values, f.values
-
-    a = None
-    for i in range(1, n + 1):
-        if fv[i - 1]:
-            a = i
-            break
+    a = _norm(fv, n)
     if a is None:
         raise ZeroFunctionError("divisor is zero on the window")
-
-    b = None
-    for i in range(1, n + 1):
-        if hv[i - 1]:
-            b = i
-            break
-    if b is None:
-        # zero dividend: the zero quotient works
-        return zeros(n // a)
-    if b % a:
+    b = _norm(hv, n)
+    if b is not None and b % a:
         return NotDivisibleWitness(
             index=b, note="dividend norm is not a multiple of the divisor norm"
         )
-
-    qlen = n // a
-    fa = fv[a - 1]
-    g = [Fraction(0)] * qlen
-    for m in range(1, qlen + 1):
-        am = a * m
-        acc = Fraction(0)
-        for i in _divisors(am):
-            if i <= a:
-                continue
-            gj = g[am // i - 1]
-            if gj:
-                acc += fv[i - 1] * gj
-        g[m - 1] = (hv[am - 1] - acc) / fa
-
+    g, acc = _solve(hv, fv, a, n, Fraction(0))
     # the recursion fixes every multiple of a; check the rest of the window
     for k in range(1, n + 1):
-        if k % a == 0:
-            continue
-        acc = Fraction(0)
-        for i in _divisors(k):
-            if i < a:
-                continue  # f vanishes below its norm
-            gj = g[k // i - 1]
-            if gj:
-                acc += fv[i - 1] * gj
-        if acc != hv[k - 1]:
+        if k % a and acc[k - 1] != hv[k - 1]:
             return NotDivisibleWitness(
                 index=k, note="no quotient can match the dividend at this index"
             )

@@ -9,6 +9,7 @@ is a plain JSON number.  The values array holds indices 1..n in order.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,17 +38,25 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
         raise ValueError(f"sequence object is missing field {exc}") from None
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown mode {mode!r}")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("n must be a positive integer")
+    if not isinstance(raw, list):
+        raise ValueError("values must be a list")
     if len(raw) != n:
         raise ValueError(f"declared n = {n} but {len(raw)} values present")
-    if mode == EXACT:
-        values = []
-        for item in raw:
-            num, den = item
-            values.append(Fraction(int(num), int(den)))
-    else:
-        values = [float(v) for v in raw]
+    if mode == EXACT and not all(isinstance(v, list) and len(v) == 2 for v in raw):
+        raise ValueError("each exact value must be a [numerator, denominator] pair")
+    try:
+        if mode == EXACT:
+            values = [Fraction(int(num), int(den)) for num, den in raw]
+        else:
+            values = [float(v) for v in raw]
+    except ZeroDivisionError:
+        raise ValueError("an exact value has denominator 0") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed value: {exc}") from None
+    if mode == FLOAT and not all(math.isfinite(v) for v in values):
+        raise ValueError("float values must be finite")
     return name, ArithFunc(values, mode)
 
 
@@ -60,21 +69,16 @@ def save(f: ArithFunc, path: str | Path, name: str = "sequence") -> None:
     Path(path).write_text(to_json(f, name), encoding="utf-8")
 
 
-def scalar_str(v) -> str:
-    """Render one scalar: integers bare, other rationals as num/den."""
-    return str(v)
-
-
 def to_csv(f: ArithFunc) -> str:
     """One comma-separated row of scalars in index order."""
-    return ",".join(scalar_str(v) for v in f.values) + "\n"
+    return ",".join(map(str, f.values)) + "\n"
 
 
 def to_table(f: ArithFunc, name: str = "sequence") -> str:
     width = len(str(len(f)))
     lines = [f"# {name} (mode={f.mode}, n={len(f)})"]
     for i, v in enumerate(f.values, start=1):
-        lines.append(f"{i:>{width}}  {scalar_str(v)}")
+        lines.append(f"{i:>{width}}  {v}")
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .config import ATOM_COEFFS, ATOM_NORM_BOUND, ATOM_SUPPORT_BOUND
 from .primes import is_prime, primes_upto
-from .ring import ArithFunc, ZeroFunctionError, identity, indicator_shift
+from .ring import ArithFunc, ZeroFunctionError, dirichlet_product, identity, indicator_shift
 from .witness import Witness, member_witness, non_member_witness
 from .zoo import is_additive, is_completely_additive
 
@@ -141,24 +141,12 @@ def nonunit_product_profiles(window: int, coeffs=ATOM_COEFFS) -> set[tuple[int, 
     any larger support bound.  Integer arithmetic throughout.
     """
     top = window // 2
-    positions = list(range(2, top + 1))
-    assignments = list(itertools.product(coeffs, repeat=len(positions)))
-    profiles: set[tuple[int, ...]] = set()
-    for g_vals in assignments:
-        if not any(g_vals):
-            continue
-        for h_vals in assignments:
-            if not any(h_vals):
-                continue
-            prod = [0] * window
-            for gi, gpos in zip(g_vals, positions):
-                if not gi:
-                    continue
-                for hj, hpos in zip(h_vals, positions):
-                    if hj and gpos * hpos <= window:
-                        prod[gpos * hpos - 1] += gi * hj
-            profiles.add(tuple(prod))
-    return profiles
+    factors = [
+        (0,) + vals + (0,) * (window - top)
+        for vals in itertools.product(coeffs, repeat=max(top - 1, 0))
+        if any(vals)
+    ]
+    return {tuple(dirichlet_product(g, h, window, 0)) for g in factors for h in factors}
 
 
 def _certificate_for_profile(profile: tuple[int, ...], norm_bound: int) -> str:

@@ -1,9 +1,9 @@
 """Independent brute-force evaluators used as test oracles.
 
 Everything here deliberately avoids the library's code paths: factoring
-is an upward divisor scan, convolution scans every divisor of every
-index, the totient counts coprime integers one by one, and the tau
-expansion multiplies polynomials schoolbook-style.
+is an upward divisor scan, convolution, division and inversion scan
+every divisor of every index, the totient counts coprime integers one by
+one, and the tau expansion multiplies polynomials schoolbook-style.
 """
 
 from __future__ import annotations
@@ -81,6 +81,41 @@ def convolve_lists(a: list, b: list) -> list:
                 total += a[d - 1] * b[k // d - 1]
         out.append(total)
     return out
+
+
+def divide_lists(h: list, f: list):
+    """Solve f * g = h on the common window by scanning divisors.
+
+    With a the least index where f is nonzero, returns the quotient g on
+    1..n//a, or the least index where f * g differs from h when no
+    quotient exists.
+    """
+    n = min(len(h), len(f))
+    a = next(i for i in range(1, n + 1) if f[i - 1])
+    g = []
+    for m in range(1, n // a + 1):
+        k = a * m
+        known = sum(f[d - 1] * g[k // d - 1] for d in range(a + 1, k + 1) if k % d == 0)
+        g.append(Fraction(h[k - 1] - known) / f[a - 1])
+    product = convolve_lists(f[:n], g + [0] * (n - len(g)))
+    for k in range(1, n + 1):
+        if product[k - 1] != h[k - 1]:
+            return k
+    return g
+
+
+def invert_floats(f: list[float]) -> list[float]:
+    """Float inverse by the divisor-order recursion, summed in the order
+    g(k) = -(1/f(1)) * sum of g(d) f(k/d) over divisors d < k, ascending."""
+    lead = 1.0 / f[0]
+    g = [lead]
+    for k in range(2, len(f) + 1):
+        acc = 0.0
+        for d in range(1, k):
+            if k % d == 0 and g[d - 1]:
+                acc += g[d - 1] * f[k // d - 1]
+        g.append(-lead * acc if acc else 0.0)
+    return g
 
 
 def _poly_mul(p: list[int], q: list[int], cap: int) -> list[int]:

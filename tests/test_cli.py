@@ -217,6 +217,33 @@ def test_computation_error_exits_one(tmp_path):
     assert code == 1
 
 
+BAD_SEQUENCES = {
+    "zero_denominator": {"name": "x", "mode": "exact", "n": 1, "values": [["1", "0"]]},
+    "bare_int_value": {"name": "x", "mode": "exact", "n": 1, "values": [1]},
+    "bool_n": {"name": "x", "mode": "exact", "n": True, "values": [["1", "1"]]},
+    "nan_float": {"name": "x", "mode": "float", "n": 1, "values": [float("nan")]},
+}
+
+
+def _assert_one_line_error(capsys, code):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload", BAD_SEQUENCES.values(), ids=BAD_SEQUENCES.keys())
+def test_malformed_sequence_file_is_a_one_line_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    _assert_one_line_error(capsys, main(["norm", str(path)]))
+
+
+@pytest.mark.parametrize("argv", [["gen", "unit_u", "--n", "0"], ["verify-paper", "--n", "0"]])
+def test_zero_window_is_a_one_line_error(capsys, argv):
+    _assert_one_line_error(capsys, main(argv))
+
+
 def test_verify_paper_small_window_rejected():
     code, _ = run_cli("verify-paper", "--n", "8")
     assert code == 1

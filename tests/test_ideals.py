@@ -311,6 +311,13 @@ def test_probe_prime_coprime_family_stays_undecided():
     assert w.verdict == UNDECIDED
 
 
+@pytest.mark.parametrize("seed", [63, 93, 182, 354, 395])
+def test_probe_prime_skips_pairs_whose_violation_leaves_the_window(seed):
+    # each seed samples a pair with first violations k1 * k2 at 65 or 77
+    w = probe_prime(IdealSpec.coprime_vanishing(6), trials=40, seed=seed, window=64)
+    assert w.verdict == UNDECIDED
+
+
 def test_probe_prime_maximal_stays_undecided():
     w = probe_prime(IdealSpec.maximal(), trials=30, seed=3, window=32)
     assert w.verdict == UNDECIDED

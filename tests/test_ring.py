@@ -1,6 +1,7 @@
 """Core ring operations: construction, convolution, inversion, norm,
 powers, and exact trial division."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,10 +25,11 @@ from dirichlet_ring import (
     try_divide,
     zeros,
 )
+from dirichlet_ring.ring import dirichlet_product
 from dirichlet_ring.sampling import random_func, random_nonzero, random_unit, random_with_norm
 from dirichlet_ring.zoo import big_omega, mobius, unit
 
-from oracles import convolve_lists, mobius_scan
+from oracles import convolve_lists, divide_lists, invert_floats, mobius_scan
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -135,6 +137,10 @@ def test_convolution_matches_divisor_scan_oracle():
         g = random_func(rng, 48)
         expected = convolve_lists(list(f.values), list(g.values))
         assert list(f.convolve(g).values) == expected
+        # the kernel itself, on plain integer sequences
+        a = [rng.randint(-3, 3) for _ in range(48)]
+        b = [rng.randint(-3, 3) for _ in range(48)]
+        assert dirichlet_product(a, b, 48, 0) == convolve_lists(a, b)
 
 
 def test_scalar_window_convolution():
@@ -180,6 +186,17 @@ def test_float_inversion_round_trip_within_tolerance():
     rng = random.Random(5)
     f = random_unit(rng, 32).to_float()
     assert f.convolve(f.invert()).allclose(identity(32, FLOAT), tol=1e-9)
+
+
+def test_float_inversion_matches_divisor_order_recursion_bit_for_bit():
+    rng = random.Random(6)
+    cases = [random_unit(rng, 96).to_float() for _ in range(5)]
+    cases.append(-unit(96).to_float())  # negative lead
+    cases.append(make([-2.0] + [0.0 if k % 3 else 1.5 for k in range(2, 97)]))
+    cases.append(make([1.0] + [math.log(k) for k in range(2, 97)]))
+    for f in cases:
+        got = [v.hex() for v in f.invert().values]
+        assert got == [v.hex() for v in invert_floats(list(f.values))]
 
 
 # norm ---------------------------------------------------------------------
@@ -236,11 +253,25 @@ def test_power_norms_match_brute_force():
     for w in (1, 2, 3):
         f = random_with_norm(rng, 128, w)
         acc = [1] + [0] * 127  # oracle accumulator, convolved step by step
-        for r in range(1, 5):
+        for r in range(1, 9):
             acc = convolve_lists(acc, list(f.values))
             if w**r <= 128:
                 assert f.power(r).norm() == w**r
                 assert list(f.power(r).values) == acc
+
+
+def test_float_power_matches_sequential_convolutions():
+    # square-and-multiply groups the products differently, so compare
+    # against r sequential convolutions relative to the magnitude sum
+    rng = random.Random(19)
+    for r in (2, 3, 5, 8):
+        f = random_unit(rng, 96).to_float()
+        magnitudes = make([abs(v) for v in f.values])
+        seq, bound = identity(96, FLOAT), identity(96, FLOAT)
+        for _ in range(r):
+            seq, bound = seq.convolve(f), bound.convolve(magnitudes)
+        for x, y, m in zip(f.power(r).values, seq.values, bound.values):
+            assert abs(x - y) <= 1e-12 * m
 
 
 def test_only_trivial_idempotents_small_window():
@@ -310,6 +341,28 @@ def test_division_soundness(f, g):
     assert isinstance(q, ArithFunc)
     # the quotient is unique on its window, so it must be g's prefix
     assert q == g.truncate(len(q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    small_fractions.filter(bool),
+    exact_funcs(24),
+    exact_funcs(24),
+    st.integers(1, 24),
+)
+def test_division_matches_divisor_scan_oracle(a, lead, tail, g, k):
+    f = ArithFunc([0] * (a - 1) + [lead] + list(tail.values[a:]), EXACT)
+    h = f * g
+    assert list(try_divide(h, f).values) == divide_lists(list(h.values), list(f.values))
+    # delta_k may or may not break divisibility; the oracle says which
+    hk = h + delta(k, 24)
+    expected = divide_lists(list(hk.values), list(f.values))
+    result = try_divide(hk, f)
+    if isinstance(expected, int):
+        assert isinstance(result, NotDivisibleWitness) and result.index == expected
+    else:
+        assert list(result.values) == expected
 
 
 def test_division_soundness_reconvolution():

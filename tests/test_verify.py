@@ -1,0 +1,37 @@
+"""The verify-paper suite's handling of failing and crashing checks."""
+
+import pytest
+
+from dirichlet_ring import verify
+from dirichlet_ring.ring import ArithFunc
+
+
+def test_run_all_records_a_crashing_check_and_goes_on(monkeypatch):
+    def crash(ctx):
+        raise ZeroDivisionError("division by zero")
+
+    name, _ = verify.CHECKS[0]
+    monkeypatch.setattr(verify, "CHECKS", ((name, crash),) + verify.CHECKS[1:])
+    results = verify.run_all(64, 0)
+    assert len(results) == len(verify.CHECKS)
+    assert not results[0].passed
+    assert results[0].detail == "ZeroDivisionError: division by zero"
+    assert all(r.passed for r in results[1:])
+
+
+def test_invertibility_check_counts_only_non_unit_rejections(monkeypatch):
+    invert = ArithFunc.invert
+
+    def crash_on_non_units(self):
+        if not self(1):
+            raise RuntimeError("broken kernel")
+        return invert(self)
+
+    monkeypatch.setattr(ArithFunc, "invert", crash_on_non_units)
+    with pytest.raises(RuntimeError):
+        verify._check_invertibility(verify._Ctx(64, 0, "invertibility"))
+
+
+def test_seed_63_passes_every_check():
+    # the P_6 probe once refuted primality here from a violation at index 65
+    assert all(r.passed for r in verify.run_all(64, 63))
