@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .primes import factorize, is_prime, nth_prime
@@ -127,6 +128,10 @@ class IdealSpec:
 
     # the defining predicate ------------------------------------------------
 
+    @cached_property
+    def _tail_start(self) -> int:  # K_n vanishes at the primes from this one on
+        return nth_prime(self.n)
+
     def constrains(self, idx: int) -> bool:
         """Whether the family definition forces members to vanish at idx."""
         if self.tag == TAG_NORM_FLOOR:
@@ -136,9 +141,7 @@ class IdealSpec:
         if self.tag == TAG_COPRIME:
             return gcd(self.m, idx) == 1
         if self.tag == TAG_PRIME_TAIL:
-            if idx == 1:
-                return True
-            return is_prime(idx) and idx >= nth_prime(self.n)
+            return idx == 1 or (idx >= self._tail_start and is_prime(idx))
         if self.tag == TAG_GCD_COUNT:
             return factorize(gcd(self.m, idx)).distinct_count <= self.k
         # products of primes drawn from Q (1 included, as the empty product)

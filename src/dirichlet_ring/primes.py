@@ -1,9 +1,12 @@
-"""Trial-division factorization service and small prime utilities."""
+"""Prime utilities: a memoized trial-division factorizer for single
+integers, and one smallest-prime-factor sieve that builds multiplicative
+and additive functions on a whole window from their prime-power values."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 
 @dataclass(frozen=True)
@@ -20,10 +23,6 @@ class Factorization:
     @property
     def distinct_count(self) -> int:
         return len(self.factors)
-
-    @property
-    def big_omega(self) -> int:
-        return sum(a for _, a in self.factors)
 
     @property
     def is_squarefree(self) -> bool:
@@ -67,24 +66,40 @@ def nth_prime(k: int) -> int:
     return candidate
 
 
+def smallest_prime_factors(n: int) -> list[int]:
+    """The list spf with spf[k] the least prime dividing k, for 2 <= k <= n.
+
+    spf[0] = 0 and spf[1] = 1, so k is prime exactly when spf[k] == k >= 2.
+    """
+    spf = list(range(n + 1))
+    for p in range(2, isqrt(max(n, 0)) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
 def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit by a plain sieve."""
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    p = 2
-    while p * p <= limit:
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-        p += 1
-    return [i for i in range(2, limit + 1) if flags[i]]
+    """All primes <= limit, read off the sieve."""
+    spf = smallest_prime_factors(limit)
+    return [k for k in range(2, limit + 1) if spf[k] == k]
 
 
-def divisors(n: int) -> list[int]:
-    """All divisors of n, ascending, from the factorization."""
-    out = [1]
-    for p, a in factorize(n).factors:
-        powers = [p**i for i in range(a + 1)]
-        out = [d * q for d in out for q in powers]
-    return sorted(out)
+def prime_power_fold(n: int, at, combine, start) -> list:
+    """Values at 1..n of the function that is ``start`` at 1 and
+    ``combine(value at q, at(p, a))`` at k = p^a * q, p the least prime of k.
+
+    ``mul`` from 1 gives a multiplicative function, ``add`` from 0 an
+    additive one.  ``at(p, a)`` is first called at k = p^a, so prime powers
+    are first reached in ascending order.
+    """
+    spf = smallest_prime_factors(n)
+    vals = [start] * n
+    for k in range(2, n + 1):
+        p = spf[k]
+        q, a = k // p, 1
+        while q % p == 0:
+            q, a = q // p, a + 1
+        vals[k - 1] = combine(vals[q - 1], at(p, a))
+    return vals

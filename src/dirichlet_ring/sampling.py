@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 
+from .primes import prime_power_fold
 from .ring import ArithFunc, EXACT
 
 NUMERATOR_RANGE = (-3, 3)
@@ -68,10 +70,8 @@ def random_in_ideal(rng: random.Random, spec, n: int) -> ArithFunc:
 
 
 def random_additive(rng: random.Random, n: int) -> ArithFunc:
-    """Random additive function: one value per prime power, summed over
-    the factorization of each index."""
-    from .primes import factorize
-
+    """Random additive function: one value per prime power, drawn the
+    first time the fold reaches that prime power."""
     assigned: dict[tuple[int, int], Fraction] = {}
 
     def value_at(p: int, a: int) -> Fraction:
@@ -79,10 +79,4 @@ def random_additive(rng: random.Random, n: int) -> ArithFunc:
             assigned[(p, a)] = random_scalar(rng)
         return assigned[(p, a)]
 
-    vals = []
-    for k in range(1, n + 1):
-        total = Fraction(0)
-        for p, a in factorize(k).factors:
-            total += value_at(p, a)
-        vals.append(total)
-    return ArithFunc(vals, EXACT)
+    return ArithFunc(prime_power_fold(n, value_at, add, Fraction(0)), EXACT)

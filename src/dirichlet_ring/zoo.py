@@ -1,7 +1,9 @@
 """Generators for the named arithmetical functions.
 
-Everything is exact except the Mangoldt function and the logarithm,
-whose values are irrational and therefore live in float mode.
+The multiplicative and additive ones are defined by their values at prime
+powers (``primes.prime_power_fold``).  Everything is exact except the
+Mangoldt function and the logarithm, whose values are irrational and
+therefore live in float mode.
 """
 
 from __future__ import annotations
@@ -9,111 +11,88 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd
+from operator import add, mul
 
-from .primes import factorize, is_prime
+from .primes import is_prime, prime_power_fold, primes_upto
 from .ring import ArithFunc, EXACT, FLOAT, delta, identity
 from .witness import Witness, member_witness, non_member_witness
 
 FLOAT_TOL = 1e-12  # absolute tolerance for comparisons in float mode
 
 
+def _multiplicative(n: int, at) -> ArithFunc:
+    return ArithFunc(prime_power_fold(n, at, mul, 1), EXACT)
+
+
+def _additive(n: int, at) -> ArithFunc:
+    return ArithFunc(prime_power_fold(n, at, add, 0), EXACT)
+
+
 def mobius(n: int) -> ArithFunc:
     """1 at 1; (-1)^k on products of k distinct primes; 0 otherwise."""
-    vals = []
-    for k in range(1, n + 1):
-        fac = factorize(k)
-        if fac.is_squarefree:
-            vals.append(Fraction((-1) ** fac.distinct_count))
-        else:
-            vals.append(Fraction(0))
-    return ArithFunc(vals, EXACT)
+    return _multiplicative(n, lambda p, a: -1 if a == 1 else 0)
 
 
 def euler_phi(n: int) -> ArithFunc:
-    """Count of 1..k coprime to k, via k * prod(1 - 1/p) over p | k."""
-    vals = []
-    for k in range(1, n + 1):
-        phi = k
-        for p, _ in factorize(k).factors:
-            phi = phi // p * (p - 1)
-        vals.append(Fraction(phi))
-    return ArithFunc(vals, EXACT)
+    """Count of 1..k coprime to k; p^a - p^(a-1) at prime powers."""
+    return _multiplicative(n, lambda p, a: p**a - p ** (a - 1))
 
 
 def mangoldt(n: int) -> ArithFunc:
     """log p at prime powers p^m, 0 elsewhere.  Float mode."""
-    vals = []
-    for k in range(1, n + 1):
-        fac = factorize(k).factors
-        if len(fac) == 1:
-            vals.append(math.log(fac[0][0]))
-        else:
-            vals.append(0.0)
+    vals = [0.0] * n
+    for p in primes_upto(n):
+        q, log_p = p, math.log(p)
+        while q <= n:
+            vals[q - 1] = log_p
+            q *= p
     return ArithFunc(vals, FLOAT)
 
 
 def liouville(n: int) -> ArithFunc:
-    """1 at 1, otherwise (-1) to the number of prime factors with multiplicity."""
-    vals = []
-    for k in range(1, n + 1):
-        if k == 1:
-            vals.append(Fraction(1))
-        else:
-            vals.append(Fraction((-1) ** factorize(k).big_omega))
-    return ArithFunc(vals, EXACT)
+    """(-1) to the number of prime factors counted with multiplicity."""
+    return _multiplicative(n, lambda p, a: (-1) ** a)
+
+
+def _sigma(n: int) -> list[int]:
+    """sigma(k), the sum of the divisors of k, for k = 1..n."""
+    return prime_power_fold(n, lambda p, a: (p ** (a + 1) - 1) // (p - 1), mul, 1)
 
 
 def ramanujan_tau(n: int) -> ArithFunc:
     """Coefficients of x * prod_{j>=1} (1 - x^j)^24, truncated at degree n.
 
-    Plain truncated integer polynomial arithmetic; each factor is folded
-    in as 24 in-place multiplications by (1 - x^j).
+    With c_m the degree-m coefficient of the product, the logarithmic
+    derivative gives m * c_m = -24 * sum_{k=1..m} sigma(k) c_{m-k}; the
+    recursion runs over exact integers and the division by m is exact.
     """
-    # coeffs[d] is the degree-d coefficient of the product, d < n
-    coeffs = [0] * n
-    coeffs[0] = 1
-    for j in range(1, n):
-        for _ in range(24):
-            for d in range(n - 1, j - 1, -1):
-                coeffs[d] -= coeffs[d - j]
-    return ArithFunc([Fraction(c) for c in coeffs], EXACT)
+    sigma = _sigma(n)
+    coeffs = [1]
+    for m in range(1, n):
+        coeffs.append(-24 * sum(map(mul, sigma[:m], reversed(coeffs))) // m)
+    return ArithFunc(coeffs[:n], EXACT)
 
 
 def dedekind_psi(n: int) -> ArithFunc:
-    """k * prod(1 + 1/p) over p | k; exact, the product telescopes."""
-    vals = []
-    for k in range(1, n + 1):
-        psi = k
-        for p, _ in factorize(k).factors:
-            psi = psi // p * (p + 1)
-        vals.append(Fraction(psi))
-    return ArithFunc(vals, EXACT)
+    """k * prod(1 + 1/p) over p | k; p^a + p^(a-1) at prime powers."""
+    return _multiplicative(n, lambda p, a: p**a + p ** (a - 1))
 
 
 def big_omega(n: int) -> ArithFunc:
     """Number of prime factors counted with multiplicity."""
-    return ArithFunc([Fraction(factorize(k).big_omega) for k in range(1, n + 1)], EXACT)
+    return _additive(n, lambda p, a: a)
 
 
 def distinct_prime_count(n: int) -> ArithFunc:
     """Number of distinct prime divisors."""
-    return ArithFunc(
-        [Fraction(factorize(k).distinct_count) for k in range(1, n + 1)], EXACT
-    )
+    return _additive(n, lambda p, a: 1)
 
 
 def p_adic_valuation(p: int, n: int) -> ArithFunc:
     """Largest exponent a with p^a dividing k."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    vals = []
-    for k in range(1, n + 1):
-        a = 0
-        while k % p == 0:
-            k //= p
-            a += 1
-        vals.append(Fraction(a))
-    return ArithFunc(vals, EXACT)
+    return _additive(n, lambda q, a: a if q == p else 0)
 
 
 def log_function(n: int) -> ArithFunc:

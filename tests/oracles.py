@@ -70,6 +70,10 @@ def nu_p_scan(p: int, n: int) -> int:
     return a
 
 
+def sigma_scan(n: int) -> int:
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
 def convolve_lists(a: list, b: list) -> list:
     """Dirichlet convolution by scanning the divisors of each index."""
     n = min(len(a), len(b))

@@ -17,6 +17,7 @@ from dirichlet_ring import (
     decompose_coprime_vanishing,
     delta,
     divisibility_depth,
+    ideals,
     identity,
     indicator_shift,
     make,
@@ -26,6 +27,7 @@ from dirichlet_ring import (
     probe_semiprime,
     zeros,
 )
+from dirichlet_ring.primes import nth_prime
 from dirichlet_ring.sampling import (
     random_func,
     random_in_ideal,
@@ -106,13 +108,22 @@ def test_member_maximal_checks_index_one():
     assert member(IdealSpec.maximal(), identity(4)).verdict == NON_MEMBER
 
 
-def test_member_prime_tail():
+def test_member_prime_tail(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ideals, "nth_prime", lambda k: calls.append(k) or nth_prime(k))
     spec = IdealSpec.prime_tail(3)  # constrained: 1 and primes from 5 on
     assert member(spec, delta(2, 32)).verdict == MEMBER
     assert member(spec, delta(3, 32)).verdict == MEMBER
     assert member(spec, delta(5, 32)).verdict == NON_MEMBER
     assert member(spec, delta(4, 32)).verdict == MEMBER  # 4 is not prime
     assert member(spec, identity(32)).verdict == NON_MEMBER
+    assert calls == [3]  # the threshold prime is found once per spec
+    calls.clear()
+    tail = IdealSpec.prime_tail(300)  # the 299th prime is 1979, the 300th 1987
+    assert member(tail, delta(1979, 4096)).verdict == MEMBER
+    assert calls == [300]
+    assert member(tail, delta(1987, 4096)).index == 1987
+    assert calls == [300]
 
 
 def test_member_prime_products_allow_mode():

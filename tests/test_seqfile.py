@@ -1,11 +1,14 @@
 """Sequence file format: JSON round-trips, CSV rows, and validation."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dirichlet_ring import EXACT, make
+from dirichlet_ring import EXACT, FLOAT, ArithFunc, make
 from dirichlet_ring.seqfile import (
     from_json_obj,
     load,
@@ -106,3 +109,60 @@ def test_json_text_is_valid_json(tmp_path):
     text = to_json(f, "mu")
     parsed = json.loads(text)
     assert parsed["n"] == 4
+
+
+exact_funcs = st.lists(st.fractions(), min_size=1, max_size=12).map(
+    lambda vs: ArithFunc(vs, EXACT)
+)
+float_funcs = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12
+).map(lambda vs: ArithFunc(vs, FLOAT))
+funcs = st.one_of(exact_funcs, float_funcs)
+non_pairs = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(),
+    st.dictionaries(st.text(), st.integers(), max_size=2),
+    st.lists(st.text(), max_size=4).filter(lambda v: len(v) != 2),
+)
+
+
+@st.composite
+def malformed_objects(draw):
+    kind = draw(st.sampled_from(
+        ["zero_denominator", "bool_n", "non_pair", "non_finite", "wrong_length"]
+    ))
+    sources = {"zero_denominator": exact_funcs, "non_pair": exact_funcs,
+               "non_finite": float_funcs}
+    f = draw(sources.get(kind, funcs))
+    obj = to_json_obj(f, "x")
+    values = obj["values"]
+    i = draw(st.integers(0, len(values) - 1))
+    if kind == "zero_denominator":
+        values[i] = [values[i][0], draw(st.sampled_from(["0", "-0", "+0", "000"]))]
+    elif kind == "bool_n":
+        obj["n"] = draw(st.booleans())
+    elif kind == "non_pair":
+        values[i] = draw(non_pairs)
+    elif kind == "non_finite":
+        values[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    else:
+        obj["n"] = draw(st.integers(1, 20).filter(lambda m: m != len(values)))
+    return obj
+
+
+@settings(max_examples=100, deadline=None)
+@given(funcs, st.text())
+def test_json_object_round_trip_property(f, name):
+    obj = to_json_obj(f, name)
+    assert from_json_obj(obj) == (name, f)
+    assert from_json_obj(json.loads(json.dumps(obj))) == (name, f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_objects())
+def test_malformed_objects_raise_only_value_error(obj):
+    with pytest.raises(ValueError):
+        from_json_obj(obj)

@@ -1,6 +1,7 @@
 """Function generators against independent brute-force evaluators, plus
 the additivity oracles."""
 
+import hashlib
 import math
 import random
 
@@ -15,10 +16,17 @@ from dirichlet_ring import (
     is_completely_additive,
     make,
 )
-from dirichlet_ring.primes import divisors, factorize, is_prime, nth_prime
+from dirichlet_ring.primes import (
+    factorize,
+    is_prime,
+    nth_prime,
+    primes_upto,
+    smallest_prime_factors,
+)
 from dirichlet_ring.sampling import random_additive
 from dirichlet_ring.witness import MEMBER, NON_MEMBER
 from dirichlet_ring.zoo import (
+    _sigma,
     big_omega,
     dedekind_psi,
     distinct_prime_count,
@@ -41,7 +49,9 @@ from oracles import (
     mobius_scan,
     nu_p_scan,
     phi_count,
+    prime_factors_scan,
     psi_scan,
+    sigma_scan,
     tau_eta_product,
 )
 
@@ -80,14 +90,15 @@ def test_factorize_rejects_nonpositive():
 def test_is_prime_matches_scan():
     for n in range(1, 200):
         assert is_prime(n) == is_prime_scan(n)
+    for limit in (0, 1, 2, 3, 500):
+        assert primes_upto(limit) == [k for k in range(limit + 1) if is_prime_scan(k)]
+        spf = smallest_prime_factors(limit)
+        assert len(spf) == limit + 1
+        assert spf[2:] == [prime_factors_scan(k)[0][0] for k in range(2, limit + 1)]
 
 
 def test_nth_prime_sequence():
     assert [nth_prime(k) for k in range(1, 9)] == [2, 3, 5, 7, 11, 13, 17, 19]
-
-
-def test_divisors_of_twelve():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
 
 
 # golden generator values ----------------------------------------------------
@@ -110,23 +121,26 @@ def test_tau_starts_at_one_minus_twentyfour():
 
 
 def test_tau_against_schoolbook_expansion():
-    expected = tau_eta_product(50)
-    assert [int(v) for v in ramanujan_tau(50).values] == expected
+    for n in (1, 2, 50, 300):
+        assert [int(v) for v in ramanujan_tau(n).values] == tau_eta_product(n)
 
 
 def test_generators_match_scans_to_200():
-    n = 200
-    assert [int(v) for v in mobius(n).values] == [mobius_scan(k) for k in range(1, n + 1)]
-    assert [int(v) for v in euler_phi(n).values] == [phi_count(k) for k in range(1, n + 1)]
-    assert [int(v) for v in liouville(n).values] == [liouville_scan(k) for k in range(1, n + 1)]
-    assert [int(v) for v in dedekind_psi(n).values] == [psi_scan(k) for k in range(1, n + 1)]
-    assert [int(v) for v in big_omega(n).values] == [big_omega_scan(k) for k in range(1, n + 1)]
-    assert [int(v) for v in distinct_prime_count(n).values] == [
-        distinct_count_scan(k) for k in range(1, n + 1)
-    ]
-    assert [int(v) for v in p_adic_valuation(2, n).values] == [
-        nu_p_scan(2, k) for k in range(1, n + 1)
-    ]
+    for n in (1, 2, 3, 200, 1000):
+        ks = range(1, n + 1)
+        assert [int(v) for v in mobius(n).values] == [mobius_scan(k) for k in ks]
+        assert [int(v) for v in euler_phi(n).values] == [phi_count(k) for k in ks]
+        assert [int(v) for v in liouville(n).values] == [liouville_scan(k) for k in ks]
+        assert [int(v) for v in dedekind_psi(n).values] == [psi_scan(k) for k in ks]
+        assert [int(v) for v in big_omega(n).values] == [big_omega_scan(k) for k in ks]
+        assert [int(v) for v in distinct_prime_count(n).values] == [
+            distinct_count_scan(k) for k in ks
+        ]
+        for p in (2, 3):
+            assert [int(v) for v in p_adic_valuation(p, n).values] == [
+                nu_p_scan(p, k) for k in ks
+            ]
+        assert _sigma(n) == [sigma_scan(k) for k in ks]
 
 
 def test_mangoldt_values_and_norm():
@@ -227,6 +241,14 @@ def test_sampled_additive_functions_form_a_group():
         assert is_additive(f).verdict == MEMBER
         assert is_additive(f + g).verdict == MEMBER
         assert is_additive(-f).verdict == MEMBER
+
+
+def test_random_additive_draw_order_is_pinned():
+    # one draw per prime power, first needed at p^a, so the draws come in
+    # ascending order of p^a; a change in that order changes the digest
+    f = random_additive(random.Random(7), 256)
+    digest = hashlib.sha256(",".join(map(str, f.values)).encode()).hexdigest()
+    assert digest == "9a64d8ff361effa0111a0dac1a1e9480c2ae06b01c876c6a36cf1805cf026047"
 
 
 # the classical inversion identities -------------------------------------------
