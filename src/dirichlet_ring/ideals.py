@@ -1,11 +1,14 @@
 """Ideal families of the convolution ring: membership oracles, quotients,
 decompositions, chain builders, and primality probes.
 
-Every family is described by an :class:`IdealSpec` and decided by a
-window-level predicate: an index is *constrained* when the defining
-condition forces the value there to vanish.  Membership verdicts are
-therefore statements about the truncation window, never about the full
-ring.
+Every family is described by an :class:`IdealSpec`, whose
+``constrained_indices(window)`` lists the indices where the defining
+condition forces a member to vanish.  Each family is decided once over
+the whole window from the one smallest-prime-factor sieve: ``K_n`` reads
+the primes off it, and the prime-divisor families bound a count of the
+distinct primes of each index, folded over the window.  Membership
+verdicts are therefore statements about the truncation window, never
+about the full ring.
 """
 
 from __future__ import annotations
@@ -13,27 +16,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from itertools import accumulate
+from math import prod
+from operator import add, mul
 
-from .primes import factorize, is_prime, nth_prime
-from .ring import (
-    ArithFunc,
-    EXACT,
-    NotDivisibleWitness,
-    WindowError,
-    ZeroFunctionError,
-    delta,
-    indicator_shift,
-    try_divide,
-    zeros,
-)
-from .witness import (
-    Witness,
-    member_witness,
-    non_member_witness,
-    undecided_witness,
-)
+from .primes import factorize, is_prime, nth_prime, prime_power_fold, primes_upto
+from .ring import (ArithFunc, EXACT, NotDivisibleWitness, WindowError, ZeroFunctionError,
+                   delta, indicator_shift, try_divide, zeros)
+from .witness import Witness, member_witness, non_member_witness, undecided_witness
 
 
 class NotInIdealError(ValueError):
@@ -128,30 +118,24 @@ class IdealSpec:
 
     # the defining predicate ------------------------------------------------
 
-    @cached_property
-    def _tail_start(self) -> int:  # K_n vanishes at the primes from this one on
-        return nth_prime(self.n)
-
-    def constrains(self, idx: int) -> bool:
-        """Whether the family definition forces members to vanish at idx."""
-        if self.tag == TAG_NORM_FLOOR:
-            return idx < self.n
-        if self.tag == TAG_MAXIMAL:
-            return idx == 1
-        if self.tag == TAG_COPRIME:
-            return gcd(self.m, idx) == 1
-        if self.tag == TAG_PRIME_TAIL:
-            return idx == 1 or (idx >= self._tail_start and is_prime(idx))
-        if self.tag == TAG_GCD_COUNT:
-            return factorize(gcd(self.m, idx)).distinct_count <= self.k
-        # products of primes drawn from Q (1 included, as the empty product)
-        ps = factorize(idx).distinct_primes
-        if self.complement:
-            return not any(p in self.primes for p in ps)
-        return all(p in self.primes for p in ps)
-
     def constrained_indices(self, window: int) -> list[int]:
-        return [idx for idx in range(1, window + 1) if self.constrains(idx)]
+        """The indices 1..window, ascending, where members must vanish."""
+        if self.tag == TAG_NORM_FLOOR:
+            return list(range(1, min(self.n, window + 1)))
+        if self.tag == TAG_MAXIMAL:
+            return [1]
+        if self.tag == TAG_PRIME_TAIL:  # 1 and the primes from the n-th on
+            return [1] + primes_upto(window)[self.n - 1 :]
+        # the rest bound a count of idx's distinct primes: P_m (at 0) and
+        # P_{m,k} (at k) count the primes of m, J_~Q (at 0) those in Q, and
+        # J_Q (at 0) those outside Q; 1, the empty product, always counts 0
+        if self.tag == TAG_PRIME_PRODUCTS:
+            chosen, outside = set(self.primes), not self.complement
+        else:
+            chosen, outside = set(factorize(self.m).distinct_primes), False
+        bound = self.k if self.tag == TAG_GCD_COUNT else 0
+        counts = prime_power_fold(window, lambda p, a: (p in chosen) != outside, add, 0)
+        return [idx for idx, c in enumerate(counts, start=1) if c <= bound]
 
 
 def member(spec: IdealSpec, f: ArithFunc) -> Witness:
@@ -161,12 +145,20 @@ def member(spec: IdealSpec, f: ArithFunc) -> Witness:
         raise WindowError(
             f"norm threshold {spec.n} inspects indices beyond the window {window}"
         )
-    for idx in range(1, window + 1):
-        if spec.constrains(idx) and f(idx):
+    for idx in spec.constrained_indices(window):
+        if f(idx):
             return non_member_witness(
                 index=idx, note=f"f({idx}) != 0 but {spec.label()} forces 0 there"
             )
     return member_witness(note=f"vanishes at every constrained index <= {window}")
+
+
+def _require_member(spec: IdealSpec, f: ArithFunc) -> None:
+    verdict = member(spec, f)
+    if not verdict.is_member:
+        raise NotInIdealError(
+            verdict, f"not in {spec.label()}: nonzero at index {verdict.index}"
+        )
 
 
 # quotients and decompositions -------------------------------------------
@@ -179,12 +171,7 @@ def principal_quotient(p: int, f: ArithFunc) -> ArithFunc:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    spec = IdealSpec.coprime_vanishing(p)
-    verdict = member(spec, f)
-    if not verdict.is_member:
-        raise NotInIdealError(
-            verdict, f"not in {spec.label()}: nonzero at index {verdict.index}"
-        )
+    _require_member(IdealSpec.coprime_vanishing(p), f)
     if len(f) < p:
         raise WindowError(f"window {len(f)} holds no multiple of {p}")
     vals = tuple(f(k * p) for k in range(1, len(f) // p + 1))
@@ -210,47 +197,30 @@ class Decomposition:
         return total
 
 
-def _restrict_to_multiples(f: ArithFunc, q: int) -> ArithFunc:
-    vals = tuple(
-        f.values[i] if (i + 1) % q == 0 else Fraction(0) for i in range(len(f))
-    )
-    return ArithFunc(vals, f.mode)
-
-
 def decompose_coprime_vanishing(m: int, f: ArithFunc) -> Decomposition:
     """Split f over the indicator generators at m's distinct primes.
 
-    Peels one prime at a time, largest first: the slice of f supported on
-    multiples of q is handed to :func:`principal_quotient`, and the
-    remainder continues with the smaller primes.  The remainder after the
-    last prime is identically zero.
+    A member of P_m vanishes off the multiples of m's primes, so each f(k)
+    is read straight into the cofactor of the largest prime q of m that
+    divides k, at position k/q.  A cofactor's window is floor(len(f)/q),
+    or a single zero when no multiple of q fits in the window.
     """
-    spec = IdealSpec.coprime_vanishing(m)
-    verdict = member(spec, f)
-    if not verdict.is_member:
-        raise NotInIdealError(
-            verdict, f"not in {spec.label()}: nonzero at index {verdict.index}"
-        )
+    _require_member(IdealSpec.coprime_vanishing(m), f)
     qs = factorize(m).distinct_primes
     window = len(f)
-    cofactors: dict[int, ArithFunc] = {}
-    residual = f
-    for q in reversed(qs):
-        part = _restrict_to_multiples(residual, q)
-        if len(f) < q:
-            # no multiple of q fits in the window, so the slice is empty
-            cofactors[q] = zeros(1, f.mode)
-        else:
-            cofactors[q] = principal_quotient(q, part)
-        residual = residual - part
-    if not residual.is_zero():
-        raise AssertionError("decomposition left a nonzero remainder")
+    owner = [0] * (window + 1)  # the largest prime of m dividing each index
+    for q in qs:
+        owner[q::q] = [q] * (window // q)
+    cofactors = {q: list(zeros(max(window // q, 1), f.mode).values) for q in qs}
+    for k, q in enumerate(owner):
+        if q:
+            cofactors[q][k // q - 1] = f(k)
     return Decomposition(
         m=m,
         target=f,
         generators=tuple(delta(q, window, f.mode) for q in qs),
         generator_points=qs,
-        cofactors=tuple(cofactors[q] for q in qs),
+        cofactors=tuple(ArithFunc(cofactors[q], f.mode) for q in qs),
     )
 
 
@@ -291,94 +261,60 @@ class ChainReport:
         return "\n".join(lines)
 
 
-def _chain_specs_and_separators(family: str, length: int, window: int):
-    """Specs in listed order plus (smaller_i, larger_i, separator, label)."""
+def _chain_specs_and_points(family: str, length: int):
+    """The specs in listed order, the separator point between each pair of
+    neighbours, and whether the ideals grow along the list."""
+    ps = primes_upto(nth_prime(length + 1))
     if family == "P_ascending":
-        ms = []
-        m = 1
-        for i in range(1, length + 1):
-            m *= nth_prime(i)
-            ms.append(m)
-        specs = [IdealSpec.coprime_vanishing(m) for m in ms]
-        seps = []
-        for i in range(length - 1):
-            p = nth_prime(i + 2)
-            seps.append((specs[i], specs[i + 1], delta(p, window), f"delta_{p}"))
-        return specs, seps
+        specs = [IdealSpec.coprime_vanishing(m) for m in accumulate(ps[:length], mul)]
+        return specs, ps[1:length], True
     if family == "J_descending":
-        sets = [tuple(nth_prime(j) for j in range(1, i + 1)) for i in range(1, length + 1)]
-        specs = [IdealSpec.prime_products(s) for s in sets]
-        seps = []
-        for i in range(length - 1):
-            p = nth_prime(i + 2)
-            seps.append((specs[i + 1], specs[i], delta(p, window), f"delta_{p}"))
-        return specs, seps
+        return [IdealSpec.prime_products(ps[:i]) for i in range(1, length + 1)], ps[1:length], False
     if family == "I_descending":
-        specs = [IdealSpec.norm_floor(i) for i in range(1, length + 1)]
-        seps = []
-        for i in range(length - 1):
-            seps.append((specs[i + 1], specs[i], delta(i + 1, window), f"delta_{i + 1}"))
-        return specs, seps
+        return [IdealSpec.norm_floor(i) for i in range(1, length + 1)], range(1, length), False
     if family == "K_ascending":
-        specs = [IdealSpec.prime_tail(i) for i in range(1, length + 1)]
-        seps = []
-        for i in range(length - 1):
-            p = nth_prime(i + 1)
-            seps.append((specs[i], specs[i + 1], delta(p, window), f"delta_{p}"))
-        return specs, seps
+        return [IdealSpec.prime_tail(i) for i in range(1, length + 1)], ps[: length - 1], True
     raise ValueError(f"unknown chain family {family!r}; choose from {CHAIN_FAMILIES}")
 
 
 def chain(family: str, length: int, window: int) -> ChainReport:
     """Build a finite stretch of one of the four chain constructions.
 
-    Each adjacent pair comes with a separator that the membership oracle
-    confirms to lie in the larger ideal and not in the smaller one.
+    Each adjacent pair comes with a separator, the indicator of its
+    separator point, that the membership oracle confirms to lie in the
+    larger ideal and not in the smaller one.
     """
     if length < 2:
         raise ValueError("a chain needs at least two members")
-    specs, seps = _chain_specs_and_separators(family, length, window)
+    specs, points, ascending = _chain_specs_and_points(family, length)
     links = []
-    for smaller, larger, sep, label in seps:
+    for i, p in enumerate(points):
+        smaller, larger = (specs[i], specs[i + 1]) if ascending else (specs[i + 1], specs[i])
+        sep, label = delta(p, window), f"delta_{p}"
         if sep.is_zero():
-            raise WindowError(
-                f"window {window} too small to hold separator {label}"
-            )
+            raise WindowError(f"window {window} too small to hold separator {label}")
         in_larger = member(larger, sep)
         not_in_smaller = member(smaller, sep)
         if not in_larger.is_member or not_in_smaller.is_member:
             raise AssertionError(f"separator {label} fails to separate")
-        links.append(
-            ChainLink(
-                smaller=smaller,
-                larger=larger,
-                separator=sep,
-                separator_label=label,
-                in_larger=in_larger,
-                not_in_smaller=not_in_smaller,
-            )
-        )
+        links.append(ChainLink(smaller, larger, sep, label, in_larger, not_in_smaller))
     return ChainReport(family=family, specs=tuple(specs), links=tuple(links))
 
 
 # probes ------------------------------------------------------------------
 
 
-def _random_outside(
-    spec: IdealSpec, rng: random.Random, window: int
-) -> tuple[ArithFunc, int]:
-    """A random non-member and its first violating index."""
+def _random_outside(idxs: list[int], rng: random.Random, window: int) -> tuple[ArithFunc, int]:
+    """A random non-member and its first violating index, given the ideal's
+    nonempty list of constrained indices."""
     from .sampling import random_func  # local import to avoid a cycle
 
     for _ in range(64):
         f = random_func(rng, window)
-        verdict = member(spec, f)
-        if not verdict.is_member:
-            return f, verdict.index
+        first = next((idx for idx in idxs if f(idx)), None)
+        if first is not None:
+            return f, first
     # force a violation at the first constrained index
-    idxs = spec.constrained_indices(window)
-    if not idxs:
-        raise WindowError(f"{spec.label()} constrains nothing on window {window}")
     vals = list(random_func(rng, window).values)
     vals[idxs[0] - 1] = Fraction(1)
     return ArithFunc(vals, EXACT), idxs[0]
@@ -389,22 +325,17 @@ def _known_counterexample(spec: IdealSpec, window: int):
     if spec.tag == TAG_PRIME_TAIL:
         f = ArithFunc([Fraction(0)] + [Fraction(1)] * (window - 1), EXACT)
         return f, f
-    if spec.tag == TAG_GCD_COUNT and 1 <= spec.k < factorize(spec.m).distinct_count:
+    if spec.tag == TAG_GCD_COUNT:
         qs = factorize(spec.m).distinct_primes
-        alpha = 1
-        for q in qs[: spec.k]:
-            alpha *= q
-        beta = qs[spec.k]
-        return delta(alpha, window), delta(beta, window)
+        if 1 <= spec.k < len(qs):
+            return delta(prod(qs[: spec.k]), window), delta(qs[spec.k], window)
     if spec.tag == TAG_NORM_FLOOR and spec.n >= 3:
         d = delta(spec.n - 1, window)
         return d, d
     return None
 
 
-def probe_prime(
-    spec: IdealSpec, trials: int, seed: int, window: int
-) -> Witness:
+def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness:
     """Refutation search for primality of an ideal on the window.
 
     A ``non_member`` verdict means primality is refuted: the attached
@@ -412,6 +343,7 @@ def probe_prime(
     inside.  ``undecided_at_truncation`` means no counterexample was
     found; the window can never *prove* an ideal prime.
     """
+    refuted = "product of two non-members lies in the ideal"
     known = _known_counterexample(spec, window)
     if known is not None:
         f, g = known
@@ -420,24 +352,16 @@ def probe_prime(
             and not member(spec, g).is_member
             and member(spec, f.convolve(g)).is_member
         ):
-            return non_member_witness(
-                note="product of two non-members lies in the ideal",
-                elements=(f, g),
-            )
+            return non_member_witness(note=refuted, elements=known)
+    idxs = spec.constrained_indices(window)
     rng = random.Random(seed)
-    for _ in range(trials):
-        try:
-            f, kf = _random_outside(spec, rng, window)
-            g, kg = _random_outside(spec, rng, window)
-        except WindowError:
-            break
+    for _ in range(trials if idxs else 0):  # an ideal constraining nothing has no non-members
+        f, kf = _random_outside(idxs, rng, window)
+        g, kg = _random_outside(idxs, rng, window)
         # f(kf) g(kg) lands at kf * kg; past the window the product can
         # look like a member only because its violation is cut off
         if kf * kg <= window and member(spec, f.convolve(g)).is_member:
-            return non_member_witness(
-                note="product of two non-members lies in the ideal",
-                elements=(f, g),
-            )
+            return non_member_witness(note=refuted, elements=(f, g))
     return undecided_witness(note=f"no counterexample among {trials} sampled pairs")
 
 

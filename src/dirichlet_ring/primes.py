@@ -1,6 +1,7 @@
 """Prime utilities: a memoized trial-division factorizer for single
-integers, and one smallest-prime-factor sieve that builds multiplicative
-and additive functions on a whole window from their prime-power values."""
+integers, and one smallest-prime-factor sieve that lists the primes and
+builds multiplicative and additive functions on a whole window from their
+prime-power values."""
 
 from __future__ import annotations
 
@@ -19,10 +20,6 @@ class Factorization:
     @property
     def distinct_primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
-
-    @property
-    def distinct_count(self) -> int:
-        return len(self.factors)
 
     @property
     def is_squarefree(self) -> bool:
@@ -55,15 +52,14 @@ def is_prime(n: int) -> bool:
 
 
 def nth_prime(k: int) -> int:
-    """The k-th prime, counting from 2 as the first."""
+    """The k-th prime, counting from 2 as the first, read off a sieve
+    whose bound doubles until it holds k primes."""
     if k < 1:
         raise ValueError("prime index starts at 1")
-    count, candidate = 0, 1
-    while count < k:
-        candidate += 1
-        if is_prime(candidate):
-            count += 1
-    return candidate
+    limit = 16
+    while len(ps := primes_upto(limit)) < k:
+        limit *= 2
+    return ps[k - 1]
 
 
 def smallest_prime_factors(n: int) -> list[int]:

@@ -44,19 +44,23 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
         raise ValueError("values must be a list")
     if len(raw) != n:
         raise ValueError(f"declared n = {n} but {len(raw)} values present")
-    if mode == EXACT and not all(isinstance(v, list) and len(v) == 2 for v in raw):
-        raise ValueError("each exact value must be a [numerator, denominator] pair")
-    try:
-        if mode == EXACT:
+    if mode == EXACT:
+        if not all(isinstance(v, list) and len(v) == 2
+                   and all(isinstance(x, str) for x in v) for v in raw):
+            raise ValueError("each exact value must be a [numerator, denominator] pair of strings")
+        try:
             values = [Fraction(int(num), int(den)) for num, den in raw]
-        else:
+        except ZeroDivisionError:
+            raise ValueError("an exact value has denominator 0") from None
+    else:
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
+            raise ValueError("each float value must be a JSON number")
+        try:
             values = [float(v) for v in raw]
-    except ZeroDivisionError:
-        raise ValueError("an exact value has denominator 0") from None
-    except TypeError as exc:
-        raise ValueError(f"malformed value: {exc}") from None
-    if mode == FLOAT and not all(math.isfinite(v) for v in values):
-        raise ValueError("float values must be finite")
+        except OverflowError:  # an integer too large for a double
+            raise ValueError("float values must be finite") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("float values must be finite")
     return name, ArithFunc(values, mode)
 
 

@@ -3,12 +3,14 @@ the primality/semi-primality probes."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from dirichlet_ring import (
     ArithFunc,
     EXACT,
+    FLOAT,
     IdealSpec,
     NotInIdealError,
     WindowError,
@@ -36,7 +38,7 @@ from dirichlet_ring.sampling import (
 )
 from dirichlet_ring.witness import MEMBER, NON_MEMBER, UNDECIDED
 
-from oracles import rank_over_q
+from oracles import is_prime_scan, prime_factors_scan, rank_over_q
 
 ALL_FAMILY_SPECS = [
     IdealSpec.norm_floor(4),
@@ -117,13 +119,63 @@ def test_member_prime_tail(monkeypatch):
     assert member(spec, delta(5, 32)).verdict == NON_MEMBER
     assert member(spec, delta(4, 32)).verdict == MEMBER  # 4 is not prime
     assert member(spec, identity(32)).verdict == NON_MEMBER
-    assert calls == [3]  # the threshold prime is found once per spec
-    calls.clear()
     tail = IdealSpec.prime_tail(300)  # the 299th prime is 1979, the 300th 1987
     assert member(tail, delta(1979, 4096)).verdict == MEMBER
-    assert calls == [300]
     assert member(tail, delta(1987, 4096)).index == 1987
-    assert calls == [300]
+    assert member(IdealSpec.prime_tail(700), delta(1987, 4096)).verdict == MEMBER
+    assert calls == []  # the primes are read off the window's sieve
+
+
+def _constrained_by_scan(spec, window):
+    """The constrained indices from the family definitions, by divisor scans."""
+    scanned_primes = [k for k in range(2, window + 1) if is_prime_scan(k)]
+
+    def constrains(idx):
+        ps = {p for p, _ in prime_factors_scan(idx)}
+        if spec.tag == ideals.TAG_NORM_FLOOR:
+            return idx < spec.n
+        if spec.tag == ideals.TAG_MAXIMAL:
+            return idx == 1
+        if spec.tag == ideals.TAG_COPRIME:
+            return all(spec.m % p for p in ps)
+        if spec.tag == ideals.TAG_GCD_COUNT:
+            return sum(spec.m % p == 0 for p in ps) <= spec.k
+        if spec.tag == ideals.TAG_PRIME_TAIL:
+            return idx == 1 or idx in scanned_primes[spec.n - 1 :]
+        if spec.complement:
+            return not ps & set(spec.primes)
+        return ps <= set(spec.primes)
+
+    return [idx for idx in range(1, window + 1) if constrains(idx)]
+
+
+SCAN_SPECS = [
+    IdealSpec.norm_floor(1),
+    IdealSpec.norm_floor(4),
+    IdealSpec.norm_floor(500),
+    IdealSpec.maximal(),
+    IdealSpec.coprime_vanishing(1),
+    IdealSpec.coprime_vanishing(6),
+    IdealSpec.coprime_vanishing(12),
+    IdealSpec.coprime_vanishing(30),
+    IdealSpec.prime_products((2, 3)),
+    IdealSpec.prime_products((2, 3), complement=True),
+    IdealSpec.prime_products((5, 7, 61)),
+    IdealSpec.prime_products((7,), complement=True),
+    IdealSpec.prime_tail(1),
+    IdealSpec.prime_tail(3),
+    IdealSpec.prime_tail(62),  # pi(300) = 62
+    IdealSpec.prime_tail(100),  # more than the primes of every window here
+    IdealSpec.gcd_count(1, 0),
+    *(IdealSpec.gcd_count(6, k) for k in range(3)),
+    *(IdealSpec.gcd_count(30, k) for k in range(4)),
+]
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 64, 300])
+def test_constrained_indices_match_definition_scan(window):
+    for spec in SCAN_SPECS:
+        assert spec.constrained_indices(window) == _constrained_by_scan(spec, window), spec
 
 
 def test_member_prime_products_allow_mode():
@@ -231,6 +283,49 @@ def test_decompose_prime_power_reduces_to_quotient():
 def test_decompose_rejects_non_members():
     with pytest.raises(NotInIdealError):
         decompose_coprime_vanishing(6, delta(5, 32))
+
+
+def _member_of_coprime_family(m, window, mode):
+    """k/(k+1) (exact) or (-1)^k/k (float) off the indices coprime to m, 0 on them."""
+    vals = []
+    for k in range(1, window + 1):
+        if gcd(k, m) == 1:
+            vals.append(Fraction(0) if mode == EXACT else 0.0)
+        else:
+            vals.append(Fraction(k, k + 1) if mode == EXACT else (-1.0) ** k / k)
+    return ArithFunc(vals, mode)
+
+
+def test_decompose_cofactors_are_pinned():
+    # each f(k) sits in the cofactor of the largest prime of m dividing k;
+    # a prime beyond the window gets the single zero [0]
+    cases = [
+        (30, _member_of_coprime_family(30, 20, EXACT), [
+            ["2/3", "4/5", "0", "8/9", "0", "0", "14/15", "16/17", "0", "0"],
+            ["3/4", "6/7", "9/10", "12/13", "0", "18/19"],
+            ["5/6", "10/11", "15/16", "20/21"],
+        ]),
+        (30, _member_of_coprime_family(30, 4, EXACT), [["2/3", "4/5"], ["3/4"], ["0"]]),
+        (35, _member_of_coprime_family(35, 6, EXACT), [["5/6"], ["0"]]),
+        (12, _member_of_coprime_family(12, 13, FLOAT), [
+            ["0.5", "0.25", "0.0", "0.125", "0.1", "0.0"],
+            ["-0.3333333333333333", "0.16666666666666666", "-0.1111111111111111",
+             "0.08333333333333333"],
+        ]),
+        (30, _member_of_coprime_family(30, 4, FLOAT), [["0.5", "0.25"], ["-0.3333333333333333"], ["0.0"]]),
+    ]
+    signed = list(_member_of_coprime_family(30, 12, FLOAT).values)
+    signed[5] = signed[9] = -0.0  # the sign of a zero is read through
+    cases.append((30, ArithFunc(signed, FLOAT), [
+        ["0.5", "0.25", "0.0", "0.125", "0.0", "0.0"],
+        ["-0.3333333333333333", "-0.0", "-0.1111111111111111", "0.08333333333333333"],
+        ["-0.2", "-0.0"],
+    ]))
+    for m, f, expected in cases:
+        dec = decompose_coprime_vanishing(m, f)
+        assert [[str(v) for v in c.values] for c in dec.cofactors] == expected
+        assert all(c.mode == f.mode for c in dec.cofactors)
+        assert dec.reconstruction() == f
 
 
 def test_generator_evaluations_are_standard_basis():

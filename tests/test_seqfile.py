@@ -85,6 +85,14 @@ def test_loader_validation():
         {**good, "values": 2},
         {**good, "mode": "float", "values": [1.0, float("nan")]},
         {**good, "mode": "float", "values": [float("-inf"), 1.0]},
+        {**good, "values": [[1.7, 2], ["2", "1"]]},
+        {**good, "values": [[True, "2"], ["2", "1"]]},
+        {**good, "values": [["1", 2], ["2", "1"]]},
+        {**good, "values": [["1", None], ["2", "1"]]},
+        {**good, "mode": "float", "values": ["1.5", 2.0]},
+        {**good, "mode": "float", "values": [True, 2.0]},
+        {**good, "mode": "float", "values": [None, 2.0]},
+        {**good, "mode": "float", "values": [10**400, 2.0]},
         {k: v for k, v in good.items() if k != "name"},
     ):
         with pytest.raises(ValueError):
@@ -118,6 +126,7 @@ float_funcs = st.lists(
     st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12
 ).map(lambda vs: ArithFunc(vs, FLOAT))
 funcs = st.one_of(exact_funcs, float_funcs)
+not_scalars = st.one_of(st.none(), st.booleans(), st.lists(st.integers(), max_size=2))
 non_pairs = st.one_of(
     st.none(),
     st.booleans(),
@@ -132,7 +141,7 @@ non_pairs = st.one_of(
 @st.composite
 def malformed_objects(draw):
     kind = draw(st.sampled_from(
-        ["zero_denominator", "bool_n", "non_pair", "non_finite", "wrong_length"]
+        ["zero_denominator", "bool_n", "non_pair", "non_finite", "wrong_length", "wrong_type"]
     ))
     sources = {"zero_denominator": exact_funcs, "non_pair": exact_funcs,
                "non_finite": float_funcs}
@@ -148,6 +157,12 @@ def malformed_objects(draw):
         values[i] = draw(non_pairs)
     elif kind == "non_finite":
         values[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "wrong_type":
+        # an exact pair element that is not a string, or a float value that is not a number
+        if obj["mode"] == EXACT:
+            values[i][draw(st.integers(0, 1))] = draw(st.one_of(not_scalars, st.integers(), st.floats()))
+        else:
+            values[i] = draw(st.one_of(not_scalars, st.text()))
     else:
         obj["n"] = draw(st.integers(1, 20).filter(lambda m: m != len(values)))
     return obj

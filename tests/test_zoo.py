@@ -99,6 +99,10 @@ def test_is_prime_matches_scan():
 
 def test_nth_prime_sequence():
     assert [nth_prime(k) for k in range(1, 9)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    scanned = [k for k in range(2, 1300) if is_prime_scan(k)]
+    assert [nth_prime(k) for k in range(1, 201)] == scanned[:200]
+    with pytest.raises(ValueError):
+        nth_prime(0)
 
 
 # golden generator values ----------------------------------------------------
