@@ -14,12 +14,20 @@ f(i) g(m) is pushed into the accumulator at index i*m, so no index ever
 searches for its divisors.  Inversion is the quotient of e by f, and
 exact division is the same recursion plus a scan for the first index it
 cannot match.
+
+In exact mode both loops run on scaled Python ints whenever every
+operand's common denominator (the lcm of its entries' denominators) fits
+in 64 bits: each operand becomes integers over that one denominator,
+and one Fraction per output entry is built at the end.  Past 64 bits
+the lcm of unrelated denominators only grows, so such operands keep
+the loops on Fractions.  Either way the results are the same values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 EXACT = "exact"
@@ -100,28 +108,97 @@ def dirichlet_product(a: Sequence, b: Sequence, n: int, zero) -> list:
     return out
 
 
-def _solve(h: Sequence, f: Sequence, a: int, n: int, zero) -> tuple[list, list]:
+def _solve(h: Sequence, f: Sequence, a: int, n: int, zero, divide) -> tuple[list, list]:
     """Sieve-order recursion for f * g = h on 1..n, where a is the norm of f.
 
     Returns (g, acc).  g, on 1..n//a, satisfies (f*g)(a*m) = h(a*m) for
-    every m: each g(m) is solved from h(a*m) less what the earlier values
-    pushed into acc, then f(i) g(m) is pushed into acc at i*m for i > a.
-    Since f vanishes below a, acc ends up holding (f*g)(k) at every k that
-    is not a multiple of a; entries at multiples of a are scratch.
+    every m: each g(m) is ``divide(rest)``, where rest is h(a*m) less what
+    the earlier values pushed into acc, then f(i) g(m) is pushed into acc
+    at i*m for i > a.  Since f vanishes below a, acc ends up holding
+    (f*g)(k) at every k that is not a multiple of a; entries at multiples
+    of a are scratch.
     """
-    lead = 1 / f[a - 1]
     acc = [zero] * n
     g = [zero] * (n // a)
     for m in range(1, n // a + 1):
         rest = h[a * m - 1] - acc[a * m - 1]
         if not rest:
             continue
-        gm = g[m - 1] = rest * lead
+        gm = g[m - 1] = divide(rest)
         for i in range(a + 1, n // m + 1):
             fi = f[i - 1]
             if fi:
                 acc[i * m - 1] += fi * gm
     return g, acc
+
+
+def _times_inverse(lead_value):
+    """Division step ``rest * (1 / lead_value)``."""
+    lead = 1 / lead_value
+    return lambda rest: rest * lead
+
+
+def _exact_quotient(d: int):
+    """Division step over ints that refuses to round."""
+
+    def divide(rest: int) -> int:
+        q, r = divmod(rest, d)
+        if r:
+            raise ArithmeticError(f"scaled recursion left remainder {r} on division by {d}")
+        return q
+
+    return divide
+
+
+def _scaled(values: Sequence, n: int) -> tuple[list[int], int] | None:
+    """Integers A and one denominator d with values[k] = A[k] / d on 1..n.
+
+    d is the running lcm of the denominators; None as soon as it passes
+    64 bits, so unrelated wide denominators cost a few entries' scan.
+    """
+    values, d = values[:n], 1
+    for v in values:
+        den = v.denominator
+        if d % den:
+            d = d // gcd(d, den) * den
+            if d.bit_length() > 64:
+                return None
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _chain_length(m: int, a: int) -> int:
+    """Steps of m -> a*m // (a+1) down to 0.
+
+    In the recursion with norm a, g(m) depends only on values g(m') with
+    m' <= a*m // (a+1), so this bounds how many divisions by f(a) stack
+    up in any g(m') with m' <= m.
+    """
+    k = 0
+    while m:
+        m = a * m // (a + 1)
+        k += 1
+    return k
+
+
+def _solve_exact(h: Sequence, f: Sequence, a: int, n: int) -> tuple[list, list, Sequence]:
+    """``_solve`` on exact values; returns (g, acc, target).
+
+    When h and f both scale, h = H/dh and f = F/df, the recursion solves
+    F * G = c*H over ints with c = F(a)^K and K = _chain_length(n//a, a),
+    so every division by F(a) is exact, and g = G*df / (dh*c).  acc
+    holds F * G, on the scale of target = c*H.  Otherwise it runs on
+    Fractions and target is h.
+    """
+    scaled_h, scaled_f = _scaled(h, n), _scaled(f, n)
+    if scaled_h is None or scaled_f is None:
+        g, acc = _solve(h, f, a, n, Fraction(0), _times_inverse(f[a - 1]))
+        return g, acc, h
+    (hs, dh), (fs, df) = scaled_h, scaled_f
+    c = fs[a - 1] ** _chain_length(n // a, a)
+    target = [c * x for x in hs]
+    g, acc = _solve(target, fs, a, n, 0, _exact_quotient(fs[a - 1]))
+    den = dh * c
+    return [Fraction(x * df, den) for x in g], acc, target
 
 
 class ArithFunc:
@@ -226,7 +303,15 @@ class ArithFunc:
         """Dirichlet convolution: (f*g)(k) = sum of f(i)g(j) over ij = k."""
         self._require_same_mode(other)
         n = min(len(self._values), len(other._values))
-        out = dirichlet_product(self._values, other._values, n, self._zero_scalar())
+        a, b = self._values, other._values
+        if self._mode == EXACT:
+            scaled_a, scaled_b = _scaled(a, n), _scaled(b, n)
+            if scaled_a is not None and scaled_b is not None:
+                (ia, da), (ib, db) = scaled_a, scaled_b
+                d = da * db
+                out = [Fraction(x, d) for x in dirichlet_product(ia, ib, n, 0)]
+                return ArithFunc._raw(tuple(out), EXACT)
+        out = dirichlet_product(a, b, n, self._zero_scalar())
         return ArithFunc._raw(tuple(out), self._mode)
 
     def __mul__(self, other):
@@ -249,7 +334,10 @@ class ArithFunc:
             raise NonUnitError("f(1) = 0: not a unit (lies in the maximal ideal)")
         n = len(self._values)
         e = identity(n, self._mode).values
-        g, _ = _solve(e, self._values, 1, n, self._zero_scalar())
+        if self._mode == EXACT:
+            g, _, _ = _solve_exact(e, self._values, 1, n)
+        else:
+            g, _ = _solve(e, self._values, 1, n, 0.0, _times_inverse(self._values[0]))
         return ArithFunc._raw(tuple(g), self._mode)
 
     def power(self, r: int) -> "ArithFunc":
@@ -353,10 +441,10 @@ def try_divide(h: ArithFunc, f: ArithFunc) -> ArithFunc | NotDivisibleWitness:
         return NotDivisibleWitness(
             index=b, note="dividend norm is not a multiple of the divisor norm"
         )
-    g, acc = _solve(hv, fv, a, n, Fraction(0))
+    g, acc, target = _solve_exact(hv, fv, a, n)
     # the recursion fixes every multiple of a; check the rest of the window
     for k in range(1, n + 1):
-        if k % a and acc[k - 1] != hv[k - 1]:
+        if k % a and acc[k - 1] != target[k - 1]:
             return NotDivisibleWitness(
                 index=k, note="no quotient can match the dividend at this index"
             )

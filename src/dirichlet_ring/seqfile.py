@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
 from .ring import ArithFunc, EXACT, FLOAT
+
+# int() would also take whitespace, underscores and non-ASCII digits
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def to_json_obj(f: ArithFunc, name: str = "sequence") -> dict:
@@ -46,8 +50,10 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
         raise ValueError(f"declared n = {n} but {len(raw)} values present")
     if mode == EXACT:
         if not all(isinstance(v, list) and len(v) == 2
-                   and all(isinstance(x, str) for x in v) for v in raw):
-            raise ValueError("each exact value must be a [numerator, denominator] pair of strings")
+                   and all(isinstance(x, str) and _DECIMAL.fullmatch(x) for x in v)
+                   for v in raw):
+            raise ValueError("each exact value must be a [numerator, denominator] pair "
+                             "of decimal strings")
         try:
             values = [Fraction(int(num), int(den)) for num, den in raw]
         except ZeroDivisionError:

@@ -1,6 +1,7 @@
 """Core ring operations: construction, convolution, inversion, norm,
 powers, and exact trial division."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -25,9 +26,9 @@ from dirichlet_ring import (
     try_divide,
     zeros,
 )
-from dirichlet_ring.ring import dirichlet_product
+from dirichlet_ring.ring import _scaled, dirichlet_product
 from dirichlet_ring.sampling import random_func, random_nonzero, random_unit, random_with_norm
-from dirichlet_ring.zoo import big_omega, mobius, unit
+from dirichlet_ring.zoo import big_omega, log_function, mangoldt, mobius, unit
 
 from oracles import convolve_lists, divide_lists, invert_floats, mobius_scan
 
@@ -376,6 +377,106 @@ def test_division_soundness_reconvolution():
         # zero-extend the quotient and compare on the whole window
         padded = ArithFunc(list(q.values) + [Fraction(0)] * (48 - len(q)), EXACT)
         assert padded * f == h
+
+
+# scaled-integer path -------------------------------------------------------
+
+leads = st.builds(
+    Fraction, st.sampled_from([-7, -5, -3, -2, -1, 1, 2, 3, 5, 7]), st.sampled_from([1, 2, 3])
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 6), leads, st.integers(0, 2**32), st.integers(1, 300))
+def test_exact_kernels_match_divisor_scan_oracles(n, a, lead, seed, k):
+    # norms up to 6 and leads with several prime factors make the quotient
+    # recursion divide by f(a) many times in a row: a bound on that count
+    # that is too small leaves a remainder and raises
+    rng = random.Random(seed)
+    a, k = min(a, n), min(k, n)
+
+    def narrow(length):
+        return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(length)]
+
+    fv = [Fraction(0)] * (a - 1) + [lead] + narrow(n - a)
+    f, g = ArithFunc(fv, EXACT), ArithFunc(narrow(n), EXACT)
+    h = f * g
+    assert list(h.values) == convolve_lists(fv, list(g.values))
+    assert list(try_divide(h, f).values) == divide_lists(list(h.values), fv)
+    hk = h + delta(k, n)
+    expected = divide_lists(list(hk.values), fv)
+    result = try_divide(hk, f)
+    if isinstance(expected, int):
+        assert isinstance(result, NotDivisibleWitness) and result.index == expected
+    else:
+        assert list(result.values) == expected
+    if a == 1:
+        assert list(f.invert().values) == divide_lists([1] + [0] * (n - 1), fv)
+
+
+def test_common_denominator_switch_at_64_bits():
+    # p*q has 64 bits, so f scales; one more entry over 2 makes the common
+    # denominator 65 bits, and f2 keeps the Fraction path
+    p, q = 4294967291, 4294967279
+    assert (p * q).bit_length() == 64
+    n = 64
+    rng = random.Random(43)
+    base = [Fraction(rng.randint(-3, 3), rng.choice((1, p, q))) for _ in range(n)]
+    base[0] = Fraction(5, p * q)
+    f = ArithFunc(base, EXACT)
+    f2 = ArithFunc(base[:-1] + [Fraction(1, 2)], EXACT)
+    assert _scaled(f.values, n)[1] == p * q
+    assert _scaled(f2.values, n) is None
+    g = random_unit(rng, n)
+    for x in (f, f2):
+        xv = list(x.values)
+        product = x * g
+        assert product.values == tuple(dirichlet_product(x.values, g.values, n, Fraction(0)))
+        assert list(product.values) == convolve_lists(xv, list(g.values))
+        assert list(x.invert().values) == divide_lists([1] + [0] * (n - 1), xv)
+        assert list(try_divide(product, x).values) == divide_lists(list(product.values), xv)
+        for r in (product, x.invert(), try_divide(product, x)):
+            assert all(type(v) is Fraction for v in r.values)
+
+
+# pinned outputs ---------------------------------------------------------------
+
+
+def _wide(rng, n):
+    # ~64-bit numerators over distinct ~32-bit denominators
+    dens = rng.sample(range(1 << 31, 1 << 32), n)
+    return ArithFunc([Fraction(rng.getrandbits(64) - (1 << 63) or 1, d) for d in dens], EXACT)
+
+
+def test_kernel_outputs_are_pinned():
+    # digest recorded before the scaled-integer path existed: every exact
+    # value, witness index and float bit of these kernel calls is fixed
+    rng = random.Random(41)
+    f, g = random_unit(rng, 1024), random_unit(rng, 1024)
+    f2 = random_with_norm(rng, 1024, 2)
+    h2 = f2 * g
+    a, b = _wide(rng, 256), _wide(rng, 256)
+    u = random_unit(rng, 1024).to_float()
+    results = [
+        f * g,
+        f.invert(),
+        f.power(8),
+        try_divide(f * g, g),
+        try_divide(h2, f2),
+        try_divide(h2 + delta(701, 1024), f2),
+        a * b,
+        a.invert(),
+        mangoldt(1024).convolve(log_function(1024)),
+        u.invert(),
+    ]
+    assert results[5] == NotDivisibleWitness(701, results[5].note)
+    text = ";".join(
+        str(r.index) if isinstance(r, NotDivisibleWitness)
+        else ",".join(v.hex() if r.mode == FLOAT else str(v) for v in r.values)
+        for r in results
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "110c2517960860fe43fa8547df1a6bd365d1b65ab25265265136c733efdbbe9a"
 
 
 # window helpers ---------------------------------------------------------------

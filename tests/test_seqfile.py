@@ -89,6 +89,14 @@ def test_loader_validation():
         {**good, "values": [[True, "2"], ["2", "1"]]},
         {**good, "values": [["1", 2], ["2", "1"]]},
         {**good, "values": [["1", None], ["2", "1"]]},
+        {**good, "values": [[" 1_0 ", "3"], ["2", "1"]]},
+        {**good, "values": [["1_0", "3"], ["2", "1"]]},
+        {**good, "values": [["10 ", "3"], ["2", "1"]]},
+        {**good, "values": [["10\n", "3"], ["2", "1"]]},
+        {**good, "values": [["١٢", "1"], ["2", "1"]]},
+        {**good, "values": [["1", "+-3"], ["2", "1"]]},
+        {**good, "values": [["", "1"], ["2", "1"]]},
+        {**good, "values": [["0x10", "1"], ["2", "1"]]},
         {**good, "mode": "float", "values": ["1.5", 2.0]},
         {**good, "mode": "float", "values": [True, 2.0]},
         {**good, "mode": "float", "values": [None, 2.0]},
