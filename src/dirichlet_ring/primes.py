@@ -26,7 +26,7 @@ class Factorization:
         return all(a == 1 for _, a in self.factors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # callers factor single moduli and norms, never a whole window
 def factorize(n: int) -> Factorization:
     """Canonical factorization by trial division up to sqrt(n)."""
     if n < 1:

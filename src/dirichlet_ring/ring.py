@@ -17,10 +17,12 @@ cannot match.
 
 In exact mode both loops run on scaled Python ints whenever every
 operand's common denominator (the lcm of its entries' denominators) fits
-in 64 bits: each operand becomes integers over that one denominator,
-and one Fraction per output entry is built at the end.  Past 64 bits
-the lcm of unrelated denominators only grows, so such operands keep
-the loops on Fractions.  Either way the results are the same values.
+in 64 bits: each operand becomes integers over that one denominator.
+Past 64 bits the lcm of unrelated denominators only grows, so such
+operands run the same loops on unreduced numerator/denominator pairs
+(``_Pair``), which put off the gcds that every Fraction operation takes
+(Knuth, TAOCP vol. 2, 4.5.1).  Either way one Fraction per output entry
+is built at the end, and the results are the same values.
 """
 
 from __future__ import annotations
@@ -166,6 +168,69 @@ def _scaled(values: Sequence, n: int) -> tuple[list[int], int] | None:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+class _Pair:
+    """The value num/den, den > 0, kept unreduced.
+
+    ``*`` takes no gcd and ``+`` and ``-`` cross-multiply, so a sum of
+    products of narrow terms costs no gcd at all.  A term whose
+    denominator passes 64 bits (a product with a solved value of the
+    recursion, or an accumulator taken from the dividend) first has
+    gcd(den, other.den) divided out, which keeps the accumulators from
+    growing by the whole width of every term.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        self.num = num
+        self.den = den
+
+    def __mul__(self, other: "_Pair") -> "_Pair":
+        return _Pair(self.num * other.num, self.den * other.den)
+
+    def __add__(self, other: "_Pair") -> "_Pair":
+        d, e = self.den, other.den
+        if e.bit_length() > 64:
+            g = gcd(d, e)
+            return _Pair(self.num * (e // g) + other.num * (d // g), d // g * e)
+        return _Pair(self.num * e + other.num * d, d * e)
+
+    def __sub__(self, other: "_Pair") -> "_Pair":
+        return self + _Pair(-other.num, other.den)
+
+    def __eq__(self, other: "_Pair") -> bool:
+        return self.num * other.den == other.num * self.den
+
+    def __bool__(self) -> bool:
+        return self.num != 0
+
+
+_ZERO_PAIR = _Pair(0, 1)
+
+
+def _pairs(values: Sequence, n: int) -> list[_Pair]:
+    return [_Pair(v.numerator, v.denominator) for v in values[:n]]
+
+
+def _reduced_quotient(lead: Fraction):
+    """Division step over pairs: rest / lead, reduced once.
+
+    The solved values are multiplied into every later accumulator, so
+    leaving them unreduced would compound their growth.
+    """
+
+    def divide(rest: _Pair) -> _Pair:
+        q = Fraction(rest.num * lead.denominator, rest.den * lead.numerator)
+        return _Pair(q.numerator, q.denominator)
+
+    return divide
+
+
+def _scaled_product(x: tuple, y: tuple, n: int) -> tuple[list[int], int]:
+    """The product of X/dx and Y/dy, as X*Y over dx*dy."""
+    return dirichlet_product(x[0], y[0], n, 0), x[1] * y[1]
+
+
 def _chain_length(m: int, a: int) -> int:
     """Steps of m -> a*m // (a+1) down to 0.
 
@@ -187,12 +252,13 @@ def _solve_exact(h: Sequence, f: Sequence, a: int, n: int) -> tuple[list, list, 
     F * G = c*H over ints with c = F(a)^K and K = _chain_length(n//a, a),
     so every division by F(a) is exact, and g = G*df / (dh*c).  acc
     holds F * G, on the scale of target = c*H.  Otherwise it runs on
-    Fractions and target is h.
+    ``_Pair`` values and target is h as pairs.
     """
     scaled_h, scaled_f = _scaled(h, n), _scaled(f, n)
     if scaled_h is None or scaled_f is None:
-        g, acc = _solve(h, f, a, n, Fraction(0), _times_inverse(f[a - 1]))
-        return g, acc, h
+        target = _pairs(h, n)
+        g, acc = _solve(target, _pairs(f, n), a, n, _ZERO_PAIR, _reduced_quotient(f[a - 1]))
+        return [Fraction(x.num, x.den) for x in g], acc, target
     (hs, dh), (fs, df) = scaled_h, scaled_f
     c = fs[a - 1] ** _chain_length(n // a, a)
     target = [c * x for x in hs]
@@ -275,9 +341,6 @@ class ArithFunc:
                 f"cannot combine {self._mode} mode with {other._mode} mode"
             )
 
-    def _zero_scalar(self):
-        return Fraction(0) if self._mode == EXACT else 0.0
-
     # ring operations ---------------------------------------------------
 
     def add(self, other: "ArithFunc") -> "ArithFunc":
@@ -306,13 +369,12 @@ class ArithFunc:
         a, b = self._values, other._values
         if self._mode == EXACT:
             scaled_a, scaled_b = _scaled(a, n), _scaled(b, n)
-            if scaled_a is not None and scaled_b is not None:
-                (ia, da), (ib, db) = scaled_a, scaled_b
-                d = da * db
-                out = [Fraction(x, d) for x in dirichlet_product(ia, ib, n, 0)]
-                return ArithFunc._raw(tuple(out), EXACT)
-        out = dirichlet_product(a, b, n, self._zero_scalar())
-        return ArithFunc._raw(tuple(out), self._mode)
+            if scaled_a is None or scaled_b is None:
+                out = dirichlet_product(_pairs(a, n), _pairs(b, n), n, _ZERO_PAIR)
+                return ArithFunc._raw(tuple(Fraction(x.num, x.den) for x in out), EXACT)
+            ints, d = _scaled_product(scaled_a, scaled_b, n)
+            return ArithFunc._raw(tuple(Fraction(x, d) for x in ints), EXACT)
+        return ArithFunc._raw(tuple(dirichlet_product(a, b, n, 0.0)), FLOAT)
 
     def __mul__(self, other):
         if not isinstance(other, ArithFunc):
@@ -349,16 +411,14 @@ class ArithFunc:
         """
         if r < 0:
             raise ValueError("negative powers: invert first")
+        n = len(self._values)
         if r == 0:
-            return identity(len(self._values), self._mode)
-        out, base = None, self
-        while True:
-            if r & 1:
-                out = base if out is None else out.convolve(base)
-            r >>= 1
-            if not r:
-                return out
-            base = base.convolve(base)
+            return identity(n, self._mode)
+        scaled = _scaled(self._values, n) if self._mode == EXACT else None
+        if scaled is None:
+            return _square_and_multiply(self, r, ArithFunc.convolve)
+        ints, d = _square_and_multiply(scaled, r, lambda x, y: _scaled_product(x, y, n))
+        return ArithFunc._raw(tuple(Fraction(x, d) for x in ints), EXACT)
 
     def __pow__(self, r: int) -> "ArithFunc":
         return self.power(r)
@@ -374,13 +434,17 @@ class ArithFunc:
         """Explicit conversion to float mode (exact -> float is lossy)."""
         return ArithFunc._raw(tuple(float(v) for v in self._values), FLOAT)
 
-    def allclose(self, other: "ArithFunc", tol: float = 1e-12) -> bool:
-        """Entrywise comparison with absolute tolerance (for float mode)."""
-        if self._mode != other._mode or len(self) != len(other):
-            return False
-        if self._mode == EXACT:
-            return self._values == other._values
-        return all(abs(a - b) <= tol for a, b in zip(self._values, other._values))
+
+def _square_and_multiply(base, r: int, times):
+    """base**r for r >= 1 under the product ``times``."""
+    out = None
+    while True:
+        if r & 1:
+            out = base if out is None else times(out, base)
+        r >>= 1
+        if not r:
+            return out
+        base = times(base, base)
 
 
 # constructors ----------------------------------------------------------

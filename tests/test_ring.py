@@ -186,7 +186,9 @@ def test_inverse_round_trip(f):
 def test_float_inversion_round_trip_within_tolerance():
     rng = random.Random(5)
     f = random_unit(rng, 32).to_float()
-    assert f.convolve(f.invert()).allclose(identity(32, FLOAT), tol=1e-9)
+    r, e = f.convolve(f.invert()), identity(32, FLOAT)
+    assert r.mode == FLOAT and len(r) == len(e)
+    assert max(abs(x - y) for x, y in zip(r.values, e.values)) <= 1e-9
 
 
 def test_float_inversion_matches_divisor_order_recursion_bit_for_bit():
@@ -439,6 +441,59 @@ def test_common_denominator_switch_at_64_bits():
             assert all(type(v) is Fraction for v in r.values)
 
 
+# pair path ---------------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(8, 200),
+    st.integers(1, 6),
+    st.sampled_from(["f", "g", "both"]),
+    st.integers(0, 2**32),
+    st.integers(1, 200),
+)
+def test_pair_path_matches_divisor_scan_oracles(n, a, wide, seed, k):
+    # 32-bit denominators on at least three nonzero entries push the
+    # common denominator past 64 bits, so the wide operands (f, g or both)
+    # run on unreduced pairs; a narrow one scales on its own but is
+    # lifted to pairs with its partner
+    rng = random.Random(seed)
+    k = min(k, n)
+
+    def entries(length, is_wide):
+        if is_wide:
+            return [Fraction(rng.getrandbits(40) - (1 << 39) or 1, rng.randrange(1 << 31, 1 << 32))
+                    for _ in range(length)]
+        return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(length)]
+
+    f_wide, g_wide = wide in ("f", "both"), wide in ("g", "both")
+    lead = entries(1, f_wide)[0] or Fraction(1)
+    fv = [Fraction(0)] * (a - 1) + [lead] + entries(n - a, f_wide)
+    gv = entries(n, g_wide)
+    f, g = ArithFunc(fv, EXACT), ArithFunc(gv, EXACT)
+    for x, is_wide in ((f, f_wide), (g, g_wide)):
+        assert (_scaled(x.values, n) is None) == is_wide
+    h = f * g
+    assert list(h.values) == convolve_lists(fv, gv)
+    assert list(try_divide(h, f).values) == divide_lists(list(h.values), fv)
+    hk = h + delta(k, n)
+    expected = divide_lists(list(hk.values), fv)
+    result = try_divide(hk, f)
+    if isinstance(expected, int):
+        assert isinstance(result, NotDivisibleWitness) and result.index == expected
+    else:
+        assert list(result.values) == expected
+    if a == 1:
+        assert list(f.invert().values) == divide_lists([1] + [0] * (n - 1), fv)
+    for x, xv in ((f, fv), (g, gv)):
+        cube = x.power(3)
+        assert cube == x * x * x
+        assert list(cube.values) == convolve_lists(convolve_lists(xv, xv), xv)
+        assert all(type(v) is Fraction for v in cube.values)
+    for r in (h, try_divide(h, f)):
+        assert all(type(v) is Fraction for v in r.values)
+
+
 # pinned outputs ---------------------------------------------------------------
 
 
@@ -477,6 +532,24 @@ def test_kernel_outputs_are_pinned():
     )
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "110c2517960860fe43fa8547df1a6bd365d1b65ab25265265136c733efdbbe9a"
+
+
+def test_wide_kernel_outputs_are_pinned():
+    # digest recorded while wide operands still ran on Fractions: the
+    # quotient, the witness index and a power of operands too wide to scale
+    rng = random.Random(53)
+    a, b = _wide(rng, 128), _wide(rng, 128)
+    a2 = ArithFunc((Fraction(0),) + _wide(rng, 127).values, EXACT)
+    c, cw = a * b, a2 * b + delta(101, 128)
+    results = [try_divide(c, b), try_divide(cw, a2), a.power(3), b.power(4)]
+    assert results[0] == a.truncate(128)
+    assert results[1] == NotDivisibleWitness(101, results[1].note)
+    text = ";".join(
+        str(r.index) if isinstance(r, NotDivisibleWitness) else ",".join(str(v) for v in r.values)
+        for r in results
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "3190e219afd129759ae036ee94f7925c8173851035e9062c39ed25be6d8cb092"
 
 
 # window helpers ---------------------------------------------------------------
