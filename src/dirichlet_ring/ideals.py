@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import prod
 from operator import add, mul
@@ -138,6 +139,13 @@ class IdealSpec:
         return [idx for idx, c in enumerate(counts, start=1) if c <= bound]
 
 
+@lru_cache(maxsize=32)
+def _constrained(spec: IdealSpec, window: int) -> tuple[int, ...]:
+    # chain, the probes and the verify sweeps ask again and again for the
+    # same few families on the same window
+    return tuple(spec.constrained_indices(window))
+
+
 def member(spec: IdealSpec, f: ArithFunc) -> Witness:
     """Decide membership on f's window; non-members carry the violating index."""
     window = len(f)
@@ -145,7 +153,7 @@ def member(spec: IdealSpec, f: ArithFunc) -> Witness:
         raise WindowError(
             f"norm threshold {spec.n} inspects indices beyond the window {window}"
         )
-    for idx in spec.constrained_indices(window):
+    for idx in _constrained(spec, window):
         if f(idx):
             return non_member_witness(
                 index=idx, note=f"f({idx}) != 0 but {spec.label()} forces 0 there"
@@ -304,9 +312,9 @@ def chain(family: str, length: int, window: int) -> ChainReport:
 # probes ------------------------------------------------------------------
 
 
-def _random_outside(idxs: list[int], rng: random.Random, window: int) -> tuple[ArithFunc, int]:
+def _random_outside(idxs: tuple[int, ...], rng: random.Random, window: int) -> tuple[ArithFunc, int]:
     """A random non-member and its first violating index, given the ideal's
-    nonempty list of constrained indices."""
+    nonempty tuple of constrained indices."""
     from .sampling import random_func  # local import to avoid a cycle
 
     for _ in range(64):
@@ -353,7 +361,7 @@ def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness
             and member(spec, f.convolve(g)).is_member
         ):
             return non_member_witness(note=refuted, elements=known)
-    idxs = spec.constrained_indices(window)
+    idxs = _constrained(spec, window)
     rng = random.Random(seed)
     for _ in range(trials if idxs else 0):  # an ideal constraining nothing has no non-members
         f, kf = _random_outside(idxs, rng, window)

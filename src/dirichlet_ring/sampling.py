@@ -2,6 +2,11 @@
 
 Entries are small rationals (numerator -3..3 over denominator 1..3) so
 that convolutions stay cheap and every failure reproduces from the seed.
+``random_scalar`` draws one entry as two rejection samples on
+``rng.getrandbits``: 3 bits until the value is below 7 for the numerator,
+then 2 bits until it is below 3 for the denominator.  That is how
+CPython's ``randint(-3, 3)`` and ``randint(1, 3)`` draw, so the values and
+the generator's final state are those of the two ``randint`` calls.
 Every value drawn here is already a Fraction, so the samplers build their
 functions with ``ArithFunc._raw`` and skip the per-entry coercion.
 """
@@ -15,19 +20,19 @@ from operator import add
 from .primes import prime_power_fold
 from .ring import ArithFunc, EXACT
 
-NUMERATOR_RANGE = (-3, 3)
-DENOMINATOR_RANGE = (1, 3)
-
-# every narrow scalar, keyed by its (numerator, denominator) draw
-_NARROW = {
-    (p, q): Fraction(p, q)
-    for p in range(NUMERATOR_RANGE[0], NUMERATOR_RANGE[1] + 1)
-    for q in range(DENOMINATOR_RANGE[0], DENOMINATOR_RANGE[1] + 1)
-}
+# every narrow scalar, indexed by its two draws: _NARROW[i][j] = (i - 3) / (j + 1)
+_NARROW = tuple(tuple(Fraction(i - 3, j + 1) for j in range(3)) for i in range(7))
 
 
 def random_scalar(rng: random.Random) -> Fraction:
-    return _NARROW[rng.randint(*NUMERATOR_RANGE), rng.randint(*DENOMINATOR_RANGE)]
+    bits = rng.getrandbits
+    i = bits(3)
+    while i == 7:
+        i = bits(3)
+    j = bits(2)
+    while j == 3:
+        j = bits(2)
+    return _NARROW[i][j]
 
 
 def random_func(rng: random.Random, n: int) -> ArithFunc:

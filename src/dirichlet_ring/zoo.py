@@ -173,11 +173,31 @@ def _scan_pairs(f: ArithFunc, coprime_only: bool) -> Witness:
     return member_witness(note=f"all pairs with product <= {n} pass")
 
 
+def _decide(f: ArithFunc, at, coprime_only: bool) -> Witness:
+    # an exact f passes every pair exactly when f(1) = 0 and f is the
+    # additive fold of at(p, a); the scan then only finds the first failing
+    # pair.  A tolerance test on the fold is not the pair verdict, so float
+    # mode scans.
+    if f.mode == EXACT and not f(1) and list(f.values) == prime_power_fold(len(f), at, add, 0):
+        return member_witness(note=f"all pairs with product <= {len(f)} pass")
+    return _scan_pairs(f, coprime_only)
+
+
 def is_additive(f: ArithFunc) -> Witness:
-    """Check f(mk) = f(m) + f(k) for every coprime pair with mk <= len(f)."""
-    return _scan_pairs(f, coprime_only=True)
+    """Check f(mk) = f(m) + f(k) for every coprime pair with mk <= len(f).
+
+    Exact mode decides by comparing f with the additive fold of its
+    prime-power values and scans the pairs only to find the witness of a
+    failure; float mode scans with tolerance ``FLOAT_TOL``.
+    """
+    return _decide(f, lambda p, a: f(p**a), coprime_only=True)
 
 
 def is_completely_additive(f: ArithFunc) -> Witness:
-    """Check f(mk) = f(m) + f(k) for every pair with mk <= len(f)."""
-    return _scan_pairs(f, coprime_only=False)
+    """Check f(mk) = f(m) + f(k) for every pair with mk <= len(f).
+
+    Exact mode decides by comparing f with the additive fold of a * f(p)
+    at each p^a and scans the pairs only to find the witness of a failure;
+    float mode scans with tolerance ``FLOAT_TOL``.
+    """
+    return _decide(f, lambda p, a: a * f(p), coprime_only=False)

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's code paths: factoring
 is an upward divisor scan, convolution, division and inversion scan
 every divisor of every index, the totient counts coprime integers one by
-one, and the tau expansion multiplies polynomials schoolbook-style.
+one, the tau expansion multiplies polynomials schoolbook-style, additivity
+is tested pair by pair, and a narrow scalar is drawn with two ``randint``
+calls.
 """
 
 from __future__ import annotations
@@ -68,6 +70,28 @@ def nu_p_scan(p: int, n: int) -> int:
         n //= p
         a += 1
     return a
+
+
+def additivity_pair_scan(values: list, coprime_only: bool, tol: float = 0.0):
+    """(verdict, pair, note) of the first pair m <= k, in order of m then k,
+    with m*k in the window and v(mk) != v(m) + v(k) beyond ``tol``; only
+    coprime pairs when ``coprime_only``."""
+    n = len(values)
+    for m in range(1, n + 1):
+        for k in range(m, n + 1):
+            if m * k > n:
+                break
+            if coprime_only and gcd(m, k) != 1:
+                continue
+            if abs(values[m * k - 1] - values[m - 1] - values[k - 1]) > tol:
+                return "non_member", (m, k), f"f({m}*{k}) != f({m}) + f({k})"
+    return "member", None, f"all pairs with product <= {n} pass"
+
+
+def randint_scalar(rng) -> Fraction:
+    """A narrow scalar (numerator -3..3 over denominator 1..3) drawn with
+    two ``randint`` calls, numerator first."""
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
 
 def sigma_scan(n: int) -> int:

@@ -4,8 +4,11 @@ the additivity oracles."""
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_ring import (
     FLOAT,
@@ -42,6 +45,7 @@ from dirichlet_ring.zoo import (
 )
 
 from oracles import (
+    additivity_pair_scan,
     big_omega_scan,
     distinct_count_scan,
     is_prime_scan,
@@ -245,6 +249,47 @@ def test_sampled_additive_functions_form_a_group():
         assert is_additive(f).verdict == MEMBER
         assert is_additive(f + g).verdict == MEMBER
         assert is_additive(-f).verdict == MEMBER
+
+
+scalars = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+FACTORS = [prime_factors_scan(k) for k in range(1, 301)]  # FACTORS[k - 1] factors k
+
+
+@st.composite
+def additive_cases(draw):
+    """An additive function on 1..n built from one value per prime power
+    (completely additive: per prime, a * c_p at p^a), maybe changed at one
+    index."""
+    n = draw(st.integers(1, 300))
+    complete = draw(st.booleans())
+    free = [k for k in range(2, n + 1)
+            if len(FACTORS[k - 1]) == 1 and (FACTORS[k - 1][0][1] == 1 or not complete)]
+    c = dict(zip(free, draw(st.lists(scalars, min_size=len(free), max_size=len(free)))))
+    vals = [
+        sum((a * c[p] if complete else c[p**a] for p, a in FACTORS[k - 1]), Fraction(0))
+        for k in range(1, n + 1)
+    ]
+    if draw(st.booleans()):
+        vals[draw(st.integers(1, n)) - 1] += draw(scalars.filter(bool))
+    return vals
+
+
+@settings(max_examples=100, deadline=None)
+@given(additive_cases())
+def test_additivity_fold_matches_pair_scan(vals):
+    f = make(vals)
+    for check, coprime_only in ((is_additive, True), (is_completely_additive, False)):
+        w = check(f)
+        assert (w.verdict, w.pair, w.note) == additivity_pair_scan(vals, coprime_only)
+
+
+@pytest.mark.parametrize("build", [log_function, mangoldt])
+def test_float_additivity_is_the_tolerance_pair_scan(build):
+    f = build(120)
+    for check, coprime_only in ((is_additive, True), (is_completely_additive, False)):
+        w = check(f)
+        expected = additivity_pair_scan(list(f.values), coprime_only, tol=1e-12)
+        assert (w.verdict, w.pair, w.note) == expected
 
 
 def test_random_additive_draw_order_is_pinned():
