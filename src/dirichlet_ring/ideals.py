@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import prod
 from operator import add, mul
@@ -24,6 +23,7 @@ from operator import add, mul
 from .primes import factorize, is_prime, nth_prime, prime_power_fold, primes_upto
 from .ring import (ArithFunc, EXACT, NotDivisibleWitness, WindowError, ZeroFunctionError,
                    delta, indicator_shift, try_divide, zeros)
+from .sampling import _constrained, random_func
 from .witness import Witness, member_witness, non_member_witness, undecided_witness
 
 
@@ -137,13 +137,6 @@ class IdealSpec:
         bound = self.k if self.tag == TAG_GCD_COUNT else 0
         counts = prime_power_fold(window, lambda p, a: (p in chosen) != outside, add, 0)
         return [idx for idx, c in enumerate(counts, start=1) if c <= bound]
-
-
-@lru_cache(maxsize=32)
-def _constrained(spec: IdealSpec, window: int) -> tuple[int, ...]:
-    # chain, the probes and the verify sweeps ask again and again for the
-    # same few families on the same window
-    return tuple(spec.constrained_indices(window))
 
 
 def member(spec: IdealSpec, f: ArithFunc) -> Witness:
@@ -315,8 +308,6 @@ def chain(family: str, length: int, window: int) -> ChainReport:
 def _random_outside(idxs: tuple[int, ...], rng: random.Random, window: int) -> tuple[ArithFunc, int]:
     """A random non-member and its first violating index, given the ideal's
     nonempty tuple of constrained indices."""
-    from .sampling import random_func  # local import to avoid a cycle
-
     for _ in range(64):
         f = random_func(rng, window)
         first = next((idx for idx in idxs if f(idx)), None)

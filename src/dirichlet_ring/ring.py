@@ -450,11 +450,6 @@ def _square_and_multiply(base, r: int, times):
 # constructors ----------------------------------------------------------
 
 
-def make(values: Iterable[Scalar], mode: str | None = None) -> ArithFunc:
-    """Build a function from its values at 1, 2, ..., n."""
-    return ArithFunc(values, mode)
-
-
 def zeros(n: int, mode: str = EXACT) -> ArithFunc:
     if n < 1:
         raise ValueError("window length must be at least 1")

@@ -52,12 +52,6 @@ def classify(f: ArithFunc) -> ElementReport:
     if c is None:
         raise ZeroFunctionError("cannot classify the zero window")
     is_unit = c == 1
-    certificate = CERT_NONE
-    if not is_unit:
-        if is_prime(c):
-            certificate = CERT_PRIME_NORM
-        elif c + 1 <= len(f) and f(c + 1):
-            certificate = CERT_COMPOSITE_NEXT
     if is_additive(f).is_member:
         additive_class = (
             COMPLETELY_ADDITIVE if is_completely_additive(f).is_member else ADDITIVE
@@ -68,7 +62,7 @@ def classify(f: ArithFunc) -> ElementReport:
         is_unit=is_unit,
         in_maximal=not is_unit,
         norm=c,
-        atom_certificate=certificate,
+        atom_certificate=_certificate_for_profile(f.values, len(f)),
         additive_class=additive_class,
     )
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd
-from operator import add, mul
+from operator import add, mul, ne
 
 from .primes import is_prime, prime_power_fold, primes_upto
-from .ring import ArithFunc, EXACT, FLOAT, delta, identity
+from .ring import ArithFunc, EXACT, FLOAT, _scaled, delta, identity
 from .witness import Witness, member_witness, non_member_witness
 
 FLOAT_TOL = 1e-12  # absolute tolerance for comparisons in float mode
@@ -151,21 +151,28 @@ def generate(tag: str, n: int, param: int | None = None) -> ArithFunc:
 # additivity ------------------------------------------------------------
 
 
-def _addition_defect(f: ArithFunc, m: int, k: int):
-    return f(m * k) - f(m) - f(k)
-
-
 def _scan_pairs(f: ArithFunc, coprime_only: bool) -> Witness:
+    """The first pair m <= k, in order of m then k, with mk <= len(f) and
+    f(mk) != f(m) + f(k); only coprime pairs when ``coprime_only``.
+
+    Exact mode compares the integers of ``ring._scaled`` (the values over
+    one common denominator), or the stored Fractions when that denominator
+    passes 64 bits; float mode tests |f(mk) - f(m) - f(k)| > ``FLOAT_TOL``.
+    """
     n = len(f)
-    exact = f.mode == EXACT
+    vals = f.values
+    if f.mode == EXACT:
+        scaled = _scaled(vals, n)
+        if scaled is not None:
+            vals = scaled[0]
+        fails = ne
+    else:
+        fails = lambda rest, fk: abs(rest - fk) > FLOAT_TOL
     m = 1
     while m * m <= n:
+        fm = vals[m - 1]
         for k in range(m, n // m + 1):
-            if coprime_only and gcd(m, k) != 1:
-                continue
-            defect = _addition_defect(f, m, k)
-            bad = bool(defect) if exact else abs(defect) > FLOAT_TOL
-            if bad:
+            if fails(vals[m * k - 1] - fm, vals[k - 1]) and (not coprime_only or gcd(m, k) == 1):
                 return non_member_witness(
                     pair=(m, k), note=f"f({m}*{k}) != f({m}) + f({k})"
                 )
@@ -173,31 +180,17 @@ def _scan_pairs(f: ArithFunc, coprime_only: bool) -> Witness:
     return member_witness(note=f"all pairs with product <= {n} pass")
 
 
-def _decide(f: ArithFunc, at, coprime_only: bool) -> Witness:
-    # an exact f passes every pair exactly when f(1) = 0 and f is the
-    # additive fold of at(p, a); the scan then only finds the first failing
-    # pair.  A tolerance test on the fold is not the pair verdict, so float
-    # mode scans.
-    if f.mode == EXACT and not f(1) and list(f.values) == prime_power_fold(len(f), at, add, 0):
-        return member_witness(note=f"all pairs with product <= {len(f)} pass")
-    return _scan_pairs(f, coprime_only)
-
-
 def is_additive(f: ArithFunc) -> Witness:
     """Check f(mk) = f(m) + f(k) for every coprime pair with mk <= len(f).
 
-    Exact mode decides by comparing f with the additive fold of its
-    prime-power values and scans the pairs only to find the witness of a
-    failure; float mode scans with tolerance ``FLOAT_TOL``.
+    Both modes decide by one scan over the pairs (``_scan_pairs``).
     """
-    return _decide(f, lambda p, a: f(p**a), coprime_only=True)
+    return _scan_pairs(f, coprime_only=True)
 
 
 def is_completely_additive(f: ArithFunc) -> Witness:
     """Check f(mk) = f(m) + f(k) for every pair with mk <= len(f).
 
-    Exact mode decides by comparing f with the additive fold of a * f(p)
-    at each p^a and scans the pairs only to find the witness of a failure;
-    float mode scans with tolerance ``FLOAT_TOL``.
+    Both modes decide by one scan over the pairs (``_scan_pairs``).
     """
-    return _decide(f, lambda p, a: a * f(p), coprime_only=False)
+    return _scan_pairs(f, coprime_only=False)

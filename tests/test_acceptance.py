@@ -27,7 +27,6 @@ from dirichlet_ring import (
     delta,
     identity,
     indicator_shift,
-    make,
     member,
     principal_quotient,
     probe_semiprime,
@@ -207,7 +206,7 @@ def test_criterion_07_not_bezout():
 def test_criterion_08_prime_tail_not_prime():
     with criterion(8, "the all-ones-from-2 pair refutes primality of K_1, K_2, K_3"):
         n = 64
-        f = make([0] + [1] * (n - 1))
+        f = ArithFunc([0] + [1] * (n - 1))
         product = f * f
         for t in (1, 2, 3):
             spec = IdealSpec.prime_tail(t)

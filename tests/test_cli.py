@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dirichlet_ring
-from dirichlet_ring import generate, identity, make
+from dirichlet_ring import ArithFunc, generate, identity
 from dirichlet_ring.cli import main, parse_ideal_spec
 from dirichlet_ring.ideals import IdealSpec
 from dirichlet_ring.seqfile import load, save
@@ -117,21 +117,21 @@ def test_inv_command(tmp_path):
 
 def test_norm_command(tmp_path):
     path = tmp_path / "d.json"
-    save(make([0, 0, 0, 0, 0, 1]), path, "d6")
+    save(ArithFunc([0, 0, 0, 0, 0, 1]), path, "d6")
     code, out = run_cli("norm", str(path), "--format", "table")
     assert code == 0 and out == "6\n"
     code, out = run_cli("norm", str(path))
     assert json.loads(out) == {"norm": 6}
-    save(make([0, 0]), path, "z")
+    save(ArithFunc([0, 0]), path, "z")
     code, out = run_cli("norm", str(path), "--format", "table")
     assert code == 0 and out == "zero-function\n"
 
 
 def test_divide_command_success_and_witness(tmp_path):
     d6, d2, d3 = tmp_path / "d6.json", tmp_path / "d2.json", tmp_path / "d3.json"
-    save(make([0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]), d6, "d6")
-    save(make([0, 1] + [0] * 10), d2, "d2")
-    save(make([0, 0, 1] + [0] * 9), d3, "d3")
+    save(ArithFunc([0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]), d6, "d6")
+    save(ArithFunc([0, 1] + [0] * 10), d2, "d2")
+    save(ArithFunc([0, 0, 1] + [0] * 9), d3, "d3")
     code, out = run_cli("divide", str(d6), str(d2), "--format", "csv")
     assert code == 0 and out == "0,0,1,0,0,0\n"
     code, out = run_cli("divide", str(d3), str(d2))
@@ -142,7 +142,7 @@ def test_divide_command_success_and_witness(tmp_path):
 
 def test_classify_command(tmp_path):
     path = tmp_path / "d7.json"
-    save(make([0] * 6 + [1] + [0] * 5), path, "d7")
+    save(ArithFunc([0] * 6 + [1] + [0] * 5), path, "d7")
     code, out = run_cli("classify", str(path))
     report = json.loads(out)
     assert report["is_unit"] is False
@@ -155,7 +155,7 @@ def test_classify_command(tmp_path):
 
 def test_ideal_member_command(tmp_path):
     path = tmp_path / "d5.json"
-    save(make([0, 0, 0, 0, 1, 0]), path, "d5")
+    save(ArithFunc([0, 0, 0, 0, 1, 0]), path, "d5")
     code, out = run_cli("ideal", "member", "P:6", str(path))
     obj = json.loads(out)
     assert code == 0
@@ -164,7 +164,7 @@ def test_ideal_member_command(tmp_path):
 
 def test_ideal_quotient_command(tmp_path):
     path = tmp_path / "d6.json"
-    save(make([0, 0, 0, 0, 0, 1] + [0] * 6), path, "d6")
+    save(ArithFunc([0, 0, 0, 0, 0, 1] + [0] * 6), path, "d6")
     code, out = run_cli("ideal", "quotient", "2", str(path), "--format", "csv")
     assert code == 0 and out == "0,0,1,0,0,0\n"
     code, _ = run_cli("ideal", "quotient", "5", str(path))
@@ -173,7 +173,7 @@ def test_ideal_quotient_command(tmp_path):
 
 def test_ideal_decompose_command(tmp_path):
     path = tmp_path / "f.json"
-    save(make([0, 1, 1, 0, 0, 1] + [0] * 6), path, "f")
+    save(ArithFunc([0, 1, 1, 0, 0, 1] + [0] * 6), path, "f")
     code, out = run_cli("ideal", "decompose", "6", str(path))
     obj = json.loads(out)
     assert code == 0

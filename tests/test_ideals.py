@@ -22,7 +22,6 @@ from dirichlet_ring import (
     ideals,
     identity,
     indicator_shift,
-    make,
     member,
     principal_quotient,
     probe_prime,
@@ -401,7 +400,7 @@ def test_probe_prime_tail_uses_the_known_witness():
     w = probe_prime(IdealSpec.prime_tail(3), trials=0, seed=1, window=64)
     assert w.verdict == NON_MEMBER
     f, g = w.elements
-    assert f == g == make([0] + [1] * 63)
+    assert f == g == ArithFunc([0] + [1] * 63)
 
 
 def test_probe_gcd_count_uses_indicator_pair():

@@ -22,7 +22,6 @@ from dirichlet_ring import (
     delta,
     identity,
     indicator_shift,
-    make,
     try_divide,
     zeros,
 )
@@ -45,37 +44,37 @@ def exact_funcs(n: int):
 
 
 def test_make_single_value_is_identity_prefix():
-    assert make([1]) == identity(1)
+    assert ArithFunc([1]) == identity(1)
 
 
 def test_make_the_all_ones_from_two_function():
-    f = make([0, 1, 1, 1])
+    f = ArithFunc([0, 1, 1, 1])
     assert f(1) == 0 and f(2) == f(3) == f(4) == 1
     assert f.mode == EXACT
 
 
 def test_make_rejects_mixed_modes():
     with pytest.raises(ModeMismatchError):
-        make([1, 0.0, -1])
+        ArithFunc([1, 0.0, -1])
 
 
 def test_make_rejects_empty():
     with pytest.raises(ValueError):
-        make([])
+        ArithFunc([])
 
 
 def test_explicit_float_mode_coerces_ints():
-    f = make([1, 0, -1], mode=FLOAT)
+    f = ArithFunc([1, 0, -1], mode=FLOAT)
     assert f.mode == FLOAT and f.values == (1.0, 0.0, -1.0)
 
 
 def test_exact_mode_rejects_floats():
     with pytest.raises(ModeMismatchError):
-        make([1.5], mode=EXACT)
+        ArithFunc([1.5], mode=EXACT)
 
 
 def test_call_is_one_based_and_bounded():
-    f = make([5, 7])
+    f = ArithFunc([5, 7])
     assert f(1) == 5 and f(2) == 7
     with pytest.raises(IndexError):
         f(0)
@@ -89,7 +88,7 @@ def test_call_is_one_based_and_bounded():
 def test_add_identity_and_inverse():
     e = identity(8)
     assert e + zeros(8) == e
-    f = make([2, -1, 3, 0])
+    f = ArithFunc([2, -1, 3, 0])
     assert (f + (-f)).is_zero()
 
 
@@ -99,7 +98,7 @@ def test_add_disjoint_indicators():
 
 
 def test_add_truncates_to_shorter_window():
-    assert (make([1, 2, 3]) + make([1, 1])).n == 2
+    assert (ArithFunc([1, 2, 3]) + ArithFunc([1, 1])).n == 2
 
 
 def test_add_rejects_mode_mismatch():
@@ -145,7 +144,7 @@ def test_convolution_matches_divisor_scan_oracle():
 
 
 def test_scalar_window_convolution():
-    assert make([3]) * make([5]) == make([15])
+    assert ArithFunc([3]) * ArithFunc([5]) == ArithFunc([15])
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,8 +194,8 @@ def test_float_inversion_matches_divisor_order_recursion_bit_for_bit():
     rng = random.Random(6)
     cases = [random_unit(rng, 96).to_float() for _ in range(5)]
     cases.append(-unit(96).to_float())  # negative lead
-    cases.append(make([-2.0] + [0.0 if k % 3 else 1.5 for k in range(2, 97)]))
-    cases.append(make([1.0] + [math.log(k) for k in range(2, 97)]))
+    cases.append(ArithFunc([-2.0] + [0.0 if k % 3 else 1.5 for k in range(2, 97)]))
+    cases.append(ArithFunc([1.0] + [math.log(k) for k in range(2, 97)]))
     for f in cases:
         got = [v.hex() for v in f.invert().values]
         assert got == [v.hex() for v in invert_floats(list(f.values))]
@@ -269,7 +268,7 @@ def test_float_power_matches_sequential_convolutions():
     rng = random.Random(19)
     for r in (2, 3, 5, 8):
         f = random_unit(rng, 96).to_float()
-        magnitudes = make([abs(v) for v in f.values])
+        magnitudes = ArithFunc([abs(v) for v in f.values])
         seq, bound = identity(96, FLOAT), identity(96, FLOAT)
         for _ in range(r):
             seq, bound = seq.convolve(f), bound.convolve(magnitudes)
@@ -556,18 +555,18 @@ def test_wide_kernel_outputs_are_pinned():
 
 
 def test_truncate_and_bounds():
-    f = make([1, 2, 3, 4])
-    assert f.truncate(2) == make([1, 2])
+    f = ArithFunc([1, 2, 3, 4])
+    assert f.truncate(2) == ArithFunc([1, 2])
     with pytest.raises(WindowError):
         f.truncate(5)
 
 
 def test_indicator_shift_places_values():
-    g = make([7, 11, 13])
+    g = ArithFunc([7, 11, 13])
     shifted = indicator_shift(2, g, 7)
     assert [shifted(k) for k in range(1, 8)] == [0, 7, 0, 11, 0, 13, 0]
 
 
 def test_indicator_shift_window_guard():
     with pytest.raises(WindowError):
-        indicator_shift(2, make([1, 2]), 6)  # index 6 needs g(3)
+        indicator_shift(2, ArithFunc([1, 2]), 6)  # index 6 needs g(3)

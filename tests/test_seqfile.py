@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichlet_ring import EXACT, FLOAT, ArithFunc, make
+from dirichlet_ring import EXACT, FLOAT, ArithFunc
 from dirichlet_ring.seqfile import (
     from_json_obj,
     load,
@@ -23,7 +23,7 @@ from dirichlet_ring.zoo import mangoldt, mobius
 
 
 def test_exact_round_trip(tmp_path):
-    f = make([Fraction(1, 3), -2, 0, Fraction(7, 2)])
+    f = ArithFunc([Fraction(1, 3), -2, 0, Fraction(7, 2)])
     path = tmp_path / "f.json"
     save(f, path, name="sample")
     name, back = load(path)
@@ -40,24 +40,24 @@ def test_float_round_trip(tmp_path):
 
 
 def test_exact_values_serialized_as_string_pairs():
-    obj = to_json_obj(make([Fraction(-5, 3)]), "x")
+    obj = to_json_obj(ArithFunc([Fraction(-5, 3)]), "x")
     assert obj["values"] == [["-5", "3"]]
     assert obj["mode"] == EXACT and obj["n"] == 1
 
 
 def test_large_numerators_survive():
     big = 10**40 + 7
-    f = make([Fraction(big, 3)])
+    f = ArithFunc([Fraction(big, 3)])
     assert from_json_obj(to_json_obj(f))[1] == f
 
 
 def test_csv_is_one_comma_separated_row():
     assert to_csv(mobius(6)) == "1,-1,-1,0,-1,1\n"
-    assert to_csv(make([Fraction(1, 3), 2])) == "1/3,2\n"
+    assert to_csv(ArithFunc([Fraction(1, 3), 2])) == "1/3,2\n"
 
 
 def test_table_lists_index_value_pairs():
-    text = to_table(make([5, 6]), name="pair")
+    text = to_table(ArithFunc([5, 6]), name="pair")
     lines = text.splitlines()
     assert lines[0].startswith("# pair")
     assert lines[1].split() == ["1", "5"]
@@ -65,7 +65,7 @@ def test_table_lists_index_value_pairs():
 
 
 def test_render_dispatch():
-    f = make([1])
+    f = ArithFunc([1])
     assert render(f, "json") == to_json(f)
     assert render(f, "csv") == to_csv(f)
     assert render(f, "table") == to_table(f)
@@ -74,7 +74,7 @@ def test_render_dispatch():
 
 
 def test_loader_validation():
-    good = to_json_obj(make([1, 2]), "g")
+    good = to_json_obj(ArithFunc([1, 2]), "g")
     for corrupt in (
         {**good, "mode": "decimal"},
         {**good, "n": 3},

@@ -8,13 +8,13 @@ from fractions import Fraction
 import pytest
 
 from dirichlet_ring import (
+    ArithFunc,
     ZeroFunctionError,
     check_nonprime_norm_product,
     classify,
     delta,
     essential_witness,
     identity,
-    make,
     units_group_probe,
     zeros,
 )
@@ -49,7 +49,7 @@ def test_classify_prime_indicator_is_an_atom():
 
 
 def test_classify_composite_norm_with_next_nonzero():
-    f = make([0, 0, 0, 1, 1, 0])
+    f = ArithFunc([0, 0, 0, 1, 1, 0])
     report = classify(f)
     assert report.norm == 4
     assert report.atom_certificate == CERT_COMPOSITE_NEXT
@@ -134,8 +134,8 @@ def test_mobius_liouville_products_and_inverses():
 
 
 def test_unit_value_products():
-    f = make([2, 0, 0])
-    g = make([Fraction(1, 3), 0, 0])
+    f = ArithFunc([2, 0, 0])
+    g = ArithFunc([Fraction(1, 3), 0, 0])
     assert (f * g)(1) == Fraction(2, 3)
 
 

@@ -1,4 +1,7 @@
-"""The verify-paper suite's handling of failing and crashing checks."""
+"""The verify-paper suite's handling of failing and crashing checks, and
+its pinned report."""
+
+import hashlib
 
 import pytest
 
@@ -35,3 +38,14 @@ def test_invertibility_check_counts_only_non_unit_rejections(monkeypatch):
 def test_seed_63_passes_every_check():
     # the P_6 probe once refuted primality here from a violation at index 65
     assert all(r.passed for r in verify.run_all(64, 63))
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "b144f0922e2acf14961a4afa1b0ea54bcecb96e453946de193f7468625a2e995"),
+    (1, "f06a81fca5241913b56525b7ace60d6a043a050b369f95039efbf1de9cdf15d4"),
+])
+def test_report_at_256_is_pinned(seed, digest):
+    # the whole verify-paper report, verdicts, witnesses and draws included;
+    # a change anywhere in what the suite computes or prints changes it
+    report = verify.render_report(verify.run_all(256, seed), 256, seed)
+    assert hashlib.sha256(report.encode()).hexdigest() == digest

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichlet_ring import (
+    ArithFunc,
     FLOAT,
     delta,
     generate,
     identity,
     is_additive,
     is_completely_additive,
-    make,
 )
 from dirichlet_ring.primes import (
     factorize,
@@ -234,7 +234,7 @@ def test_p_adic_valuation_completely_additive():
 
 
 def test_zero_function_completely_additive():
-    assert is_completely_additive(make([0, 0, 0, 0])).verdict == MEMBER
+    assert is_completely_additive(ArithFunc([0, 0, 0, 0])).verdict == MEMBER
 
 
 def test_log_is_completely_additive_within_tolerance():
@@ -252,19 +252,23 @@ def test_sampled_additive_functions_form_a_group():
 
 
 scalars = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+# a few distinct ~40-bit denominators put the common denominator past 64
+# bits, where the scan compares the stored Fractions
+wide_scalars = st.builds(Fraction, st.integers(-3, 3), st.integers(2**39, 2**40))
 FACTORS = [prime_factors_scan(k) for k in range(1, 301)]  # FACTORS[k - 1] factors k
 
 
 @st.composite
 def additive_cases(draw):
     """An additive function on 1..n built from one value per prime power
-    (completely additive: per prime, a * c_p at p^a), maybe changed at one
-    index."""
+    (completely additive: per prime, a * c_p at p^a), the values narrow or
+    with ~40-bit denominators, maybe changed at one index."""
     n = draw(st.integers(1, 300))
     complete = draw(st.booleans())
     free = [k for k in range(2, n + 1)
             if len(FACTORS[k - 1]) == 1 and (FACTORS[k - 1][0][1] == 1 or not complete)]
-    c = dict(zip(free, draw(st.lists(scalars, min_size=len(free), max_size=len(free)))))
+    values = wide_scalars if draw(st.booleans()) else scalars
+    c = dict(zip(free, draw(st.lists(values, min_size=len(free), max_size=len(free)))))
     vals = [
         sum((a * c[p] if complete else c[p**a] for p, a in FACTORS[k - 1]), Fraction(0))
         for k in range(1, n + 1)
@@ -277,7 +281,7 @@ def additive_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(additive_cases())
 def test_additivity_fold_matches_pair_scan(vals):
-    f = make(vals)
+    f = ArithFunc(vals)
     for check, coprime_only in ((is_additive, True), (is_completely_additive, False)):
         w = check(f)
         assert (w.verdict, w.pair, w.note) == additivity_pair_scan(vals, coprime_only)
