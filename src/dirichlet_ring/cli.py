@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import seqfile, verify, zoo
-from .config import DEFAULT_SEED, FORMATS, MODES, default_window
 from .ideals import (
     CHAIN_FAMILIES,
     IdealSpec,
@@ -29,6 +29,12 @@ from .structure import classify
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
 VERIFY_FAILURE = 3
+
+DEFAULT_N = 256
+DEFAULT_SEED = 0
+ENV_WINDOW = "DIRICHLET_N"
+FORMATS = ("json", "csv", "table")
+MODES = (EXACT, FLOAT)
 
 
 def parse_ideal_spec(text: str) -> IdealSpec:
@@ -198,7 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _window(args) -> int:
-    return args.n if args.n is not None else default_window()
+    """The --n window, else the environment's, else DEFAULT_N."""
+    if args.n is not None:
+        return args.n
+    raw = os.environ.get(ENV_WINDOW, str(DEFAULT_N))
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        raise ValueError(f"{ENV_WINDOW} must be a positive integer, not {raw!r}")
+    return int(raw)
 
 
 def _cmd_gen(args) -> int:

@@ -24,7 +24,7 @@ from .primes import factorize, is_prime, nth_prime, prime_power_fold, primes_upt
 from .ring import (ArithFunc, EXACT, NotDivisibleWitness, WindowError, ZeroFunctionError,
                    delta, indicator_shift, try_divide, zeros)
 from .sampling import _constrained, random_func
-from .witness import Witness, member_witness, non_member_witness, undecided_witness
+from .witness import MEMBER, NON_MEMBER, UNDECIDED, Witness
 
 
 class NotInIdealError(ValueError):
@@ -148,10 +148,10 @@ def member(spec: IdealSpec, f: ArithFunc) -> Witness:
         )
     for idx in _constrained(spec, window):
         if f(idx):
-            return non_member_witness(
-                index=idx, note=f"f({idx}) != 0 but {spec.label()} forces 0 there"
+            return Witness(
+                NON_MEMBER, index=idx, note=f"f({idx}) != 0 but {spec.label()} forces 0 there"
             )
-    return member_witness(note=f"vanishes at every constrained index <= {window}")
+    return Witness(MEMBER, note=f"vanishes at every constrained index <= {window}")
 
 
 def _require_member(spec: IdealSpec, f: ArithFunc) -> None:
@@ -342,6 +342,10 @@ def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness
     inside.  ``undecided_at_truncation`` means no counterexample was
     found; the window can never *prove* an ideal prime.
     """
+    if trials < 0:
+        raise ValueError("trial count must be nonnegative")
+    if window < 1:
+        raise ValueError("window length must be at least 1")
     refuted = "product of two non-members lies in the ideal"
     known = _known_counterexample(spec, window)
     if known is not None:
@@ -351,7 +355,7 @@ def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness
             and not member(spec, g).is_member
             and member(spec, f.convolve(g)).is_member
         ):
-            return non_member_witness(note=refuted, elements=known)
+            return Witness(NON_MEMBER, note=refuted, elements=known)
     idxs = _constrained(spec, window)
     rng = random.Random(seed)
     for _ in range(trials if idxs else 0):  # an ideal constraining nothing has no non-members
@@ -360,8 +364,8 @@ def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness
         # f(kf) g(kg) lands at kf * kg; past the window the product can
         # look like a member only because its violation is cut off
         if kf * kg <= window and member(spec, f.convolve(g)).is_member:
-            return non_member_witness(note=refuted, elements=(f, g))
-    return undecided_witness(note=f"no counterexample among {trials} sampled pairs")
+            return Witness(NON_MEMBER, note=refuted, elements=(f, g))
+    return Witness(UNDECIDED, note=f"no counterexample among {trials} sampled pairs")
 
 
 def probe_semiprime(
@@ -382,8 +386,8 @@ def probe_semiprime(
     f = f.truncate(window)
     base = member(spec, f)
     if base.is_member:
-        return member_witness(
-            note="vacuously in the ideal; every power stays there by closure"
+        return Witness(
+            MEMBER, note="vacuously in the ideal; every power stays there by closure"
         )
     n0 = base.index
     if n0**rmax > window:
@@ -399,7 +403,8 @@ def probe_semiprime(
             )
         if r < rmax:
             power = power.convolve(f)
-    return non_member_witness(
+    return Witness(
+        NON_MEMBER,
         index=n0,
         note=f"powers 1..{rmax} stay outside, first failing exactly at {n0}^r",
     )

@@ -15,14 +15,16 @@ searches for its divisors.  Inversion is the quotient of e by f, and
 exact division is the same recursion plus a scan for the first index it
 cannot match.
 
-In exact mode both loops run on scaled Python ints whenever every
-operand's common denominator (the lcm of its entries' denominators) fits
-in 64 bits: each operand becomes integers over that one denominator.
-Past 64 bits the lcm of unrelated denominators only grows, so such
-operands run the same loops on unreduced numerator/denominator pairs
-(``_Pair``), which put off the gcds that every Fraction operation takes
-(Knuth, TAOCP vol. 2, 4.5.1).  Either way one Fraction per output entry
-is built at the end, and the results are the same values.
+In exact mode ``_lift`` chooses the loops' working values.  They are
+scaled Python ints whenever every operand's common denominator (the lcm
+of its entries' denominators) fits in 64 bits: each operand becomes
+integers over that one denominator.  Past 64 bits the lcm of unrelated
+denominators only grows, so such operands run the same loops on
+unreduced numerator/denominator pairs (``_Pair``), which put off the
+gcds that every Fraction operation takes (Knuth, TAOCP vol. 2, 4.5.1);
+the recursion reduces each solved value once, to the Fraction it
+returns.  Either way one Fraction per output entry is built, and the
+results are the same values.
 """
 
 from __future__ import annotations
@@ -134,12 +136,6 @@ def _solve(h: Sequence, f: Sequence, a: int, n: int, zero, divide) -> tuple[list
     return g, acc
 
 
-def _times_inverse(lead_value):
-    """Division step ``rest * (1 / lead_value)``."""
-    lead = 1 / lead_value
-    return lambda rest: rest * lead
-
-
 def _exact_quotient(d: int):
     """Division step over ints that refuses to round."""
 
@@ -169,66 +165,67 @@ def _scaled(values: Sequence, n: int) -> tuple[list[int], int] | None:
 
 
 class _Pair:
-    """The value num/den, den > 0, kept unreduced.
+    """The value numerator/denominator, denominator > 0, kept unreduced.
 
-    ``*`` takes no gcd and ``+`` and ``-`` cross-multiply, so a sum of
-    products of narrow terms costs no gcd at all.  A term whose
-    denominator passes 64 bits (a product with a solved value of the
-    recursion, or an accumulator taken from the dividend) first has
-    gcd(den, other.den) divided out, which keeps the accumulators from
-    growing by the whole width of every term.
+    ``*`` takes no gcd and ``+``, ``-`` and ``==`` cross-multiply, so a
+    sum of products of narrow terms costs no gcd at all.  The other
+    operand may be an int (the loops' zero), a Fraction (a solved value)
+    or a pair, since all three carry ``numerator`` and ``denominator``.
+    A term whose denominator passes 64 bits (a product with a solved
+    value of the recursion, or an accumulator taken from the dividend)
+    first has gcd(denominator, other.denominator) divided out, which
+    keeps the accumulators from growing by the whole width of every term.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("numerator", "denominator")
 
-    def __init__(self, num: int, den: int):
-        self.num = num
-        self.den = den
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
 
-    def __mul__(self, other: "_Pair") -> "_Pair":
-        return _Pair(self.num * other.num, self.den * other.den)
+    def __mul__(self, other) -> "_Pair":
+        return _Pair(self.numerator * other.numerator, self.denominator * other.denominator)
 
-    def __add__(self, other: "_Pair") -> "_Pair":
-        d, e = self.den, other.den
+    def __add__(self, other) -> "_Pair":
+        d, e = self.denominator, other.denominator
         if e.bit_length() > 64:
             g = gcd(d, e)
-            return _Pair(self.num * (e // g) + other.num * (d // g), d // g * e)
-        return _Pair(self.num * e + other.num * d, d * e)
+            return _Pair(self.numerator * (e // g) + other.numerator * (d // g), d // g * e)
+        return _Pair(self.numerator * e + other.numerator * d, d * e)
 
-    def __sub__(self, other: "_Pair") -> "_Pair":
-        return self + _Pair(-other.num, other.den)
+    __radd__ = __add__
 
-    def __eq__(self, other: "_Pair") -> bool:
-        return self.num * other.den == other.num * self.den
+    def __sub__(self, other) -> "_Pair":
+        return self + _Pair(-other.numerator, other.denominator)
+
+    def __eq__(self, other) -> bool:
+        return self.numerator * other.denominator == other.numerator * self.denominator
 
     def __bool__(self) -> bool:
-        return self.num != 0
+        return self.numerator != 0
 
 
-_ZERO_PAIR = _Pair(0, 1)
+def _lift(n: int, *operands: Sequence) -> list[tuple[list, int | None]]:
+    """The exact loops' working values of each operand on 1..n.
 
-
-def _pairs(values: Sequence, n: int) -> list[_Pair]:
-    return [_Pair(v.numerator, v.denominator) for v in values[:n]]
+    Returns one (values, scale) per operand.  When every operand scales
+    (``_scaled``), values are its integers and scale its common
+    denominator.  Otherwise values are its entries as unreduced
+    ``_Pair``s and scale is None.  Either way the loops start from 0.
+    """
+    scaled = [_scaled(values, n) for values in operands]
+    if None in scaled:
+        return [([_Pair(v.numerator, v.denominator) for v in values[:n]], None) for values in operands]
+    return scaled
 
 
 def _reduced_quotient(lead: Fraction):
-    """Division step over pairs: rest / lead, reduced once.
+    """Division step over pairs: the Fraction rest / lead, reduced once.
 
     The solved values are multiplied into every later accumulator, so
     leaving them unreduced would compound their growth.
     """
-
-    def divide(rest: _Pair) -> _Pair:
-        q = Fraction(rest.num * lead.denominator, rest.den * lead.numerator)
-        return _Pair(q.numerator, q.denominator)
-
-    return divide
-
-
-def _scaled_product(x: tuple, y: tuple, n: int) -> tuple[list[int], int]:
-    """The product of X/dx and Y/dy, as X*Y over dx*dy."""
-    return dirichlet_product(x[0], y[0], n, 0), x[1] * y[1]
+    return lambda rest: Fraction(rest.numerator * lead.denominator, rest.denominator * lead.numerator)
 
 
 def _chain_length(m: int, a: int) -> int:
@@ -252,14 +249,14 @@ def _solve_exact(h: Sequence, f: Sequence, a: int, n: int) -> tuple[list, list, 
     F * G = c*H over ints with c = F(a)^K and K = _chain_length(n//a, a),
     so every division by F(a) is exact, and g = G*df / (dh*c).  acc
     holds F * G, on the scale of target = c*H.  Otherwise it runs on
-    ``_Pair`` values and target is h as pairs.
+    ``_Pair`` values, target is h as pairs, and g keeps the Fractions of
+    the division step, with Fraction(0) where the recursion skips an
+    index.
     """
-    scaled_h, scaled_f = _scaled(h, n), _scaled(f, n)
-    if scaled_h is None or scaled_f is None:
-        target = _pairs(h, n)
-        g, acc = _solve(target, _pairs(f, n), a, n, _ZERO_PAIR, _reduced_quotient(f[a - 1]))
-        return [Fraction(x.num, x.den) for x in g], acc, target
-    (hs, dh), (fs, df) = scaled_h, scaled_f
+    (hs, dh), (fs, df) = _lift(n, h, f)
+    if dh is None:
+        g, acc = _solve(hs, fs, a, n, 0, _reduced_quotient(f[a - 1]))
+        return [x or Fraction(0) for x in g], acc, hs  # skipped entries hold the int 0
     c = fs[a - 1] ** _chain_length(n // a, a)
     target = [c * x for x in hs]
     g, acc = _solve(target, fs, a, n, 0, _exact_quotient(fs[a - 1]))
@@ -368,12 +365,12 @@ class ArithFunc:
         n = min(len(self._values), len(other._values))
         a, b = self._values, other._values
         if self._mode == EXACT:
-            scaled_a, scaled_b = _scaled(a, n), _scaled(b, n)
-            if scaled_a is None or scaled_b is None:
-                out = dirichlet_product(_pairs(a, n), _pairs(b, n), n, _ZERO_PAIR)
-                return ArithFunc._raw(tuple(Fraction(x.num, x.den) for x in out), EXACT)
-            ints, d = _scaled_product(scaled_a, scaled_b, n)
-            return ArithFunc._raw(tuple(Fraction(x, d) for x in ints), EXACT)
+            (a, da), (b, db) = _lift(n, a, b)
+            out = dirichlet_product(a, b, n, 0)
+            if da is None:
+                return ArithFunc._raw(tuple(Fraction(x.numerator, x.denominator) for x in out), EXACT)
+            d = da * db
+            return ArithFunc._raw(tuple(Fraction(x, d) for x in out), EXACT)
         return ArithFunc._raw(tuple(dirichlet_product(a, b, n, 0.0)), FLOAT)
 
     def __mul__(self, other):
@@ -399,7 +396,8 @@ class ArithFunc:
         if self._mode == EXACT:
             g, _, _ = _solve_exact(e, self._values, 1, n)
         else:
-            g, _ = _solve(e, self._values, 1, n, 0.0, _times_inverse(self._values[0]))
+            lead = 1 / self._values[0]
+            g, _ = _solve(e, self._values, 1, n, 0.0, lambda rest: rest * lead)
         return ArithFunc._raw(tuple(g), self._mode)
 
     def power(self, r: int) -> "ArithFunc":
@@ -417,7 +415,9 @@ class ArithFunc:
         scaled = _scaled(self._values, n) if self._mode == EXACT else None
         if scaled is None:
             return _square_and_multiply(self, r, ArithFunc.convolve)
-        ints, d = _square_and_multiply(scaled, r, lambda x, y: _scaled_product(x, y, n))
+        # X/dx times Y/dy is X*Y over dx*dy
+        product = lambda x, y: (dirichlet_product(x[0], y[0], n, 0), x[1] * y[1])
+        ints, d = _square_and_multiply(scaled, r, product)
         return ArithFunc._raw(tuple(Fraction(x, d) for x in ints), EXACT)
 
     def __pow__(self, r: int) -> "ArithFunc":
@@ -449,21 +449,18 @@ def _square_and_multiply(base, r: int, times):
 
 # constructors ----------------------------------------------------------
 
+_ZERO_ONE = {EXACT: (Fraction(0), Fraction(1)), FLOAT: (0.0, 1.0)}
+
 
 def zeros(n: int, mode: str = EXACT) -> ArithFunc:
     if n < 1:
         raise ValueError("window length must be at least 1")
-    zero = Fraction(0) if mode == EXACT else 0.0
-    return ArithFunc._raw((zero,) * n, mode)
+    return ArithFunc._raw((_ZERO_ONE[mode][0],) * n, mode)
 
 
 def identity(n: int, mode: str = EXACT) -> ArithFunc:
     """The convolution identity e: 1 at index 1, 0 elsewhere."""
-    if n < 1:
-        raise ValueError("window length must be at least 1")
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
-    return ArithFunc._raw((one,) + (zero,) * (n - 1), mode)
+    return delta(1, n, mode)
 
 
 def delta(m: int, n: int, mode: str = EXACT) -> ArithFunc:
@@ -472,8 +469,7 @@ def delta(m: int, n: int, mode: str = EXACT) -> ArithFunc:
         raise ValueError("support point must be at least 1")
     if n < 1:
         raise ValueError("window length must be at least 1")
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
+    zero, one = _ZERO_ONE[mode]
     vals = [zero] * n
     if m <= n:
         vals[m - 1] = one
@@ -527,8 +523,7 @@ def indicator_shift(m: int, g: ArithFunc, n_out: int) -> ArithFunc:
             f"window {n_out} reaches index {m * (len(g) + 1)} = {m}*{len(g) + 1}, "
             "beyond what the shifted operand determines"
         )
-    zero = Fraction(0) if g.mode == EXACT else 0.0
-    vals = [zero] * n_out
+    vals = [_ZERO_ONE[g.mode][0]] * n_out
     for j in range(1, len(g) + 1):
         pos = m * j
         if pos > n_out:

@@ -67,7 +67,7 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
             raise ValueError("float values must be finite") from None
         if not all(math.isfinite(v) for v in values):
             raise ValueError("float values must be finite")
-    return name, ArithFunc(values, mode)
+    return name, ArithFunc._raw(tuple(values), mode)
 
 
 def load(path: str | Path) -> tuple[str, ArithFunc]:

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .config import ATOM_COEFFS, ATOM_NORM_BOUND, ATOM_SUPPORT_BOUND
 from .primes import is_prime, primes_upto
 from .ring import ArithFunc, ZeroFunctionError, dirichlet_product, identity, indicator_shift
-from .witness import Witness, member_witness, non_member_witness
+from .witness import MEMBER, NON_MEMBER, Witness
 from .zoo import is_additive, is_completely_additive
 
 CERT_PRIME_NORM = "prime_norm"
@@ -20,6 +19,14 @@ CERT_NONE = "none"
 NOT_ADDITIVE = "not_additive"
 ADDITIVE = "additive"
 COMPLETELY_ADDITIVE = "completely_additive"
+
+# bounds for the exhaustive atom-soundness search: candidate factors and
+# certified atoms draw their entries from ATOM_COEFFS on a support of at
+# most ATOM_SUPPORT_BOUND indices, and certificates are only enumerated
+# for norms up to ATOM_NORM_BOUND
+ATOM_SUPPORT_BOUND = 12
+ATOM_NORM_BOUND = 6
+ATOM_COEFFS = (-1, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -31,13 +38,7 @@ class ElementReport:
     additive_class: str
 
     def to_dict(self) -> dict:
-        return {
-            "is_unit": self.is_unit,
-            "in_maximal": self.in_maximal,
-            "norm": self.norm,
-            "atom_certificate": self.atom_certificate,
-            "additive_class": self.additive_class,
-        }
+        return asdict(self)
 
 
 def classify(f: ArithFunc) -> ElementReport:
@@ -81,11 +82,11 @@ def check_nonprime_norm_product(f: ArithFunc, g: ArithFunc) -> Witness:
     h = f.convolve(g)
     for p in primes_upto(len(h)):
         if h(p):
-            return non_member_witness(index=p, note="nonzero at a prime index")
+            return Witness(NON_MEMBER, index=p, note="nonzero at a prime index")
     c = h.norm()
     desc = "zero at truncation" if c is None else str(c)
-    return member_witness(
-        note=f"all prime indices <= {len(h)} vanish; norm is {desc}, not prime"
+    return Witness(
+        MEMBER, note=f"all prime indices <= {len(h)} vanish; norm is {desc}, not prime"
     )
 
 
@@ -100,16 +101,16 @@ def units_group_probe(samples: int, seed: int, window: int) -> Witness:
         g = random_unit(rng, window)
         fg = f.convolve(g)
         if fg(1) != f(1) * g(1) or not fg(1):
-            return non_member_witness(index=1, note="closure failed at index 1")
+            return Witness(NON_MEMBER, index=1, note="closure failed at index 1")
         if fg != g.convolve(f):
-            return non_member_witness(note="commutativity failed")
+            return Witness(NON_MEMBER, note="commutativity failed")
         if e.convolve(f) != f:
-            return non_member_witness(note="identity failed")
+            return Witness(NON_MEMBER, note="identity failed")
         if f.convolve(f.invert()) != e:
-            return non_member_witness(note="inverse round-trip failed")
+            return Witness(NON_MEMBER, note="inverse round-trip failed")
         if fg.invert() != g.invert().convolve(f.invert()):
-            return non_member_witness(note="inverse of a product failed")
-    return member_witness(note=f"{samples} sampled unit pairs satisfy the group laws")
+            return Witness(NON_MEMBER, note="inverse of a product failed")
+    return Witness(MEMBER, note=f"{samples} sampled unit pairs satisfy the group laws")
 
 
 def essential_witness(f: ArithFunc) -> ArithFunc:
@@ -126,9 +127,9 @@ def essential_witness(f: ArithFunc) -> ArithFunc:
 # exhaustive desk-scale soundness search for the atom certificates --------
 
 
-def nonunit_product_profiles(window: int, coeffs=ATOM_COEFFS) -> set[tuple[int, ...]]:
+def nonunit_product_profiles(window: int) -> set[tuple[int, ...]]:
     """Value tuples on 1..window of every product of two non-unit factors
-    whose entries come from ``coeffs``.
+    whose entries come from ``ATOM_COEFFS``.
 
     Both factors vanish at 1, so only factor indices 2..window//2 can
     reach the window; enumerating that range is therefore exhaustive for
@@ -137,7 +138,7 @@ def nonunit_product_profiles(window: int, coeffs=ATOM_COEFFS) -> set[tuple[int, 
     top = window // 2
     factors = [
         (0,) + vals + (0,) * (window - top)
-        for vals in itertools.product(coeffs, repeat=max(top - 1, 0))
+        for vals in itertools.product(ATOM_COEFFS, repeat=max(top - 1, 0))
         if any(vals)
     ]
     return {tuple(dirichlet_product(g, h, window, 0)) for g in factors for h in factors}
@@ -155,22 +156,19 @@ def _certificate_for_profile(profile: tuple[int, ...], norm_bound: int) -> str:
     return CERT_NONE
 
 
-def certified_atom_factor_search(
-    window: int = ATOM_SUPPORT_BOUND,
-    coeffs=ATOM_COEFFS,
-    norm_bound: int = ATOM_NORM_BOUND,
-) -> tuple[int, ...] | None:
+def certified_atom_factor_search(window: int = ATOM_SUPPORT_BOUND) -> tuple[int, ...] | None:
     """Look for a certified atom that is secretly a product of non-units.
 
-    Enumerates every function with entries in ``coeffs`` supported on
-    2..window whose certificate fires with norm <= norm_bound, and checks
-    it against all products of two bounded non-units on the same window.
-    Returns a counterexample profile, or None - the sound outcome.
+    Enumerates every function with entries in ``ATOM_COEFFS`` supported
+    on 2..window whose certificate fires with norm <= ``ATOM_NORM_BOUND``,
+    and checks it against all products of two bounded non-units on the
+    same window.  Returns a counterexample profile, or None - the sound
+    outcome.
     """
-    profiles = nonunit_product_profiles(window, coeffs)
-    for tail in itertools.product(coeffs, repeat=window - 1):
+    profiles = nonunit_product_profiles(window)
+    for tail in itertools.product(ATOM_COEFFS, repeat=window - 1):
         profile = (0,) + tail
-        if _certificate_for_profile(profile, norm_bound) == CERT_NONE:
+        if _certificate_for_profile(profile, ATOM_NORM_BOUND) == CERT_NONE:
             continue
         if profile in profiles:
             return profile

@@ -36,15 +36,3 @@ class Witness:
         if self.note:
             out["note"] = self.note
         return out
-
-
-def member_witness(note: str = "") -> Witness:
-    return Witness(MEMBER, note=note)
-
-
-def non_member_witness(index: int | None = None, pair=None, note: str = "", elements=()) -> Witness:
-    return Witness(NON_MEMBER, index=index, pair=pair, note=note, elements=elements)
-
-
-def undecided_witness(note: str = "") -> Witness:
-    return Witness(UNDECIDED, note=note)

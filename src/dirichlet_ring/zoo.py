@@ -14,8 +14,8 @@ from math import gcd
 from operator import add, mul, ne
 
 from .primes import is_prime, prime_power_fold, primes_upto
-from .ring import ArithFunc, EXACT, FLOAT, _scaled, delta, identity
-from .witness import Witness, member_witness, non_member_witness
+from .ring import ArithFunc, EXACT, FLOAT, _lift, delta, identity
+from .witness import MEMBER, NON_MEMBER, Witness
 
 FLOAT_TOL = 1e-12  # absolute tolerance for comparisons in float mode
 
@@ -155,16 +155,15 @@ def _scan_pairs(f: ArithFunc, coprime_only: bool) -> Witness:
     """The first pair m <= k, in order of m then k, with mk <= len(f) and
     f(mk) != f(m) + f(k); only coprime pairs when ``coprime_only``.
 
-    Exact mode compares the integers of ``ring._scaled`` (the values over
-    one common denominator), or the stored Fractions when that denominator
-    passes 64 bits; float mode tests |f(mk) - f(m) - f(k)| > ``FLOAT_TOL``.
+    Exact mode compares the working values of ``ring._lift``: integers
+    over one common denominator, or unreduced pairs, cross-multiplied,
+    when that denominator passes 64 bits; float mode tests
+    |f(mk) - f(m) - f(k)| > ``FLOAT_TOL``.
     """
     n = len(f)
     vals = f.values
     if f.mode == EXACT:
-        scaled = _scaled(vals, n)
-        if scaled is not None:
-            vals = scaled[0]
+        [(vals, _)] = _lift(n, vals)
         fails = ne
     else:
         fails = lambda rest, fk: abs(rest - fk) > FLOAT_TOL
@@ -173,11 +172,9 @@ def _scan_pairs(f: ArithFunc, coprime_only: bool) -> Witness:
         fm = vals[m - 1]
         for k in range(m, n // m + 1):
             if fails(vals[m * k - 1] - fm, vals[k - 1]) and (not coprime_only or gcd(m, k) == 1):
-                return non_member_witness(
-                    pair=(m, k), note=f"f({m}*{k}) != f({m}) + f({k})"
-                )
+                return Witness(NON_MEMBER, pair=(m, k), note=f"f({m}*{k}) != f({m}) + f({k})")
         m += 1
-    return member_witness(note=f"all pairs with product <= {n} pass")
+    return Witness(MEMBER, note=f"all pairs with product <= {n} pass")
 
 
 def is_additive(f: ArithFunc) -> Witness:

@@ -239,9 +239,23 @@ def test_malformed_sequence_file_is_a_one_line_error(tmp_path, capsys, payload):
     _assert_one_line_error(capsys, main(["norm", str(path)]))
 
 
-@pytest.mark.parametrize("argv", [["gen", "unit_u", "--n", "0"], ["verify-paper", "--n", "0"]])
+@pytest.mark.parametrize("argv", [
+    ["gen", "unit_u", "--n", "0"],
+    ["verify-paper", "--n", "0"],
+    ["ideal", "probe", "K:3", "--trials", "0", "--n", "0"],
+])
 def test_zero_window_is_a_one_line_error(capsys, argv):
     _assert_one_line_error(capsys, main(argv))
+
+
+def test_negative_trial_count_is_a_one_line_error(capsys):
+    _assert_one_line_error(capsys, main(["ideal", "probe", "P:6", "--trials", "-1", "--n", "16"]))
+
+
+@pytest.mark.parametrize("raw", ["0", "abc"])
+def test_bad_env_window_is_a_one_line_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("DIRICHLET_N", raw)
+    _assert_one_line_error(capsys, main(["gen", "unit_u"]))
 
 
 def test_verify_paper_small_window_rejected():
