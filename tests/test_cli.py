@@ -1,20 +1,23 @@
 """CLI behavior: subcommands, formats, files, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import dirichlet_ring
 from dirichlet_ring import ArithFunc, generate, identity
-from dirichlet_ring.cli import main, parse_ideal_spec
+from dirichlet_ring.cli import FORMATS, main, parse_ideal_spec
 from dirichlet_ring.ideals import IdealSpec
 from dirichlet_ring.seqfile import load, save
+
+PINNED_CLI_DIGEST = "6c666dc6ef32e21c3b64d1038047806b6f93ef4722a5fb82e3e93f11a8886ca6"
 
 SRC_DIR = str(Path(dirichlet_ring.__file__).resolve().parent.parent)
 
@@ -261,6 +264,76 @@ def test_bad_env_window_is_a_one_line_error(capsys, monkeypatch, raw):
 def test_verify_paper_small_window_rejected():
     code, _ = run_cli("verify-paper", "--n", "8")
     assert code == 1
+
+
+def _pinned_cases(d: Path) -> list[list[str]]:
+    """Every command in every format, plus the option and error paths."""
+    save(generate("unit_u", 12), d / "u.json", "u")
+    save(generate("mobius", 12), d / "mu.json", "mu")
+    save(generate("log", 6), d / "log.json", "log")
+    save(ArithFunc([0] * 5 + [1] + [0] * 6), d / "d6.json", "d6")
+    save(ArithFunc([0, 1] + [0] * 10), d / "d2.json", "d2")
+    save(ArithFunc([0, 0, 1] + [0] * 9), d / "d3.json", "d3")
+    save(ArithFunc([0] * 4 + [1] + [0] * 7), d / "d5.json", "d5")
+    save(ArithFunc([0, 1, 1, 0, 0, 1] + [0] * 6), d / "f.json", "f")
+    save(ArithFunc([0, 0, 0, 0]), d / "zero.json", "z")
+    p = {name: str(d / f"{name}.json") for name in
+         ("u", "mu", "log", "d6", "d2", "d3", "d5", "f", "zero")}
+    formatted = [
+        ["gen", "mobius", "--n", "12"],
+        ["gen", "euler_phi", "--n", "6", "--mode", "float"],
+        ["gen", "delta", "--param", "4", "--n", "6", "--name", "d4"],
+        ["gen", "p_adic_valuation", "--param", "2", "--n", "10"],
+        ["gen", "mangoldt", "--n", "4"],
+        ["conv", p["u"], p["mu"]],
+        ["conv", p["log"], p["log"]],
+        ["inv", p["u"]],
+        ["norm", p["d6"]],
+        ["norm", p["zero"]],
+        ["divide", p["d6"], p["d2"]],
+        ["divide", p["d3"], p["d2"]],
+        ["classify", p["d5"]],
+        ["classify", p["u"]],
+        ["ideal", "member", "P:6", p["d5"]],
+        ["ideal", "member", "J:~2,3", p["d6"]],
+        ["ideal", "quotient", "2", p["d6"]],
+        ["ideal", "decompose", "6", p["f"]],
+        ["ideal", "chain", "P_ascending", "--length", "3", "--n", "64"],
+        ["chain", "K_ascending", "--length", "3", "--n", "64"],
+        ["chain", "I_descending", "--length", "3", "--n", "64", "--dot"],
+        ["ideal", "probe", "K:3", "--trials", "0", "--n", "32"],
+        ["ideal", "probe", "P:6", "--trials", "25", "--seed", "5", "--n", "32"],
+        # error paths
+        ["gen", "mangoldt", "--n", "3", "--mode", "exact"],
+        ["ideal", "quotient", "5", p["d6"]],
+        ["norm", str(d / "missing.json")],
+    ]
+    cases = [argv + ["--format", fmt] for argv in formatted for fmt in FORMATS]
+    return cases + [["verify-paper", "--n", "64"]]
+
+
+def test_cli_outputs_are_pinned(tmp_path):
+    """One digest over (argv, exit code, stdout, stderr, --out file) for each
+    case, run once to stdout and once with --out; temp paths normalised."""
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    out_path = tmp_path / "out.txt"
+    digest = hashlib.sha256()
+
+    def norm(text):
+        return None if text is None else text.replace(str(tmp_path), "<tmp>")
+
+    for argv in _pinned_cases(inputs):
+        for extra in ([], ["--out", str(out_path)]):
+            out_path.unlink(missing_ok=True)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv + extra)
+            written = out_path.read_text(encoding="utf-8") if out_path.exists() else None
+            case = [norm(" ".join(argv + extra)), code,
+                    norm(out.getvalue()), norm(err.getvalue()), norm(written)]
+            digest.update(json.dumps(case).encode("utf-8"))
+    assert digest.hexdigest() == PINNED_CLI_DIGEST
 
 
 def test_verify_paper_deterministic_and_green():
