@@ -3,6 +3,9 @@ element classification, chain reports, and the verification suite.
 
 Identical arguments (and seed) always produce byte-identical output; the
 DIRICHLET_N environment variable overrides the default window length.
+Each command returns its result and ``main`` renders and writes it once:
+``--out`` gets exactly the bytes stdout would get, for every command
+including ``verify-paper``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .ideals import (
     principal_quotient,
     probe_prime,
 )
-from .ring import EXACT, FLOAT, ArithFunc, NotDivisibleWitness, try_divide
+from .ring import EXACT, FLOAT, NotDivisibleWitness, try_divide
 from .structure import classify
 
 USAGE_ERROR = 2
@@ -71,29 +74,6 @@ def parse_ideal_spec(text: str) -> IdealSpec:
     raise ValueError(f"unknown ideal family {tag!r}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_sequence(f: ArithFunc, name: str, fmt: str, out: str | None) -> None:
-    _emit(seqfile.render(f, fmt, name), out)
-
-
-def _emit_mapping(obj: dict, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        _emit(json.dumps(obj, indent=2) + "\n", out)
-    elif fmt == "csv":
-        row = ",".join(f"{k}={v}" for k, v in obj.items())
-        _emit(row + "\n", out)
-    else:
-        width = max(len(str(k)) for k in obj)
-        lines = [f"{k:<{width}}  {v}" for k, v in obj.items()]
-        _emit("\n".join(lines) + "\n", out)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirichlet",
@@ -102,20 +82,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, window=True, fmt=True):
+    def add_common(p, func, window=False):
         if window:
             p.add_argument("--n", type=int, default=None, help="window length")
-        if fmt:
-            p.add_argument("--format", choices=FORMATS, default="json")
-            p.add_argument("--out", default=None, help="write output to a file")
+        p.add_argument("--format", choices=FORMATS, default="json")
+        p.add_argument("--out", default=None, help="write output to a file")
+        p.set_defaults(func=func)
 
     def add_chain(subparsers, name, help_text):
         p = subparsers.add_parser(name, help=help_text)
         p.add_argument("family", choices=CHAIN_FAMILIES)
         p.add_argument("--length", type=int, default=4)
         p.add_argument("--dot", action="store_true", help="emit a DOT digraph")
-        add_common(p)
-        p.set_defaults(func=_cmd_chain)
+        add_common(p, _cmd_chain, window=True)
 
     p_gen = sub.add_parser("gen", help="generate a named arithmetical function")
     p_gen.add_argument("tag", choices=zoo.FUNCTION_TAGS)
@@ -126,35 +105,29 @@ def build_parser() -> argparse.ArgumentParser:
                        help="request a scalar mode (exact functions can be "
                             "converted to float, not the reverse)")
     p_gen.add_argument("--name", default=None, help="name stored in the output")
-    add_common(p_gen)
-    p_gen.set_defaults(func=_cmd_gen)
+    add_common(p_gen, _cmd_gen, window=True)
 
     p_conv = sub.add_parser("conv", help="Dirichlet convolution of two sequence files")
     p_conv.add_argument("left")
     p_conv.add_argument("right")
-    add_common(p_conv, window=False)
-    p_conv.set_defaults(func=_cmd_conv)
+    add_common(p_conv, _cmd_conv)
 
     p_inv = sub.add_parser("inv", help="convolution inverse of a sequence file")
     p_inv.add_argument("file")
-    add_common(p_inv, window=False)
-    p_inv.set_defaults(func=_cmd_inv)
+    add_common(p_inv, _cmd_inv)
 
     p_norm = sub.add_parser("norm", help="least index with a nonzero value")
     p_norm.add_argument("file")
-    add_common(p_norm, window=False)
-    p_norm.set_defaults(func=_cmd_norm)
+    add_common(p_norm, _cmd_norm)
 
     p_div = sub.add_parser("divide", help="exact division: divide H by F on the window")
     p_div.add_argument("dividend")
     p_div.add_argument("divisor")
-    add_common(p_div, window=False)
-    p_div.set_defaults(func=_cmd_divide)
+    add_common(p_div, _cmd_divide)
 
     p_cls = sub.add_parser("classify", help="unit/maximal status, norm, atom certificate")
     p_cls.add_argument("file")
-    add_common(p_cls, window=False)
-    p_cls.set_defaults(func=_cmd_classify)
+    add_common(p_cls, _cmd_classify)
 
     p_ideal = sub.add_parser("ideal", help="ideal-family tooling")
     ideal_sub = p_ideal.add_subparsers(dest="ideal_command", required=True)
@@ -162,20 +135,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_member = ideal_sub.add_parser("member", help="membership oracle")
     p_member.add_argument("spec", help="e.g. P:6, P:6,1, I:5, K:3, J:2,3, J:~2,3, maximal")
     p_member.add_argument("file")
-    add_common(p_member, window=False)
-    p_member.set_defaults(func=_cmd_ideal_member)
+    add_common(p_member, _cmd_ideal_member)
 
     p_quot = ideal_sub.add_parser("quotient", help="quotient by the indicator at a prime")
     p_quot.add_argument("prime", type=int)
     p_quot.add_argument("file")
-    add_common(p_quot, window=False)
-    p_quot.set_defaults(func=_cmd_ideal_quotient)
+    add_common(p_quot, _cmd_ideal_quotient)
 
     p_dec = ideal_sub.add_parser("decompose", help="split a member of P_m over its generators")
     p_dec.add_argument("modulus", type=int)
     p_dec.add_argument("file")
-    add_common(p_dec, window=False)
-    p_dec.set_defaults(func=_cmd_ideal_decompose)
+    add_common(p_dec, _cmd_ideal_decompose)
 
     add_chain(ideal_sub, "chain", "build a chain with separator witnesses")
 
@@ -183,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("spec")
     p_probe.add_argument("--trials", type=int, default=100)
     p_probe.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_common(p_probe)
-    p_probe.set_defaults(func=_cmd_ideal_probe)
+    add_common(p_probe, _cmd_ideal_probe, window=True)
 
     add_chain(sub, "chain", "alias for 'ideal chain'")
 
@@ -201,6 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # command bodies ------------------------------------------------------------
+# Each returns a (function, name) pair, a dict, or finished text for
+# ``_render``, and none writes output itself; verify-paper pairs its report
+# with its exit status.
 
 
 def _window(args) -> int:
@@ -213,81 +185,67 @@ def _window(args) -> int:
     return int(raw)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     f = zoo.generate(args.tag, _window(args), args.param)
     if args.mode == FLOAT and f.mode == EXACT:
         f = f.to_float()
     elif args.mode == EXACT and f.mode == FLOAT:
         raise ValueError(f"{args.tag} has irrational values; exact mode is impossible")
-    name = args.name or (
-        args.tag if args.param is None else f"{args.tag}({args.param})"
-    )
-    _emit_sequence(f, name, args.format, args.out)
-    return 0
+    return f, args.name or (args.tag if args.param is None else f"{args.tag}({args.param})")
 
 
-def _cmd_conv(args) -> int:
+def _cmd_conv(args):
     name_a, a = seqfile.load(args.left)
     name_b, b = seqfile.load(args.right)
-    _emit_sequence(a.convolve(b), f"{name_a}*{name_b}", args.format, args.out)
-    return 0
+    return a.convolve(b), f"{name_a}*{name_b}"
 
 
-def _cmd_inv(args) -> int:
+def _cmd_inv(args):
     name, f = seqfile.load(args.file)
-    _emit_sequence(f.invert(), f"{name}^-1", args.format, args.out)
-    return 0
+    return f.invert(), f"{name}^-1"
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args):
     _, f = seqfile.load(args.file)
     value = f.norm()
     if args.format == "json":
-        _emit(json.dumps({"norm": value}) + "\n", args.out)
-    else:
-        _emit(("zero-function" if value is None else str(value)) + "\n", args.out)
-    return 0
+        return json.dumps({"norm": value}) + "\n"
+    return ("zero-function" if value is None else str(value)) + "\n"
 
 
-def _cmd_divide(args) -> int:
+def _cmd_divide(args):
     name_h, h = seqfile.load(args.dividend)
     name_f, f = seqfile.load(args.divisor)
     result = try_divide(h, f)
     if isinstance(result, NotDivisibleWitness):
-        _emit_mapping(
-            {"divisible": False, "index": result.index, "note": result.note},
-            args.format,
-            args.out,
-        )
-    else:
-        _emit_sequence(result, f"{name_h}/{name_f}", args.format, args.out)
-    return 0
+        return {"divisible": False, "index": result.index, "note": result.note}
+    return result, f"{name_h}/{name_f}"
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     _, f = seqfile.load(args.file)
-    _emit_mapping(classify(f).to_dict(), args.format, args.out)
-    return 0
+    return classify(f).to_dict()
 
 
-def _cmd_ideal_member(args) -> int:
+def _cmd_ideal_member(args):
     spec = parse_ideal_spec(args.spec)
     _, f = seqfile.load(args.file)
-    _emit_mapping(member(spec, f).to_dict(), args.format, args.out)
-    return 0
+    return member(spec, f).to_dict()
 
 
-def _cmd_ideal_quotient(args) -> int:
+def _cmd_ideal_quotient(args):
     name, f = seqfile.load(args.file)
-    g = principal_quotient(args.prime, f)
-    _emit_sequence(g, f"{name}/delta_{args.prime}", args.format, args.out)
-    return 0
+    return principal_quotient(args.prime, f), f"{name}/delta_{args.prime}"
 
 
-def _cmd_ideal_decompose(args) -> int:
+def _cmd_ideal_decompose(args):
     name, f = seqfile.load(args.file)
     dec = decompose_coprime_vanishing(args.modulus, f)
-    obj = {
+    matches = dec.reconstruction() == f
+    if args.format != "json":
+        return (f"m = {dec.m}\ngenerators at {list(dec.generator_points)}\n"
+                f"reconstruction matches: {matches}\n")
+    return {
         "name": name,
         "m": dec.m,
         "generator_points": list(dec.generator_points),
@@ -295,74 +253,82 @@ def _cmd_ideal_decompose(args) -> int:
             seqfile.to_json_obj(g, f"cofactor_delta_{q}")
             for q, g in zip(dec.generator_points, dec.cofactors)
         ],
-        "reconstruction_matches": dec.reconstruction() == f,
+        "reconstruction_matches": matches,
     }
-    if args.format == "json":
-        _emit(json.dumps(obj, indent=2) + "\n", args.out)
-    else:
-        lines = [f"m = {dec.m}", f"generators at {list(dec.generator_points)}"]
-        lines.append(f"reconstruction matches: {obj['reconstruction_matches']}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
-def _cmd_chain(args) -> int:
+def _cmd_chain(args):
     report = chain(args.family, args.length, _window(args))
     if args.dot:
-        _emit(report.to_dot() + "\n", args.out)
-        return 0
-    if args.format == "json":
-        obj = {
-            "family": report.family,
-            "specs": [s.label() for s in report.specs],
-            "links": [
-                {
-                    "smaller": link.smaller.label(),
-                    "larger": link.larger.label(),
-                    "separator": link.separator_label,
-                }
-                for link in report.links
-            ],
-        }
-        _emit(json.dumps(obj, indent=2) + "\n", args.out)
-    else:
+        return report.to_dot() + "\n"
+    if args.format != "json":
         lines = [f"family: {report.family}"]
         for link in report.links:
             lines.append(
                 f"{link.smaller.label()} < {link.larger.label()}"
                 f"  (separator {link.separator_label})"
             )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return "\n".join(lines) + "\n"
+    return {
+        "family": report.family,
+        "specs": [s.label() for s in report.specs],
+        "links": [
+            {
+                "smaller": link.smaller.label(),
+                "larger": link.larger.label(),
+                "separator": link.separator_label,
+            }
+            for link in report.links
+        ],
+    }
 
 
-def _cmd_ideal_probe(args) -> int:
+def _cmd_ideal_probe(args):
     spec = parse_ideal_spec(args.spec)
     verdict = probe_prime(spec, args.trials, args.seed, _window(args))
     obj = verdict.to_dict()
-    if args.format == "json":
-        if verdict.elements:
-            obj["witness_pair"] = [
-                seqfile.to_json_obj(f, f"witness_{i}")
-                for i, f in enumerate(verdict.elements)
-            ]
-        _emit(json.dumps(obj, indent=2) + "\n", args.out)
-    else:
-        _emit_mapping(obj, args.format, args.out)
-    return 0
+    if verdict.elements and args.format == "json":
+        obj["witness_pair"] = [
+            seqfile.to_json_obj(f, f"witness_{i}") for i, f in enumerate(verdict.elements)
+        ]
+    return obj
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     n = _window(args)
     results = verify.run_all(n, args.seed)
-    _emit(verify.render_report(results, n, args.seed), args.out)
-    return 0 if all(r.passed for r in results) else VERIFY_FAILURE
+    status = 0 if all(r.passed for r in results) else VERIFY_FAILURE
+    return verify.render_report(results, n, args.seed), status
+
+
+def _render(result, fmt: str) -> str:
+    """Text for a command's result: finished text as it is, a dict in
+    ``fmt``, a (function, name) pair through ``seqfile.render``."""
+    if isinstance(result, str):
+        return result
+    if not isinstance(result, dict):
+        f, name = result
+        return seqfile.render(f, fmt, name)
+    if fmt == "json":
+        return json.dumps(result, indent=2) + "\n"
+    if fmt == "csv":
+        return ",".join(f"{k}={v}" for k, v in result.items()) + "\n"
+    width = max(len(str(k)) for k in result)
+    return "\n".join(f"{k:<{width}}  {v}" for k, v in result.items()) + "\n"
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result, status = args.func(args), 0
+        if args.func is _cmd_verify:
+            result, status = result
+        text = _render(result, getattr(args, "format", None))
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return status
     except (ValueError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR

@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass
 
 from .primes import is_prime, primes_upto
 from .ring import ArithFunc, ZeroFunctionError, dirichlet_product, identity, indicator_shift
+from .sampling import random_unit
 from .witness import MEMBER, NON_MEMBER, Witness
 from .zoo import is_additive, is_completely_additive
 
@@ -92,8 +93,6 @@ def check_nonprime_norm_product(f: ArithFunc, g: ArithFunc) -> Witness:
 
 def units_group_probe(samples: int, seed: int, window: int) -> Witness:
     """Spot-check the abelian-group laws of the units under convolution."""
-    from .sampling import random_unit
-
     rng = random.Random(seed)
     e = identity(window)
     for _ in range(samples):

@@ -278,67 +278,52 @@ def _check_not_bezout(ctx: _Ctx) -> str:
     return f"no common divisor among 100 candidates ({units} units rejected since P_6 is proper)"
 
 
+def _candidates(ctx: _Ctx) -> list[tuple[str, ArithFunc]]:
+    """Every indicator on min(n, 64), then ten ``random_func`` draws, each
+    with the label a failure message names it by."""
+    window = min(ctx.n, 64)
+    found = [(f"delta_{idx}", delta(idx, window)) for idx in range(1, window + 1)]
+    for k in range(1, 11):
+        found.append((f"random function {k}", sampling.random_func(ctx.rng, window)))
+    return found
+
+
+def _require_same_verdicts(ctx: _Ctx, a: IdealSpec, b: IdealSpec, message: str) -> None:
+    for label, f in _candidates(ctx):
+        _require(member(a, f).verdict == member(b, f).verdict, f"{message} on {label}")
+
+
 def _check_prime_products_ideal(ctx: _Ctx) -> str:
     allow = IdealSpec.prime_products((2, 3))
     verdict = probe_prime(allow, trials=40, seed=ctx.seed, window=min(ctx.n, 64))
     _require(verdict.verdict == UNDECIDED, "a probe refuted primality of J_{2,3}")
     co = IdealSpec.prime_products((2, 3), complement=True)
-    pm = IdealSpec.coprime_vanishing(6)
-    for idx in range(1, min(ctx.n, 64) + 1):
-        d = delta(idx, min(ctx.n, 64))
-        _require(
-            member(co, d).verdict == member(pm, d).verdict,
-            f"complement-mode J and P_6 disagree on delta_{idx}",
-        )
-    for _ in range(10):
-        f = sampling.random_func(ctx.rng, min(ctx.n, 64))
-        _require(
-            member(co, f).verdict == member(pm, f).verdict,
-            "complement-mode J and P_6 disagree on a random function",
-        )
+    _require_same_verdicts(ctx, co, IdealSpec.coprime_vanishing(6),
+                           "complement-mode J and P_6 disagree")
     return "probe undecided as expected; finite-complement J agrees with P_6 everywhere tested"
 
 
 def _check_inclusion_chain(ctx: _Ctx) -> str:
-    window = min(ctx.n, 64)
-    p_small = IdealSpec.coprime_vanishing(2)
-    p_mid = IdealSpec.coprime_vanishing(6)
-    j_q = IdealSpec.prime_products((5, 7))
-    j_single = IdealSpec.prime_products((5,))
-    checked = 0
-    candidates = [delta(i, window) for i in range(1, window + 1)]
-    for _ in range(10):
-        candidates.append(sampling.random_func(ctx.rng, window))
-    for f in candidates:
-        if member(p_small, f).is_member:
-            _require(member(p_mid, f).is_member, "P_2 escaped P_6")
-        if member(p_mid, f).is_member:
-            _require(member(j_q, f).is_member, "P_6 escaped J_{5,7}")
-        if member(j_q, f).is_member:
-            _require(member(j_single, f).is_member, "J_{5,7} escaped J_{5}")
-        checked += 1
-    return f"inclusions P_2 in P_6 in J_{{5,7}} in J_{{5}} hold on {checked} candidates"
+    chain_specs = [
+        ("P_2", IdealSpec.coprime_vanishing(2)),
+        ("P_6", IdealSpec.coprime_vanishing(6)),
+        ("J_{5,7}", IdealSpec.prime_products((5, 7))),
+        ("J_{5}", IdealSpec.prime_products((5,))),
+    ]
+    candidates = _candidates(ctx)
+    for label, f in candidates:
+        for (small, a), (large, b) in zip(chain_specs, chain_specs[1:]):
+            if member(a, f).is_member:
+                _require(member(b, f).is_member, f"{small} escaped {large} at {label}")
+    return f"inclusions P_2 in P_6 in J_{{5,7}} in J_{{5}} hold on {len(candidates)} candidates"
 
 
 def _check_same_ideal_criterion(ctx: _Ctx) -> str:
-    window = min(ctx.n, 64)
-    same_a, same_b = IdealSpec.coprime_vanishing(6), IdealSpec.coprime_vanishing(12)
-    diff = IdealSpec.coprime_vanishing(10)
-    for idx in range(1, window + 1):
-        d = delta(idx, window)
-        _require(
-            member(same_a, d).verdict == member(same_b, d).verdict,
-            f"P_6 and P_12 disagree on delta_{idx}",
-        )
-    for _ in range(10):
-        f = sampling.random_func(ctx.rng, window)
-        _require(
-            member(same_a, f).verdict == member(same_b, f).verdict,
-            "P_6 and P_12 disagree on a random function",
-        )
-    d5 = delta(5, window)
+    same_a = IdealSpec.coprime_vanishing(6)
+    _require_same_verdicts(ctx, same_a, IdealSpec.coprime_vanishing(12), "P_6 and P_12 disagree")
+    d5 = delta(5, min(ctx.n, 64))
     _require(
-        member(diff, d5).is_member and not member(same_a, d5).is_member,
+        member(IdealSpec.coprime_vanishing(10), d5).is_member and not member(same_a, d5).is_member,
         "delta_5 fails to separate P_10 from P_6",
     )
     return "P_6 = P_12 on all tested inputs; delta_5 separates P_10 from P_6"

@@ -163,7 +163,8 @@ def _scan_pairs(f: ArithFunc, coprime_only: bool) -> Witness:
     n = len(f)
     vals = f.values
     if f.mode == EXACT:
-        [(vals, _)] = _lift(n, vals)
+        if vals[0] == 0:  # else the first pair, (1, 1), fails on the stored values
+            [(vals, _)] = _lift(n, vals)
         fails = ne
     else:
         fails = lambda rest, fk: abs(rest - fk) > FLOAT_TOL

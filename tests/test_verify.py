@@ -6,6 +6,7 @@ import hashlib
 import pytest
 
 from dirichlet_ring import verify
+from dirichlet_ring.ideals import IdealSpec
 from dirichlet_ring.ring import ArithFunc
 
 
@@ -33,6 +34,16 @@ def test_invertibility_check_counts_only_non_unit_rejections(monkeypatch):
     monkeypatch.setattr(ArithFunc, "invert", crash_on_non_units)
     with pytest.raises(RuntimeError):
         verify._check_invertibility(verify._Ctx(64, 0, "invertibility"))
+
+
+def test_shared_candidates_are_named_in_failures():
+    ctx = verify._Ctx(64, 0, "candidates")
+    labels = [label for label, _ in verify._candidates(ctx)]
+    assert labels[0] == "delta_1" and labels[63] == "delta_64"
+    assert labels[64:] == [f"random function {k}" for k in range(1, 11)]
+    p6, p10 = IdealSpec.coprime_vanishing(6), IdealSpec.coprime_vanishing(10)
+    with pytest.raises(AssertionError, match=r"^P_6 and P_10 disagree on delta_3$"):
+        verify._require_same_verdicts(ctx, p6, p10, "P_6 and P_10 disagree")
 
 
 def test_seed_63_passes_every_check():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dirichlet_ring import (
     ArithFunc,
+    zoo,
     FLOAT,
     delta,
     generate,
@@ -219,6 +220,16 @@ def test_identity_e_not_additive_at_one_one():
     w = is_additive(identity(8))
     assert w.verdict == NON_MEMBER
     assert w.pair == (1, 1)
+
+
+def test_nonzero_f1_fails_at_one_one_without_lifting(monkeypatch):
+    def no_lift(*args):
+        raise AssertionError("f(1) != 0 decides the scan without the lift")
+
+    monkeypatch.setattr(zoo, "_lift", no_lift)
+    for check in (is_additive, is_completely_additive):
+        w = check(natural(64))
+        assert (w.verdict, w.pair) == (NON_MEMBER, (1, 1))
 
 
 def test_distinct_prime_count_additive_but_not_completely():
