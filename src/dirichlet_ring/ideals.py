@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import prod
 from operator import add, mul
 
 from .primes import factorize, is_prime, nth_prime, prime_power_fold, primes_upto
-from .ring import (ArithFunc, EXACT, NotDivisibleWitness, WindowError, ZeroFunctionError,
-                   delta, indicator_shift, try_divide, zeros)
+from .ring import (_ZERO_ONE, ArithFunc, EXACT, NotDivisibleWitness, WindowError,
+                   ZeroFunctionError, delta, indicator_shift, try_divide, zeros)
 from .sampling import _constrained, random_func
 from .witness import MEMBER, NON_MEMBER, UNDECIDED, Witness
 
@@ -146,8 +145,9 @@ def member(spec: IdealSpec, f: ArithFunc) -> Witness:
         raise WindowError(
             f"norm threshold {spec.n} inspects indices beyond the window {window}"
         )
+    vals = f._values
     for idx in _constrained(spec, window):
-        if f(idx):
+        if vals[idx - 1]:
             return Witness(
                 NON_MEMBER, index=idx, note=f"f({idx}) != 0 but {spec.label()} forces 0 there"
             )
@@ -175,8 +175,7 @@ def principal_quotient(p: int, f: ArithFunc) -> ArithFunc:
     _require_member(IdealSpec.coprime_vanishing(p), f)
     if len(f) < p:
         raise WindowError(f"window {len(f)} holds no multiple of {p}")
-    vals = tuple(f(k * p) for k in range(1, len(f) // p + 1))
-    return ArithFunc(vals, f.mode)
+    return ArithFunc._of(f._values[p - 1 :: p], f.mode, f._den)
 
 
 @dataclass(frozen=True)
@@ -212,16 +211,17 @@ def decompose_coprime_vanishing(m: int, f: ArithFunc) -> Decomposition:
     owner = [0] * (window + 1)  # the largest prime of m dividing each index
     for q in qs:
         owner[q::q] = [q] * (window // q)
-    cofactors = {q: list(zeros(max(window // q, 1), f.mode).values) for q in qs}
+    vals, zero = f._values, _ZERO_ONE[f.mode][0]
+    cofactors = {q: [zero] * max(window // q, 1) for q in qs}
     for k, q in enumerate(owner):
         if q:
-            cofactors[q][k // q - 1] = f(k)
+            cofactors[q][k // q - 1] = vals[k - 1]
     return Decomposition(
         m=m,
         target=f,
         generators=tuple(delta(q, window, f.mode) for q in qs),
         generator_points=qs,
-        cofactors=tuple(ArithFunc(cofactors[q], f.mode) for q in qs),
+        cofactors=tuple(ArithFunc._of(cofactors[q], f.mode, f._den) for q in qs),
     )
 
 
@@ -310,19 +310,19 @@ def _random_outside(idxs: tuple[int, ...], rng: random.Random, window: int) -> t
     nonempty tuple of constrained indices."""
     for _ in range(64):
         f = random_func(rng, window)
-        first = next((idx for idx in idxs if f(idx)), None)
+        first = next((idx for idx in idxs if f._values[idx - 1]), None)
         if first is not None:
             return f, first
     # force a violation at the first constrained index
     vals = list(random_func(rng, window).values)
-    vals[idxs[0] - 1] = Fraction(1)
+    vals[idxs[0] - 1] = 1
     return ArithFunc(vals, EXACT), idxs[0]
 
 
 def _known_counterexample(spec: IdealSpec, window: int):
     """Hand-built non-primality witnesses for the families that have one."""
     if spec.tag == TAG_PRIME_TAIL:
-        f = ArithFunc([Fraction(0)] + [Fraction(1)] * (window - 1), EXACT)
+        f = ArithFunc([0] + [1] * (window - 1), EXACT)
         return f, f
     if spec.tag == TAG_GCD_COUNT:
         qs = factorize(spec.m).distinct_primes

@@ -3,8 +3,16 @@
 A function is stored as its values at 1..n.  Addition is pointwise and
 multiplication is Dirichlet convolution, so everything here is
 prefix-correct: entry k of any result depends only on entries at
-divisors of k.  Exact mode keeps entries as fractions; float mode exists
-for the few functions whose values are irrational.
+divisors of k.  Float mode exists for the few functions whose values
+are irrational.
+
+An exact function whose common denominator d (the lcm of its values'
+denominators) fits in 64 bits is narrow: it stores the integers d*f(k)
+and d, with gcd(d, *integers) == 1.  Any other is wide and stores its
+values as Fractions.  The values alone fix the stored form, so ``==``
+and ``hash`` compare forms.  ``values`` and ``f(k)`` build a narrow
+function's Fractions on each request and keep none; the package's own
+readers use the integers.
 
 Two loops carry the whole ring.  :func:`dirichlet_product` is the
 convolution; every product in the package goes through it.  ``_solve``
@@ -13,25 +21,19 @@ Analytic Number Theory*, ch. 2) run in sieve order: once g(m) is known,
 f(i) g(m) is pushed into the accumulator at index i*m, so no index ever
 searches for its divisors.  Inversion is the quotient of e by f, and
 exact division is the same recursion plus a scan for the first index it
-cannot match.
-
-In exact mode ``_lift`` chooses the loops' working values.  They are
-scaled Python ints whenever every operand's common denominator (the lcm
-of its entries' denominators) fits in 64 bits: each operand becomes
-integers over that one denominator.  Past 64 bits the lcm of unrelated
-denominators only grows, so such operands run the same loops on
-unreduced numerator/denominator pairs (``_Pair``), which put off the
-gcds that every Fraction operation takes (Knuth, TAOCP vol. 2, 4.5.1);
-the recursion reduces each solved value once, to the Fraction it
-returns.  Either way one Fraction per output entry is built, and the
-results are the same values.
+cannot match.  Narrow operands run the loops on their integers, and a
+narrow result is put in lowest terms by one gcd.  When an operand is
+wide, all run on unreduced numerator/denominator pairs (``_Pair``),
+which put off the gcds that every Fraction operation takes (Knuth,
+TAOCP vol. 2, 4.5.1); the recursion reduces each solved value once.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 EXACT = "exact"
@@ -64,34 +66,43 @@ class NotDivisibleWitness:
     note: str = ""
 
 
-def _as_exact(value: Scalar) -> Fraction:
+def _coerce(value: Scalar, mode: str) -> Scalar:
+    """value as an entry of the mode: an int or Fraction, or a float."""
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar value")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise ModeMismatchError(f"exact mode cannot hold {type(value).__name__} values")
-
-
-def _as_float(value: Scalar) -> float:
-    if isinstance(value, bool):
-        raise TypeError("bool is not a scalar value")
-    if isinstance(value, (int, float, Fraction)):
-        return float(value)
-    raise ModeMismatchError(f"float mode cannot hold {type(value).__name__} values")
+    if isinstance(value, (float, int, Fraction) if mode == FLOAT else (int, Fraction)):
+        return float(value) if mode == FLOAT else value
+    raise ModeMismatchError(f"{mode} mode cannot hold {type(value).__name__} values")
 
 
 def _detect_mode(values: Sequence[Scalar]) -> str:
     has_float = any(isinstance(v, float) for v in values)
-    has_exact = any(
-        isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values
-    )
+    has_exact = any(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
     if has_float and has_exact:
-        raise ModeMismatchError(
-            "mixed exact and float entries; pass mode= to convert explicitly"
-        )
+        raise ModeMismatchError("mixed exact and float entries; pass mode= to convert explicitly")
     return FLOAT if has_float else EXACT
+
+
+def _canonical(entries: Sequence, den: int | None) -> tuple[tuple, int | None]:
+    """The stored form (entries, den) of integers over ``den``, or of
+    Fractions and ints when den is None.  The running lcm stops as soon
+    as it passes 64 bits, so unrelated wide denominators cost a few
+    entries' scan."""
+    if den is None:
+        den = 1
+        for v in entries:
+            if den % v.denominator:
+                den = lcm(den, v.denominator)
+                if den.bit_length() > 64:
+                    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in entries), None
+        entries = [v.numerator * (den // v.denominator) if den > 1 else v.numerator for v in entries]
+    g = gcd(den, *entries)
+    if g > 1:
+        den //= g
+        entries = [x // g for x in entries]
+    if den.bit_length() > 64:
+        return tuple(Fraction(x, den) for x in entries), None
+    return tuple(entries), den
 
 
 def _norm(values: Sequence, n: int) -> int | None:
@@ -148,22 +159,6 @@ def _exact_quotient(d: int):
     return divide
 
 
-def _scaled(values: Sequence, n: int) -> tuple[list[int], int] | None:
-    """Integers A and one denominator d with values[k] = A[k] / d on 1..n.
-
-    d is the running lcm of the denominators; None as soon as it passes
-    64 bits, so unrelated wide denominators cost a few entries' scan.
-    """
-    values, d = values[:n], 1
-    for v in values:
-        den = v.denominator
-        if d % den:
-            d = d // gcd(d, den) * den
-            if d.bit_length() > 64:
-                return None
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
 class _Pair:
     """The value numerator/denominator, denominator > 0, kept unreduced.
 
@@ -205,18 +200,13 @@ class _Pair:
         return self.numerator != 0
 
 
-def _lift(n: int, *operands: Sequence) -> list[tuple[list, int | None]]:
-    """The exact loops' working values of each operand on 1..n.
-
-    Returns one (values, scale) per operand.  When every operand scales
-    (``_scaled``), values are its integers and scale its common
-    denominator.  Otherwise values are its entries as unreduced
-    ``_Pair``s and scale is None.  Either way the loops start from 0.
-    """
-    scaled = [_scaled(values, n) for values in operands]
-    if None in scaled:
-        return [([_Pair(v.numerator, v.denominator) for v in values[:n]], None) for values in operands]
-    return scaled
+def _lift(n: int, *operands: ArithFunc) -> list[tuple[Sequence, int | None]]:
+    """The exact loops' working values of each operand on 1..n: its stored
+    (integers, denominator) when every operand is narrow, else (its values
+    as unreduced ``_Pair``s, None).  Either way the loops start from 0."""
+    if all(f._den is not None for f in operands):
+        return [(f._values, f._den) for f in operands]
+    return [([_Pair(v.numerator, v.denominator) for v in f.values[:n]], None) for f in operands]
 
 
 def _reduced_quotient(lead: Fraction):
@@ -242,26 +232,24 @@ def _chain_length(m: int, a: int) -> int:
     return k
 
 
-def _solve_exact(h: Sequence, f: Sequence, a: int, n: int) -> tuple[list, list, Sequence]:
-    """``_solve`` on exact values; returns (g, acc, target).
+def _solve_exact(h: ArithFunc, f: ArithFunc, a: int, n: int) -> tuple[ArithFunc, list, Sequence]:
+    """``_solve`` on exact functions; returns (g, acc, target).
 
-    When h and f both scale, h = H/dh and f = F/df, the recursion solves
-    F * G = c*H over ints with c = F(a)^K and K = _chain_length(n//a, a),
-    so every division by F(a) is exact, and g = G*df / (dh*c).  acc
-    holds F * G, on the scale of target = c*H.  Otherwise it runs on
-    ``_Pair`` values, target is h as pairs, and g keeps the Fractions of
-    the division step, with Fraction(0) where the recursion skips an
-    index.
+    When h and f are both narrow, h = H/dh and f = F/df, the recursion
+    solves F * G = c*H over ints with c = |F(a)|^K and K =
+    _chain_length(n//a, a), so every division by F(a) is exact, and g =
+    G*df / (dh*c).  acc holds F * G, on the scale of target = c*H.
+    Otherwise it runs on ``_Pair`` values, target is h as pairs, and g
+    is built from the Fractions of the division step.
     """
     (hs, dh), (fs, df) = _lift(n, h, f)
     if dh is None:
-        g, acc = _solve(hs, fs, a, n, 0, _reduced_quotient(f[a - 1]))
-        return [x or Fraction(0) for x in g], acc, hs  # skipped entries hold the int 0
-    c = fs[a - 1] ** _chain_length(n // a, a)
-    target = [c * x for x in hs]
+        g, acc = _solve(hs, fs, a, n, 0, _reduced_quotient(f(a)))
+        return ArithFunc._of(g, EXACT), acc, hs
+    c = abs(fs[a - 1]) ** _chain_length(n // a, a)
+    target = [c * x for x in hs[:n]]
     g, acc = _solve(target, fs, a, n, 0, _exact_quotient(fs[a - 1]))
-    den = dh * c
-    return [Fraction(x * df, den) for x in g], acc, target
+    return ArithFunc._of([x * df for x in g], EXACT, dh * c), acc, target
 
 
 class ArithFunc:
@@ -269,36 +257,37 @@ class ArithFunc:
 
     Instances are immutable; every operation returns a new function.
     Calling the object evaluates it: ``f(k)`` for 1 <= k <= len(f).
+    ``_values`` holds a narrow function's integers and ``_den`` their
+    denominator; otherwise ``_values`` holds the values, ``_den`` None.
     """
 
-    __slots__ = ("_values", "_mode")
+    __slots__ = ("_values", "_mode", "_den")
 
     def __init__(self, values: Iterable[Scalar], mode: str | None = None):
         vals = list(values)
         if not vals:
             raise ValueError("need at least one value (indices start at 1)")
-        if mode is None:
-            mode = _detect_mode(vals)
-        if mode == EXACT:
-            stored = tuple(_as_exact(v) for v in vals)
-        elif mode == FLOAT:
-            stored = tuple(_as_float(v) for v in vals)
-        else:
+        mode = _detect_mode(vals) if mode is None else mode
+        if mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown scalar mode {mode!r}")
-        self._values = stored
+        self._store([_coerce(v, mode) for v in vals], mode, None)
+
+    def _store(self, vals: Sequence, mode: str, den: int | None) -> None:
+        self._values, self._den = _canonical(vals, den) if mode == EXACT else (tuple(vals), None)
         self._mode = mode
 
     @classmethod
-    def _raw(cls, stored: tuple, mode: str) -> "ArithFunc":
-        # trusted constructor for already-coerced tuples
+    def _of(cls, entries: Sequence, mode: str, den: int | None = None) -> "ArithFunc":
+        """Trusted constructor: floats, exact values, or integers over ``den``."""
         obj = cls.__new__(cls)
-        obj._values = stored
-        obj._mode = mode
+        obj._store(entries, mode, den)
         return obj
 
     @property
     def values(self) -> tuple:
-        return self._values
+        """f(1), ..., f(n): Fractions in exact mode, floats in float mode."""
+        d = self._den
+        return self._values if d is None else tuple(Fraction(x, d) for x in self._values)
 
     @property
     def mode(self) -> str:
@@ -314,18 +303,19 @@ class ArithFunc:
     def __call__(self, k: int):
         if not 1 <= k <= len(self._values):
             raise IndexError(f"index {k} outside the window 1..{len(self._values)}")
-        return self._values[k - 1]
+        d = self._den
+        return self._values[k - 1] if d is None else Fraction(self._values[k - 1], d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ArithFunc):
             return NotImplemented
-        return self._mode == other._mode and self._values == other._values
+        return (self._mode, self._den, self._values) == (other._mode, other._den, other._values)
 
     def __hash__(self) -> int:
-        return hash((self._mode, self._values))
+        return hash((self._mode, self._den, self._values))
 
     def __repr__(self) -> str:
-        head = ", ".join(str(v) for v in self._values[:8])
+        head = ", ".join(str(v) for v in self.values[:8])
         tail = ", ..." if len(self._values) > 8 else ""
         return f"ArithFunc([{head}{tail}], mode={self._mode}, n={len(self._values)})"
 
@@ -342,9 +332,13 @@ class ArithFunc:
 
     def add(self, other: "ArithFunc") -> "ArithFunc":
         self._require_same_mode(other)
-        n = min(len(self._values), len(other._values))
-        a, b = self._values, other._values
-        return ArithFunc._raw(tuple(a[i] + b[i] for i in range(n)), self._mode)
+        da, db = self._den, other._den
+        if da is None or db is None:
+            return ArithFunc._of(list(map(operator.add, self.values, other.values)), self._mode)
+        d = da // gcd(da, db) * db
+        a = self._values if d == da else [x * (d // da) for x in self._values]
+        b = other._values if d == db else [x * (d // db) for x in other._values]
+        return ArithFunc._of(list(map(operator.add, a, b)), EXACT, d)
 
     def __add__(self, other):
         if not isinstance(other, ArithFunc):
@@ -352,7 +346,7 @@ class ArithFunc:
         return self.add(other)
 
     def __neg__(self) -> "ArithFunc":
-        return ArithFunc._raw(tuple(-v for v in self._values), self._mode)
+        return ArithFunc._of([-v for v in self._values], self._mode, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, ArithFunc):
@@ -363,15 +357,13 @@ class ArithFunc:
         """Dirichlet convolution: (f*g)(k) = sum of f(i)g(j) over ij = k."""
         self._require_same_mode(other)
         n = min(len(self._values), len(other._values))
-        a, b = self._values, other._values
         if self._mode == EXACT:
-            (a, da), (b, db) = _lift(n, a, b)
+            (a, da), (b, db) = _lift(n, self, other)
             out = dirichlet_product(a, b, n, 0)
             if da is None:
-                return ArithFunc._raw(tuple(Fraction(x.numerator, x.denominator) for x in out), EXACT)
-            d = da * db
-            return ArithFunc._raw(tuple(Fraction(x, d) for x in out), EXACT)
-        return ArithFunc._raw(tuple(dirichlet_product(a, b, n, 0.0)), FLOAT)
+                return ArithFunc._of([Fraction(x.numerator, x.denominator) for x in out], EXACT)
+            return ArithFunc._of(out, EXACT, da * db)
+        return ArithFunc._of(dirichlet_product(self._values, other._values, n, 0.0), FLOAT)
 
     def __mul__(self, other):
         if not isinstance(other, ArithFunc):
@@ -392,13 +384,12 @@ class ArithFunc:
         if not self._values[0]:
             raise NonUnitError("f(1) = 0: not a unit (lies in the maximal ideal)")
         n = len(self._values)
-        e = identity(n, self._mode).values
+        e = identity(n, self._mode)
         if self._mode == EXACT:
-            g, _, _ = _solve_exact(e, self._values, 1, n)
-        else:
-            lead = 1 / self._values[0]
-            g, _ = _solve(e, self._values, 1, n, 0.0, lambda rest: rest * lead)
-        return ArithFunc._raw(tuple(g), self._mode)
+            return _solve_exact(e, self, 1, n)[0]
+        lead = 1 / self._values[0]
+        g, _ = _solve(e._values, self._values, 1, n, 0.0, lambda rest: rest * lead)
+        return ArithFunc._of(g, FLOAT)
 
     def power(self, r: int) -> "ArithFunc":
         """r-fold convolution power by square-and-multiply; f^0 is the identity.
@@ -412,13 +403,12 @@ class ArithFunc:
         n = len(self._values)
         if r == 0:
             return identity(n, self._mode)
-        scaled = _scaled(self._values, n) if self._mode == EXACT else None
-        if scaled is None:
+        if self._den is None:
             return _square_and_multiply(self, r, ArithFunc.convolve)
         # X/dx times Y/dy is X*Y over dx*dy
         product = lambda x, y: (dirichlet_product(x[0], y[0], n, 0), x[1] * y[1])
-        ints, d = _square_and_multiply(scaled, r, product)
-        return ArithFunc._raw(tuple(Fraction(x, d) for x in ints), EXACT)
+        ints, d = _square_and_multiply((self._values, self._den), r, product)
+        return ArithFunc._of(ints, EXACT, d)
 
     def __pow__(self, r: int) -> "ArithFunc":
         return self.power(r)
@@ -428,11 +418,12 @@ class ArithFunc:
     def truncate(self, n: int) -> "ArithFunc":
         if not 1 <= n <= len(self._values):
             raise WindowError(f"cannot truncate a window of {len(self._values)} to {n}")
-        return ArithFunc._raw(self._values[:n], self._mode)
+        return ArithFunc._of(self._values[:n], self._mode, self._den)
 
     def to_float(self) -> "ArithFunc":
         """Explicit conversion to float mode (exact -> float is lossy)."""
-        return ArithFunc._raw(tuple(float(v) for v in self._values), FLOAT)
+        d = self._den  # int / int rounds once, as float(Fraction) does
+        return ArithFunc._of([x / d for x in self._values] if d else map(float, self._values), FLOAT)
 
 
 def _square_and_multiply(base, r: int, times):
@@ -449,13 +440,13 @@ def _square_and_multiply(base, r: int, times):
 
 # constructors ----------------------------------------------------------
 
-_ZERO_ONE = {EXACT: (Fraction(0), Fraction(1)), FLOAT: (0.0, 1.0)}
+_ZERO_ONE = {EXACT: (0, 1), FLOAT: (0.0, 1.0)}
 
 
 def zeros(n: int, mode: str = EXACT) -> ArithFunc:
     if n < 1:
         raise ValueError("window length must be at least 1")
-    return ArithFunc._raw((_ZERO_ONE[mode][0],) * n, mode)
+    return ArithFunc._of([_ZERO_ONE[mode][0]] * n, mode, 1)
 
 
 def identity(n: int, mode: str = EXACT) -> ArithFunc:
@@ -473,7 +464,7 @@ def delta(m: int, n: int, mode: str = EXACT) -> ArithFunc:
     vals = [zero] * n
     if m <= n:
         vals[m - 1] = one
-    return ArithFunc._raw(tuple(vals), mode)
+    return ArithFunc._of(vals, mode, 1)
 
 
 def try_divide(h: ArithFunc, f: ArithFunc) -> ArithFunc | NotDivisibleWitness:
@@ -487,23 +478,22 @@ def try_divide(h: ArithFunc, f: ArithFunc) -> ArithFunc | NotDivisibleWitness:
     if h.mode != EXACT or f.mode != EXACT:
         raise ModeMismatchError("division is exact-mode only")
     n = min(len(h), len(f))
-    hv, fv = h.values, f.values
-    a = _norm(fv, n)
+    a = _norm(f._values, n)
     if a is None:
         raise ZeroFunctionError("divisor is zero on the window")
-    b = _norm(hv, n)
+    b = _norm(h._values, n)
     if b is not None and b % a:
         return NotDivisibleWitness(
             index=b, note="dividend norm is not a multiple of the divisor norm"
         )
-    g, acc, target = _solve_exact(hv, fv, a, n)
+    g, acc, target = _solve_exact(h, f, a, n)
     # the recursion fixes every multiple of a; check the rest of the window
     for k in range(1, n + 1):
         if k % a and acc[k - 1] != target[k - 1]:
             return NotDivisibleWitness(
                 index=k, note="no quotient can match the dividend at this index"
             )
-    return ArithFunc._raw(tuple(g), EXACT)
+    return g
 
 
 def indicator_shift(m: int, g: ArithFunc, n_out: int) -> ArithFunc:
@@ -524,9 +514,5 @@ def indicator_shift(m: int, g: ArithFunc, n_out: int) -> ArithFunc:
             "beyond what the shifted operand determines"
         )
     vals = [_ZERO_ONE[g.mode][0]] * n_out
-    for j in range(1, len(g) + 1):
-        pos = m * j
-        if pos > n_out:
-            break
-        vals[pos - 1] = g.values[j - 1]
-    return ArithFunc._raw(tuple(vals), g.mode)
+    vals[m - 1::m] = g._values[: n_out // m]
+    return ArithFunc._of(vals, g.mode, g._den)

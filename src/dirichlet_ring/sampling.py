@@ -2,13 +2,13 @@
 
 Entries are small rationals (numerator -3..3 over denominator 1..3) so
 that convolutions stay cheap and every failure reproduces from the seed.
-``random_scalar`` draws one entry as two rejection samples on
-``rng.getrandbits``: 3 bits until the value is below 7 for the numerator,
-then 2 bits until it is below 3 for the denominator.  That is how
-CPython's ``randint(-3, 3)`` and ``randint(1, 3)`` draw, so the values and
-the generator's final state are those of the two ``randint`` calls.
-Every value drawn here is already a Fraction, so the samplers build their
-functions with ``ArithFunc._raw`` and skip the per-entry coercion.
+One entry is drawn as two rejection samples on ``rng.getrandbits``: 3
+bits until the value is below 7 for the numerator, then 2 bits until it
+is below 3 for the denominator.  That is how CPython's ``randint(-3, 3)``
+and ``randint(1, 3)`` draw, so the values and the generator's final
+state are those of the two ``randint`` calls.  Every such value is an
+integer number of sixths, so the samplers build narrow functions from
+integers over 6 and no entry becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from operator import add
 from .primes import prime_power_fold
 from .ring import ArithFunc, EXACT
 
-# every narrow scalar, indexed by its two draws: _NARROW[i][j] = (i - 3) / (j + 1)
-_NARROW = tuple(tuple(Fraction(i - 3, j + 1) for j in range(3)) for i in range(7))
+# _draw gives a narrow scalar times 6, by its two draws: (i - 3) * 6 / (j + 1)
+_NARROW = tuple(tuple((i - 3) * 6 // (j + 1) for j in range(3)) for i in range(7))
+_SIXTHS = {k: Fraction(k, 6) for k in range(-18, 19)}
 
 
-def random_scalar(rng: random.Random) -> Fraction:
+def _draw(rng: random.Random) -> int:
     bits = rng.getrandbits
     i = bits(3)
     while i == 7:
@@ -36,42 +37,46 @@ def random_scalar(rng: random.Random) -> Fraction:
     return _NARROW[i][j]
 
 
+def random_scalar(rng: random.Random) -> Fraction:
+    return _SIXTHS[_draw(rng)]
+
+
 def random_func(rng: random.Random, n: int) -> ArithFunc:
-    return ArithFunc._raw(tuple(random_scalar(rng) for _ in range(n)), EXACT)
+    return ArithFunc._of([_draw(rng) for _ in range(n)], EXACT, 6)
 
 
 def random_nonzero(rng: random.Random, n: int) -> ArithFunc:
-    vals = [random_scalar(rng) for _ in range(n)]
+    vals = [_draw(rng) for _ in range(n)]
     if not any(vals):
-        vals[rng.randrange(n)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
-    return ArithFunc._raw(tuple(vals), EXACT)
+        vals[rng.randrange(n)] = 6 * rng.choice((-3, -2, -1, 1, 2, 3))
+    return ArithFunc._of(vals, EXACT, 6)
 
 
 def random_unit(rng: random.Random, n: int) -> ArithFunc:
     """Random function with a nonzero value at 1."""
-    vals = [random_scalar(rng) for _ in range(n)]
+    vals = [_draw(rng) for _ in range(n)]
     while not vals[0]:
-        vals[0] = random_scalar(rng)
-    return ArithFunc._raw(tuple(vals), EXACT)
+        vals[0] = _draw(rng)
+    return ArithFunc._of(vals, EXACT, 6)
 
 
 def random_non_unit(rng: random.Random, n: int) -> ArithFunc:
     """Random nonzero function vanishing at 1."""
-    vals = [random_scalar(rng) for _ in range(n)]
-    vals[0] = Fraction(0)
+    vals = [_draw(rng) for _ in range(n)]
+    vals[0] = 0
     if n > 1 and not any(vals):
-        vals[1 + rng.randrange(n - 1)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
-    return ArithFunc._raw(tuple(vals), EXACT)
+        vals[1 + rng.randrange(n - 1)] = 6 * rng.choice((-3, -2, -1, 1, 2, 3))
+    return ArithFunc._of(vals, EXACT, 6)
 
 
 def random_with_norm(rng: random.Random, n: int, norm: int) -> ArithFunc:
     """Random function whose first nonzero value sits exactly at ``norm``."""
     if not 1 <= norm <= n:
         raise ValueError(f"norm {norm} must lie in the window 1..{n}")
-    vals = [Fraction(0)] * (norm - 1)
-    vals.append(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
-    vals.extend(random_scalar(rng) for _ in range(n - norm))
-    return ArithFunc._raw(tuple(vals), EXACT)
+    vals = [0] * (norm - 1)
+    vals.append(6 * rng.choice((-3, -2, -1, 1, 2, 3)) // rng.randint(1, 3))
+    vals.extend(_draw(rng) for _ in range(n - norm))
+    return ArithFunc._of(vals, EXACT, 6)
 
 
 @lru_cache(maxsize=32)
@@ -87,20 +92,20 @@ def _constrained(spec, window: int) -> tuple[int, ...]:
 
 def random_in_ideal(rng: random.Random, spec, n: int) -> ArithFunc:
     """Random member: sample freely, then zero out the constrained indices."""
-    vals = [random_scalar(rng) for _ in range(n)]
+    vals = [_draw(rng) for _ in range(n)]
     for idx in _constrained(spec, n):
-        vals[idx - 1] = Fraction(0)
-    return ArithFunc._raw(tuple(vals), EXACT)
+        vals[idx - 1] = 0
+    return ArithFunc._of(vals, EXACT, 6)
 
 
 def random_additive(rng: random.Random, n: int) -> ArithFunc:
     """Random additive function: one value per prime power, drawn the
     first time the fold reaches that prime power."""
-    assigned: dict[tuple[int, int], Fraction] = {}
+    assigned: dict[tuple[int, int], int] = {}
 
-    def value_at(p: int, a: int) -> Fraction:
+    def value_at(p: int, a: int) -> int:
         if (p, a) not in assigned:
-            assigned[(p, a)] = random_scalar(rng)
+            assigned[(p, a)] = _draw(rng)
         return assigned[(p, a)]
 
-    return ArithFunc._raw(tuple(prime_power_fold(n, value_at, add, Fraction(0))), EXACT)
+    return ArithFunc._of(prime_power_fold(n, value_at, add, 0), EXACT, 6)

@@ -20,11 +20,26 @@ from .ring import ArithFunc, EXACT, FLOAT
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
+def _string_pairs(f: ArithFunc) -> list[list[str]]:
+    """Each exact value as [numerator, denominator] decimal strings, in
+    lowest terms, read from the stored form."""
+    d = f._den
+    if d is None:
+        return [[str(v.numerator), str(v.denominator)] for v in f._values]
+    if d == 1:
+        return [[str(x), "1"] for x in f._values]
+    return [[str(x // g), str(d // g)] for x in f._values for g in (math.gcd(x, d),)]
+
+
+def _texts(f: ArithFunc):
+    """Each value as ``str`` writes it."""
+    if f.mode != EXACT:
+        return map(str, f._values)
+    return (p if q == "1" else f"{p}/{q}" for p, q in _string_pairs(f))
+
+
 def to_json_obj(f: ArithFunc, name: str = "sequence") -> dict:
-    if f.mode == EXACT:
-        values = [[str(v.numerator), str(v.denominator)] for v in f.values]
-    else:
-        values = list(f.values)
+    values = _string_pairs(f) if f.mode == EXACT else list(f._values)
     return {"name": name, "mode": f.mode, "n": len(f), "values": values}
 
 
@@ -54,8 +69,8 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
                    for v in raw):
             raise ValueError("each exact value must be a [numerator, denominator] pair "
                              "of decimal strings")
-        try:
-            values = [Fraction(int(num), int(den)) for num, den in raw]
+        try:  # integers stay ints, so a file of them is stored with no Fraction
+            values = [int(num) if den == "1" else Fraction(int(num), int(den)) for num, den in raw]
         except ZeroDivisionError:
             raise ValueError("an exact value has denominator 0") from None
     else:
@@ -67,7 +82,7 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
             raise ValueError("float values must be finite") from None
         if not all(math.isfinite(v) for v in values):
             raise ValueError("float values must be finite")
-    return name, ArithFunc._raw(tuple(values), mode)
+    return name, ArithFunc._of(values, mode)
 
 
 def load(path: str | Path) -> tuple[str, ArithFunc]:
@@ -81,13 +96,13 @@ def save(f: ArithFunc, path: str | Path, name: str = "sequence") -> None:
 
 def to_csv(f: ArithFunc) -> str:
     """One comma-separated row of scalars in index order."""
-    return ",".join(map(str, f.values)) + "\n"
+    return ",".join(_texts(f)) + "\n"
 
 
 def to_table(f: ArithFunc, name: str = "sequence") -> str:
     width = len(str(len(f)))
     lines = [f"# {name} (mode={f.mode}, n={len(f)})"]
-    for i, v in enumerate(f.values, start=1):
+    for i, v in enumerate(_texts(f), start=1):
         lines.append(f"{i:>{width}}  {v}")
     return "\n".join(lines) + "\n"
 

@@ -64,7 +64,7 @@ def classify(f: ArithFunc) -> ElementReport:
         is_unit=is_unit,
         in_maximal=not is_unit,
         norm=c,
-        atom_certificate=_certificate_for_profile(f.values, len(f)),
+        atom_certificate=_certificate_for_profile(f._values, len(f)),
         additive_class=additive_class,
     )
 
@@ -82,7 +82,7 @@ def check_nonprime_norm_product(f: ArithFunc, g: ArithFunc) -> Witness:
         raise ValueError("both operands must be non-units (value 0 at index 1)")
     h = f.convolve(g)
     for p in primes_upto(len(h)):
-        if h(p):
+        if h._values[p - 1]:
             return Witness(NON_MEMBER, index=p, note="nonzero at a prime index")
     c = h.norm()
     desc = "zero at truncation" if c is None else str(c)

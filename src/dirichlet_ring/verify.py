@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import ideals, sampling, structure, zoo
 from .ideals import IdealSpec, chain, divisibility_depth, member, probe_prime, probe_semiprime
@@ -33,7 +32,7 @@ from .structure import (
 )
 from .witness import MEMBER, NON_MEMBER, UNDECIDED
 
-MIN_WINDOW = 64
+MIN_WINDOW = 64  # also the window of every check whose inputs do not scale with n
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ def _check_invertibility(ctx: _Ctx) -> str:
 
 
 def _check_units_group(ctx: _Ctx) -> str:
-    verdict = structure.units_group_probe(12, ctx.seed, min(ctx.n, 64))
+    verdict = structure.units_group_probe(12, ctx.seed, MIN_WINDOW)
     _require(verdict.verdict == MEMBER, verdict.note)
     return verdict.note
 
@@ -210,13 +209,13 @@ def _check_prime_tail_not_prime(ctx: _Ctx) -> str:
         verdict = probe_prime(IdealSpec.prime_tail(t), trials=0, seed=ctx.seed, window=ctx.n)
         _require(verdict.verdict == NON_MEMBER, f"no witness for the tail ideal K_{t}")
         f, g = verdict.elements
-        _require(f.values[0] == 0 and f.values[1] == 1, "unexpected witness shape")
+        _require(f(1) == 0 and f(2) == 1, "unexpected witness shape")
     return "the all-ones-from-2 witness refutes primality of K_1, K_2, K_3"
 
 
 def _check_coprime_ideal_prime(ctx: _Ctx) -> str:
     spec = IdealSpec.coprime_vanishing(6)
-    verdict = probe_prime(spec, trials=40, seed=ctx.seed, window=min(ctx.n, 64))
+    verdict = probe_prime(spec, trials=40, seed=ctx.seed, window=MIN_WINDOW)
     _require(verdict.verdict == UNDECIDED, "a probe refuted primality of P_6")
     for _ in range(10):
         f = sampling.random_func(ctx.rng, ctx.n)
@@ -254,13 +253,13 @@ def _check_generator_count(ctx: _Ctx) -> str:
             _require(dec.reconstruction() == f, f"reconstruction failed for m = {m}")
         basis = [[g(q) for q in qs] for g in
                  (delta(q, ctx.n) for q in qs)]
-        expected = [[Fraction(int(i == j)) for j in range(len(qs))] for i in range(len(qs))]
+        expected = [[int(i == j) for j in range(len(qs))] for i in range(len(qs))]
         _require(basis == expected, "indicator evaluations are not the standard basis")
     return "12 members of P_6 and P_12 reconstruct exactly; evaluations give the standard basis"
 
 
 def _check_not_bezout(ctx: _Ctx) -> str:
-    window = min(ctx.n, 64)
+    window = MIN_WINDOW
     d2, d3 = delta(2, window), delta(3, window)
     spec = IdealSpec.coprime_vanishing(6)
     _require(member(spec, d2).is_member and member(spec, d3).is_member, "indicators not in P_6")
@@ -279,9 +278,9 @@ def _check_not_bezout(ctx: _Ctx) -> str:
 
 
 def _candidates(ctx: _Ctx) -> list[tuple[str, ArithFunc]]:
-    """Every indicator on min(n, 64), then ten ``random_func`` draws, each
+    """Every indicator on MIN_WINDOW, then ten ``random_func`` draws, each
     with the label a failure message names it by."""
-    window = min(ctx.n, 64)
+    window = MIN_WINDOW
     found = [(f"delta_{idx}", delta(idx, window)) for idx in range(1, window + 1)]
     for k in range(1, 11):
         found.append((f"random function {k}", sampling.random_func(ctx.rng, window)))
@@ -295,7 +294,7 @@ def _require_same_verdicts(ctx: _Ctx, a: IdealSpec, b: IdealSpec, message: str) 
 
 def _check_prime_products_ideal(ctx: _Ctx) -> str:
     allow = IdealSpec.prime_products((2, 3))
-    verdict = probe_prime(allow, trials=40, seed=ctx.seed, window=min(ctx.n, 64))
+    verdict = probe_prime(allow, trials=40, seed=ctx.seed, window=MIN_WINDOW)
     _require(verdict.verdict == UNDECIDED, "a probe refuted primality of J_{2,3}")
     co = IdealSpec.prime_products((2, 3), complement=True)
     _require_same_verdicts(ctx, co, IdealSpec.coprime_vanishing(6),
@@ -321,7 +320,7 @@ def _check_inclusion_chain(ctx: _Ctx) -> str:
 def _check_same_ideal_criterion(ctx: _Ctx) -> str:
     same_a = IdealSpec.coprime_vanishing(6)
     _require_same_verdicts(ctx, same_a, IdealSpec.coprime_vanishing(12), "P_6 and P_12 disagree")
-    d5 = delta(5, min(ctx.n, 64))
+    d5 = delta(5, MIN_WINDOW)
     _require(
         member(IdealSpec.coprime_vanishing(10), d5).is_member and not member(same_a, d5).is_member,
         "delta_5 fails to separate P_10 from P_6",
@@ -349,8 +348,8 @@ def _check_semiprime(ctx: _Ctx) -> str:
     count = 0
     for _ in range(8):
         vals = [sampling.random_scalar(ctx.rng) for _ in range(ctx.n)]
-        vals[0] = Fraction(0)
-        vals[1] = Fraction(ctx.rng.choice((1, 2, 3)))
+        vals[0] = 0
+        vals[1] = ctx.rng.choice((1, 2, 3))
         f = ArithFunc(vals)
         w = probe_semiprime(6, 1, f, rmax=2, window=ctx.n)
         _require(w.verdict == NON_MEMBER, "powers entered the ideal")
@@ -359,7 +358,7 @@ def _check_semiprime(ctx: _Ctx) -> str:
 
 
 def _check_semiprime_boundaries(ctx: _Ctx) -> str:
-    window = min(ctx.n, 64)
+    window = MIN_WINDOW
     base = IdealSpec.coprime_vanishing(6)
     k0 = IdealSpec.gcd_count(6, 0)
     k_big = IdealSpec.gcd_count(6, 2)
@@ -377,7 +376,7 @@ def _check_semiprime_boundaries(ctx: _Ctx) -> str:
 
 
 def _check_zoo_invertibility(ctx: _Ctx) -> str:
-    n = min(ctx.n, 64)
+    n = MIN_WINDOW
     non_units = {
         "big_omega": zoo.big_omega(n),
         "distinct_prime_count": zoo.distinct_prime_count(n),

@@ -9,23 +9,25 @@ therefore live in float mode.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from math import gcd
-from operator import add, mul, ne
+from operator import add, mul
 
 from .primes import is_prime, prime_power_fold, primes_upto
 from .ring import ArithFunc, EXACT, FLOAT, _lift, delta, identity
 from .witness import MEMBER, NON_MEMBER, Witness
 
-FLOAT_TOL = 1e-12  # absolute tolerance for comparisons in float mode
+# a float pair fails when |f(mk) - f(m) - f(k)| passes FLOAT_SLACK times
+# |f(mk)| + |f(m)| + |f(k)|: twice the 4 units of roundoff, 2^-53, that
+# s*log(k) with a log within one ulp can show (Higham, 2002, 3.1)
+FLOAT_SLACK = 8 * 2.0**-53
 
 
 def _multiplicative(n: int, at) -> ArithFunc:
-    return ArithFunc(prime_power_fold(n, at, mul, 1), EXACT)
+    return ArithFunc._of(prime_power_fold(n, at, mul, 1), EXACT, 1)
 
 
 def _additive(n: int, at) -> ArithFunc:
-    return ArithFunc(prime_power_fold(n, at, add, 0), EXACT)
+    return ArithFunc._of(prime_power_fold(n, at, add, 0), EXACT, 1)
 
 
 def mobius(n: int) -> ArithFunc:
@@ -70,7 +72,7 @@ def ramanujan_tau(n: int) -> ArithFunc:
     coeffs = [1]
     for m in range(1, n):
         coeffs.append(-24 * sum(map(mul, sigma[:m], reversed(coeffs))) // m)
-    return ArithFunc(coeffs[:n], EXACT)
+    return ArithFunc._of(coeffs[:n], EXACT, 1)
 
 
 def dedekind_psi(n: int) -> ArithFunc:
@@ -102,12 +104,12 @@ def log_function(n: int) -> ArithFunc:
 
 def unit(n: int) -> ArithFunc:
     """The constant-one function u."""
-    return ArithFunc([Fraction(1)] * n, EXACT)
+    return ArithFunc._of([1] * n, EXACT, 1)
 
 
 def natural(n: int) -> ArithFunc:
     """The inclusion k -> k."""
-    return ArithFunc([Fraction(k) for k in range(1, n + 1)], EXACT)
+    return ArithFunc._of(range(1, n + 1), EXACT, 1)
 
 
 _PLAIN = {
@@ -155,40 +157,33 @@ def _scan_pairs(f: ArithFunc, coprime_only: bool) -> Witness:
     """The first pair m <= k, in order of m then k, with mk <= len(f) and
     f(mk) != f(m) + f(k); only coprime pairs when ``coprime_only``.
 
-    Exact mode compares the working values of ``ring._lift``: integers
-    over one common denominator, or unreduced pairs, cross-multiplied,
-    when that denominator passes 64 bits; float mode tests
-    |f(mk) - f(m) - f(k)| > ``FLOAT_TOL``.
+    Exact mode compares the working values of ``ring._lift``: a narrow
+    function's stored integers, or unreduced pairs, cross-multiplied,
+    for a wide one.  Float mode allows roundoff (``FLOAT_SLACK``).
     """
     n = len(f)
-    vals = f.values
+    vals = f._values
     if f.mode == EXACT:
-        if vals[0] == 0:  # else the first pair, (1, 1), fails on the stored values
-            [(vals, _)] = _lift(n, vals)
-        fails = ne
+        if not vals[0]:  # else the first pair, (1, 1), fails on the stored values
+            [(vals, _)] = _lift(n, f)
+        fails = lambda a, b, c: a - b != c  # a = f(mk), b = f(m), c = f(k)
     else:
-        fails = lambda rest, fk: abs(rest - fk) > FLOAT_TOL
+        fails = lambda a, b, c: abs(a - b - c) > FLOAT_SLACK * (abs(a) + abs(b) + abs(c))
     m = 1
     while m * m <= n:
         fm = vals[m - 1]
         for k in range(m, n // m + 1):
-            if fails(vals[m * k - 1] - fm, vals[k - 1]) and (not coprime_only or gcd(m, k) == 1):
+            if fails(vals[m * k - 1], fm, vals[k - 1]) and (not coprime_only or gcd(m, k) == 1):
                 return Witness(NON_MEMBER, pair=(m, k), note=f"f({m}*{k}) != f({m}) + f({k})")
         m += 1
     return Witness(MEMBER, note=f"all pairs with product <= {n} pass")
 
 
 def is_additive(f: ArithFunc) -> Witness:
-    """Check f(mk) = f(m) + f(k) for every coprime pair with mk <= len(f).
-
-    Both modes decide by one scan over the pairs (``_scan_pairs``).
-    """
+    """Check f(mk) = f(m) + f(k) for every coprime pair with mk <= len(f)."""
     return _scan_pairs(f, coprime_only=True)
 
 
 def is_completely_additive(f: ArithFunc) -> Witness:
-    """Check f(mk) = f(m) + f(k) for every pair with mk <= len(f).
-
-    Both modes decide by one scan over the pairs (``_scan_pairs``).
-    """
+    """Check f(mk) = f(m) + f(k) for every pair with mk <= len(f)."""
     return _scan_pairs(f, coprime_only=False)

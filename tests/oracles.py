@@ -72,10 +72,10 @@ def nu_p_scan(p: int, n: int) -> int:
     return a
 
 
-def additivity_pair_scan(values: list, coprime_only: bool, tol: float = 0.0):
+def additivity_pair_scan(values: list, coprime_only: bool, slack: float = 0.0):
     """(verdict, pair, note) of the first pair m <= k, in order of m then k,
-    with m*k in the window and v(mk) != v(m) + v(k) beyond ``tol``; only
-    coprime pairs when ``coprime_only``."""
+    with m*k in the window and |v(mk) - v(m) - v(k)| above ``slack`` times
+    |v(mk)| + |v(m)| + |v(k)|; only coprime pairs when ``coprime_only``."""
     n = len(values)
     for m in range(1, n + 1):
         for k in range(m, n + 1):
@@ -83,7 +83,8 @@ def additivity_pair_scan(values: list, coprime_only: bool, tol: float = 0.0):
                 break
             if coprime_only and gcd(m, k) != 1:
                 continue
-            if abs(values[m * k - 1] - values[m - 1] - values[k - 1]) > tol:
+            a, b, c = values[m * k - 1], values[m - 1], values[k - 1]
+            if abs(a - b - c) > slack * (abs(a) + abs(b) + abs(c)):
                 return "non_member", (m, k), f"f({m}*{k}) != f({m}) + f({k})"
     return "member", None, f"all pairs with product <= {n} pass"
 

@@ -2,9 +2,12 @@
 powers, and exact trial division."""
 
 import hashlib
+import json
 import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +28,14 @@ from dirichlet_ring import (
     try_divide,
     zeros,
 )
-from dirichlet_ring.ring import _scaled, dirichlet_product
+from dirichlet_ring import seqfile
+from dirichlet_ring.ring import dirichlet_product
 from dirichlet_ring.sampling import random_func, random_nonzero, random_unit, random_with_norm
-from dirichlet_ring.zoo import big_omega, log_function, mangoldt, mobius, unit
+from dirichlet_ring.zoo import big_omega, generate, log_function, mangoldt, mobius, unit
 
-from oracles import convolve_lists, divide_lists, invert_floats, mobius_scan
+from oracles import (big_omega_scan, convolve_lists, distinct_count_scan, divide_lists,
+                     invert_floats, liouville_scan, mobius_scan, phi_count, psi_scan,
+                     randint_scalar)
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -426,8 +432,8 @@ def test_common_denominator_switch_at_64_bits():
     base[0] = Fraction(5, p * q)
     f = ArithFunc(base, EXACT)
     f2 = ArithFunc(base[:-1] + [Fraction(1, 2)], EXACT)
-    assert _scaled(f.values, n)[1] == p * q
-    assert _scaled(f2.values, n) is None
+    assert f._den == p * q
+    assert f2._den is None
     g = random_unit(rng, n)
     for x in (f, f2):
         xv = list(x.values)
@@ -471,7 +477,7 @@ def test_pair_path_matches_divisor_scan_oracles(n, a, wide, seed, k):
     gv = entries(n, g_wide)
     f, g = ArithFunc(fv, EXACT), ArithFunc(gv, EXACT)
     for x, is_wide in ((f, f_wide), (g, g_wide)):
-        assert (_scaled(x.values, n) is None) == is_wide
+        assert (x._den is None) == is_wide
     h = f * g
     assert list(h.values) == convolve_lists(fv, gv)
     assert list(try_divide(h, f).values) == divide_lists(list(h.values), fv)
@@ -493,6 +499,113 @@ def test_pair_path_matches_divisor_scan_oracles(n, a, wide, seed, k):
         assert all(type(v) is Fraction for v in cube.values)
     for r in (h, try_divide(h, f)):
         assert all(type(v) is Fraction for v in r.values)
+
+
+# stored forms -------------------------------------------------------------------
+
+
+def assert_stored_form(x, values):
+    """x equals and hashes like ArithFunc of these values, hands them out as
+    Fractions, and stores the form their common denominator d chooses:
+    the integers d*v over d up to 64 bits, the Fractions past that."""
+    fractions = tuple(Fraction(v) for v in values)
+    ref = ArithFunc(fractions, EXACT)
+    assert x == ref and hash(x) == hash(ref)
+    assert x.values == fractions and all(type(v) is Fraction for v in x.values)
+    d = math.lcm(*(v.denominator for v in fractions))
+    if d.bit_length() <= 64:
+        assert (x._values, x._den) == (tuple(int(v * d) for v in fractions), d)
+        assert all(type(v) is int for v in x._values)
+    else:
+        assert (x._values, x._den) == (fractions, None)
+
+
+def _entries(rng, n, width):
+    if width == "narrow":
+        return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    # two ~40-bit denominators pass 64 bits together; only one of them
+    # may appear, and then the values are narrow again
+    dens = (rng.randrange(1 << 39, 1 << 40), rng.randrange(1 << 39, 1 << 40))
+    return [Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(n)]
+
+
+ZOO_ORACLES = {
+    "mobius": mobius_scan, "euler_phi": phi_count, "liouville": liouville_scan,
+    "dedekind_psi": psi_scan, "big_omega": big_omega_scan,
+    "distinct_prime_count": distinct_count_scan, "unit_u": lambda k: 1,
+    "natural_N": lambda k: k,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.sampled_from(["narrow", "wide"]), st.integers(0, 2**32),
+       st.sampled_from(sorted(ZOO_ORACLES)))
+def test_every_path_builds_the_stored_form_of_its_values(n, width, seed, tag):
+    rng = random.Random(seed)
+    fv, gv = _entries(rng, n, width), _entries(rng, n, "narrow")
+    gv[0] = gv[0] or Fraction(1)
+    # the constructor, from ints where a value is whole
+    f = ArithFunc([v.numerator if v.denominator == 1 else v for v in fv])
+    g = ArithFunc(gv)
+    assert_stored_form(f, fv)
+    assert_stored_form(f + g, [x + y for x, y in zip(fv, gv)])
+    assert_stored_form((f + g) - f, gv)
+    assert_stored_form(-f, [-x for x in fv])
+    assert_stored_form(f * g, convolve_lists(fv, gv))
+    assert_stored_form(g.invert(), divide_lists([1] + [0] * (n - 1), gv))
+    if fv[0]:
+        assert_stored_form(f.invert(), divide_lists([1] + [0] * (n - 1), fv))
+    assert_stored_form(try_divide(f * g, g), fv)
+    assert_stored_form(f.power(3), convolve_lists(convolve_lists(fv, fv), fv))
+    assert_stored_form(f.truncate(max(n // 2, 1)), fv[: max(n // 2, 1)])
+    assert_stored_form(indicator_shift(2, f, n), [fv[k // 2 - 1] if k % 2 == 0 else 0
+                                                  for k in range(1, n + 1)])
+    assert_stored_form(generate(tag, n), [ZOO_ORACLES[tag](k) for k in range(1, n + 1)])
+    draws = random.Random(seed)
+    assert_stored_form(random_func(random.Random(seed), n), [randint_scalar(draws) for _ in range(n)])
+    obj = {"name": "f", "mode": EXACT, "n": n,
+           "values": [[str(v.numerator), str(v.denominator)] for v in fv]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert_stored_form(seqfile.load(path)[1], fv)
+
+
+def test_halves_sum_to_the_integer_form():
+    half = ArithFunc([Fraction(1, 2), Fraction(-1, 2)])
+    assert_stored_form(half, [Fraction(1, 2), Fraction(-1, 2)])
+    assert (half._values, half._den) == ((1, -1), 2)
+    assert_stored_form(half + half, [1, -1])
+    assert ((half + half)._values, (half + half)._den) == ((1, -1), 1)
+
+
+def test_u_times_mu_is_the_identity_over_one():
+    e = unit(64) * mobius(64)
+    assert e == identity(64) and hash(e) == hash(identity(64))
+    assert (e._values, e._den) == ((1,) + (0,) * 63, 1)
+
+
+def test_loaded_file_is_stored_as_integers(tmp_path):
+    path = tmp_path / "mu.json"
+    seqfile.save(mobius(200), path, "mu")
+    _, f = seqfile.load(path)
+    assert f == mobius(200) and hash(f) == hash(mobius(200))
+    assert f._den == 1 and all(type(v) is int for v in f._values)
+    thirds = ArithFunc([Fraction(k, 3) for k in range(-4, 5)])
+    seqfile.save(thirds, path)
+    assert_stored_form(seqfile.load(path)[1], [Fraction(k, 3) for k in range(-4, 5)])
+
+
+def test_wide_quotient_that_cancels_comes_back_narrow():
+    rng = random.Random(71)
+    a = _wide(rng, 64)
+    assert a._den is None
+    h = a * mobius(64)
+    assert h._den is None  # the product is wide too
+    q = try_divide(h, a)
+    assert q == mobius(64) and q._den == 1
+    assert all(type(v) is int for v in q._values)
+    assert ((a + mobius(64)) - a)._den == 1
 
 
 # pinned outputs ---------------------------------------------------------------

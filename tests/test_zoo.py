@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 
 from dirichlet_ring import (
     ArithFunc,
+    IdealSpec,
     zoo,
     FLOAT,
+    classify,
+    member,
     delta,
     generate,
     identity,
@@ -291,7 +294,7 @@ def additive_cases(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(additive_cases())
-def test_additivity_fold_matches_pair_scan(vals):
+def test_additivity_scan_matches_oracle_scan(vals):
     f = ArithFunc(vals)
     for check, coprime_only in ((is_additive, True), (is_completely_additive, False)):
         w = check(f)
@@ -303,8 +306,38 @@ def test_float_additivity_is_the_tolerance_pair_scan(build):
     f = build(120)
     for check, coprime_only in ((is_additive, True), (is_completely_additive, False)):
         w = check(f)
-        expected = additivity_pair_scan(list(f.values), coprime_only, tol=1e-12)
+        expected = additivity_pair_scan(list(f.values), coprime_only, slack=8 * 2.0**-53)
         assert (w.verdict, w.pair, w.note) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 1024), st.floats(-6, 12))
+def test_scaled_logs_are_completely_additive(n, exponent):
+    # s*log(k) is completely additive for every s; roundoff in the stored
+    # doubles must not refute it at any scale
+    s = 10.0**exponent
+    f = ArithFunc([s * math.log(k) for k in range(1, n + 1)])
+    assert is_completely_additive(f).verdict == MEMBER
+    assert is_additive(f).verdict == MEMBER
+
+
+@pytest.mark.parametrize("scale, n", [(1000.0, 4096), (1e4, 4096), (1000.0, 256)])
+def test_large_scaled_logs_stay_completely_additive(scale, n):
+    # an absolute tolerance of 1e-12 refuted these at (2, 1491), (2, 3)
+    # and (7, 14), and classify then said "additive"
+    f = ArithFunc([scale * math.log(k) for k in range(1, n + 1)])
+    assert is_completely_additive(f).verdict == MEMBER
+    assert classify(f).additive_class == "completely_additive"
+
+
+def test_float_zero_tests_read_the_stored_doubles():
+    # mangoldt * u = log exactly, but the float convolution leaves roundoff
+    # residues; norm and member look at the stored doubles, with no tolerance
+    z = mangoldt(256) * unit(256).to_float() - log_function(256)
+    assert z.mode == FLOAT and max(map(abs, z.values)) < 1e-15
+    assert z.norm() == 10
+    w = member(IdealSpec.coprime_vanishing(2), z)
+    assert (w.verdict, w.index) == (NON_MEMBER, 33)
 
 
 def test_random_additive_draw_order_is_pinned():
