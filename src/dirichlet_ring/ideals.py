@@ -378,6 +378,8 @@ def probe_semiprime(
     returned ``non_member`` verdict records that all powers up to rmax did
     so; a function already in the ideal gives a vacuous ``member`` pass.
     """
+    if rmax < 1:
+        raise ValueError("rmax must be at least 1: no power would be checked")
     spec = IdealSpec.gcd_count(m, k)
     if window is None:
         window = len(f)

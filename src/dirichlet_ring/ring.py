@@ -14,6 +14,12 @@ and ``hash`` compare forms.  ``values`` and ``f(k)`` build a narrow
 function's Fractions on each request and keep none; the package's own
 readers use the integers.
 
+``ArithFunc(values, mode)`` is the one checker for values from outside
+the package, sequence files included.  Ints and Fractions are exact,
+floats are float values, and a list of both needs ``mode=``; float mode
+converts exact values and rejects any that is not a finite double.
+Package code that holds the stored form builds with ``ArithFunc._of``.
+
 Two loops carry the whole ring.  :func:`dirichlet_product` is the
 convolution; every product in the package goes through it.  ``_solve``
 is the standard recursion for f * g = h (Apostol, *Introduction to
@@ -33,7 +39,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, isfinite, lcm
 from typing import Iterable, Sequence, Union
 
 EXACT = "exact"
@@ -66,21 +72,11 @@ class NotDivisibleWitness:
     note: str = ""
 
 
-def _coerce(value: Scalar, mode: str) -> Scalar:
-    """value as an entry of the mode: an int or Fraction, or a float."""
-    if isinstance(value, bool):
-        raise TypeError("bool is not a scalar value")
-    if isinstance(value, (float, int, Fraction) if mode == FLOAT else (int, Fraction)):
-        return float(value) if mode == FLOAT else value
-    raise ModeMismatchError(f"{mode} mode cannot hold {type(value).__name__} values")
-
-
-def _detect_mode(values: Sequence[Scalar]) -> str:
-    has_float = any(isinstance(v, float) for v in values)
-    has_exact = any(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
-    if has_float and has_exact:
-        raise ModeMismatchError("mixed exact and float entries; pass mode= to convert explicitly")
-    return FLOAT if has_float else EXACT
+def _kind(t: type) -> str | None:
+    """The mode whose entries may have type t: FLOAT, EXACT, or None (bool too)."""
+    if issubclass(t, float):
+        return FLOAT
+    return EXACT if issubclass(t, (int, Fraction)) and not issubclass(t, bool) else None
 
 
 def _canonical(entries: Sequence, den: int | None) -> tuple[tuple, int | None]:
@@ -267,10 +263,26 @@ class ArithFunc:
         vals = list(values)
         if not vals:
             raise ValueError("need at least one value (indices start at 1)")
-        mode = _detect_mode(vals) if mode is None else mode
+        kinds = set(map(_kind, set(map(type, vals))))
+        if mode is None:
+            if kinds >= {EXACT, FLOAT}:
+                raise ModeMismatchError("mixed exact and float entries; pass mode= to convert explicitly")
+            mode = FLOAT if FLOAT in kinds else EXACT
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown scalar mode {mode!r}")
-        self._store([_coerce(v, mode) for v in vals], mode, None)
+        if not kinds <= {EXACT, mode}:  # float mode converts exact values; name the first other one
+            bad = next(v for v in vals if _kind(type(v)) not in (EXACT, mode))
+            if isinstance(bad, bool):
+                raise TypeError("bool is not a scalar value")
+            raise ModeMismatchError(f"{mode} mode cannot hold {type(bad).__name__} values")
+        if mode == FLOAT:
+            try:
+                vals = list(map(float, vals))
+            except OverflowError:  # an int or Fraction too large for a double
+                vals = [inf]
+            if not all(map(isfinite, vals)):
+                raise ValueError("float values must be finite")
+        self._store(vals, mode, None)
 
     def _store(self, vals: Sequence, mode: str, den: int | None) -> None:
         self._values, self._den = _canonical(vals, den) if mode == EXACT else (tuple(vals), None)
@@ -315,7 +327,7 @@ class ArithFunc:
         return hash((self._mode, self._den, self._values))
 
     def __repr__(self) -> str:
-        head = ", ".join(str(v) for v in self.values[:8])
+        head = ", ".join(str(self(k)) for k in range(1, min(len(self._values), 8) + 1))
         tail = ", ..." if len(self._values) > 8 else ""
         return f"ArithFunc([{head}{tail}], mode={self._mode}, n={len(self._values)})"
 
@@ -324,9 +336,7 @@ class ArithFunc:
 
     def _require_same_mode(self, other: "ArithFunc") -> None:
         if self._mode != other._mode:
-            raise ModeMismatchError(
-                f"cannot combine {self._mode} mode with {other._mode} mode"
-            )
+            raise ModeMismatchError(f"cannot combine {self._mode} mode with {other._mode} mode")
 
     # ring operations ---------------------------------------------------
 
@@ -483,16 +493,12 @@ def try_divide(h: ArithFunc, f: ArithFunc) -> ArithFunc | NotDivisibleWitness:
         raise ZeroFunctionError("divisor is zero on the window")
     b = _norm(h._values, n)
     if b is not None and b % a:
-        return NotDivisibleWitness(
-            index=b, note="dividend norm is not a multiple of the divisor norm"
-        )
+        return NotDivisibleWitness(b, "dividend norm is not a multiple of the divisor norm")
     g, acc, target = _solve_exact(h, f, a, n)
     # the recursion fixes every multiple of a; check the rest of the window
     for k in range(1, n + 1):
         if k % a and acc[k - 1] != target[k - 1]:
-            return NotDivisibleWitness(
-                index=k, note="no quotient can match the dividend at this index"
-            )
+            return NotDivisibleWitness(k, "no quotient can match the dividend at this index")
     return g
 
 

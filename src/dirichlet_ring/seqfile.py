@@ -33,7 +33,7 @@ def _string_pairs(f: ArithFunc) -> list[list[str]]:
 
 def _texts(f: ArithFunc):
     """Each value as ``str`` writes it."""
-    if f.mode != EXACT:
+    if f.mode != EXACT or f._den == 1:
         return map(str, f._values)
     return (p if q == "1" else f"{p}/{q}" for p, q in _string_pairs(f))
 
@@ -49,12 +49,11 @@ def to_json(f: ArithFunc, name: str = "sequence") -> str:
 
 def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
     try:
-        name = obj["name"]
-        mode = obj["mode"]
-        n = obj["n"]
-        raw = obj["values"]
+        name, mode, n, raw = obj["name"], obj["mode"], obj["n"], obj["values"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"sequence object is missing field {exc}") from None
+    if not isinstance(name, str):
+        raise ValueError("name must be a string")
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown mode {mode!r}")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -63,26 +62,18 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
         raise ValueError("values must be a list")
     if len(raw) != n:
         raise ValueError(f"declared n = {n} but {len(raw)} values present")
-    if mode == EXACT:
-        if not all(isinstance(v, list) and len(v) == 2
-                   and all(isinstance(x, str) and _DECIMAL.fullmatch(x) for x in v)
-                   for v in raw):
-            raise ValueError("each exact value must be a [numerator, denominator] pair "
-                             "of decimal strings")
-        try:  # integers stay ints, so a file of them is stored with no Fraction
-            values = [int(num) if den == "1" else Fraction(int(num), int(den)) for num, den in raw]
-        except ZeroDivisionError:
-            raise ValueError("an exact value has denominator 0") from None
-    else:
+    if mode == FLOAT:  # the constructor rejects values that are not finite doubles
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
             raise ValueError("each float value must be a JSON number")
-        try:
-            values = [float(v) for v in raw]
-        except OverflowError:  # an integer too large for a double
-            raise ValueError("float values must be finite") from None
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("float values must be finite")
-    return name, ArithFunc._of(values, mode)
+        return name, ArithFunc(raw, FLOAT)
+    if not all(isinstance(v, list) and len(v) == 2
+               and all(isinstance(x, str) and _DECIMAL.fullmatch(x) for x in v) for v in raw):
+        raise ValueError("each exact value must be a [numerator, denominator] pair of decimal strings")
+    try:  # integers stay ints, so a file of them is stored with no Fraction
+        values = [int(num) if den == "1" else Fraction(int(num), int(den)) for num, den in raw]
+    except ZeroDivisionError:
+        raise ValueError("an exact value has denominator 0") from None
+    return name, ArithFunc(values, EXACT)
 
 
 def load(path: str | Path) -> tuple[str, ArithFunc]:

@@ -93,6 +93,8 @@ def check_nonprime_norm_product(f: ArithFunc, g: ArithFunc) -> Witness:
 
 def units_group_probe(samples: int, seed: int, window: int) -> Witness:
     """Spot-check the abelian-group laws of the units under convolution."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1: no unit pair would be checked")
     rng = random.Random(seed)
     e = identity(window)
     for _ in range(samples):

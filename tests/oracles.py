@@ -4,14 +4,14 @@ Everything here deliberately avoids the library's code paths: factoring
 is an upward divisor scan, convolution, division and inversion scan
 every divisor of every index, the totient counts coprime integers one by
 one, the tau expansion multiplies polynomials schoolbook-style, additivity
-is tested pair by pair, and a narrow scalar is drawn with two ``randint``
-calls.
+is tested pair by pair, a narrow scalar is drawn with two ``randint``
+calls, and the constructor's input rules are checked one entry at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf, isfinite
 
 
 def prime_factors_scan(n: int) -> list[tuple[int, int]]:
@@ -93,6 +93,50 @@ def randint_scalar(rng) -> Fraction:
     """A narrow scalar (numerator -3..3 over denominator 1..3) drawn with
     two ``randint`` calls, numerator first."""
     return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+class Refused(Exception):
+    """The error a constructor should raise: its class name and message."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(kind, message)
+        self.kind, self.message = kind, message
+
+
+def construct_reference(values, mode=None) -> tuple[str, tuple]:
+    """(mode, values as Fractions or floats) of the function built from
+    ``values``, or :class:`Refused` with the error for the first entry a
+    rule rejects.  With no mode, a float entry picks float mode unless an
+    int or Fraction is present too.  Entry by entry, a bool is a
+    TypeError and a type the mode cannot hold a ModeMismatchError (float
+    mode converts ints and Fractions); after every entry's type passes,
+    float mode needs every value to be a finite double."""
+    vals = list(values)
+    if not vals:
+        raise Refused("ValueError", "need at least one value (indices start at 1)")
+    if mode is None:
+        has_float = any(isinstance(v, float) for v in vals)
+        if has_float and any(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in vals):
+            raise Refused("ModeMismatchError", "mixed exact and float entries; pass mode= to convert explicitly")
+        mode = "float" if has_float else "exact"
+    if mode not in ("exact", "float"):
+        raise Refused("ValueError", f"unknown scalar mode {mode!r}")
+    for v in vals:
+        if isinstance(v, bool):
+            raise Refused("TypeError", "bool is not a scalar value")
+        if not isinstance(v, (float, int, Fraction) if mode == "float" else (int, Fraction)):
+            raise Refused("ModeMismatchError", f"{mode} mode cannot hold {type(v).__name__} values")
+    if mode == "exact":
+        return mode, tuple(Fraction(v) for v in vals)
+    doubles = []
+    for v in vals:
+        try:
+            doubles.append(float(v))
+        except OverflowError:
+            doubles.append(inf)
+    if not all(isfinite(x) for x in doubles):
+        raise Refused("ValueError", "float values must be finite")
+    return mode, tuple(doubles)
 
 
 def sigma_scan(n: int) -> int:

@@ -225,6 +225,7 @@ BAD_SEQUENCES = {
     "bare_int_value": {"name": "x", "mode": "exact", "n": 1, "values": [1]},
     "bool_n": {"name": "x", "mode": "exact", "n": True, "values": [["1", "1"]]},
     "nan_float": {"name": "x", "mode": "float", "n": 1, "values": [float("nan")]},
+    "non_string_name": {"name": {"a": 1}, "mode": "exact", "n": 1, "values": [["1", "1"]]},
 }
 
 

@@ -460,6 +460,12 @@ def test_probe_semiprime_window_guard():
         probe_semiprime(6, 1, delta(2, 8), rmax=4, window=8)  # 2^4 = 16 > 8
 
 
+@pytest.mark.parametrize("rmax", [0, -1])
+def test_probe_semiprime_needs_a_power_to_check(rmax):
+    with pytest.raises(ValueError, match="rmax"):
+        probe_semiprime(6, 1, delta(2, 64), rmax=rmax)
+
+
 # divisibility depth ---------------------------------------------------------------
 
 

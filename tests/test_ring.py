@@ -33,9 +33,9 @@ from dirichlet_ring.ring import dirichlet_product
 from dirichlet_ring.sampling import random_func, random_nonzero, random_unit, random_with_norm
 from dirichlet_ring.zoo import big_omega, generate, log_function, mangoldt, mobius, unit
 
-from oracles import (big_omega_scan, convolve_lists, distinct_count_scan, divide_lists,
-                     invert_floats, liouville_scan, mobius_scan, phi_count, psi_scan,
-                     randint_scalar)
+from oracles import (Refused, big_omega_scan, construct_reference, convolve_lists,
+                     distinct_count_scan, divide_lists, invert_floats, liouville_scan, mobius_scan,
+                     phi_count, psi_scan, randint_scalar)
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -49,22 +49,22 @@ def exact_funcs(n: int):
 # construction ------------------------------------------------------------
 
 
-def test_make_single_value_is_identity_prefix():
+def test_constructor_single_value_is_identity_prefix():
     assert ArithFunc([1]) == identity(1)
 
 
-def test_make_the_all_ones_from_two_function():
+def test_constructor_the_all_ones_from_two_function():
     f = ArithFunc([0, 1, 1, 1])
     assert f(1) == 0 and f(2) == f(3) == f(4) == 1
     assert f.mode == EXACT
 
 
-def test_make_rejects_mixed_modes():
+def test_constructor_rejects_mixed_modes():
     with pytest.raises(ModeMismatchError):
         ArithFunc([1, 0.0, -1])
 
 
-def test_make_rejects_empty():
+def test_constructor_rejects_empty():
     with pytest.raises(ValueError):
         ArithFunc([])
 
@@ -77,6 +77,43 @@ def test_explicit_float_mode_coerces_ints():
 def test_exact_mode_rejects_floats():
     with pytest.raises(ModeMismatchError):
         ArithFunc([1.5], mode=EXACT)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, Fraction(-(10**400), 3)])
+def test_constructor_rejects_values_that_are_not_finite_doubles(value):
+    with pytest.raises(ValueError, match="float values must be finite"):
+        ArithFunc([1.0, value], mode=FLOAT)
+    if isinstance(value, float):
+        with pytest.raises(ValueError, match="float values must be finite"):
+            ArithFunc([value, 2.0])
+
+
+class _Int(int):
+    """An int subclass: both modes take it as an int."""
+
+
+_exact_entries = st.one_of(st.integers(), st.integers().map(_Int),
+                           st.fractions(max_denominator=12), st.fractions())
+_float_entries = st.one_of(st.floats(), st.sampled_from([10**400, -(10**400), Fraction(10**400, 3)]))
+_any_entries = st.one_of(_exact_entries, _float_entries, st.booleans(), st.text(max_size=2), st.none())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_exact_entries, max_size=8), st.lists(_float_entries, max_size=8),
+                 st.lists(_any_entries, max_size=8)),
+       st.sampled_from([None, EXACT, FLOAT, "decimal"]))
+def test_constructor_matches_the_reference_rules(values, mode):
+    """The one-pass constructor raises what the entry-by-entry reference
+    raises, or builds the values it builds, in the same types."""
+    try:
+        expected = construct_reference(values, mode)
+    except Refused as refused:
+        with pytest.raises(Exception) as info:
+            ArithFunc(values, mode)
+        assert (type(info.value).__name__, str(info.value)) == (refused.kind, refused.message)
+        return
+    f = ArithFunc(values, mode)
+    assert (f.mode, tuple(map(repr, f.values))) == (expected[0], tuple(map(repr, expected[1])))
 
 
 def test_call_is_one_based_and_bounded():

@@ -102,6 +102,8 @@ def test_loader_validation():
         {**good, "mode": "float", "values": [None, 2.0]},
         {**good, "mode": "float", "values": [10**400, 2.0]},
         {k: v for k, v in good.items() if k != "name"},
+        {**good, "name": {"a": 1}},
+        {**good, "name": None},
     ):
         with pytest.raises(ValueError):
             from_json_obj(corrupt)

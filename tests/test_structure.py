@@ -126,6 +126,12 @@ def test_units_group_probe_passes():
     assert units_group_probe(10, seed=4, window=32).verdict == MEMBER
 
 
+@pytest.mark.parametrize("samples", [0, -4])
+def test_units_group_probe_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="samples"):
+        units_group_probe(samples, 0, 16)
+
+
 def test_mobius_liouville_products_and_inverses():
     mu, lam = mobius(64), liouville(64)
     prod = mu * lam
