@@ -3,9 +3,11 @@ element classification, chain reports, and the verification suite.
 
 Identical arguments (and seed) always produce byte-identical output; the
 DIRICHLET_N environment variable overrides the default window length.
-Each command returns its result and ``main`` renders and writes it once:
-``--out`` gets exactly the bytes stdout would get, for every command
-including ``verify-paper``.
+``main`` is the whole pipeline.  It resolves every input from outside
+the program (the ideal spec, then the sequence files, then the window),
+calls the command with the resolved values, and renders and writes the
+result once: ``--out`` gets exactly the bytes stdout would get, for
+every command including ``verify-paper``.
 """
 
 from __future__ import annotations
@@ -82,12 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, func, window=False):
+    def add_common(p, func, files=(), window=False):
+        for name in files:
+            p.add_argument(name)
         if window:
             p.add_argument("--n", type=int, default=None, help="window length")
         p.add_argument("--format", choices=FORMATS, default="json")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, files=files)
 
     def add_chain(subparsers, name, help_text):
         p = subparsers.add_parser(name, help=help_text)
@@ -108,44 +112,34 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_gen, _cmd_gen, window=True)
 
     p_conv = sub.add_parser("conv", help="Dirichlet convolution of two sequence files")
-    p_conv.add_argument("left")
-    p_conv.add_argument("right")
-    add_common(p_conv, _cmd_conv)
+    add_common(p_conv, _cmd_conv, ("left", "right"))
 
     p_inv = sub.add_parser("inv", help="convolution inverse of a sequence file")
-    p_inv.add_argument("file")
-    add_common(p_inv, _cmd_inv)
+    add_common(p_inv, _cmd_inv, ("file",))
 
     p_norm = sub.add_parser("norm", help="least index with a nonzero value")
-    p_norm.add_argument("file")
-    add_common(p_norm, _cmd_norm)
+    add_common(p_norm, _cmd_norm, ("file",))
 
     p_div = sub.add_parser("divide", help="exact division: divide H by F on the window")
-    p_div.add_argument("dividend")
-    p_div.add_argument("divisor")
-    add_common(p_div, _cmd_divide)
+    add_common(p_div, _cmd_divide, ("dividend", "divisor"))
 
     p_cls = sub.add_parser("classify", help="unit/maximal status, norm, atom certificate")
-    p_cls.add_argument("file")
-    add_common(p_cls, _cmd_classify)
+    add_common(p_cls, _cmd_classify, ("file",))
 
     p_ideal = sub.add_parser("ideal", help="ideal-family tooling")
     ideal_sub = p_ideal.add_subparsers(dest="ideal_command", required=True)
 
     p_member = ideal_sub.add_parser("member", help="membership oracle")
     p_member.add_argument("spec", help="e.g. P:6, P:6,1, I:5, K:3, J:2,3, J:~2,3, maximal")
-    p_member.add_argument("file")
-    add_common(p_member, _cmd_ideal_member)
+    add_common(p_member, _cmd_ideal_member, ("file",))
 
     p_quot = ideal_sub.add_parser("quotient", help="quotient by the indicator at a prime")
     p_quot.add_argument("prime", type=int)
-    p_quot.add_argument("file")
-    add_common(p_quot, _cmd_ideal_quotient)
+    add_common(p_quot, _cmd_ideal_quotient, ("file",))
 
     p_dec = ideal_sub.add_parser("decompose", help="split a member of P_m over its generators")
     p_dec.add_argument("modulus", type=int)
-    p_dec.add_argument("file")
-    add_common(p_dec, _cmd_ideal_decompose)
+    add_common(p_dec, _cmd_ideal_decompose, ("file",))
 
     add_chain(ideal_sub, "chain", "build a chain with separator witnesses")
 
@@ -164,15 +158,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, files=())
 
     return parser
 
 
 # command bodies ------------------------------------------------------------
-# Each returns a (function, name) pair, a dict, or finished text for
-# ``_render``, and none writes output itself; verify-paper pairs its report
-# with its exit status.
+# Each takes the parsed arguments and then the inputs ``main`` resolved for
+# it: the ideal spec, the name and function of each sequence file, the
+# window.  Each returns a (function, name) pair, a dict, or finished text
+# for ``_render``, and none reads or writes anything itself; verify-paper
+# pairs its report with its exit status.
 
 
 def _window(args) -> int:
@@ -185,8 +181,8 @@ def _window(args) -> int:
     return int(raw)
 
 
-def _cmd_gen(args):
-    f = zoo.generate(args.tag, _window(args), args.param)
+def _cmd_gen(args, n):
+    f = zoo.generate(args.tag, n, args.param)
     if args.mode == FLOAT and f.mode == EXACT:
         f = f.to_float()
     elif args.mode == EXACT and f.mode == FLOAT:
@@ -194,52 +190,41 @@ def _cmd_gen(args):
     return f, args.name or (args.tag if args.param is None else f"{args.tag}({args.param})")
 
 
-def _cmd_conv(args):
-    name_a, a = seqfile.load(args.left)
-    name_b, b = seqfile.load(args.right)
+def _cmd_conv(args, name_a, a, name_b, b):
     return a.convolve(b), f"{name_a}*{name_b}"
 
 
-def _cmd_inv(args):
-    name, f = seqfile.load(args.file)
+def _cmd_inv(args, name, f):
     return f.invert(), f"{name}^-1"
 
 
-def _cmd_norm(args):
-    _, f = seqfile.load(args.file)
+def _cmd_norm(args, _, f):
     value = f.norm()
     if args.format == "json":
         return json.dumps({"norm": value}) + "\n"
     return ("zero-function" if value is None else str(value)) + "\n"
 
 
-def _cmd_divide(args):
-    name_h, h = seqfile.load(args.dividend)
-    name_f, f = seqfile.load(args.divisor)
+def _cmd_divide(args, name_h, h, name_f, f):
     result = try_divide(h, f)
     if isinstance(result, NotDivisibleWitness):
         return {"divisible": False, "index": result.index, "note": result.note}
     return result, f"{name_h}/{name_f}"
 
 
-def _cmd_classify(args):
-    _, f = seqfile.load(args.file)
+def _cmd_classify(args, _, f):
     return classify(f).to_dict()
 
 
-def _cmd_ideal_member(args):
-    spec = parse_ideal_spec(args.spec)
-    _, f = seqfile.load(args.file)
+def _cmd_ideal_member(args, spec, _, f):
     return member(spec, f).to_dict()
 
 
-def _cmd_ideal_quotient(args):
-    name, f = seqfile.load(args.file)
+def _cmd_ideal_quotient(args, name, f):
     return principal_quotient(args.prime, f), f"{name}/delta_{args.prime}"
 
 
-def _cmd_ideal_decompose(args):
-    name, f = seqfile.load(args.file)
+def _cmd_ideal_decompose(args, name, f):
     dec = decompose_coprime_vanishing(args.modulus, f)
     matches = dec.reconstruction() == f
     if args.format != "json":
@@ -257,8 +242,8 @@ def _cmd_ideal_decompose(args):
     }
 
 
-def _cmd_chain(args):
-    report = chain(args.family, args.length, _window(args))
+def _cmd_chain(args, n):
+    report = chain(args.family, args.length, n)
     if args.dot:
         return report.to_dot() + "\n"
     if args.format != "json":
@@ -283,9 +268,8 @@ def _cmd_chain(args):
     }
 
 
-def _cmd_ideal_probe(args):
-    spec = parse_ideal_spec(args.spec)
-    verdict = probe_prime(spec, args.trials, args.seed, _window(args))
+def _cmd_ideal_probe(args, spec, n):
+    verdict = probe_prime(spec, args.trials, args.seed, n)
     obj = verdict.to_dict()
     if verdict.elements and args.format == "json":
         obj["witness_pair"] = [
@@ -294,8 +278,7 @@ def _cmd_ideal_probe(args):
     return obj
 
 
-def _cmd_verify(args):
-    n = _window(args)
+def _cmd_verify(args, n):
     results = verify.run_all(n, args.seed)
     status = 0 if all(r.passed for r in results) else VERIFY_FAILURE
     return verify.render_report(results, n, args.seed), status
@@ -320,7 +303,14 @@ def _render(result, fmt: str) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result, status = args.func(args), 0
+        # resolve the inputs from outside the program in the order the
+        # commands check them: spec, sequence files, window
+        inputs = [parse_ideal_spec(args.spec)] if "spec" in args else []
+        for name in args.files:
+            inputs += seqfile.load(getattr(args, name))
+        if "n" in args:
+            inputs.append(_window(args))
+        result, status = args.func(args, *inputs), 0
         if args.func is _cmd_verify:
             result, status = result
         text = _render(result, getattr(args, "format", None))

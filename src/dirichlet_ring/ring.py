@@ -21,11 +21,12 @@ converts exact values and rejects any that is not a finite double.
 Package code that holds the stored form builds with ``ArithFunc._of``.
 
 Two loops carry the whole ring.  :func:`dirichlet_product` is the
-convolution; every product in the package goes through it.  ``_solve``
-is the standard recursion for f * g = h (Apostol, *Introduction to
-Analytic Number Theory*, ch. 2) run in sieve order: once g(m) is known,
-f(i) g(m) is pushed into the accumulator at index i*m, so no index ever
-searches for its divisors.  Inversion is the quotient of e by f, and
+convolution; every product in the package goes through it, and
+``ArithFunc.power`` squares and multiplies through ``ArithFunc.convolve``.
+``_solve`` is the standard recursion for f * g = h (Apostol,
+*Introduction to Analytic Number Theory*, ch. 2) run in sieve order:
+once g(m) is known, f(i) g(m) is pushed into the accumulator at index
+i*m, so no index ever searches for its divisors.  Inversion is the quotient of e by f, and
 exact division is the same recursion plus a scan for the first index it
 cannot match.  Narrow operands run the loops on their integers, and a
 narrow result is put in lowest terms by one gcd.  When an operand is
@@ -410,15 +411,16 @@ class ArithFunc:
         """
         if r < 0:
             raise ValueError("negative powers: invert first")
-        n = len(self._values)
         if r == 0:
-            return identity(n, self._mode)
-        if self._den is None:
-            return _square_and_multiply(self, r, ArithFunc.convolve)
-        # X/dx times Y/dy is X*Y over dx*dy
-        product = lambda x, y: (dirichlet_product(x[0], y[0], n, 0), x[1] * y[1])
-        ints, d = _square_and_multiply((self._values, self._den), r, product)
-        return ArithFunc._of(ints, EXACT, d)
+            return identity(len(self._values), self._mode)
+        out, base = None, self
+        while True:
+            if r & 1:
+                out = base if out is None else out.convolve(base)
+            r >>= 1
+            if not r:
+                return out
+            base = base.convolve(base)
 
     def __pow__(self, r: int) -> "ArithFunc":
         return self.power(r)
@@ -436,27 +438,14 @@ class ArithFunc:
         return ArithFunc._of([x / d for x in self._values] if d else map(float, self._values), FLOAT)
 
 
-def _square_and_multiply(base, r: int, times):
-    """base**r for r >= 1 under the product ``times``."""
-    out = None
-    while True:
-        if r & 1:
-            out = base if out is None else times(out, base)
-        r >>= 1
-        if not r:
-            return out
-        base = times(base, base)
-
-
 # constructors ----------------------------------------------------------
 
 _ZERO_ONE = {EXACT: (0, 1), FLOAT: (0.0, 1.0)}
 
 
 def zeros(n: int, mode: str = EXACT) -> ArithFunc:
-    if n < 1:
-        raise ValueError("window length must be at least 1")
-    return ArithFunc._of([_ZERO_ONE[mode][0]] * n, mode, 1)
+    """The zero function on 1..n: the indicator of n + 1, past the window."""
+    return delta(n + 1, n, mode)
 
 
 def identity(n: int, mode: str = EXACT) -> ArithFunc:
@@ -466,10 +455,12 @@ def identity(n: int, mode: str = EXACT) -> ArithFunc:
 
 def delta(m: int, n: int, mode: str = EXACT) -> ArithFunc:
     """The indicator of {m}: 1 at index m, 0 elsewhere on 1..n."""
-    if m < 1:
-        raise ValueError("support point must be at least 1")
     if n < 1:
         raise ValueError("window length must be at least 1")
+    if m < 1:
+        raise ValueError("support point must be at least 1")
+    if mode not in _ZERO_ONE:
+        raise ValueError(f"unknown scalar mode {mode!r}")
     zero, one = _ZERO_ONE[mode]
     vals = [zero] * n
     if m <= n:

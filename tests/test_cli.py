@@ -234,6 +234,7 @@ def _assert_one_line_error(capsys, code):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("payload", BAD_SEQUENCES.values(), ids=BAD_SEQUENCES.keys())
@@ -260,6 +261,14 @@ def test_negative_trial_count_is_a_one_line_error(capsys):
 def test_bad_env_window_is_a_one_line_error(capsys, monkeypatch, raw):
     monkeypatch.setenv("DIRICHLET_N", raw)
     _assert_one_line_error(capsys, main(["gen", "unit_u"]))
+
+
+@pytest.mark.parametrize("argv", [["ideal", "member", "BADSPEC", "no-such-dir/missing.json"],
+                                  ["ideal", "probe", "BADSPEC"]], ids=["file", "window"])
+def test_spec_error_comes_before_file_and_window_errors(capsys, monkeypatch, argv):
+    monkeypatch.setenv("DIRICHLET_N", "abc")
+    err = _assert_one_line_error(capsys, main(argv))
+    assert err == "error: cannot parse ideal spec 'BADSPEC'\n"
 
 
 def test_verify_paper_small_window_rejected():

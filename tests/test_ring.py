@@ -116,6 +116,13 @@ def test_constructor_matches_the_reference_rules(values, mode):
     assert (f.mode, tuple(map(repr, f.values))) == (expected[0], tuple(map(repr, expected[1])))
 
 
+@pytest.mark.parametrize("build", [lambda: zeros(3, "decimal"), lambda: delta(2, 3, "decimal"),
+                                   lambda: identity(3, "x")], ids=["zeros", "delta", "identity"])
+def test_constructors_reject_unknown_modes_as_the_class_does(build):
+    with pytest.raises(ValueError, match="unknown scalar mode"):
+        build()
+
+
 def test_call_is_one_based_and_bounded():
     f = ArithFunc([5, 7])
     assert f(1) == 5 and f(2) == 7
