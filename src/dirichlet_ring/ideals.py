@@ -2,19 +2,20 @@
 decompositions, chain builders, and primality probes.
 
 Every family is described by an :class:`IdealSpec`, whose
-``constrained_indices(window)`` lists the indices where the defining
-condition forces a member to vanish.  Each family is decided once over
-the whole window from the one smallest-prime-factor sieve: ``K_n`` reads
-the primes off it, and the prime-divisor families bound a count of the
-distinct primes of each index, folded over the window.  Membership
-verdicts are therefore statements about the truncation window, never
-about the full ring.
+``constrained_indices(window)`` is the tuple of indices where the
+defining condition forces a member to vanish, cached per (spec, window).
+Each family is decided once over the whole window from the one
+smallest-prime-factor sieve: ``K_n`` reads the primes off it, and the
+prime-divisor families bound a count of the distinct primes of each
+index, folded over the window.  Membership verdicts are therefore
+statements about the truncation window, never about the full ring.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from math import prod
 from operator import add, mul
@@ -22,7 +23,7 @@ from operator import add, mul
 from .primes import factorize, is_prime, nth_prime, prime_power_fold, primes_upto
 from .ring import (_ZERO_ONE, ArithFunc, EXACT, NotDivisibleWitness, WindowError,
                    ZeroFunctionError, delta, indicator_shift, try_divide, zeros)
-from .sampling import _constrained, random_func
+from .sampling import random_func
 from .witness import MEMBER, NON_MEMBER, UNDECIDED, Witness
 
 
@@ -118,14 +119,17 @@ class IdealSpec:
 
     # the defining predicate ------------------------------------------------
 
-    def constrained_indices(self, window: int) -> list[int]:
-        """The indices 1..window, ascending, where members must vanish."""
+    @lru_cache(maxsize=32)
+    def constrained_indices(self, window: int) -> tuple[int, ...]:
+        """The indices 1..window, ascending, where members must vanish;
+        cached per (spec, window), since ``member``, the probes and
+        ``random_in_ideal`` ask again and again for the same few."""
         if self.tag == TAG_NORM_FLOOR:
-            return list(range(1, min(self.n, window + 1)))
+            return tuple(range(1, min(self.n, window + 1)))
         if self.tag == TAG_MAXIMAL:
-            return [1]
+            return (1,)
         if self.tag == TAG_PRIME_TAIL:  # 1 and the primes from the n-th on
-            return [1] + primes_upto(window)[self.n - 1 :]
+            return (1, *primes_upto(window)[self.n - 1 :])
         # the rest bound a count of idx's distinct primes: P_m (at 0) and
         # P_{m,k} (at k) count the primes of m, J_~Q (at 0) those in Q, and
         # J_Q (at 0) those outside Q; 1, the empty product, always counts 0
@@ -135,7 +139,7 @@ class IdealSpec:
             chosen, outside = set(factorize(self.m).distinct_primes), False
         bound = self.k if self.tag == TAG_GCD_COUNT else 0
         counts = prime_power_fold(window, lambda p, a: (p in chosen) != outside, add, 0)
-        return [idx for idx, c in enumerate(counts, start=1) if c <= bound]
+        return tuple(idx for idx, c in enumerate(counts, start=1) if c <= bound)
 
 
 def member(spec: IdealSpec, f: ArithFunc) -> Witness:
@@ -146,7 +150,7 @@ def member(spec: IdealSpec, f: ArithFunc) -> Witness:
             f"norm threshold {spec.n} inspects indices beyond the window {window}"
         )
     vals = f._values
-    for idx in _constrained(spec, window):
+    for idx in spec.constrained_indices(window):
         if vals[idx - 1]:
             return Witness(
                 NON_MEMBER, index=idx, note=f"f({idx}) != 0 but {spec.label()} forces 0 there"
@@ -356,7 +360,7 @@ def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness
             and member(spec, f.convolve(g)).is_member
         ):
             return Witness(NON_MEMBER, note=refuted, elements=known)
-    idxs = _constrained(spec, window)
+    idxs = spec.constrained_indices(window)
     rng = random.Random(seed)
     for _ in range(trials if idxs else 0):  # an ideal constraining nothing has no non-members
         f, kf = _random_outside(idxs, rng, window)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from operator import add
 
 from .primes import prime_power_fold
@@ -79,21 +78,11 @@ def random_with_norm(rng: random.Random, n: int, norm: int) -> ArithFunc:
     return ArithFunc._of(vals, EXACT, 6)
 
 
-@lru_cache(maxsize=32)
-def _constrained(spec, window: int) -> tuple[int, ...]:
-    """``spec.constrained_indices(window)``, once per (spec, window).
-
-    ``ideals.member``, the probes and ``random_in_ideal`` ask again and
-    again for the same few families on the same window; the cache lives
-    here because ``ideals`` imports this module.
-    """
-    return tuple(spec.constrained_indices(window))
-
-
 def random_in_ideal(rng: random.Random, spec, n: int) -> ArithFunc:
-    """Random member: sample freely, then zero out the constrained indices."""
+    """Random member: sample freely, then zero out the constrained indices,
+    the tuple ``spec.constrained_indices(n)`` caches per (spec, window)."""
     vals = [_draw(rng) for _ in range(n)]
-    for idx in _constrained(spec, n):
+    for idx in spec.constrained_indices(n):
         vals[idx - 1] = 0
     return ArithFunc._of(vals, EXACT, 6)
 

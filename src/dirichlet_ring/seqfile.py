@@ -32,10 +32,8 @@ def _string_pairs(f: ArithFunc) -> list[list[str]]:
 
 
 def _texts(f: ArithFunc):
-    """Each value as ``str`` writes it."""
-    if f.mode != EXACT or f._den == 1:
-        return map(str, f._values)
-    return (p if q == "1" else f"{p}/{q}" for p, q in _string_pairs(f))
+    """Each value as ``str`` writes it, an exact one as its ``Fraction``."""
+    return map(str, f._values if f._den in (None, 1) else f.values)
 
 
 def to_json_obj(f: ArithFunc, name: str = "sequence") -> dict:

@@ -134,7 +134,8 @@ def nonunit_product_profiles(window: int) -> set[tuple[int, ...]]:
 
     Both factors vanish at 1, so only factor indices 2..window//2 can
     reach the window; enumerating that range is therefore exhaustive for
-    any larger support bound.  Integer arithmetic throughout.
+    any larger support bound.  Convolution commutes, so each unordered
+    pair of factors is multiplied once.  Integer arithmetic throughout.
     """
     top = window // 2
     factors = [
@@ -142,7 +143,8 @@ def nonunit_product_profiles(window: int) -> set[tuple[int, ...]]:
         for vals in itertools.product(ATOM_COEFFS, repeat=max(top - 1, 0))
         if any(vals)
     ]
-    return {tuple(dirichlet_product(g, h, window, 0)) for g in factors for h in factors}
+    pairs = itertools.combinations_with_replacement(factors, 2)
+    return {tuple(dirichlet_product(g, h, window, 0)) for g, h in pairs}
 
 
 def _certificate_for_profile(profile: tuple[int, ...], norm_bound: int) -> str:
@@ -160,17 +162,14 @@ def _certificate_for_profile(profile: tuple[int, ...], norm_bound: int) -> str:
 def certified_atom_factor_search(window: int = ATOM_SUPPORT_BOUND) -> tuple[int, ...] | None:
     """Look for a certified atom that is secretly a product of non-units.
 
-    Enumerates every function with entries in ``ATOM_COEFFS`` supported
-    on 2..window whose certificate fires with norm <= ``ATOM_NORM_BOUND``,
-    and checks it against all products of two bounded non-units on the
-    same window.  Returns a counterexample profile, or None - the sound
-    outcome.
+    Scans the products of two bounded non-units on 1..window for one
+    whose entries all lie in ``ATOM_COEFFS`` and whose certificate fires
+    with norm <= ``ATOM_NORM_BOUND``.  Returns the lexicographically
+    least such profile, or None - the sound outcome.
     """
-    profiles = nonunit_product_profiles(window)
-    for tail in itertools.product(ATOM_COEFFS, repeat=window - 1):
-        profile = (0,) + tail
-        if _certificate_for_profile(profile, ATOM_NORM_BOUND) == CERT_NONE:
-            continue
-        if profile in profiles:
-            return profile
-    return None
+    fired = [
+        profile for profile in nonunit_product_profiles(window)
+        if set(profile).issubset(ATOM_COEFFS)
+        and _certificate_for_profile(profile, ATOM_NORM_BOUND) != CERT_NONE
+    ]
+    return min(fired, default=None)

@@ -271,6 +271,11 @@ def test_spec_error_comes_before_file_and_window_errors(capsys, monkeypatch, arg
     assert err == "error: cannot parse ideal spec 'BADSPEC'\n"
 
 
+def test_three_part_coprime_spec_is_a_one_line_error(capsys):
+    err = _assert_one_line_error(capsys, main(["ideal", "probe", "P:1,2,3", "--n", "8"]))
+    assert err == "error: P takes one parameter (P:m) or two (P:m,k)\n"
+
+
 def test_verify_paper_small_window_rejected():
     code, _ = run_cli("verify-paper", "--n", "8")
     assert code == 1

@@ -1,0 +1,248 @@
+"""Fault injection: every check must be able to fail.
+
+Each fault below breaks one function of the package and is patched in
+under every name a package module looks it up by (``verify`` and
+``structure`` import ``dirichlet_product`` by name, ``zoo`` imports
+``_lift``).  A fault counts as caught when ``verify.run_all(64, 0)``
+reports a FAIL or one of the ``ORACLE_COMPARISONS`` against the
+independent evaluators in ``oracles`` disagrees.  ``KILLS`` records,
+for each fault, exactly the checks and comparisons that catch it (the
+fault x check kill matrix); the test asserts it, so a check that stops
+catching a fault shows up here.  A fault that a single check catches
+shows where to strengthen the suite.
+
+The index-set cache of ``IdealSpec.constrained_indices`` is cleared
+around every test, so no fault leaves a wrong index set behind.
+"""
+
+import random
+import sys
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from dirichlet_ring import primes, ring, structure, verify
+from dirichlet_ring.ideals import TAG_COPRIME, IdealSpec
+from dirichlet_ring.ring import ArithFunc, NotDivisibleWitness
+
+from oracles import convolve_lists, divide_lists
+
+CONSTRAINED = IdealSpec.constrained_indices  # the cached original
+CERTIFICATE = structure._certificate_for_profile
+LIFT = ring._lift
+PAIR_ADD = ring._Pair.__add__
+SIEVE = primes.smallest_prime_factors
+
+
+def inject(monkeypatch, original, fault) -> None:
+    """Replace ``original`` by ``fault`` under every name a package module
+    holds it by."""
+    names = [(module, key) for name, module in list(sys.modules.items())
+             if name == "dirichlet_ring" or name.startswith("dirichlet_ring.")
+             for key, value in vars(module).items() if value is original]
+    assert names, f"{original.__name__} is looked up nowhere"
+    for module, key in names:
+        monkeypatch.setattr(module, key, fault)
+
+
+# the faults ---------------------------------------------------------------
+
+
+def product_skipping_squares(a, b, n, zero):
+    """``dirichlet_product`` without the terms i = j > 1."""
+    out = [zero] * n
+    for i in range(1, n + 1):
+        for j in range(1, n // i + 1):
+            if a[i - 1] and b[j - 1] and not i == j > 1:
+                out[i * j - 1] += a[i - 1] * b[j - 1]
+    return out
+
+
+def solve_doubling_g47(h, f, a, n, zero, divide):
+    """``_solve`` with the solved value g(47) doubled before it is pushed on."""
+    acc = [zero] * n
+    g = [zero] * (n // a)
+    for m in range(1, n // a + 1):
+        rest = h[a * m - 1] - acc[a * m - 1]
+        if not rest:
+            continue
+        gm = g[m - 1] = divide(rest) * (2 if m == 47 else 1)
+        for i in range(a + 1, n // m + 1):
+            if f[i - 1]:
+                acc[i * m - 1] += f[i - 1] * gm
+    return g, acc
+
+
+def divide_scanning_one_short(h, f):
+    """``try_divide`` whose leftover scan stops one index early."""
+    n = min(len(h), len(f))
+    a = ring._norm(f._values, n)
+    b = ring._norm(h._values, n)
+    if b is not None and b % a:
+        return NotDivisibleWitness(b, "dividend norm is not a multiple of the divisor norm")
+    g, acc, target = ring._solve_exact(h, f, a, n)
+    for k in range(1, n):
+        if k % a and acc[k - 1] != target[k - 1]:
+            return NotDivisibleWitness(k, "no quotient can match the dividend at this index")
+    return g
+
+
+def constrained_dropping_last_of_p_m(self, window):
+    """``constrained_indices`` that loses the last index of every P_m."""
+    idxs = CONSTRAINED(self, window)
+    return idxs[:-1] if self.tag == TAG_COPRIME else idxs
+
+
+def certificate_firing_at_small_norms(profile, norm_bound):
+    """``_certificate_for_profile`` that certifies every norm 2..6."""
+    c = next((i + 1 for i, v in enumerate(profile) if v), None)
+    if c is not None and 2 <= c <= 6:
+        return structure.CERT_PRIME_NORM
+    return CERTIFICATE(profile, norm_bound)
+
+
+def sieve_calling_49_prime(n):
+    """``smallest_prime_factors`` that never crosses off 49."""
+    spf = SIEVE(n)
+    if n >= 49:
+        spf[49] = 49
+    return spf
+
+
+def lift_with_one_scale(n, *operands):
+    """``_lift`` that gives every operand the first operand's denominator."""
+    lifted = LIFT(n, *operands)
+    return [(vals, lifted[0][1]) for vals, _ in lifted]
+
+
+def pair_add_keeping_the_gcd(self, other):
+    """``_Pair.__add__`` whose gcd branch divides the gcd out of the
+    numerator only."""
+    d, e = self.denominator, other.denominator
+    if e.bit_length() > 64:
+        g = gcd(d, e)
+        return ring._Pair(self.numerator * (e // g) + other.numerator * (d // g), d * e)
+    return PAIR_ADD(self, other)
+
+
+def _patch_pair_add(monkeypatch):
+    for name in ("__add__", "__radd__"):
+        monkeypatch.setattr(ring._Pair, name, pair_add_keeping_the_gcd)
+
+
+FAULTS = {
+    "product skips i = j > 1": lambda mp: inject(mp, ring.dirichlet_product, product_skipping_squares),
+    "_solve doubles g(47)": lambda mp: inject(mp, ring._solve, solve_doubling_g47),
+    "leftover scan stops one short": lambda mp: inject(mp, ring.try_divide, divide_scanning_one_short),
+    "P_m loses its last index": lambda mp: mp.setattr(
+        IdealSpec, "constrained_indices", constrained_dropping_last_of_p_m),
+    "certificate fires at norms 2..6": lambda mp: inject(
+        mp, CERTIFICATE, certificate_firing_at_small_norms),
+    "sieve calls 49 prime": lambda mp: inject(mp, SIEVE, sieve_calling_49_prime),
+    "_lift shares one scale": lambda mp: inject(mp, LIFT, lift_with_one_scale),
+    "_Pair gcd branch keeps the gcd": _patch_pair_add,
+}
+
+
+# the oracle comparisons ---------------------------------------------------
+
+
+def _operand(rng, n, wide, norm=1):
+    """Entries -3..3 over 1, 2, 3 (narrow) or over two ~40-bit denominators
+    (wide, stored as Fractions), vanishing below ``norm`` and not at it."""
+    d = rng.randrange(1 << 39, 1 << 40)
+    dens = (d, d + 1) if wide else (1, 2, 3)
+    vals = [Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(n)]
+    vals[: norm] = [0] * (norm - 1) + [Fraction(rng.choice((-2, -1, 1, 2)), dens[0])]
+    vals[norm % n] = Fraction(rng.choice((-1, 1)), dens[-1])
+    return ArithFunc(vals)
+
+
+def _cases(n):
+    rng = random.Random(5)
+    return [(_operand(rng, n, wide), _operand(rng, n, wide, norm)) for wide in (False, True)
+            for norm in (1, 2, 3)]
+
+
+def _convolve_agrees() -> bool:
+    return all(list((f * g).values) == convolve_lists(list(f.values), list(g.values))
+               for f, g in _cases(24))
+
+
+def _divide_agrees() -> bool:
+    """Quotients of f * g, and the witness once it is moved off f * g at
+    the last index or at the first index past the divisor's norm."""
+    for g, f in _cases(23):
+        a = f.norm()
+        for k in (0, a + 1, 23):
+            h = f * g + (ring.delta(k, 23) if k else ring.zeros(23))
+            q = ring.try_divide(h, f)  # looked up where a fault replaces it
+            got = q.index if isinstance(q, NotDivisibleWitness) else list(q.values)
+            if got != divide_lists(list(h.values), list(f.values)):
+                return False
+    return True
+
+
+ORACLE_COMPARISONS = {"oracle: convolve": _convolve_agrees, "oracle: try_divide": _divide_agrees}
+
+
+# the kill matrix ----------------------------------------------------------
+#
+# Checks are named by their function in ``verify`` without ``_check_``.
+# verify-paper samples narrow functions only, so the wide-path fault is
+# caught by the oracle comparisons alone, and so is the leftover scan,
+# which misses only a witness at the last index; only the atoms check
+# sees the certificate fault.
+
+KILLS = {
+    "product skips i = j > 1": {"invertibility", "units_group", "semiprime", "divisibility_depth",
+                                "mobius_inversion", "oracle: convolve"},
+    "_solve doubles g(47)": {"invertibility", "units_group", "mobius_inversion"},
+    "leftover scan stops one short": {"oracle: try_divide"},
+    "P_m loses its last index": {"principal_prime", "generator_count", "prime_products_ideal",
+                                 "semiprime_boundaries"},
+    "certificate fires at norms 2..6": {"atoms_every_norm"},
+    "sieve calls 49 prime": {"nonprime_norm_products", "prime_tail_not_prime",
+                             "mobius_inversion"},
+    "_lift shares one scale": {"invertibility", "units_group", "oracle: convolve",
+                               "oracle: try_divide"},
+    "_Pair gcd branch keeps the gcd": {"oracle: convolve", "oracle: try_divide"},
+}
+
+
+@pytest.fixture(autouse=True)
+def fresh_index_cache():
+    CONSTRAINED.cache_clear()
+    yield
+    CONSTRAINED.cache_clear()
+
+
+def caught() -> set[str]:
+    """The verify-paper checks that FAIL at window 64, seed 0, and the
+    oracle comparisons that disagree."""
+    checks = dict(verify.CHECKS)
+    failed = {checks[r.name].__name__.removeprefix("_check_")
+              for r in verify.run_all(64, 0) if not r.passed}
+    return failed | {name for name, agrees in ORACLE_COMPARISONS.items() if not agrees()}
+
+
+def test_the_intact_package_passes_every_check():
+    assert caught() == set()
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_fault_is_caught(monkeypatch, fault):
+    FAULTS[fault](monkeypatch)
+    assert KILLS[fault] and caught() == KILLS[fault]
+
+
+def test_certificate_fault_is_found_by_the_atom_search(monkeypatch):
+    """The least certified product of two non-units, the profile an
+    enumeration of all 3^(w-1) candidates in ``itertools.product`` order
+    meets first."""
+    FAULTS["certificate fires at norms 2..6"](monkeypatch)
+    tail = (0, -1, 0, -1, 0, -1, 0)
+    for w in range(2, 11):
+        expected = (0, 0, 0, -1) + tail[: w - 4] if w >= 4 else None
+        assert structure.certified_atom_factor_search(w) == expected, w

@@ -174,7 +174,7 @@ SCAN_SPECS = [
 @pytest.mark.parametrize("window", [1, 2, 3, 64, 300])
 def test_constrained_indices_match_definition_scan(window):
     for spec in SCAN_SPECS:
-        assert spec.constrained_indices(window) == _constrained_by_scan(spec, window), spec
+        assert spec.constrained_indices(window) == tuple(_constrained_by_scan(spec, window)), spec
 
 
 def test_member_prime_products_allow_mode():
@@ -460,6 +460,19 @@ def test_probe_semiprime_window_guard():
         probe_semiprime(6, 1, delta(2, 8), rmax=4, window=8)  # 2^4 = 16 > 8
 
 
+def test_probe_semiprime_window_defaults_to_the_operand():
+    f = delta(2, 8)
+    assert probe_semiprime(6, 1, f, rmax=3) == probe_semiprime(6, 1, f, rmax=3, window=8)
+    with pytest.raises(WindowError, match="exceeds"):
+        probe_semiprime(6, 1, f, rmax=1, window=9)
+
+
+def test_random_outside_forces_a_violation_when_sampling_finds_none(monkeypatch):
+    monkeypatch.setattr(ideals, "random_func", lambda rng, n: zeros(n))
+    f, first = ideals._random_outside((3, 5), random.Random(0), 8)
+    assert (f, first) == (delta(3, 8), 3)
+
+
 @pytest.mark.parametrize("rmax", [0, -1])
 def test_probe_semiprime_needs_a_power_to_check(rmax):
     with pytest.raises(ValueError, match="rmax"):
@@ -472,6 +485,8 @@ def test_probe_semiprime_needs_a_power_to_check(rmax):
 def test_depth_indicator_cases():
     assert divisibility_depth(delta(8, 64), delta(2, 64)) == 3
     assert divisibility_depth(delta(6, 64), delta(2, 64)) == 1
+    # delta_2^5 = delta_32 is zero on 1..16, so the depth stops at 4
+    assert divisibility_depth(delta(16, 16), delta(2, 16)) == 4
 
 
 def test_depth_bounded_by_norm_logarithm():

@@ -296,6 +296,11 @@ def test_zeroth_power_is_identity():
     assert f.power(0) == identity(12)
 
 
+def test_negative_power_is_refused():
+    with pytest.raises(ValueError, match="invert first"):
+        delta(2, 8).power(-1)
+
+
 def test_indicator_powers_dilate():
     assert delta(2, 16) ** 3 == delta(8, 16)
 

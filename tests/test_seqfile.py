@@ -51,9 +51,17 @@ def test_large_numerators_survive():
     assert from_json_obj(to_json_obj(f))[1] == f
 
 
+# stored as integers over 6, and as Fractions (two ~40-bit denominators)
+NARROW_SIXTHS = ArithFunc([Fraction(1, 6), Fraction(-1, 2), Fraction(2, 3), 0, -1, Fraction(5, 6)])
+WIDE = ArithFunc([Fraction(1, 2**40 + 1), Fraction(-3, 2**41 + 3), 7, 0])
+
+
 def test_csv_is_one_comma_separated_row():
     assert to_csv(mobius(6)) == "1,-1,-1,0,-1,1\n"
     assert to_csv(ArithFunc([Fraction(1, 3), 2])) == "1/3,2\n"
+    assert NARROW_SIXTHS._den == 6 and WIDE._den is None
+    assert to_csv(NARROW_SIXTHS) == "1/6,-1/2,2/3,0,-1,5/6\n"
+    assert to_csv(WIDE) == "1/1099511627777,-3/2199023255555,7,0\n"
 
 
 def test_table_lists_index_value_pairs():
@@ -62,6 +70,12 @@ def test_table_lists_index_value_pairs():
     assert lines[0].startswith("# pair")
     assert lines[1].split() == ["1", "5"]
     assert lines[2].split() == ["2", "6"]
+    assert to_table(NARROW_SIXTHS, "t") == (
+        "# t (mode=exact, n=6)\n1  1/6\n2  -1/2\n3  2/3\n4  0\n5  -1\n6  5/6\n"
+    )
+    assert to_table(WIDE, "t") == (
+        "# t (mode=exact, n=4)\n1  1/1099511627777\n2  -3/2199023255555\n3  7\n4  0\n"
+    )
 
 
 def test_render_dispatch():

@@ -223,6 +223,7 @@ def test_identity_e_not_additive_at_one_one():
     w = is_additive(identity(8))
     assert w.verdict == NON_MEMBER
     assert w.pair == (1, 1)
+    assert w.to_dict() == {"verdict": NON_MEMBER, "pair": [1, 1], "note": w.note}
 
 
 def test_nonzero_f1_fails_at_one_one_without_lifting(monkeypatch):
