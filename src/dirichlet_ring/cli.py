@@ -168,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 # it: the ideal spec, the name and function of each sequence file, the
 # window.  Each returns a (function, name) pair, a dict, or finished text
 # for ``_render``, and none reads or writes anything itself; verify-paper
-# pairs its report with its exit status.
+# pairs its report with its exit status.  A dict embeds a sequence as a
+# (function, name) pair, which ``seqfile.dumps`` writes.
 
 
 def _window(args) -> int:
@@ -235,8 +236,7 @@ def _cmd_ideal_decompose(args, name, f):
         "m": dec.m,
         "generator_points": list(dec.generator_points),
         "cofactors": [
-            seqfile.to_json_obj(g, f"cofactor_delta_{q}")
-            for q, g in zip(dec.generator_points, dec.cofactors)
+            (g, f"cofactor_delta_{q}") for q, g in zip(dec.generator_points, dec.cofactors)
         ],
         "reconstruction_matches": matches,
     }
@@ -272,9 +272,7 @@ def _cmd_ideal_probe(args, spec, n):
     verdict = probe_prime(spec, args.trials, args.seed, n)
     obj = verdict.to_dict()
     if verdict.elements and args.format == "json":
-        obj["witness_pair"] = [
-            seqfile.to_json_obj(f, f"witness_{i}") for i, f in enumerate(verdict.elements)
-        ]
+        obj["witness_pair"] = [(f, f"witness_{i}") for i, f in enumerate(verdict.elements)]
     return obj
 
 
@@ -286,14 +284,15 @@ def _cmd_verify(args, n):
 
 def _render(result, fmt: str) -> str:
     """Text for a command's result: finished text as it is, a dict in
-    ``fmt``, a (function, name) pair through ``seqfile.render``."""
+    ``fmt`` (JSON through ``seqfile.dumps``), a (function, name) pair
+    through ``seqfile.render``."""
     if isinstance(result, str):
         return result
     if not isinstance(result, dict):
         f, name = result
         return seqfile.render(f, fmt, name)
     if fmt == "json":
-        return json.dumps(result, indent=2) + "\n"
+        return seqfile.dumps(result)
     if fmt == "csv":
         return ",".join(f"{k}={v}" for k, v in result.items()) + "\n"
     width = max(len(str(k)) for k in result)

@@ -4,6 +4,14 @@ JSON layout: {"name": str, "mode": "exact"|"float", "n": int,
 "values": [...]} where an exact value is a two-element array of decimal
 strings [numerator, denominator] (arbitrary precision) and a float value
 is a plain JSON number.  The values array holds indices 1..n in order.
+
+Every JSON text here comes from one writer, :func:`dumps`, which writes
+the bytes ``json.dumps(obj, indent=2)`` writes.  It builds a sequence's
+values array straight from the stored form: an exact value is one row
+of its two decimal strings, a float value its ``repr`` (what ``json``
+writes), and the name goes through ``json.dumps``, so its escaping is
+``json``'s.  ``json.dumps`` with an indent runs CPython's pure-Python
+encoder, several times slower than this at tens of thousands of values.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import chain, repeat
 from pathlib import Path
 
 from .ring import ArithFunc, EXACT, FLOAT
@@ -20,29 +29,68 @@ from .ring import ArithFunc, EXACT, FLOAT
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
-def _string_pairs(f: ArithFunc) -> list[list[str]]:
-    """Each exact value as [numerator, denominator] decimal strings, in
-    lowest terms, read from the stored form."""
+def _string_pairs(f: ArithFunc):
+    """Each exact value as a (numerator, denominator) pair of decimal
+    strings, in lowest terms, read from the stored form."""
     d = f._den
     if d is None:
-        return [[str(v.numerator), str(v.denominator)] for v in f._values]
+        return [(str(v.numerator), str(v.denominator)) for v in f._values]
     if d == 1:
-        return [[str(x), "1"] for x in f._values]
-    return [[str(x // g), str(d // g)] for x in f._values for g in (math.gcd(x, d),)]
+        return zip(map(str, f._values), repeat("1"))
+    return [(str(x // g), str(d // g)) for x in f._values for g in (math.gcd(x, d),)]
 
 
 def _texts(f: ArithFunc):
     """Each value as ``str`` writes it, an exact one as its ``Fraction``."""
-    return map(str, f._values if f._den in (None, 1) else f.values)
+    if f._den in (None, 1):
+        return map(str, f._values)
+    return (a if b == "1" else f"{a}/{b}" for a, b in _string_pairs(f))
 
 
 def to_json_obj(f: ArithFunc, name: str = "sequence") -> dict:
-    values = _string_pairs(f) if f.mode == EXACT else list(f._values)
+    """The sequence object as plain JSON values, the form ``from_json_obj`` reads."""
+    values = list(map(list, _string_pairs(f))) if f.mode == EXACT else list(f._values)
     return {"name": name, "mode": f.mode, "n": len(f), "values": values}
 
 
+def _values_json(f: ArithFunc, pad: str) -> str:
+    """The values array of ``f`` at indent ``pad``."""
+    p = pad + "  "
+    if f.mode == FLOAT:
+        body = p + f",\n{p}".join(map(repr, f._values))
+    else:
+        start, mid, end = f'{p}[\n{p}  "', f'",\n{p}  "', f'"\n{p}]'
+        body = start + f"{end},\n{start}".join(map(mid.join, _string_pairs(f))) + end
+    return f"[\n{body}\n{pad}]"
+
+
+def _json(obj, pad: str) -> str:
+    """``obj`` as :func:`dumps` writes it, at indent ``pad``."""
+    if isinstance(obj, tuple):  # a (function, name) pair
+        f, name = obj
+        obj = {"name": name, "mode": f.mode, "n": len(f), "values": f}
+    if isinstance(obj, ArithFunc):
+        return _values_json(obj, pad)
+    if not obj or not isinstance(obj, (dict, list)):
+        return json.dumps(obj)
+    p = pad + "  "
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(k)}: {_json(v, p)}" for k, v in obj.items()]
+        return "{\n" + p + f",\n{p}".join(items) + f"\n{pad}}}"
+    return "[\n" + p + f",\n{p}".join([_json(v, p) for v in obj]) + f"\n{pad}]"
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2) + "\\n"`` for a JSON value whose dict
+    keys are strings, where a (function, name) pair stands for its
+    sequence object: byte for byte what ``json`` writes for
+    ``to_json_obj(function, name)`` in its place."""
+    return _json(obj, "") + "\n"
+
+
 def to_json(f: ArithFunc, name: str = "sequence") -> str:
-    return json.dumps(to_json_obj(f, name), indent=2) + "\n"
+    """The sequence file text of ``f``."""
+    return dumps((f, name))
 
 
 def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
@@ -64,8 +112,11 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
             raise ValueError("each float value must be a JSON number")
         return name, ArithFunc(raw, FLOAT)
-    if not all(isinstance(v, list) and len(v) == 2
-               and all(isinstance(x, str) and _DECIMAL.fullmatch(x) for x in v) for v in raw):
+    # one pass for the shape, one for the strings; a single regex over the
+    # joined strings is faster, but re keeps state for every repeat of a
+    # group, about 15 MB at 65536 values
+    if not all(isinstance(v, list) and len(v) == 2 and isinstance(v[0], str) and isinstance(v[1], str)
+               for v in raw) or not all(map(_DECIMAL.fullmatch, chain.from_iterable(raw))):
         raise ValueError("each exact value must be a [numerator, denominator] pair of decimal strings")
     try:  # integers stay ints, so a file of them is stored with no Fraction
         values = [int(num) if den == "1" else Fraction(int(num), int(den)) for num, den in raw]

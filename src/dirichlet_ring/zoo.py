@@ -1,9 +1,10 @@
 """Generators for the named arithmetical functions.
 
 The multiplicative and additive ones are defined by their values at prime
-powers (``primes.prime_power_fold``).  Everything is exact except the
-Mangoldt function and the logarithm, whose values are irrational and
-therefore live in float mode.
+powers (``primes.prime_power_fold``); Ramanujan's tau comes from Jacobi's
+identity and three squarings by Kronecker substitution, each one bigint
+product.  Everything is exact except the Mangoldt function and the
+logarithm, whose values are irrational and therefore live in float mode.
 """
 
 from __future__ import annotations
@@ -56,23 +57,42 @@ def liouville(n: int) -> ArithFunc:
     return _multiplicative(n, lambda p, a: (-1) ** a)
 
 
-def _sigma(n: int) -> list[int]:
-    """sigma(k), the sum of the divisors of k, for k = 1..n."""
-    return prime_power_fold(n, lambda p, a: (p ** (a + 1) - 1) // (p - 1), mul, 1)
+def _square(c: list[int], n: int) -> list[int]:
+    """The coefficients of degree < n of the square of the polynomial c,
+    by Kronecker substitution: c evaluated at 2^s in one int, one bigint
+    multiplication, and the product's base-2^s digits read back.
+
+    Each coefficient d of the square has |d| <= max|c| * sum|c|, so a
+    slot of s = 8w bits holds d + 2^(s-1) in [0, 2^s); packing and
+    unpacking add and take off that offset in every slot, so signed
+    values pass through ``int.to_bytes`` and ``int.from_bytes``.
+    """
+    bound = max(map(abs, c)) * sum(map(abs, c))
+    w = bound.bit_length() // 8 + 1
+    half = 1 << (8 * w - 1)
+    offset = int.from_bytes(half.to_bytes(w, "little") * n, "little")
+    x = int.from_bytes(b"".join([(v + half).to_bytes(w, "little") for v in c]), "little") - offset
+    digits = ((x * x + offset) & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
+    return [int.from_bytes(digits[i:i + w], "little") - half for i in range(0, w * n, w)]
 
 
 def ramanujan_tau(n: int) -> ArithFunc:
     """Coefficients of x * prod_{j>=1} (1 - x^j)^24, truncated at degree n.
 
-    With c_m the degree-m coefficient of the product, the logarithmic
-    derivative gives m * c_m = -24 * sum_{k=1..m} sigma(k) c_{m-k}; the
-    recursion runs over exact integers and the division by m is exact.
+    Jacobi's identity gives the cube of the product term by term,
+    prod (1 - x^j)^3 = sum_k (-1)^k (2k + 1) x^(k(k+1)/2); three exact
+    squarings by Kronecker substitution (Harvey, arXiv:0712.4046) raise
+    it to the 24th power.
     """
-    sigma = _sigma(n)
-    coeffs = [1]
-    for m in range(1, n):
-        coeffs.append(-24 * sum(map(mul, sigma[:m], reversed(coeffs))) // m)
-    return ArithFunc._of(coeffs[:n], EXACT, 1)
+    coeffs = [0] * n
+    k = t = 0
+    while t < n:
+        coeffs[t] = (-1) ** k * (2 * k + 1)
+        k += 1
+        t += k
+    for _ in range(3):
+        coeffs = _square(coeffs, n)
+    return ArithFunc._of(coeffs, EXACT, 1)
 
 
 def dedekind_psi(n: int) -> ArithFunc:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's code paths: factoring
 is an upward divisor scan, convolution, division and inversion scan
 every divisor of every index, the totient counts coprime integers one by
-one, the tau expansion multiplies polynomials schoolbook-style, additivity
+one, tau comes from a schoolbook expansion of the eta product and from
+the divisor-sum recursion over a sieve of sigma, additivity
 is tested pair by pair, a narrow scalar is drawn with two ``randint``
 calls, and the constructor's input rules are checked one entry at a time.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf, isfinite
+from operator import mul
 
 
 def prime_factors_scan(n: int) -> list[tuple[int, int]]:
@@ -207,20 +209,43 @@ def _poly_mul(p: list[int], q: list[int], cap: int) -> list[int]:
 def tau_eta_product(n: int) -> list[int]:
     """tau(1..n): expand x * prod_j (1 - x^j)^24 with schoolbook products.
 
-    Each factor's 24th power is built by 24 literal polynomial
-    multiplications, then folded into the running product.
+    (1 - y)^24 is built by 24 literal polynomial multiplications; each
+    factor (1 - x^j)^24 is that polynomial at y = x^j, folded into the
+    running product one term c x^(ij) at a time.
     """
-    cap = n  # keep degrees 0..n-1; tau(k) is the degree k-1 coefficient
-    prod = [1]
+    f24 = [1]
+    for _ in range(24):
+        f24 = _poly_mul(f24, [1, -1], 25)
+    prod = [1] + [0] * (n - 1)  # degrees 0..n-1; tau(k) is the degree k-1 coefficient
     for j in range(1, n):
-        base = [0] * (j + 1)
-        base[0], base[j] = 1, -1
-        f24 = [1]
-        for _ in range(24):
-            f24 = _poly_mul(f24, base, cap)
-        prod = _poly_mul(prod, f24, cap)
-    prod = prod + [0] * (cap - len(prod))
+        out = [0] * n
+        for i, c in enumerate(f24):
+            s = i * j
+            if s >= n:
+                break
+            out[s:] = [a + c * b for a, b in zip(out[s:], prod)]
+        prod = out
     return prod
+
+
+def sigma_sieve(n: int) -> list[int]:
+    """sigma(1..n), the divisor sums, by adding each d to its multiples."""
+    sigma = [0] * n
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            sigma[m - 1] += d
+    return sigma
+
+
+def tau_sigma_recursion(n: int) -> list[int]:
+    """tau(1..n) from the logarithmic derivative of the eta product: with
+    c_m the degree-m coefficient of prod_j (1 - x^j)^24,
+    m c_m = -24 sum_{k=1..m} sigma(k) c_{m-k}, and the division is exact."""
+    sigma = sigma_sieve(n)
+    coeffs = [1]
+    for m in range(1, n):
+        coeffs.append(-24 * sum(map(mul, sigma[:m], reversed(coeffs))) // m)
+    return coeffs
 
 
 def rank_over_q(rows: list[list[Fraction]]) -> int:

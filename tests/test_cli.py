@@ -182,6 +182,7 @@ def test_ideal_decompose_command(tmp_path):
     assert code == 0
     assert obj["generator_points"] == [2, 3]
     assert obj["reconstruction_matches"] is True
+    assert out == json.dumps(obj, indent=2) + "\n"  # the bytes json writes
 
 
 def test_ideal_chain_command_table_and_dot():
@@ -201,6 +202,7 @@ def test_ideal_probe_command():
     assert code == 0
     assert obj["verdict"] == "non_member"
     assert len(obj["witness_pair"]) == 2
+    assert out == json.dumps(obj, indent=2) + "\n"  # the bytes json writes
     code, out = run_cli("ideal", "probe", "P:6", "--trials", "25", "--seed", "5",
                         "--n", "32")
     assert json.loads(out)["verdict"] == "undecided_at_truncation"

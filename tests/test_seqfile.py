@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from dirichlet_ring import EXACT, FLOAT, ArithFunc
 from dirichlet_ring.seqfile import (
+    dumps,
     from_json_obj,
     load,
     render,
@@ -19,7 +21,7 @@ from dirichlet_ring.seqfile import (
     to_json_obj,
     to_table,
 )
-from dirichlet_ring.zoo import mangoldt, mobius
+from dirichlet_ring.zoo import euler_phi, log_function, mangoldt, mobius
 
 
 def test_exact_round_trip(tmp_path):
@@ -109,6 +111,11 @@ def test_loader_validation():
         {**good, "values": [["10\n", "3"], ["2", "1"]]},
         {**good, "values": [["١٢", "1"], ["2", "1"]]},
         {**good, "values": [["1", "+-3"], ["2", "1"]]},
+        {**good, "values": [["1", "1"], ["+-5", "1"]]},
+        {**good, "values": [["1", "1"], ["2", " 5"]]},
+        {**good, "values": [["1", "1"], ["5_0", "1"]]},
+        {**good, "values": [["1", "1"], ["2", ""]]},
+        {**good, "values": [["1", "1"], ["2", "\u0663"]]},
         {**good, "values": [["", "1"], ["2", "1"]]},
         {**good, "values": [["0x10", "1"], ["2", "1"]]},
         {**good, "mode": "float", "values": ["1.5", 2.0]},
@@ -145,6 +152,10 @@ def test_json_text_is_valid_json(tmp_path):
 
 exact_funcs = st.lists(st.fractions(), min_size=1, max_size=12).map(
     lambda vs: ArithFunc(vs, EXACT)
+)
+# a 66-bit denominator makes the function wide (stored as Fractions)
+wide_funcs = st.lists(st.fractions(), max_size=11).map(
+    lambda vs: ArithFunc([Fraction(-1, 2**65 + 1), *vs], EXACT)
 )
 float_funcs = st.lists(
     st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12
@@ -205,3 +216,63 @@ def test_json_object_round_trip_property(f, name):
 def test_malformed_objects_raise_only_value_error(obj):
     with pytest.raises(ValueError):
         from_json_obj(obj)
+
+
+def json_reference(obj):
+    """``obj`` with each (function, name) pair replaced by ``to_json_obj``."""
+    if isinstance(obj, tuple):
+        return to_json_obj(*obj)
+    if isinstance(obj, dict):
+        return {k: json_reference(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [json_reference(v) for v in obj]
+    return obj
+
+
+any_funcs = st.one_of(exact_funcs, wide_funcs, float_funcs)
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.text(),
+                         st.floats(allow_nan=False, allow_infinity=False))
+json_trees = st.recursive(
+    st.one_of(json_scalars, st.tuples(any_funcs, st.text())),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_funcs, st.text())
+def test_json_writer_matches_json_module(f, name):
+    assert to_json(f, name) == json.dumps(to_json_obj(f, name), indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(), json_trees, max_size=4))
+def test_embedded_sequences_match_json_module(obj):
+    # the shape of the probe and decompose reports: sequence objects in lists in a dict
+    assert dumps(obj) == json.dumps(json_reference(obj), indent=2) + "\n"
+
+
+def test_json_writer_matches_json_module_at_scale():
+    for f, name in ((euler_phi(65536), "euler_phi"), (log_function(65536), "log")):
+        assert to_json(f, name) == json.dumps(to_json_obj(f, name), indent=2) + "\n"
+
+
+DECIMAL_STRING = re.compile(r"[+-]?[0-9]+")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.text("+-09 _,\n\u0663x", max_size=4), st.text("+-019 _,", max_size=3)),
+                min_size=1, max_size=4))
+def test_loader_accepts_exactly_the_decimal_strings(pairs):
+    """A pair set loads iff every string is [+-]?[0-9]+ and no denominator is 0."""
+    obj = {"name": "x", "mode": EXACT, "n": len(pairs), "values": [list(p) for p in pairs]}
+    if not all(DECIMAL_STRING.fullmatch(s) for p in pairs for s in p):
+        with pytest.raises(ValueError, match="pair of decimal strings"):
+            from_json_obj(obj)
+    elif not all(int(d) for _, d in pairs):
+        with pytest.raises(ValueError, match="denominator 0"):
+            from_json_obj(obj)
+    else:
+        _, f = from_json_obj(obj)
+        assert f.values == tuple(Fraction(int(a), int(b)) for a, b in pairs)

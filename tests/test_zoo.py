@@ -33,7 +33,6 @@ from dirichlet_ring.primes import (
 from dirichlet_ring.sampling import random_additive
 from dirichlet_ring.witness import MEMBER, NON_MEMBER
 from dirichlet_ring.zoo import (
-    _sigma,
     big_omega,
     dedekind_psi,
     distinct_prime_count,
@@ -60,7 +59,9 @@ from oracles import (
     prime_factors_scan,
     psi_scan,
     sigma_scan,
+    sigma_sieve,
     tau_eta_product,
+    tau_sigma_recursion,
 )
 
 # factorization -------------------------------------------------------------
@@ -133,8 +134,11 @@ def test_tau_starts_at_one_minus_twentyfour():
 
 
 def test_tau_against_schoolbook_expansion():
-    for n in (1, 2, 50, 300):
-        assert [int(v) for v in ramanujan_tau(n).values] == tau_eta_product(n)
+    # and against the divisor-sum recursion, the other independent evaluator
+    for n in (1, 2, 3, 50, 300, 2048):
+        tau = ramanujan_tau(n)
+        assert tau._den == 1
+        assert list(tau._values) == tau_eta_product(n) == tau_sigma_recursion(n)
 
 
 def test_generators_match_scans_to_200():
@@ -152,7 +156,7 @@ def test_generators_match_scans_to_200():
             assert [int(v) for v in p_adic_valuation(p, n).values] == [
                 nu_p_scan(p, k) for k in ks
             ]
-        assert _sigma(n) == [sigma_scan(k) for k in ks]
+        assert sigma_sieve(n) == [sigma_scan(k) for k in ks]
 
 
 def test_mangoldt_values_and_norm():
