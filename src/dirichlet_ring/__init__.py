@@ -1,88 +1,33 @@
 """Exact arithmetic in the ring of arithmetical functions under
 Dirichlet convolution, with ideal-family oracles and element
-classification on truncated windows."""
+classification on truncated windows.
 
-from .primes import Factorization, factorize, is_prime, nth_prime
-from .ring import (
-    EXACT,
-    FLOAT,
-    ArithFunc,
-    ModeMismatchError,
-    NonUnitError,
-    NotDivisibleWitness,
-    WindowError,
-    ZeroFunctionError,
-    delta,
-    identity,
-    indicator_shift,
-    try_divide,
-    zeros,
-)
-from .ideals import (
-    ChainLink,
-    ChainReport,
-    Decomposition,
-    IdealSpec,
-    NotInIdealError,
-    chain,
-    decompose_coprime_vanishing,
-    divisibility_depth,
-    member,
-    principal_quotient,
-    probe_prime,
-    probe_semiprime,
-)
-from .structure import (
-    ElementReport,
-    check_nonprime_norm_product,
-    classify,
-    essential_witness,
-    units_group_probe,
-)
-from .witness import MEMBER, NON_MEMBER, UNDECIDED, Witness
-from .zoo import FUNCTION_TAGS, generate, is_additive, is_completely_additive
+The exports load lazily (PEP 562): a public name imports its defining
+module when it is first read, so a CLI command loads only the modules
+it runs.  Nothing is cached here, so the package always hands out what
+the defining module holds now, a monkeypatched function included.
+"""
 
-__all__ = [
-    "ArithFunc",
-    "ChainLink",
-    "ChainReport",
-    "Decomposition",
-    "ElementReport",
-    "EXACT",
-    "FLOAT",
-    "Factorization",
-    "FUNCTION_TAGS",
-    "IdealSpec",
-    "MEMBER",
-    "ModeMismatchError",
-    "NON_MEMBER",
-    "NonUnitError",
-    "NotDivisibleWitness",
-    "NotInIdealError",
-    "UNDECIDED",
-    "WindowError",
-    "Witness",
-    "ZeroFunctionError",
-    "chain",
-    "check_nonprime_norm_product",
-    "classify",
-    "decompose_coprime_vanishing",
-    "delta",
-    "divisibility_depth",
-    "essential_witness",
-    "factorize",
-    "generate",
-    "identity",
-    "indicator_shift",
-    "is_additive",
-    "is_completely_additive",
-    "is_prime",
-    "member",
-    "nth_prime",
-    "principal_quotient",
-    "probe_prime",
-    "probe_semiprime",
-    "try_divide",
-    "units_group_probe",
-    "zeros",
-]
+from importlib import import_module
+
+# each public name, by the module that defines it
+_EXPORTS = {name: module for module, names in {
+    "primes": "Factorization factorize is_prime nth_prime",
+    "ring": "EXACT FLOAT ArithFunc ModeMismatchError NonUnitError NotDivisibleWitness "
+            "WindowError ZeroFunctionError delta identity indicator_shift try_divide zeros",
+    "ideals": "ChainLink ChainReport Decomposition IdealSpec NotInIdealError chain "
+              "decompose_coprime_vanishing divisibility_depth member principal_quotient "
+              "probe_prime probe_semiprime",
+    "structure": "ElementReport check_nonprime_norm_product classify essential_witness "
+                 "units_group_probe",
+    "witness": "MEMBER NON_MEMBER UNDECIDED Witness",
+    "zoo": "FUNCTION_TAGS generate is_additive is_completely_additive",
+}.items() for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)

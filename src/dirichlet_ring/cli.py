@@ -7,7 +7,8 @@ DIRICHLET_N environment variable overrides the default window length.
 the program (the ideal spec, then the sequence files, then the window),
 calls the command with the resolved values, and renders and writes the
 result once: ``--out`` gets exactly the bytes stdout would get, for
-every command including ``verify-paper``.
+every command including ``verify-paper``.  The one command that runs
+``structure`` or ``verify`` imports it, so no other command loads it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import seqfile, verify, zoo
+from . import seqfile, zoo
 from .ideals import (
     CHAIN_FAMILIES,
     IdealSpec,
@@ -29,7 +30,6 @@ from .ideals import (
     probe_prime,
 )
 from .ring import EXACT, FLOAT, NotDivisibleWitness, try_divide
-from .structure import classify
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -214,6 +214,7 @@ def _cmd_divide(args, name_h, h, name_f, f):
 
 
 def _cmd_classify(args, _, f):
+    from .structure import classify
     return classify(f).to_dict()
 
 
@@ -277,6 +278,7 @@ def _cmd_ideal_probe(args, spec, n):
 
 
 def _cmd_verify(args, n):
+    from . import verify
     results = verify.run_all(n, args.seed)
     status = 0 if all(r.passed for r in results) else VERIFY_FAILURE
     return verify.render_report(results, n, args.seed), status

@@ -14,11 +14,11 @@ statements about the truncation window, never about the full ring.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
 from operator import add, mul
+from typing import NamedTuple
 
 from .primes import factorize, is_prime, nth_prime, prime_power_fold, primes_upto
 from .ring import (_ZERO_ONE, ArithFunc, EXACT, NotDivisibleWitness, WindowError,
@@ -43,8 +43,7 @@ TAG_PRIME_TAIL = "K"  # vanish at 1 and at all primes from the n-th on
 TAG_GCD_COUNT = "Pk"  # vanish wherever gcd with m has few distinct primes
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(NamedTuple):
     """One instance of an ideal family, with enough data to test membership."""
 
     tag: str
@@ -182,8 +181,7 @@ def principal_quotient(p: int, f: ArithFunc) -> ArithFunc:
     return ArithFunc._of(f._values[p - 1 :: p], f.mode, f._den)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """f written as a combination of prime-indicator generators."""
 
     m: int
@@ -234,8 +232,7 @@ def decompose_coprime_vanishing(m: int, f: ArithFunc) -> Decomposition:
 CHAIN_FAMILIES = ("P_ascending", "J_descending", "I_descending", "K_ascending")
 
 
-@dataclass(frozen=True)
-class ChainLink:
+class ChainLink(NamedTuple):
     """A strict inclusion between adjacent chain members, with its separator."""
 
     smaller: IdealSpec
@@ -246,8 +243,7 @@ class ChainLink:
     not_in_smaller: Witness
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     family: str
     specs: tuple[IdealSpec, ...]
     links: tuple[ChainLink, ...]
@@ -266,9 +262,22 @@ class ChainReport:
         return "\n".join(lines)
 
 
-def _chain_specs_and_points(family: str, length: int):
+def _chain_specs_and_points(family: str, length: int, window: int):
     """The specs in listed order, the separator point between each pair of
-    neighbours, and whether the ideals grow along the list."""
+    neighbours, and whether the ideals grow along the list.  A window too
+    small to hold every separator fails before any spec is built."""
+    if family not in CHAIN_FAMILIES:
+        raise ValueError(f"unknown chain family {family!r}; choose from {CHAIN_FAMILIES}")
+    if window < 1:
+        raise ValueError("window length must be at least 1")
+    # the points are the integers 1..length-1 (I), the primes p_1..p_(length-1)
+    # (K) or p_2..p_length (P, J); the first `held` of the sequence fit
+    first, last = (2, length) if family[0] in "PJ" else (1, length - 1)
+    held = window if family == "I_descending" else len(primes_upto(window))
+    if last > held:
+        k = max(first, held + 1)
+        label = f"delta_{k if family == 'I_descending' else nth_prime(k)}"
+        raise WindowError(f"window {window} too small to hold separator {label}")
     ps = primes_upto(nth_prime(length + 1))
     if family == "P_ascending":
         specs = [IdealSpec.coprime_vanishing(m) for m in accumulate(ps[:length], mul)]
@@ -277,9 +286,7 @@ def _chain_specs_and_points(family: str, length: int):
         return [IdealSpec.prime_products(ps[:i]) for i in range(1, length + 1)], ps[1:length], False
     if family == "I_descending":
         return [IdealSpec.norm_floor(i) for i in range(1, length + 1)], range(1, length), False
-    if family == "K_ascending":
-        return [IdealSpec.prime_tail(i) for i in range(1, length + 1)], ps[: length - 1], True
-    raise ValueError(f"unknown chain family {family!r}; choose from {CHAIN_FAMILIES}")
+    return [IdealSpec.prime_tail(i) for i in range(1, length + 1)], ps[: length - 1], True
 
 
 def chain(family: str, length: int, window: int) -> ChainReport:
@@ -291,13 +298,11 @@ def chain(family: str, length: int, window: int) -> ChainReport:
     """
     if length < 2:
         raise ValueError("a chain needs at least two members")
-    specs, points, ascending = _chain_specs_and_points(family, length)
+    specs, points, ascending = _chain_specs_and_points(family, length, window)
     links = []
     for i, p in enumerate(points):
         smaller, larger = (specs[i], specs[i + 1]) if ascending else (specs[i + 1], specs[i])
         sep, label = delta(p, window), f"delta_{p}"
-        if sep.is_zero():
-            raise WindowError(f"window {window} too small to hold separator {label}")
         in_larger = member(larger, sep)
         not_in_smaller = member(smaller, sep)
         if not in_larger.is_member or not_in_smaller.is_member:

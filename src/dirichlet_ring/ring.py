@@ -38,10 +38,9 @@ TAOCP vol. 2, 4.5.1); the recursion reduces each solved value once.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, isfinite, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 EXACT = "exact"
 FLOAT = "float"
@@ -65,8 +64,7 @@ class WindowError(ValueError):
     """The truncation window is too short to carry out the request."""
 
 
-@dataclass(frozen=True)
-class NotDivisibleWitness:
+class NotDivisibleWitness(NamedTuple):
     """Index at which no quotient can reproduce the dividend."""
 
     index: int

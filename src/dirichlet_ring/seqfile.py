@@ -94,9 +94,11 @@ def to_json(f: ArithFunc, name: str = "sequence") -> str:
 
 
 def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
+    if not isinstance(obj, dict):
+        raise ValueError("a sequence must be a JSON object")
     try:
         name, mode, n, raw = obj["name"], obj["mode"], obj["n"], obj["values"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"sequence object is missing field {exc}") from None
     if not isinstance(name, str):
         raise ValueError("name must be a string")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .primes import is_prime, primes_upto
 from .ring import ArithFunc, ZeroFunctionError, dirichlet_product, identity, indicator_shift
@@ -30,8 +30,7 @@ ATOM_NORM_BOUND = 6
 ATOM_COEFFS = (-1, 0, 1)
 
 
-@dataclass(frozen=True)
-class ElementReport:
+class ElementReport(NamedTuple):
     is_unit: bool
     in_maximal: bool
     norm: int
@@ -39,7 +38,7 @@ class ElementReport:
     additive_class: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def classify(f: ArithFunc) -> ElementReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ideals, sampling, structure, zoo
 from .ideals import IdealSpec, chain, divisibility_depth, member, probe_prime, probe_semiprime
@@ -35,8 +35,7 @@ from .witness import MEMBER, NON_MEMBER, UNDECIDED
 MIN_WINDOW = 64  # also the window of every check whose inputs do not scale with n
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -8,20 +8,19 @@ settle the question either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
 UNDECIDED = "undecided_at_truncation"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     verdict: str
     index: int | None = None
     pair: tuple[int, int] | None = None
     note: str = ""
-    elements: tuple = field(default=(), compare=False)
+    elements: tuple = ()
 
     @property
     def is_member(self) -> bool:

@@ -387,6 +387,21 @@ def test_chain_window_guard():
         chain("sideways", 3, 64)
 
 
+# the longest chain each family fits in a window of 64, and the separator
+# point the next longer one misses: primes run out at p_18 = 61 < 64 < 67
+CHAIN_FIT_AT_64 = {"P_ascending": (18, 67), "J_descending": (18, 67),
+                   "I_descending": (65, 65), "K_ascending": (19, 67)}
+
+
+@pytest.mark.parametrize("family", CHAIN_FIT_AT_64)
+def test_chain_window_boundary(family):
+    longest, missed = CHAIN_FIT_AT_64[family]
+    assert len(chain(family, longest, 64).specs) == longest
+    for length in (longest + 1, 10**5):  # the check comes before any spec is built
+        with pytest.raises(WindowError, match=rf"^window 64 too small to hold separator delta_{missed}$"):
+            chain(family, length, 64)
+
+
 def test_chain_dot_output():
     dot = chain("P_ascending", 3, 64).to_dot()
     assert dot.startswith("digraph chain {")

@@ -130,6 +130,12 @@ def test_loader_validation():
             from_json_obj(corrupt)
 
 
+@pytest.mark.parametrize("obj", [[1, 2], "x", 3, None])
+def test_loader_rejects_a_top_level_value_that_is_not_an_object(obj):
+    with pytest.raises(ValueError, match=r"^a sequence must be a JSON object$"):
+        from_json_obj(obj)
+
+
 def test_loader_rejects_zero_denominator():
     obj = {"name": "bad", "mode": "exact", "n": 1, "values": [["1", "0"]]}
     with pytest.raises(ValueError):
