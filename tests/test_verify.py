@@ -60,3 +60,10 @@ def test_report_at_256_is_pinned(seed, digest):
     # a change anywhere in what the suite computes or prints changes it
     report = verify.render_report(verify.run_all(256, seed), 256, seed)
     assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def test_report_at_1024_is_pinned():
+    # the window of the benchmark's longest verify-paper run
+    report = verify.render_report(verify.run_all(1024, 0), 1024, 0)
+    digest = "109d0251a281e99abd13c5a64bfe9ef1cd7a7056ba6b5df1809c08cfd3561718"
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
