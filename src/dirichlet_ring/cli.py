@@ -7,8 +7,12 @@ DIRICHLET_N environment variable overrides the default window length.
 the program (the ideal spec, then the sequence files, then the window),
 calls the command with the resolved values, and renders and writes the
 result once: ``--out`` gets exactly the bytes stdout would get, for
-every command including ``verify-paper``.  The one command that runs
-``structure`` or ``verify`` imports it, so no other command loads it.
+every command including ``verify-paper``.  The commands that run
+``ideals``, ``structure`` or ``verify`` import it, so no other command
+loads it.  Every integer from outside the program, in an option, an
+ideal spec or ``DIRICHLET_N``, is an optional sign and ASCII digits
+(``seqfile.is_decimal``); ``int`` alone would also take underscores,
+whitespace and other scripts' digits.
 """
 
 from __future__ import annotations
@@ -20,16 +24,8 @@ import sys
 from pathlib import Path
 
 from . import seqfile, zoo
-from .ideals import (
-    CHAIN_FAMILIES,
-    IdealSpec,
-    chain,
-    decompose_coprime_vanishing,
-    member,
-    principal_quotient,
-    probe_prime,
-)
 from .ring import EXACT, FLOAT, NotDivisibleWitness, try_divide
+from .witness import CHAIN_FAMILIES
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -42,12 +38,23 @@ FORMATS = ("json", "csv", "table")
 MODES = (EXACT, FLOAT)
 
 
+def integer(text: str) -> int:
+    """An integer option: an optional sign and ASCII digits.  argparse
+    reports any other text as an ``invalid integer value``."""
+    if not seqfile.is_decimal(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def parse_ideal_spec(text: str) -> IdealSpec:
     """Parse a compact spec string.
 
     Grammar: ``maximal`` | ``I:n`` | ``K:n`` | ``P:m`` | ``P:m,k`` |
-    ``J:p1,p2,...`` (allow mode) | ``J:~p1,p2,...`` (complement mode).
+    ``J:p1,p2,...`` (allow mode) | ``J:~p1,p2,...`` (complement mode),
+    with whitespace allowed around each number.
     """
+    from .ideals import IdealSpec
+
     text = text.strip()
     if text == "maximal":
         return IdealSpec.maximal()
@@ -55,25 +62,25 @@ def parse_ideal_spec(text: str) -> IdealSpec:
         raise ValueError(f"cannot parse ideal spec {text!r}")
     tag, _, body = text.partition(":")
     tag = tag.strip().upper()
+    if tag not in ("I", "K", "P", "J"):
+        raise ValueError(f"unknown ideal family {tag!r}")
+    body = body.strip()
+    complement = tag == "J" and body.startswith("~")
+    parts = [x.strip() for x in (body[1:] if complement else body).split(",")]
+    if not all(map(seqfile.is_decimal, parts)) or tag in ("I", "K") and len(parts) > 1:
+        raise ValueError(f"cannot parse ideal spec {text!r}")
+    nums = [int(x) for x in parts]
     if tag == "I":
-        return IdealSpec.norm_floor(int(body))
+        return IdealSpec.norm_floor(nums[0])
     if tag == "K":
-        return IdealSpec.prime_tail(int(body))
-    if tag == "P":
-        parts = [int(x) for x in body.split(",")]
-        if len(parts) == 1:
-            return IdealSpec.coprime_vanishing(parts[0])
-        if len(parts) == 2:
-            return IdealSpec.gcd_count(parts[0], parts[1])
-        raise ValueError("P takes one parameter (P:m) or two (P:m,k)")
+        return IdealSpec.prime_tail(nums[0])
     if tag == "J":
-        body = body.strip()
-        complement = body.startswith("~")
-        if complement:
-            body = body[1:]
-        primes = tuple(int(x) for x in body.split(","))
-        return IdealSpec.prime_products(primes, complement=complement)
-    raise ValueError(f"unknown ideal family {tag!r}")
+        return IdealSpec.prime_products(tuple(nums), complement=complement)
+    if len(nums) == 1:
+        return IdealSpec.coprime_vanishing(nums[0])
+    if len(nums) == 2:
+        return IdealSpec.gcd_count(nums[0], nums[1])
+    raise ValueError("P takes one parameter (P:m) or two (P:m,k)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in files:
             p.add_argument(name)
         if window:
-            p.add_argument("--n", type=int, default=None, help="window length")
+            p.add_argument("--n", type=integer, default=None, help="window length")
         p.add_argument("--format", choices=FORMATS, default="json")
         p.add_argument("--out", default=None, help="write output to a file")
         p.set_defaults(func=func, files=files)
@@ -96,13 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_chain(subparsers, name, help_text):
         p = subparsers.add_parser(name, help=help_text)
         p.add_argument("family", choices=CHAIN_FAMILIES)
-        p.add_argument("--length", type=int, default=4)
+        p.add_argument("--length", type=integer, default=4)
         p.add_argument("--dot", action="store_true", help="emit a DOT digraph")
         add_common(p, _cmd_chain, window=True)
 
     p_gen = sub.add_parser("gen", help="generate a named arithmetical function")
     p_gen.add_argument("tag", choices=zoo.FUNCTION_TAGS)
-    p_gen.add_argument("--param", type=int, default=None,
+    p_gen.add_argument("--param", type=integer, default=None,
                        help="parameter for delta (the support point) or "
                             "p_adic_valuation (the prime)")
     p_gen.add_argument("--mode", choices=MODES, default=None,
@@ -134,19 +141,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_member, _cmd_ideal_member, ("file",))
 
     p_quot = ideal_sub.add_parser("quotient", help="quotient by the indicator at a prime")
-    p_quot.add_argument("prime", type=int)
+    p_quot.add_argument("prime", type=integer)
     add_common(p_quot, _cmd_ideal_quotient, ("file",))
 
     p_dec = ideal_sub.add_parser("decompose", help="split a member of P_m over its generators")
-    p_dec.add_argument("modulus", type=int)
+    p_dec.add_argument("modulus", type=integer)
     add_common(p_dec, _cmd_ideal_decompose, ("file",))
 
     add_chain(ideal_sub, "chain", "build a chain with separator witnesses")
 
     p_probe = ideal_sub.add_parser("probe", help="randomized primality refutation search")
     p_probe.add_argument("spec")
-    p_probe.add_argument("--trials", type=int, default=100)
-    p_probe.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_probe.add_argument("--trials", type=integer, default=100)
+    p_probe.add_argument("--seed", type=integer, default=DEFAULT_SEED)
     add_common(p_probe, _cmd_ideal_probe, window=True)
 
     add_chain(sub, "chain", "alias for 'ideal chain'")
@@ -155,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-paper",
         help="run the full property-verification suite and print a report",
     )
-    p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.add_argument("--n", type=integer, default=None)
+    p_verify.add_argument("--seed", type=integer, default=DEFAULT_SEED)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=_cmd_verify, files=())
 
@@ -177,7 +184,7 @@ def _window(args) -> int:
     if args.n is not None:
         return args.n
     raw = os.environ.get(ENV_WINDOW, str(DEFAULT_N))
-    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+    if not seqfile.is_decimal(raw) or int(raw) < 1:
         raise ValueError(f"{ENV_WINDOW} must be a positive integer, not {raw!r}")
     return int(raw)
 
@@ -219,14 +226,17 @@ def _cmd_classify(args, _, f):
 
 
 def _cmd_ideal_member(args, spec, _, f):
+    from .ideals import member
     return member(spec, f).to_dict()
 
 
 def _cmd_ideal_quotient(args, name, f):
+    from .ideals import principal_quotient
     return principal_quotient(args.prime, f), f"{name}/delta_{args.prime}"
 
 
 def _cmd_ideal_decompose(args, name, f):
+    from .ideals import decompose_coprime_vanishing
     dec = decompose_coprime_vanishing(args.modulus, f)
     matches = dec.reconstruction() == f
     if args.format != "json":
@@ -244,6 +254,7 @@ def _cmd_ideal_decompose(args, name, f):
 
 
 def _cmd_chain(args, n):
+    from .ideals import chain
     report = chain(args.family, args.length, n)
     if args.dot:
         return report.to_dot() + "\n"
@@ -270,6 +281,7 @@ def _cmd_chain(args, n):
 
 
 def _cmd_ideal_probe(args, spec, n):
+    from .ideals import probe_prime
     verdict = probe_prime(spec, args.trials, args.seed, n)
     obj = verdict.to_dict()
     if verdict.elements and args.format == "json":

@@ -24,7 +24,7 @@ from .primes import factorize, is_prime, nth_prime, prime_power_fold, primes_upt
 from .ring import (_ZERO_ONE, ArithFunc, EXACT, NotDivisibleWitness, WindowError,
                    ZeroFunctionError, delta, indicator_shift, try_divide, zeros)
 from .sampling import random_func
-from .witness import MEMBER, NON_MEMBER, UNDECIDED, Witness
+from .witness import CHAIN_FAMILIES, MEMBER, NON_MEMBER, UNDECIDED, Witness
 
 
 class NotInIdealError(ValueError):
@@ -228,8 +228,6 @@ def decompose_coprime_vanishing(m: int, f: ArithFunc) -> Decomposition:
 
 
 # chains -----------------------------------------------------------------
-
-CHAIN_FAMILIES = ("P_ascending", "J_descending", "I_descending", "K_ascending")
 
 
 class ChainLink(NamedTuple):

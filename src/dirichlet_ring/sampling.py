@@ -2,13 +2,15 @@
 
 Entries are small rationals (numerator -3..3 over denominator 1..3) so
 that convolutions stay cheap and every failure reproduces from the seed.
-One entry is drawn as two rejection samples on ``rng.getrandbits``: 3
-bits until the value is below 7 for the numerator, then 2 bits until it
-is below 3 for the denominator.  That is how CPython's ``randint(-3, 3)``
-and ``randint(1, 3)`` draw, so the values and the generator's final
-state are those of the two ``randint`` calls.  Every such value is an
-integer number of sixths, so the samplers build narrow functions from
-integers over 6 and no entry becomes a Fraction.
+Entries come from one loop, ``_draws(rng, n)``, which binds
+``rng.getrandbits`` once and draws each entry as two rejection samples:
+3 bits until the value is below 7 for the numerator, then 2 bits until
+it is below 3 for the denominator.  That is how CPython's
+``randint(-3, 3)`` and ``randint(1, 3)`` draw, so the values and the
+generator's final state are those of n pairs of ``randint`` calls, and a
+single entry is ``_draws(rng, 1)[0]`` at the same point of the stream.
+Every such value is an integer number of sixths, so the samplers build
+narrow functions from integers over 6 and no entry becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -20,32 +22,37 @@ from operator import add
 from .primes import prime_power_fold
 from .ring import ArithFunc, EXACT
 
-# _draw gives a narrow scalar times 6, by its two draws: (i - 3) * 6 / (j + 1)
+# a narrow scalar times 6, by its two draws: (i - 3) * 6 / (j + 1)
 _NARROW = tuple(tuple((i - 3) * 6 // (j + 1) for j in range(3)) for i in range(7))
 _SIXTHS = {k: Fraction(k, 6) for k in range(-18, 19)}
 
 
-def _draw(rng: random.Random) -> int:
+def _draws(rng: random.Random, n: int) -> list[int]:
+    """n narrow scalars times 6, each as ``randint(-3, 3)`` over ``randint(1, 3)``."""
     bits = rng.getrandbits
-    i = bits(3)
-    while i == 7:
+    out = []
+    append = out.append
+    for _ in range(n):
         i = bits(3)
-    j = bits(2)
-    while j == 3:
+        while i == 7:
+            i = bits(3)
         j = bits(2)
-    return _NARROW[i][j]
+        while j == 3:
+            j = bits(2)
+        append(_NARROW[i][j])
+    return out
 
 
 def random_scalar(rng: random.Random) -> Fraction:
-    return _SIXTHS[_draw(rng)]
+    return _SIXTHS[_draws(rng, 1)[0]]
 
 
 def random_func(rng: random.Random, n: int) -> ArithFunc:
-    return ArithFunc._of([_draw(rng) for _ in range(n)], EXACT, 6)
+    return ArithFunc._of(_draws(rng, n), EXACT, 6)
 
 
 def random_nonzero(rng: random.Random, n: int) -> ArithFunc:
-    vals = [_draw(rng) for _ in range(n)]
+    vals = _draws(rng, n)
     if not any(vals):
         vals[rng.randrange(n)] = 6 * rng.choice((-3, -2, -1, 1, 2, 3))
     return ArithFunc._of(vals, EXACT, 6)
@@ -53,15 +60,15 @@ def random_nonzero(rng: random.Random, n: int) -> ArithFunc:
 
 def random_unit(rng: random.Random, n: int) -> ArithFunc:
     """Random function with a nonzero value at 1."""
-    vals = [_draw(rng) for _ in range(n)]
+    vals = _draws(rng, n)
     while not vals[0]:
-        vals[0] = _draw(rng)
+        vals[0] = _draws(rng, 1)[0]
     return ArithFunc._of(vals, EXACT, 6)
 
 
 def random_non_unit(rng: random.Random, n: int) -> ArithFunc:
     """Random nonzero function vanishing at 1."""
-    vals = [_draw(rng) for _ in range(n)]
+    vals = _draws(rng, n)
     vals[0] = 0
     if n > 1 and not any(vals):
         vals[1 + rng.randrange(n - 1)] = 6 * rng.choice((-3, -2, -1, 1, 2, 3))
@@ -74,14 +81,14 @@ def random_with_norm(rng: random.Random, n: int, norm: int) -> ArithFunc:
         raise ValueError(f"norm {norm} must lie in the window 1..{n}")
     vals = [0] * (norm - 1)
     vals.append(6 * rng.choice((-3, -2, -1, 1, 2, 3)) // rng.randint(1, 3))
-    vals.extend(_draw(rng) for _ in range(n - norm))
+    vals.extend(_draws(rng, n - norm))
     return ArithFunc._of(vals, EXACT, 6)
 
 
 def random_in_ideal(rng: random.Random, spec, n: int) -> ArithFunc:
     """Random member: sample freely, then zero out the constrained indices,
     the tuple ``spec.constrained_indices(n)`` caches per (spec, window)."""
-    vals = [_draw(rng) for _ in range(n)]
+    vals = _draws(rng, n)
     for idx in spec.constrained_indices(n):
         vals[idx - 1] = 0
     return ArithFunc._of(vals, EXACT, 6)
@@ -93,8 +100,9 @@ def random_additive(rng: random.Random, n: int) -> ArithFunc:
     assigned: dict[tuple[int, int], int] = {}
 
     def value_at(p: int, a: int) -> int:
-        if (p, a) not in assigned:
-            assigned[(p, a)] = _draw(rng)
-        return assigned[(p, a)]
+        v = assigned.get((p, a))
+        if v is None:
+            v = assigned[(p, a)] = _draws(rng, 1)[0]
+        return v
 
     return ArithFunc._of(prime_power_fold(n, value_at, add, 0), EXACT, 6)

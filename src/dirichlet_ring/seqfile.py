@@ -12,21 +12,29 @@ of its two decimal strings, a float value its ``repr`` (what ``json``
 writes), and the name goes through ``json.dumps``, so its escaping is
 ``json``'s.  ``json.dumps`` with an indent runs CPython's pure-Python
 encoder, several times slower than this at tens of thousands of values.
+
+The reader takes a decimal string only as an optional sign and ASCII
+digits (:func:`is_decimal`), and reads an exact file as its numerators
+over the lcm of its denominators, the stored form, with no ``Fraction``
+per value unless that lcm passes 64 bits.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from fractions import Fraction
 from itertools import chain, repeat
 from pathlib import Path
 
 from .ring import ArithFunc, EXACT, FLOAT
 
-# int() would also take whitespace, underscores and non-ASCII digits
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+def is_decimal(text: str) -> bool:
+    """Whether ``text`` is an optional sign followed by ASCII digits: the
+    one form of integer read from outside the program.  ``int`` would
+    also take whitespace, underscores and non-ASCII digits."""
+    return text.isascii() and (text.isdigit() or text[:1] in "+-" and text[1:].isdigit())
 
 
 def _string_pairs(f: ArithFunc):
@@ -114,17 +122,23 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
             raise ValueError("each float value must be a JSON number")
         return name, ArithFunc(raw, FLOAT)
-    # one pass for the shape, one for the strings; a single regex over the
-    # joined strings is faster, but re keeps state for every repeat of a
-    # group, about 15 MB at 65536 values
+    # one pass for the shape, one for the strings
     if not all(isinstance(v, list) and len(v) == 2 and isinstance(v[0], str) and isinstance(v[1], str)
-               for v in raw) or not all(map(_DECIMAL.fullmatch, chain.from_iterable(raw))):
+               for v in raw) or not all(map(is_decimal, chain.from_iterable(raw))):
         raise ValueError("each exact value must be a [numerator, denominator] pair of decimal strings")
-    try:  # integers stay ints, so a file of them is stored with no Fraction
-        values = [int(num) if den == "1" else Fraction(int(num), int(den)) for num, den in raw]
-    except ZeroDivisionError:
-        raise ValueError("an exact value has denominator 0") from None
-    return name, ArithFunc(values, EXACT)
+    # the numerators over the lcm of the distinct denominators, the stored
+    # form ArithFunc._of reduces, unless that lcm passes 64 bits
+    dens = {text: int(text) for text in {den for _, den in raw}}
+    if 0 in dens.values():
+        raise ValueError("an exact value has denominator 0")
+    common = 1
+    for d in dens.values():
+        if common % d:
+            common = math.lcm(common, d)
+            if common.bit_length() > 64:
+                return name, ArithFunc([Fraction(int(num), dens[den]) for num, den in raw], EXACT)
+    scale = {text: common // d for text, d in dens.items()}
+    return name, ArithFunc._of([int(num) * scale[den] for num, den in raw], EXACT, common)
 
 
 def load(path: str | Path) -> tuple[str, ArithFunc]:

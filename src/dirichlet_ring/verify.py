@@ -8,7 +8,6 @@ A failed check names the statement it was validating.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import NamedTuple
 
@@ -16,6 +15,7 @@ from . import ideals, sampling, structure, zoo
 from .ideals import IdealSpec, chain, divisibility_depth, member, probe_prime, probe_semiprime
 from .primes import factorize
 from .ring import (
+    EXACT,
     ArithFunc,
     NonUnitError,
     NotDivisibleWitness,
@@ -137,12 +137,30 @@ def _check_integral_domain(ctx: _Ctx) -> str:
     return "20 nonzero pairs with visible norm product: products all nonzero"
 
 
+def _idempotents(window: int) -> list[tuple[int, ...]]:
+    """Every f with entries in {-1, 0, 1} and f * f = f on 1..window.
+
+    Entry k of f * f reads f only at divisors of k, so the prefix of an
+    idempotent on 1..k is itself idempotent at window k.  Growing the
+    idempotent prefixes one index at a time therefore meets every
+    idempotent among all 3**window candidates, while testing only three
+    extensions of each prefix.
+    """
+    found = [()]
+    for k in range(1, window + 1):
+        longer = []
+        for prefix in found:
+            for v in (-1, 0, 1):
+                t = prefix + (v,)
+                if dirichlet_product(t, t, k, 0)[-1] == v:
+                    longer.append(t)
+        found = longer
+    return found
+
+
 def _check_no_idempotents(ctx: _Ctx) -> str:
     window = 8
-    found = []
-    for tail in itertools.product((-1, 0, 1), repeat=window):
-        if tuple(dirichlet_product(tail, tail, window, 0)) == tail:
-            found.append(tail)
+    found = _idempotents(window)
     zero = (0,) * window
     e = (1,) + (0,) * (window - 1)
     _require(sorted(found) == sorted([zero, e]), f"unexpected idempotents: {found}")
@@ -346,10 +364,10 @@ def _check_semiprime(ctx: _Ctx) -> str:
     _require(verdict.verdict == NON_MEMBER, "no witness that P_{6,1} is not prime")
     count = 0
     for _ in range(8):
-        vals = [sampling.random_scalar(ctx.rng) for _ in range(ctx.n)]
+        vals = sampling._draws(ctx.rng, ctx.n)  # in sixths
         vals[0] = 0
-        vals[1] = ctx.rng.choice((1, 2, 3))
-        f = ArithFunc(vals)
+        vals[1] = 6 * ctx.rng.choice((1, 2, 3))
+        f = ArithFunc._of(vals, EXACT, 6)
         w = probe_semiprime(6, 1, f, rmax=2, window=ctx.n)
         _require(w.verdict == NON_MEMBER, "powers entered the ideal")
         count += 1

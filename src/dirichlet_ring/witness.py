@@ -1,4 +1,6 @@
-"""Structured verdicts shared by the membership oracles and probes.
+"""Structured verdicts shared by the membership oracles and probes, and
+the names of the chain families, which the command line offers without
+loading the ideal code.
 
 A witness never claims more than the truncation window can show:
 ``member`` and ``non_member`` are verdicts about the window, and
@@ -13,6 +15,8 @@ from typing import NamedTuple
 MEMBER = "member"
 NON_MEMBER = "non_member"
 UNDECIDED = "undecided_at_truncation"
+
+CHAIN_FAMILIES = ("P_ascending", "J_descending", "I_descending", "K_ascending")
 
 
 class Witness(NamedTuple):

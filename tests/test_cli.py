@@ -273,6 +273,55 @@ def test_spec_error_comes_before_file_and_window_errors(capsys, monkeypatch, arg
     assert err == "error: cannot parse ideal spec 'BADSPEC'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "mobius", "--n", "1_0"],
+    ["gen", "mobius", "--n", "\u0663"],
+    ["gen", "mobius", "--n", " 3"],
+    ["gen", "delta", "--param", "2_0", "--n", "32"],
+    ["chain", "P_ascending", "--length", "\u0664"],
+    ["ideal", "probe", "P:6", "--trials", "1_0"],
+    ["ideal", "probe", "P:6", "--seed", "+-1"],
+    ["verify-paper", "--n", "6_4"],
+    ["verify-paper", "--seed", "\u0661"],
+    ["ideal", "quotient", "2_0", "f.json"],
+    ["ideal", "decompose", "\u0666", "f.json"],
+])
+def test_malformed_integer_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid integer value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["P:1_0", "P:\u0666", "J:2,,3", "J:~2,\u0663", "I:5,6", "K:", "P:6,_1"])
+def test_malformed_spec_number_is_a_one_line_error(tmp_path, capsys, spec):
+    path = tmp_path / "f.json"
+    save(generate("unit_u", 8), path)
+    for argv in (["ideal", "probe", spec, "--n", "8"], ["ideal", "member", spec, str(path)]):
+        err = _assert_one_line_error(capsys, main(argv))
+        assert err == f"error: cannot parse ideal spec {spec!r}\n"
+
+
+def test_spec_numbers_may_carry_a_sign_and_spaces():
+    assert parse_ideal_spec("P: +6 , 1") == IdealSpec.gcd_count(6, 1)
+    assert parse_ideal_spec("J:~ 2, 3") == IdealSpec.prime_products((2, 3), complement=True)
+
+
+@pytest.mark.parametrize("raw", ["1_0", "\u0663", " 8", "-4"])
+def test_malformed_env_window_is_a_one_line_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("DIRICHLET_N", raw)
+    err = _assert_one_line_error(capsys, main(["gen", "unit_u"]))
+    assert err == f"error: DIRICHLET_N must be a positive integer, not {raw!r}\n"
+
+
+def test_unknown_chain_family_is_argparses_usage_error():
+    result = run_cli_subprocess("chain", "bogus")
+    assert result.returncode == 2
+    assert result.stderr.decode().splitlines()[-1] == (
+        "dirichlet chain: error: argument family: invalid choice: 'bogus' (choose from "
+        "'P_ascending', 'J_descending', 'I_descending', 'K_ascending')")
+
+
 def test_three_part_coprime_spec_is_a_one_line_error(capsys):
     err = _assert_one_line_error(capsys, main(["ideal", "probe", "P:1,2,3", "--n", "8"]))
     assert err == "error: P takes one parameter (P:m) or two (P:m,k)\n"

@@ -1,8 +1,11 @@
 """The narrow-scalar sampler against the two-``randint`` draw it replaces."""
 
 import random
+from fractions import Fraction
 
-from dirichlet_ring.sampling import random_scalar
+import pytest
+
+from dirichlet_ring.sampling import _draws, random_scalar
 
 from oracles import randint_scalar
 
@@ -15,3 +18,11 @@ def test_random_scalar_matches_two_randint_draws():
         randint_scalar(ref) for _ in range(200_000)
     ]
     assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1000])
+def test_draws_match_n_pairs_of_randint_draws(n):
+    for seed in range(50):
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert [Fraction(k, 6) for k in _draws(ours, n)] == [randint_scalar(ref) for _ in range(n)]
+        assert ours.getstate() == ref.getstate()

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichlet_ring import EXACT, FLOAT, ArithFunc
+from dirichlet_ring import EXACT, FLOAT, ArithFunc, seqfile
 from dirichlet_ring.seqfile import (
     dumps,
     from_json_obj,
+    is_decimal,
     load,
     render,
     save,
@@ -140,6 +141,54 @@ def test_loader_rejects_zero_denominator():
     obj = {"name": "bad", "mode": "exact", "n": 1, "values": [["1", "0"]]}
     with pytest.raises(ValueError):
         from_json_obj(obj)
+
+
+@pytest.mark.parametrize("den", ["-0", "00", "+0"])
+def test_loader_rejects_every_spelling_of_a_zero_denominator(den):
+    obj = {"name": "bad", "mode": "exact", "n": 2, "values": [["1", "3"], ["1", den]]}
+    with pytest.raises(ValueError, match="^an exact value has denominator 0$"):
+        from_json_obj(obj)
+
+
+@pytest.mark.parametrize("text", ["+-5", "-+5", "_5", " 5", "5 ", "5_0", "", "+", "-", "\u00b2",
+                                  "\u0663", "\u0661\u0662", "\u06f5", "0x10", "1e3"])
+def test_malformed_decimal_strings_are_rejected(text):
+    assert not is_decimal(text)
+    good = ["1", "1"]
+    for pair in ([text, "1"], ["1", text]):
+        obj = {"name": "bad", "mode": "exact", "n": 2, "values": [good, pair]}
+        with pytest.raises(ValueError, match="pair of decimal strings"):
+            from_json_obj(obj)
+
+
+@pytest.mark.parametrize("text", ["0", "7", "+5", "-5", "007", "-0", "123456789012345678901234567890"])
+def test_decimal_strings_are_accepted(text):
+    assert is_decimal(text)
+
+
+P64, Q64 = 4294967291, 4294967279  # primes whose product has 64 bits
+
+STORED_FORM_FILES = {
+    "unreduced_pairs": [["2", "4"], ["3", "6"], ["-4", "8"], ["6", "3"], ["0", "9"]],
+    "negative_denominator": [["1", "-3"], ["2", "1"], ["-5", "-6"], ["4", "-2"]],
+    "all_ones": [["1", "1"], ["-7", "1"], ["0", "1"], ["+3", "1"]],
+    "all_zero": [["0", "5"], ["0", "-7"]],
+    "lcm_at_64_bits": [["5", str(P64 * Q64)], ["1", str(P64)], ["-2", str(Q64)], ["3", "1"]],
+    "lcm_past_64_bits": [["5", str(P64 * Q64)], ["1", str(P64)], ["-2", str(Q64)], ["1", "2"]],
+    "unreduced_past_64_bits": [["2", str(2 * P64 * Q64)], ["1", str(P64)]],
+}
+
+
+@pytest.mark.parametrize("pairs", STORED_FORM_FILES.values(), ids=STORED_FORM_FILES.keys())
+def test_loader_stores_what_the_constructor_stores(pairs, monkeypatch):
+    ref = ArithFunc([Fraction(int(a), int(b)) for a, b in pairs], EXACT)
+    obj = {"name": "x", "mode": EXACT, "n": len(pairs), "values": pairs}
+    lcm = math.lcm(*(abs(int(b)) for _, b in pairs))
+    if lcm.bit_length() <= 64:  # integers over that lcm, with no Fraction built
+        monkeypatch.setattr(seqfile, "Fraction", None)
+    _, f = from_json_obj(obj)
+    assert (f.mode, f._den, f._values) == (ref.mode, ref._den, ref._values)
+    assert f == ref and hash(f) == hash(ref)
 
 
 def test_loader_normalizes_fractions():

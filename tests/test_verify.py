@@ -2,12 +2,13 @@
 its pinned report."""
 
 import hashlib
+import itertools
 
 import pytest
 
 from dirichlet_ring import verify
 from dirichlet_ring.ideals import IdealSpec
-from dirichlet_ring.ring import ArithFunc
+from dirichlet_ring.ring import ArithFunc, dirichlet_product
 
 
 def test_run_all_records_a_crashing_check_and_goes_on(monkeypatch):
@@ -49,6 +50,28 @@ def test_shared_candidates_are_named_in_failures():
 def test_seed_63_passes_every_check():
     # the P_6 probe once refuted primality here from a violation at index 65
     assert all(r.passed for r in verify.run_all(64, 63))
+
+
+@pytest.mark.parametrize("window", range(1, 9))
+def test_pruned_idempotent_search_matches_brute_force(window):
+    brute = [t for t in itertools.product((-1, 0, 1), repeat=window)
+             if tuple(dirichlet_product(t, t, window, 0)) == t]
+    assert sorted(verify._idempotents(window)) == sorted(brute)
+
+
+def test_idempotent_check_takes_few_products(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return dirichlet_product(*args)
+
+    monkeypatch.setattr(verify, "dirichlet_product", counted)
+    detail = verify._check_no_idempotents(verify._Ctx(64, 0, "idempotents"))
+    assert detail == "exhaustive window-8 search over 6561 candidates: only 0 and e"
+    # each of the two idempotent prefixes (0 and e) at windows 1..7 is
+    # tried with all three next entries, after the three one-entry candidates
+    assert len(calls) == 3 + 7 * 2 * 3
 
 
 @pytest.mark.parametrize("seed, digest", [
