@@ -259,24 +259,14 @@ def _cmd_chain(args, n):
     if args.dot:
         return report.to_dot() + "\n"
     if args.format != "json":
-        lines = [f"family: {report.family}"]
-        for link in report.links:
-            lines.append(
-                f"{link.smaller.label()} < {link.larger.label()}"
-                f"  (separator {link.separator_label})"
-            )
-        return "\n".join(lines) + "\n"
+        return "".join([f"family: {report.family}\n"] + [
+            f"{link.smaller.label()} < {link.larger.label()}  (separator {link.separator_label})\n"
+            for link in report.links])
     return {
         "family": report.family,
         "specs": [s.label() for s in report.specs],
-        "links": [
-            {
-                "smaller": link.smaller.label(),
-                "larger": link.larger.label(),
-                "separator": link.separator_label,
-            }
-            for link in report.links
-        ],
+        "links": [{"smaller": link.smaller.label(), "larger": link.larger.label(),
+                   "separator": link.separator_label} for link in report.links],
     }
 
 
@@ -332,7 +322,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return status
-    except (ValueError, OSError, IndexError) as exc:
+    except (ValueError, OSError, IndexError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
 

@@ -16,7 +16,8 @@ encoder, several times slower than this at tens of thousands of values.
 The reader takes a decimal string only as an optional sign and ASCII
 digits (:func:`is_decimal`), and reads an exact file as its numerators
 over the lcm of its denominators, the stored form, with no ``Fraction``
-per value unless that lcm passes 64 bits.
+per value unless ``ring.shared_denominator``, the ring's one rule for
+the stored form, gives that lcm up.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from pathlib import Path
 
-from .ring import ArithFunc, EXACT, FLOAT
+from .ring import ArithFunc, EXACT, FLOAT, shared_denominator
 
 
 def is_decimal(text: str) -> bool:
@@ -127,23 +128,23 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
                for v in raw) or not all(map(is_decimal, chain.from_iterable(raw))):
         raise ValueError("each exact value must be a [numerator, denominator] pair of decimal strings")
     # the numerators over the lcm of the distinct denominators, the stored
-    # form ArithFunc._of reduces, unless that lcm passes 64 bits
+    # form ArithFunc._of reduces, unless ring's rule stores Fractions
     dens = {text: int(text) for text in {den for _, den in raw}}
     if 0 in dens.values():
         raise ValueError("an exact value has denominator 0")
-    common = 1
-    for d in dens.values():
-        if common % d:
-            common = math.lcm(common, d)
-            if common.bit_length() > 64:
-                return name, ArithFunc([Fraction(int(num), dens[den]) for num, den in raw], EXACT)
+    common = shared_denominator(dens.values())
+    if common is None:
+        return name, ArithFunc([Fraction(int(num), dens[den]) for num, den in raw], EXACT)
     scale = {text: common // d for text, d in dens.items()}
     return name, ArithFunc._of([int(num) * scale[den] for num, den in raw], EXACT, common)
 
 
 def load(path: str | Path) -> tuple[str, ArithFunc]:
     with open(path, "r", encoding="utf-8") as handle:
-        return from_json_obj(json.load(handle))
+        try:
+            return from_json_obj(json.load(handle))
+        except RecursionError:  # json's parser recurses once per nested array or object
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def save(f: ArithFunc, path: str | Path, name: str = "sequence") -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import gcd
 from typing import NamedTuple
 
 from .primes import is_prime, primes_upto
@@ -53,10 +54,12 @@ def classify(f: ArithFunc) -> ElementReport:
     if c is None:
         raise ZeroFunctionError("cannot classify the zero window")
     is_unit = c == 1
-    if is_additive(f).is_member:
-        additive_class = (
-            COMPLETELY_ADDITIVE if is_completely_additive(f).is_member else ADDITIVE
-        )
+    # both scans take the pairs in one order: a first failure at a coprime pair is the first coprime one
+    complete = is_completely_additive(f)
+    if complete.is_member:
+        additive_class = COMPLETELY_ADDITIVE
+    elif gcd(*complete.pair) > 1 and is_additive(f).is_member:
+        additive_class = ADDITIVE
     else:
         additive_class = NOT_ADDITIVE
     return ElementReport(

@@ -116,15 +116,13 @@ def _check_essential(ctx: _Ctx) -> str:
 
 def _check_norm_homomorphism(ctx: _Ctx) -> str:
     _require(identity(ctx.n).norm() == 1, "norm(e) != 1")
-    count = 0
     for _ in range(25):
         i = ctx.rng.randint(1, 12)
         j = ctx.rng.randint(1, max(1, ctx.n // i // 2))
         f = sampling.random_with_norm(ctx.rng, ctx.n, i)
         g = sampling.random_with_norm(ctx.rng, ctx.n, j)
         _require(f.convolve(g).norm() == i * j, f"norm broke at {i} * {j}")
-        count += 1
-    return f"norm(e) = 1 and {count} random pairs multiply norms exactly"
+    return "norm(e) = 1 and 25 random pairs multiply norms exactly"
 
 
 def _check_integral_domain(ctx: _Ctx) -> str:
@@ -242,10 +240,7 @@ def _check_coprime_ideal_prime(ctx: _Ctx) -> str:
             continue
         k1, k2 = wf.index, wg.index
         if k1 * k2 <= ctx.n:
-            _require(
-                f.convolve(g)(k1 * k2) == f(k1) * g(k2),
-                "product witness identity failed",
-            )
+            _require(f.convolve(g)(k1 * k2) == f(k1) * g(k2), "product witness identity failed")
     return "40-trial probe finds no counterexample; product-witness identity holds"
 
 
@@ -268,8 +263,7 @@ def _check_generator_count(ctx: _Ctx) -> str:
             f = sampling.random_in_ideal(ctx.rng, spec, ctx.n)
             dec = ideals.decompose_coprime_vanishing(m, f)
             _require(dec.reconstruction() == f, f"reconstruction failed for m = {m}")
-        basis = [[g(q) for q in qs] for g in
-                 (delta(q, ctx.n) for q in qs)]
+        basis = [[g(q) for q in qs] for g in (delta(q, ctx.n) for q in qs)]
         expected = [[int(i == j) for j in range(len(qs))] for i in range(len(qs))]
         _require(basis == expected, "indicator evaluations are not the standard basis")
     return "12 members of P_6 and P_12 reconstruct exactly; evaluations give the standard basis"
@@ -287,9 +281,7 @@ def _check_not_bezout(ctx: _Ctx) -> str:
         if g(1):
             units += 1
             continue
-        divides_both = not isinstance(try_divide(d2, g), NotDivisibleWitness) and not isinstance(
-            try_divide(d3, g), NotDivisibleWitness
-        )
+        divides_both = not any(isinstance(try_divide(d, g), NotDivisibleWitness) for d in (d2, d3))
         _require(not divides_both, "a single non-unit divided both generators")
     return f"no common divisor among 100 candidates ({units} units rejected since P_6 is proper)"
 
@@ -362,7 +354,6 @@ def _check_semiprime(ctx: _Ctx) -> str:
     spec = IdealSpec.gcd_count(6, 1)
     verdict = probe_prime(spec, trials=0, seed=ctx.seed, window=ctx.n)
     _require(verdict.verdict == NON_MEMBER, "no witness that P_{6,1} is not prime")
-    count = 0
     for _ in range(8):
         vals = sampling._draws(ctx.rng, ctx.n)  # in sixths
         vals[0] = 0
@@ -370,8 +361,7 @@ def _check_semiprime(ctx: _Ctx) -> str:
         f = ArithFunc._of(vals, EXACT, 6)
         w = probe_semiprime(6, 1, f, rmax=2, window=ctx.n)
         _require(w.verdict == NON_MEMBER, "powers entered the ideal")
-        count += 1
-    return f"delta-pair witness refutes primality; {count} power chains stay outside as predicted"
+    return "delta-pair witness refutes primality; 8 power chains stay outside as predicted"
 
 
 def _check_semiprime_boundaries(ctx: _Ctx) -> str:
@@ -418,10 +408,7 @@ def _check_zoo_invertibility(ctx: _Ctx) -> str:
 def _check_mobius_inversion(ctx: _Ctx) -> str:
     n = ctx.n
     _require(zoo.mobius(n) == zoo.unit(n).invert(), "mu is not the inverse of u")
-    _require(
-        zoo.mobius(n).convolve(zoo.natural(n)) == zoo.euler_phi(n),
-        "mu * N differs from phi",
-    )
+    _require(zoo.mobius(n).convolve(zoo.natural(n)) == zoo.euler_phi(n), "mu * N differs from phi")
     return f"mu = u^-1 and mu * N = phi, exact on 1..{n}"
 
 

@@ -246,6 +246,24 @@ def test_malformed_sequence_file_is_a_one_line_error(tmp_path, capsys, payload):
     _assert_one_line_error(capsys, main(["norm", str(path)]))
 
 
+def test_deeply_nested_file_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    err = _assert_one_line_error(capsys, main(["norm", str(path)]))
+    assert "nested too deeply" in err
+
+
+# windows of at least 2**63 overflow an index before anything is allocated
+@pytest.mark.parametrize("argv", [
+    ["gen", "mobius"],
+    ["gen", "delta", "--param", "3"],
+    ["chain", "P_ascending"],
+    ["ideal", "probe", "K:3", "--trials", "0"],
+])
+def test_window_past_an_index_is_a_one_line_error(capsys, argv):
+    _assert_one_line_error(capsys, main(argv + ["--n", str(10**20)]))
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "unit_u", "--n", "0"],
     ["verify-paper", "--n", "0"],

@@ -149,9 +149,9 @@ FAULTS = {
 
 
 def _operand(rng, n, wide, norm=1):
-    """Entries -3..3 over 1, 2, 3 (narrow) or over two ~40-bit denominators
+    """Entries -3..3 over 1, 2, 3 (narrow) or over two ~100-bit denominators
     (wide, stored as Fractions), vanishing below ``norm`` and not at it."""
-    d = rng.randrange(1 << 39, 1 << 40)
+    d = rng.randrange(1 << 99, 1 << 100)
     dens = (d, d + 1) if wide else (1, 2, 3)
     vals = [Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(n)]
     vals[: norm] = [0] * (norm - 1) + [Fraction(rng.choice((-2, -1, 1, 2)), dens[0])]

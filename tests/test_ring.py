@@ -470,11 +470,14 @@ def test_exact_kernels_match_divisor_scan_oracles(n, a, lead, seed, k):
         assert list(f.invert().values) == divide_lists([1] + [0] * (n - 1), fv)
 
 
-def test_common_denominator_switch_at_64_bits():
-    # p*q has 64 bits, so f scales; one more entry over 2 makes the common
-    # denominator 65 bits, and f2 keeps the Fraction path
-    p, q = 4294967291, 4294967279
-    assert (p * q).bit_length() == 64
+P184, Q184 = 2**92 - 83, 2**92 - 149  # primes whose product has 184 bits
+
+
+def test_common_denominator_switch_at_184_bits(tmp_path, monkeypatch):
+    # p*q has 184 bits, so f scales; one more entry over 2 makes the common
+    # denominator 185 bits, and f2 keeps the Fraction path
+    p, q = P184, Q184
+    assert (p * q).bit_length() == 184
     n = 64
     rng = random.Random(43)
     base = [Fraction(rng.randint(-3, 3), rng.choice((1, p, q))) for _ in range(n)]
@@ -483,6 +486,24 @@ def test_common_denominator_switch_at_64_bits():
     f2 = ArithFunc(base[:-1] + [Fraction(1, 2)], EXACT)
     assert f._den == p * q
     assert f2._den is None
+    # kernel results on both sides: a product over p*q, and over 2*p*q
+    over_p = [Fraction(rng.randint(-3, 3), p) for _ in range(n)]
+    over_q = ArithFunc([Fraction(1, q)] + [Fraction(rng.randint(-3, 3), q) for _ in range(n - 1)])
+    for lead, den in ((Fraction(1, p), p * q), (Fraction(1, 2 * p), None)):
+        xv = [lead] + over_p[1:]
+        product = ArithFunc(xv) * over_q
+        assert product._den == den
+        assert list(product.values) == convolve_lists(xv, list(over_q.values))
+        assert try_divide(product, over_q) == ArithFunc(xv)
+    # the loader, with no Fraction built for the narrow file
+    seqfile.save(f, tmp_path / "f.json")
+    seqfile.save(f2, tmp_path / "f2.json")
+    f2_loaded = seqfile.load(tmp_path / "f2.json")[1]
+    monkeypatch.setattr(seqfile, "Fraction", None)
+    f_loaded = seqfile.load(tmp_path / "f.json")[1]
+    assert (f_loaded._den, f_loaded._values) == (f._den, f._values)
+    assert (f2_loaded._den, f2_loaded._values) == (None, f2._values)
+    monkeypatch.undo()
     g = random_unit(rng, n)
     for x in (f, f2):
         xv = list(x.values)
@@ -507,8 +528,8 @@ def test_common_denominator_switch_at_64_bits():
     st.integers(1, 200),
 )
 def test_pair_path_matches_divisor_scan_oracles(n, a, wide, seed, k):
-    # 32-bit denominators on at least three nonzero entries push the
-    # common denominator past 64 bits, so the wide operands (f, g or both)
+    # 96-bit denominators on at least three nonzero entries push the
+    # common denominator past 184 bits, so the wide operands (f, g or both)
     # run on unreduced pairs; a narrow one scales on its own but is
     # lifted to pairs with its partner
     rng = random.Random(seed)
@@ -516,7 +537,7 @@ def test_pair_path_matches_divisor_scan_oracles(n, a, wide, seed, k):
 
     def entries(length, is_wide):
         if is_wide:
-            return [Fraction(rng.getrandbits(40) - (1 << 39) or 1, rng.randrange(1 << 31, 1 << 32))
+            return [Fraction(rng.getrandbits(40) - (1 << 39) or 1, rng.randrange(1 << 95, 1 << 96))
                     for _ in range(length)]
         return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(length)]
 
@@ -556,13 +577,13 @@ def test_pair_path_matches_divisor_scan_oracles(n, a, wide, seed, k):
 def assert_stored_form(x, values):
     """x equals and hashes like ArithFunc of these values, hands them out as
     Fractions, and stores the form their common denominator d chooses:
-    the integers d*v over d up to 64 bits, the Fractions past that."""
+    the integers d*v over d up to 184 bits, the Fractions past that."""
     fractions = tuple(Fraction(v) for v in values)
     ref = ArithFunc(fractions, EXACT)
     assert x == ref and hash(x) == hash(ref)
     assert x.values == fractions and all(type(v) is Fraction for v in x.values)
     d = math.lcm(*(v.denominator for v in fractions))
-    if d.bit_length() <= 64:
+    if d.bit_length() <= 184:
         assert (x._values, x._den) == (tuple(int(v * d) for v in fractions), d)
         assert all(type(v) is int for v in x._values)
     else:
@@ -572,9 +593,9 @@ def assert_stored_form(x, values):
 def _entries(rng, n, width):
     if width == "narrow":
         return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-    # two ~40-bit denominators pass 64 bits together; only one of them
+    # two ~100-bit denominators pass 184 bits together; only one of them
     # may appear, and then the values are narrow again
-    dens = (rng.randrange(1 << 39, 1 << 40), rng.randrange(1 << 39, 1 << 40))
+    dens = (rng.randrange(1 << 99, 1 << 100), rng.randrange(1 << 99, 1 << 100))
     return [Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(n)]
 
 

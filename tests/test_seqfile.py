@@ -54,9 +54,9 @@ def test_large_numerators_survive():
     assert from_json_obj(to_json_obj(f))[1] == f
 
 
-# stored as integers over 6, and as Fractions (two ~40-bit denominators)
+# stored as integers over 6, and as Fractions (two ~100-bit denominators)
 NARROW_SIXTHS = ArithFunc([Fraction(1, 6), Fraction(-1, 2), Fraction(2, 3), 0, -1, Fraction(5, 6)])
-WIDE = ArithFunc([Fraction(1, 2**40 + 1), Fraction(-3, 2**41 + 3), 7, 0])
+WIDE = ArithFunc([Fraction(1, 2**100 + 1), Fraction(-3, 2**101 + 3), 7, 0])
 
 
 def test_csv_is_one_comma_separated_row():
@@ -64,7 +64,7 @@ def test_csv_is_one_comma_separated_row():
     assert to_csv(ArithFunc([Fraction(1, 3), 2])) == "1/3,2\n"
     assert NARROW_SIXTHS._den == 6 and WIDE._den is None
     assert to_csv(NARROW_SIXTHS) == "1/6,-1/2,2/3,0,-1,5/6\n"
-    assert to_csv(WIDE) == "1/1099511627777,-3/2199023255555,7,0\n"
+    assert to_csv(WIDE) == "1/1267650600228229401496703205377,-3/2535301200456458802993406410755,7,0\n"
 
 
 def test_table_lists_index_value_pairs():
@@ -77,7 +77,7 @@ def test_table_lists_index_value_pairs():
         "# t (mode=exact, n=6)\n1  1/6\n2  -1/2\n3  2/3\n4  0\n5  -1\n6  5/6\n"
     )
     assert to_table(WIDE, "t") == (
-        "# t (mode=exact, n=4)\n1  1/1099511627777\n2  -3/2199023255555\n3  7\n4  0\n"
+        "# t (mode=exact, n=4)\n1  1/1267650600228229401496703205377\n2  -3/2535301200456458802993406410755\n3  7\n4  0\n"
     )
 
 
@@ -167,6 +167,7 @@ def test_decimal_strings_are_accepted(text):
 
 
 P64, Q64 = 4294967291, 4294967279  # primes whose product has 64 bits
+P184, Q184 = 2**92 - 83, 2**92 - 149  # primes whose product has 184 bits
 
 STORED_FORM_FILES = {
     "unreduced_pairs": [["2", "4"], ["3", "6"], ["-4", "8"], ["6", "3"], ["0", "9"]],
@@ -176,6 +177,9 @@ STORED_FORM_FILES = {
     "lcm_at_64_bits": [["5", str(P64 * Q64)], ["1", str(P64)], ["-2", str(Q64)], ["3", "1"]],
     "lcm_past_64_bits": [["5", str(P64 * Q64)], ["1", str(P64)], ["-2", str(Q64)], ["1", "2"]],
     "unreduced_past_64_bits": [["2", str(2 * P64 * Q64)], ["1", str(P64)]],
+    "lcm_at_184_bits": [["5", str(P184 * Q184)], ["1", str(P184)], ["-2", str(Q184)], ["3", "1"]],
+    "lcm_past_184_bits": [["5", str(P184 * Q184)], ["1", str(P184)], ["-2", str(Q184)], ["1", "2"]],
+    "unreduced_past_184_bits": [["2", str(2 * P184 * Q184)], ["1", str(P184)]],
 }
 
 
@@ -184,7 +188,7 @@ def test_loader_stores_what_the_constructor_stores(pairs, monkeypatch):
     ref = ArithFunc([Fraction(int(a), int(b)) for a, b in pairs], EXACT)
     obj = {"name": "x", "mode": EXACT, "n": len(pairs), "values": pairs}
     lcm = math.lcm(*(abs(int(b)) for _, b in pairs))
-    if lcm.bit_length() <= 64:  # integers over that lcm, with no Fraction built
+    if lcm.bit_length() <= 184:  # integers over that lcm, with no Fraction built
         monkeypatch.setattr(seqfile, "Fraction", None)
     _, f = from_json_obj(obj)
     assert (f.mode, f._den, f._values) == (ref.mode, ref._den, ref._values)
@@ -208,9 +212,9 @@ def test_json_text_is_valid_json(tmp_path):
 exact_funcs = st.lists(st.fractions(), min_size=1, max_size=12).map(
     lambda vs: ArithFunc(vs, EXACT)
 )
-# a 66-bit denominator makes the function wide (stored as Fractions)
+# a 186-bit denominator makes the function wide (stored as Fractions)
 wide_funcs = st.lists(st.fractions(), max_size=11).map(
-    lambda vs: ArithFunc([Fraction(-1, 2**65 + 1), *vs], EXACT)
+    lambda vs: ArithFunc([Fraction(-1, 2**185 + 1), *vs], EXACT)
 )
 float_funcs = st.lists(
     st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12

@@ -4,10 +4,12 @@ group."""
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from dirichlet_ring import (
+    EXACT,
     ArithFunc,
     ZeroFunctionError,
     check_nonprime_norm_product,
@@ -18,7 +20,9 @@ from dirichlet_ring import (
     units_group_probe,
     zeros,
 )
-from dirichlet_ring.sampling import random_non_unit, random_nonzero
+from dirichlet_ring import zoo
+from dirichlet_ring.primes import prime_power_fold
+from dirichlet_ring.sampling import random_additive, random_non_unit, random_nonzero
 from dirichlet_ring.structure import (
     ADDITIVE,
     CERT_COMPOSITE_NEXT,
@@ -30,7 +34,8 @@ from dirichlet_ring.structure import (
     nonunit_product_profiles,
 )
 from dirichlet_ring.witness import MEMBER
-from dirichlet_ring.zoo import big_omega, liouville, mangoldt, mobius
+from dirichlet_ring.zoo import (FUNCTION_TAGS, big_omega, generate, is_additive,
+                                is_completely_additive, liouville, mangoldt, mobius)
 
 from oracles import convolve_lists
 
@@ -66,6 +71,42 @@ def test_classify_additive_classes():
     from dirichlet_ring.zoo import distinct_prime_count
 
     assert classify(distinct_prime_count(32)).additive_class == ADDITIVE
+
+
+def _additive_class(f):
+    """The class the two scans give, each run on its own."""
+    if is_completely_additive(f).is_member:
+        return COMPLETELY_ADDITIVE
+    return ADDITIVE if is_additive(f).is_member else NOT_ADDITIVE
+
+
+def _additive_samples(rng, n):
+    """Additive, completely additive and perturbed functions on 1..n."""
+    c = {p: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for p in range(2, n + 1)}
+    complete = ArithFunc(prime_power_fold(n, lambda p, a: a * c[p], add, 0), EXACT)
+    for f in (random_additive(rng, n), complete):
+        yield f
+        k = rng.randint(1, n)
+        yield f + delta(k, n)
+
+
+def test_classify_agrees_with_both_scans():
+    rng = random.Random(12)
+    cases = [generate(tag, 64, param) for tag in FUNCTION_TAGS
+             for param in ((2, 3, 7) if tag in ("delta", "p_adic_valuation") else (None,))]
+    cases += [f for _ in range(20) for f in _additive_samples(rng, rng.randint(1, 80))]
+    for f in cases:
+        if not f.is_zero():
+            assert classify(f).additive_class == _additive_class(f), f
+
+
+def test_completely_additive_input_costs_one_scan(monkeypatch):
+    calls = []
+    scan = zoo._scan_pairs
+    monkeypatch.setattr(zoo, "_scan_pairs", lambda f, coprime_only: calls.append(coprime_only)
+                        or scan(f, coprime_only))
+    assert classify(big_omega(256)).additive_class == COMPLETELY_ADDITIVE
+    assert calls == [False]
 
 
 def test_classify_rejects_zero():
