@@ -180,13 +180,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _window(args) -> int:
-    """The --n window, else the environment's, else DEFAULT_N."""
+    """The --n window, else the environment's, else DEFAULT_N.  No list
+    can be indexed past sys.maxsize, so a larger window is refused here."""
     if args.n is not None:
-        return args.n
-    raw = os.environ.get(ENV_WINDOW, str(DEFAULT_N))
-    if not seqfile.is_decimal(raw) or int(raw) < 1:
-        raise ValueError(f"{ENV_WINDOW} must be a positive integer, not {raw!r}")
-    return int(raw)
+        n, source = args.n, "--n"
+    else:
+        raw = os.environ.get(ENV_WINDOW, str(DEFAULT_N))
+        if not seqfile.is_decimal(raw) or int(raw) < 1:
+            raise ValueError(f"{ENV_WINDOW} must be a positive integer, not {raw!r}")
+        n, source = int(raw), ENV_WINDOW
+    if n > sys.maxsize:
+        raise ValueError(f"{source} must be at most {sys.maxsize}, not {n}")
+    return n
 
 
 def _cmd_gen(args, n):
@@ -324,6 +329,9 @@ def main(argv=None) -> int:
         return status
     except (ValueError, OSError, IndexError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return COMPUTE_ERROR
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
         return COMPUTE_ERROR
 
 

@@ -21,27 +21,37 @@ floats are float values, and a list of both needs ``mode=``; float mode
 converts exact values and rejects any that is not a finite double.
 Package code that holds the stored form builds with ``ArithFunc._of``.
 
-Two loops carry the whole ring.  :func:`dirichlet_product` is the
-convolution; every product in the package goes through it, and
-``ArithFunc.power`` squares and multiplies through ``ArithFunc.convolve``.
-``_solve`` is the standard recursion for f * g = h (Apostol,
-*Introduction to Analytic Number Theory*, ch. 2) run in sieve order:
-once g(m) is known, f(i) g(m) is pushed into the accumulator at index
-i*m, so no index ever searches for its divisors.  Inversion is the quotient of e by f, and
-exact division is the same recursion plus a scan for the first index it
-cannot match.  Narrow operands run the loops on their integers, and a
-narrow result is put in lowest terms by one gcd.  When an operand is
-wide, all run on unreduced numerator/denominator pairs (``_Pair``),
-which put off the gcds that every Fraction operation takes (Knuth,
-TAOCP vol. 2, 4.5.1); the recursion reduces each solved value once.
+Two loops carry the whole ring, and both run as strided slice passes:
+``_step`` adds a column times one scalar into every m-th entry of an
+accumulator at C level, and holds all the per-type arithmetic.
+``_product`` is the convolution, split by Dirichlet's hyperbola method
+into one slice per i <= sqrt(n) and one per j <= n/(sqrt(n)+1); every
+product in the package goes through it, and ``ArithFunc.power`` squares
+and multiplies through ``ArithFunc.convolve``.  ``_solve`` is the
+standard recursion for f * g = h (Apostol, *Introduction to Analytic
+Number Theory*, ch. 2) run in sieve order and in blocks: a block of g
+reads only earlier blocks, so its values are solved together and then
+pushed into the accumulator at every i*m, and no index ever searches for
+its divisors.  Inversion is the quotient of e by f, and exact division
+is the same recursion plus a scan for the first index it cannot match.
+
+The loops run on column sets: a narrow operand's integers, a float
+function's values, or, when an operand is wide, numerator and
+denominator columns.  These are unreduced pairs, which put off the gcds
+that every Fraction operation takes (Knuth, TAOCP vol. 2, 4.5.1); the
+recursion reduces each solved value once.  A narrow result is put in
+lowest terms by one gcd.  Every entry sums its terms in the order of a
+term-by-term loop, ascending i in a product and ascending m in the
+recursion, so float results do not depend on how the slices are cut.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from math import gcd, inf, isfinite, lcm
-from typing import Iterable, NamedTuple, Sequence, Union
+from itertools import repeat
+from math import gcd, inf, isfinite, isqrt, lcm
+from operator import add, floordiv, mod, mul
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 EXACT = "exact"
 FLOAT = "float"
@@ -116,149 +126,196 @@ def _norm(values: Sequence, n: int) -> int | None:
     return next((i for i in range(1, n + 1) if values[i - 1]), None)
 
 
+def _step(acc: list, sl: slice, col: list, x: Sequence) -> None:
+    """acc[sl] += col * x, each column updated at C level.
+
+    A column set is a list of columns: one of values (ints, floats or
+    Fractions), or numerators and denominators > 0; x holds one value or
+    one (numerator, denominator) pair.  Pairs stay unreduced (Knuth,
+    TAOCP vol. 2, 4.5.1) except that, when a term's denominator can pass
+    64 bits, gcd(accumulator, term) is divided out of each denominator,
+    which keeps the accumulators from growing by the whole width of every
+    term: without it a wide invert at n=4096 took 200 ms instead of 82
+    (2-vCPU Xeon, Python 3.11).
+
+    A zero term leaves its accumulator as it is, except that 0.0 times
+    an inf or nan in the column is nan, as in IEEE arithmetic.
+    """
+    if len(x) == 1:
+        [s], [c], [v] = acc, col, x
+        if v or isinstance(v, float) and not all(map(isfinite, c)):
+            s[sl] = map(add, s[sl], map(mul, c, repeat(v)))
+        return
+    (nums, dens), (cn, cd), (xn, xd) = acc, col, x
+    if not xn:
+        return
+    tn = map(mul, cn, repeat(xn))
+    td = list(map(mul, cd, repeat(xd)))
+    if 0 in cn:
+        td = [t if m else 1 for m, t in zip(cn, td)]
+    an, ad = nums[sl], dens[sl]
+    if xd.bit_length() + max(cd).bit_length() > 64:
+        g = list(map(gcd, ad, td))
+        ad = list(map(floordiv, ad, g))
+        nums[sl] = map(add, map(mul, an, map(floordiv, td, g)), map(mul, tn, ad))
+    else:
+        nums[sl] = map(add, map(mul, an, td), map(mul, tn, ad))
+    dens[sl] = map(mul, ad, td)
+
+
+def _product(a: list, b: list, n: int, zero: tuple) -> list:
+    """The column set of (a*b)(k) for k = 1..n; sums start at ``zero``.
+
+    Dirichlet's hyperbola split: one slice over b for each i <= isqrt(n),
+    then one slice over a for each j <= n // (isqrt(n) + 1), j descending,
+    so every entry sums its terms a(i) b(j) in ascending i.
+    """
+    acc = [[z] * n for z in zero]
+    s = isqrt(n)
+    for i in range(1, s + 1):
+        _step(acc, slice(i - 1, n, i), [c[: n // i] for c in b], [c[i - 1] for c in a])
+    for j in range(n // (s + 1), 0, -1):
+        _step(acc, slice((s + 1) * j - 1, n, j), [c[s : n // j] for c in a], [c[j - 1] for c in b])
+    return acc
+
+
 def dirichlet_product(a: Sequence, b: Sequence, n: int, zero) -> list:
     """(a*b)(k) for k = 1..n, where a[i - 1] holds a(i); sums start at ``zero``."""
-    out = [zero] * n
-    for i in range(1, n + 1):
-        ai = a[i - 1]
-        if not ai:
-            continue
-        for j in range(1, n // i + 1):
-            bj = b[j - 1]
-            if bj:
-                out[i * j - 1] += ai * bj
-    return out
+    return _product([a], [b], n, (zero,))[0]
 
 
-def _solve(h: Sequence, f: Sequence, a: int, n: int, zero, divide) -> tuple[list, list]:
-    """Sieve-order recursion for f * g = h on 1..n, where a is the norm of f.
+def _blocks(top: int, a: int) -> Iterator[tuple[int, int]]:
+    """The blocks [lo, hi) that cover 1..top, with hi = ceil(lo*(a+1)/a).
+
+    In the recursion with norm a, g(m) reads g(m') only at m' <= a*m//(a+1),
+    which lies below lo for every m < hi: a block reads only earlier blocks.
+    """
+    lo = 1
+    while lo <= top:
+        hi = min(-(-lo * (a + 1) // a), top + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _solve(h: list, f: list, a: int, n: int, zero: tuple, divide) -> tuple[list, list]:
+    """Blocked sieve-order recursion for f * g = h on 1..n, where a is the
+    norm of f and h, f, g and the accumulator are column sets.
 
     Returns (g, acc).  g, on 1..n//a, satisfies (f*g)(a*m) = h(a*m) for
-    every m: each g(m) is ``divide(rest)``, where rest is h(a*m) less what
-    the earlier values pushed into acc, then f(i) g(m) is pushed into acc
-    at i*m for i > a.  Since f vanishes below a, acc ends up holding
-    (f*g)(k) at every k that is not a multiple of a; entries at multiples
-    of a are scratch.
+    every m.  Block by block, the rests h(a*m) - acc(a*m) go to ``divide``,
+    which returns the block's g, then f(i) g(m) is pushed into acc at i*m
+    for every i > a: one slice per m, or one per i in descending order,
+    whichever is fewer, so every entry sums its terms in ascending m.
+    Since f vanishes below a, acc ends up holding (f*g)(k) at every k that
+    is not a multiple of a; entries at multiples of a are scratch.
     """
-    acc = [zero] * n
-    g = [zero] * (n // a)
-    for m in range(1, n // a + 1):
-        rest = h[a * m - 1] - acc[a * m - 1]
-        if not rest:
-            continue
-        gm = g[m - 1] = divide(rest)
-        for i in range(a + 1, n // m + 1):
-            fi = f[i - 1]
-            if fi:
-                acc[i * m - 1] += fi * gm
+    acc = [[z] * n for z in zero]
+    g = [[] for _ in zero]
+    minus_one = (-1,) + zero[1:]  # -1 over 1 for pairs
+    for lo, hi in _blocks(n // a, a):
+        at = slice(a * lo - 1, a * (hi - 1), a)
+        rest = [list(c[at]) for c in h]
+        _step(rest, slice(None), [c[at] for c in acc], minus_one)
+        for c, q in zip(g, divide(rest)):
+            c += q
+        top = n // lo  # the largest i that meets the block
+        if hi - lo <= top - a:
+            for m in range(lo, min(hi, n // (a + 1) + 1)):
+                x = [c[m - 1] for c in g]
+                _step(acc, slice((a + 1) * m - 1, n, m), [c[a : n // m] for c in f], x)
+        else:
+            for i in range(top, a, -1):
+                last = min(hi - 1, n // i)
+                x = [c[i - 1] for c in f]
+                _step(acc, slice(i * lo - 1, i * last, i), [c[lo - 1 : last] for c in g], x)
     return g, acc
 
 
 def _exact_quotient(d: int):
     """Division step over ints that refuses to round."""
 
-    def divide(rest: int) -> int:
-        q, r = divmod(rest, d)
-        if r:
-            raise ArithmeticError(f"scaled recursion left remainder {r} on division by {d}")
-        return q
+    def divide(rest: list) -> list:
+        [r] = rest
+        if any(map(mod, r, repeat(d))):
+            left = next(x % d for x in r if x % d)
+            raise ArithmeticError(f"scaled recursion left remainder {left} on division by {d}")
+        return [list(map(floordiv, r, repeat(d)))]
 
     return divide
 
 
-class _Pair:
-    """The value numerator/denominator, denominator > 0, kept unreduced.
+def _float_quotient(lead: float):
+    """Division step over floats: a zero rest gives 0.0, whatever lead's sign."""
+    return lambda rest: [[r * lead if r else 0.0 for r in rest[0]]]
 
-    ``*`` takes no gcd and ``+``, ``-`` and ``==`` cross-multiply, so a
-    sum of products of narrow terms costs no gcd at all.  The other
-    operand may be an int (the loops' zero), a Fraction (a solved value)
-    or a pair, since all three carry ``numerator`` and ``denominator``.
-    A term whose denominator passes 64 bits (a product with a solved
-    value of the recursion, or an accumulator taken from the dividend)
-    first has gcd(denominator, other.denominator) divided out, which
-    keeps the accumulators from growing by the whole width of every term.
-    That 64 is a gcd heuristic apart from ``SHARED_BITS``: without the
-    gcd, a wide invert at n=4096 took 381 ms instead of 231.
+
+def _pair_quotient(lead: Fraction, solved: list):
+    """Division step over pairs: the Fractions rest / lead, appended to
+    ``solved``, as columns.
+
+    Each is reduced once, by Fraction: the solved values are multiplied
+    into every later accumulator, so leaving them unreduced would compound
+    their growth.
     """
+    num, den = lead.denominator, lead.numerator
 
-    __slots__ = ("numerator", "denominator")
+    def divide(rest: list) -> list:
+        q = list(map(Fraction, map(mul, rest[0], repeat(num)), map(mul, rest[1], repeat(den))))
+        solved.extend(q)
+        return [[v.numerator for v in q], [v.denominator for v in q]]
 
-    def __init__(self, numerator: int, denominator: int):
-        self.numerator = numerator
-        self.denominator = denominator
-
-    def __mul__(self, other) -> "_Pair":
-        return _Pair(self.numerator * other.numerator, self.denominator * other.denominator)
-
-    def __add__(self, other) -> "_Pair":
-        d, e = self.denominator, other.denominator
-        if e.bit_length() > 64:  # the gcd heuristic of the class docstring
-            g = gcd(d, e)
-            return _Pair(self.numerator * (e // g) + other.numerator * (d // g), d // g * e)
-        return _Pair(self.numerator * e + other.numerator * d, d * e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "_Pair":
-        return self + _Pair(-other.numerator, other.denominator)
-
-    def __eq__(self, other) -> bool:
-        return self.numerator * other.denominator == other.numerator * self.denominator
-
-    def __bool__(self) -> bool:
-        return self.numerator != 0
+    return divide
 
 
-def _lift(n: int, *operands: ArithFunc) -> list[tuple[Sequence, int | None]]:
-    """The exact loops' working values of each operand on 1..n: its stored
-    (integers, denominator) when every operand is narrow, else (its values
-    as unreduced ``_Pair``s, None).  Either way the loops start from 0."""
+def _lift(n: int, *operands: ArithFunc) -> list[tuple[list, int | None]]:
+    """The exact loops' column set of each operand on 1..n: [its stored
+    integers] and their denominator when every operand is narrow, else
+    [numerators, denominators] of its values and None; a narrow operand's
+    numerators are its integers, unreduced over its denominator."""
     if all(f._den is not None for f in operands):
-        return [(f._values, f._den) for f in operands]
-    return [([_Pair(v.numerator, v.denominator) for v in f.values[:n]], None) for f in operands]
+        return [([f._values], f._den) for f in operands]
+    lifted = []
+    for f in operands:
+        vals = f._values[:n]
+        if f._den is None:
+            lifted.append(([[v.numerator for v in vals], [v.denominator for v in vals]], None))
+        else:
+            lifted.append(([list(vals), [f._den] * n], None))
+    return lifted
 
 
-def _reduced_quotient(lead: Fraction):
-    """Division step over pairs: the Fraction rest / lead, reduced once.
-
-    The solved values are multiplied into every later accumulator, so
-    leaving them unreduced would compound their growth.
-    """
-    return lambda rest: Fraction(rest.numerator * lead.denominator, rest.denominator * lead.numerator)
-
-
-def _chain_length(m: int, a: int) -> int:
-    """Steps of m -> a*m // (a+1) down to 0.
-
-    In the recursion with norm a, g(m) depends only on values g(m') with
-    m' <= a*m // (a+1), so this bounds how many divisions by f(a) stack
-    up in any g(m') with m' <= m.
-    """
-    k = 0
-    while m:
-        m = a * m // (a + 1)
-        k += 1
-    return k
-
-
-def _solve_exact(h: ArithFunc, f: ArithFunc, a: int, n: int) -> tuple[ArithFunc, list, Sequence]:
+def _solve_exact(h: ArithFunc, f: ArithFunc, a: int, n: int) -> tuple[ArithFunc, list, list]:
     """``_solve`` on exact functions; returns (g, acc, target).
 
     When h and f are both narrow, h = H/dh and f = F/df, the recursion
-    solves F * G = c*H over ints with c = |F(a)|^K and K =
-    _chain_length(n//a, a), so every division by F(a) is exact, and g =
+    solves F * G = c*H over ints with c = |F(a)|^K, K the number of
+    blocks: a value of block t reads only earlier blocks, so it has at
+    most t divisions by F(a) in it, every one of them exact, and g =
     G*df / (dh*c).  acc holds F * G, on the scale of target = c*H.
-    Otherwise it runs on ``_Pair`` values, target is h as pairs, and g
-    is built from the Fractions of the division step.
+    Otherwise it runs on pair columns and target is h as pairs.
     """
     (hs, dh), (fs, df) = _lift(n, h, f)
     if dh is None:
-        g, acc = _solve(hs, fs, a, n, 0, _reduced_quotient(f(a)))
+        g = []
+        acc = _solve(hs, fs, a, n, (0, 1), _pair_quotient(f(a), g))[1]
         return ArithFunc._of(g, EXACT), acc, hs
-    c = abs(fs[a - 1]) ** _chain_length(n // a, a)
-    target = [c * x for x in hs[:n]]
-    g, acc = _solve(target, fs, a, n, 0, _exact_quotient(fs[a - 1]))
-    return ArithFunc._of([x * df for x in g], EXACT, dh * c), acc, target
+    [F], [H] = fs, hs
+    c = abs(F[a - 1]) ** sum(1 for _ in _blocks(n // a, a))
+    target = [c * x for x in H[:n]]
+    [g], acc = _solve([target], fs, a, n, (0,), _exact_quotient(F[a - 1]))
+    return ArithFunc._of([x * df for x in g], EXACT, dh * c), acc, [target]
+
+
+def _mismatch(acc: list, target: list, a: int, n: int) -> int | None:
+    """The least k <= n, not a multiple of a, at which the column sets acc
+    and target hold different values."""
+    if len(acc) == 1:
+        [x], [y] = acc, target
+        differs = lambda i: x[i] != y[i]
+    else:
+        (xn, xd), (yn, yd) = acc, target
+        differs = lambda i: xn[i] * yd[i] != yn[i] * xd[i]
+    return next((k for k in range(1, n + 1) if k % a and differs(k - 1)), None)
 
 
 class ArithFunc:
@@ -357,11 +414,11 @@ class ArithFunc:
         self._require_same_mode(other)
         da, db = self._den, other._den
         if da is None or db is None:
-            return ArithFunc._of(list(map(operator.add, self.values, other.values)), self._mode)
+            return ArithFunc._of(list(map(add, self.values, other.values)), self._mode)
         d = da // gcd(da, db) * db
         a = self._values if d == da else [x * (d // da) for x in self._values]
         b = other._values if d == db else [x * (d // db) for x in other._values]
-        return ArithFunc._of(list(map(operator.add, a, b)), EXACT, d)
+        return ArithFunc._of(list(map(add, a, b)), EXACT, d)
 
     def __add__(self, other):
         if not isinstance(other, ArithFunc):
@@ -382,10 +439,9 @@ class ArithFunc:
         n = min(len(self._values), len(other._values))
         if self._mode == EXACT:
             (a, da), (b, db) = _lift(n, self, other)
-            out = dirichlet_product(a, b, n, 0)
             if da is None:
-                return ArithFunc._of([Fraction(x.numerator, x.denominator) for x in out], EXACT)
-            return ArithFunc._of(out, EXACT, da * db)
+                return ArithFunc._of(list(map(Fraction, *_product(a, b, n, (0, 1)))), EXACT)
+            return ArithFunc._of(_product(a, b, n, (0,))[0], EXACT, da * db)
         return ArithFunc._of(dirichlet_product(self._values, other._values, n, 0.0), FLOAT)
 
     def __mul__(self, other):
@@ -410,8 +466,7 @@ class ArithFunc:
         e = identity(n, self._mode)
         if self._mode == EXACT:
             return _solve_exact(e, self, 1, n)[0]
-        lead = 1 / self._values[0]
-        g, _ = _solve(e._values, self._values, 1, n, 0.0, lambda rest: rest * lead)
+        [g], _ = _solve([e._values], [self._values], 1, n, (0.0,), _float_quotient(1 / self._values[0]))
         return ArithFunc._of(g, FLOAT)
 
     def power(self, r: int) -> "ArithFunc":
@@ -499,10 +554,8 @@ def try_divide(h: ArithFunc, f: ArithFunc) -> ArithFunc | NotDivisibleWitness:
         return NotDivisibleWitness(b, "dividend norm is not a multiple of the divisor norm")
     g, acc, target = _solve_exact(h, f, a, n)
     # the recursion fixes every multiple of a; check the rest of the window
-    for k in range(1, n + 1):
-        if k % a and acc[k - 1] != target[k - 1]:
-            return NotDivisibleWitness(k, "no quotient can match the dividend at this index")
-    return g
+    k = _mismatch(acc, target, a, n)
+    return g if k is None else NotDivisibleWitness(k, "no quotient can match the dividend at this index")
 
 
 def indicator_shift(m: int, g: ArithFunc, n_out: int) -> ArithFunc:

@@ -4,6 +4,13 @@ Each check exercises one mathematical statement about the convolution
 ring at a finite window and is a deterministic function of (window,
 seed), so two runs with the same arguments print byte-identical reports.
 A failed check names the statement it was validating.
+
+The checks sample narrow functions only, whose values share a
+denominator of at most ``ring.SHARED_BITS`` bits.  The wide path of the
+ring kernels, on numerator and denominator columns, is checked by the
+test suite instead: by its comparisons with the independent evaluators
+and by the pinned wide-kernel digests.  A wide sample here would slow
+every run for a path the tests already cover.
 """
 
 from __future__ import annotations

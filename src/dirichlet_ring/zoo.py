@@ -177,18 +177,21 @@ def _scan_pairs(f: ArithFunc, coprime_only: bool) -> Witness:
     """The first pair m <= k, in order of m then k, with mk <= len(f) and
     f(mk) != f(m) + f(k); only coprime pairs when ``coprime_only``.
 
-    Exact mode compares the working values of ``ring._lift``: a narrow
-    function's stored integers, or unreduced pairs, cross-multiplied,
-    for a wide one.  Float mode allows roundoff (``FLOAT_SLACK``).
+    Exact mode compares the columns of ``ring._lift``: a narrow
+    function's stored integers, or a wide one's (numerator, denominator)
+    pairs, cross-multiplied.  Float mode allows roundoff (``FLOAT_SLACK``).
     """
     n = len(f)
     vals = f._values
-    if f.mode == EXACT:
-        if not vals[0]:  # else the first pair, (1, 1), fails on the stored values
-            [(vals, _)] = _lift(n, f)
-        fails = lambda a, b, c: a - b != c  # a = f(mk), b = f(m), c = f(k)
-    else:
+    fails = lambda a, b, c: a - b != c  # a = f(mk), b = f(m), c = f(k)
+    if f.mode == FLOAT:
         fails = lambda a, b, c: abs(a - b - c) > FLOAT_SLACK * (abs(a) + abs(b) + abs(c))
+    elif not vals[0]:  # else the first pair, (1, 1), fails on the stored values
+        [(cols, _)] = _lift(n, f)
+        vals = cols[0]
+        if len(cols) == 2:
+            vals = list(zip(*cols))
+            fails = lambda a, b, c: (a[0] * b[1] - b[0] * a[1]) * c[1] != c[0] * a[1] * b[1]
     m = 1
     while m * m <= n:
         fm = vals[m - 1]

@@ -253,7 +253,9 @@ def test_deeply_nested_file_is_a_one_line_error(tmp_path, capsys):
     assert "nested too deeply" in err
 
 
-# windows of at least 2**63 overflow an index before anything is allocated
+# a window past sys.maxsize is refused by name; 2**61 and 2**62 pass that
+# check, and the first list of that length is refused before anything is
+# allocated, since its bytes would pass sys.maxsize
 @pytest.mark.parametrize("argv", [
     ["gen", "mobius"],
     ["gen", "delta", "--param", "3"],
@@ -261,7 +263,18 @@ def test_deeply_nested_file_is_a_one_line_error(tmp_path, capsys):
     ["ideal", "probe", "K:3", "--trials", "0"],
 ])
 def test_window_past_an_index_is_a_one_line_error(capsys, argv):
-    _assert_one_line_error(capsys, main(argv + ["--n", str(10**20)]))
+    for n in (2**61, 2**62, 10**20):
+        err = _assert_one_line_error(capsys, main(argv + ["--n", str(n)]))
+        if n > sys.maxsize:
+            assert err == f"error: --n must be at most {sys.maxsize}, not {n}\n"
+        else:
+            assert err == "error: out of memory\n"
+
+
+def test_env_window_past_an_index_is_a_one_line_error(capsys, monkeypatch):
+    monkeypatch.setenv("DIRICHLET_N", str(10**20))
+    err = _assert_one_line_error(capsys, main(["gen", "unit_u"]))
+    assert err == f"error: DIRICHLET_N must be at most {sys.maxsize}, not {10**20}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,9 @@
 """Fault injection: every check must be able to fail.
 
 Each fault below breaks one function of the package and is patched in
-under every name a package module looks it up by (``verify`` and
-``structure`` import ``dirichlet_product`` by name, ``zoo`` imports
-``_lift``).  A fault counts as caught when ``verify.run_all(64, 0)``
+under every name a package module looks it up by (``zoo`` imports
+``_lift`` by name; ``dirichlet_product``, which ``verify`` and
+``structure`` import, and every kernel run the loops of ``ring``).  A fault counts as caught when ``verify.run_all(64, 0)``
 reports a FAIL or one of the ``ORACLE_COMPARISONS`` against the
 independent evaluators in ``oracles`` disagrees.  ``KILLS`` records,
 for each fault, exactly the checks and comparisons that catch it (the
@@ -31,7 +31,9 @@ from oracles import convolve_lists, divide_lists
 CONSTRAINED = IdealSpec.constrained_indices  # the cached original
 CERTIFICATE = structure._certificate_for_profile
 LIFT = ring._lift
-PAIR_ADD = ring._Pair.__add__
+MISMATCH = ring._mismatch
+SOLVE = ring._solve
+STEP = ring._step
 SIEVE = primes.smallest_prime_factors
 
 
@@ -50,42 +52,35 @@ def inject(monkeypatch, original, fault) -> None:
 
 
 def product_skipping_squares(a, b, n, zero):
-    """``dirichlet_product`` without the terms i = j > 1."""
-    out = [zero] * n
+    """``ring._product`` term by term, without the terms i = j > 1."""
+    out = [[z] * n for z in zero]
     for i in range(1, n + 1):
+        x = [c[i - 1] for c in a]
         for j in range(1, n // i + 1):
-            if a[i - 1] and b[j - 1] and not i == j > 1:
-                out[i * j - 1] += a[i - 1] * b[j - 1]
+            if x[0] and not i == j > 1:
+                ring._step(out, slice(i * j - 1, i * j), [c[j - 1 : j] for c in b], x)
     return out
 
 
 def solve_doubling_g47(h, f, a, n, zero, divide):
     """``_solve`` with the solved value g(47) doubled before it is pushed on."""
-    acc = [zero] * n
-    g = [zero] * (n // a)
-    for m in range(1, n // a + 1):
-        rest = h[a * m - 1] - acc[a * m - 1]
-        if not rest:
-            continue
-        gm = g[m - 1] = divide(rest) * (2 if m == 47 else 1)
-        for i in range(a + 1, n // m + 1):
-            if f[i - 1]:
-                acc[i * m - 1] += f[i - 1] * gm
-    return g, acc
+    solved = 0  # the blocks are solved in order, from m = 1
+
+    def doubling(rest):
+        nonlocal solved
+        g = divide(rest)
+        if solved < 47 <= solved + len(g[0]):
+            g[0][46 - solved] *= 2  # the value, or its numerator
+        solved += len(g[0])
+        return g
+
+    return SOLVE(h, f, a, n, zero, doubling)
 
 
-def divide_scanning_one_short(h, f):
-    """``try_divide`` whose leftover scan stops one index early."""
-    n = min(len(h), len(f))
-    a = ring._norm(f._values, n)
-    b = ring._norm(h._values, n)
-    if b is not None and b % a:
-        return NotDivisibleWitness(b, "dividend norm is not a multiple of the divisor norm")
-    g, acc, target = ring._solve_exact(h, f, a, n)
-    for k in range(1, n):
-        if k % a and acc[k - 1] != target[k - 1]:
-            return NotDivisibleWitness(k, "no quotient can match the dividend at this index")
-    return g
+def mismatch_scanning_one_short(acc, target, a, n):
+    """``_mismatch``, the leftover scan of ``try_divide``, stopping one
+    index early."""
+    return MISMATCH(acc, target, a, n - 1)
 
 
 def constrained_dropping_last_of_p_m(self, window):
@@ -116,32 +111,31 @@ def lift_with_one_scale(n, *operands):
     return [(vals, lifted[0][1]) for vals, _ in lifted]
 
 
-def pair_add_keeping_the_gcd(self, other):
-    """``_Pair.__add__`` whose gcd branch divides the gcd out of the
-    numerator only."""
-    d, e = self.denominator, other.denominator
-    if e.bit_length() > 64:
-        g = gcd(d, e)
-        return ring._Pair(self.numerator * (e // g) + other.numerator * (d // g), d * e)
-    return PAIR_ADD(self, other)
-
-
-def _patch_pair_add(monkeypatch):
-    for name in ("__add__", "__radd__"):
-        monkeypatch.setattr(ring._Pair, name, pair_add_keeping_the_gcd)
+def step_keeping_the_gcd(acc, sl, col, x):
+    """``_step`` whose pair gcd branch divides the gcd out of the
+    numerators only."""
+    if len(x) == 1 or x[1].bit_length() + max(col[1]).bit_length() <= 64:
+        return STEP(acc, sl, col, x)
+    (nums, dens), (cn, cd), (xn, xd) = acc, col, x
+    tn = [m * xn for m in cn]
+    td = [e * xd if m else 1 for m, e in zip(cn, cd)]
+    an, ad = nums[sl], dens[sl]
+    g = list(map(gcd, ad, td))
+    nums[sl] = [p * (t // k) + q * (d // k) for p, t, q, d, k in zip(an, td, tn, ad, g)]
+    dens[sl] = [d * t for d, t in zip(ad, td)]
 
 
 FAULTS = {
-    "product skips i = j > 1": lambda mp: inject(mp, ring.dirichlet_product, product_skipping_squares),
-    "_solve doubles g(47)": lambda mp: inject(mp, ring._solve, solve_doubling_g47),
-    "leftover scan stops one short": lambda mp: inject(mp, ring.try_divide, divide_scanning_one_short),
+    "product skips i = j > 1": lambda mp: inject(mp, ring._product, product_skipping_squares),
+    "_solve doubles g(47)": lambda mp: inject(mp, SOLVE, solve_doubling_g47),
+    "leftover scan stops one short": lambda mp: inject(mp, MISMATCH, mismatch_scanning_one_short),
     "P_m loses its last index": lambda mp: mp.setattr(
         IdealSpec, "constrained_indices", constrained_dropping_last_of_p_m),
     "certificate fires at norms 2..6": lambda mp: inject(
         mp, CERTIFICATE, certificate_firing_at_small_norms),
     "sieve calls 49 prime": lambda mp: inject(mp, SIEVE, sieve_calling_49_prime),
     "_lift shares one scale": lambda mp: inject(mp, LIFT, lift_with_one_scale),
-    "_Pair gcd branch keeps the gcd": _patch_pair_add,
+    "_Pair gcd branch keeps the gcd": lambda mp: inject(mp, STEP, step_keeping_the_gcd),
 }
 
 

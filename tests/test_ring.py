@@ -28,7 +28,7 @@ from dirichlet_ring import (
     try_divide,
     zeros,
 )
-from dirichlet_ring import seqfile
+from dirichlet_ring import ring, seqfile
 from dirichlet_ring.ring import dirichlet_product
 from dirichlet_ring.sampling import random_func, random_nonzero, random_unit, random_with_norm
 from dirichlet_ring.zoo import big_omega, generate, log_function, mangoldt, mobius, unit
@@ -514,6 +514,125 @@ def test_common_denominator_switch_at_184_bits(tmp_path, monkeypatch):
         assert list(try_divide(product, x).values) == divide_lists(list(product.values), xv)
         for r in (product, x.invert(), try_divide(product, x)):
             assert all(type(v) is Fraction for v in r.values)
+
+
+# slice passes -------------------------------------------------------------------
+
+
+def _doubles(rng, n):
+    """Doubles with signed zeros, negatives and +-1e300, whose products
+    overflow and whose reciprocals underflow."""
+    pool = (0.0, -0.0, 1e300, -1e300, 0.5, -1.25, 3.0, -7.0, 1e-3)
+    return [rng.choice(pool) if rng.random() < 0.5 else rng.uniform(-9, 9) for _ in range(n)]
+
+
+def test_float_product_sums_in_divisor_order_bit_for_bit():
+    # n = s^2 - 1, s^2 and s^2 + s put the hyperbola split on each side
+    # of an edge; every entry must still sum its terms in ascending i
+    rng = random.Random(19)
+    for s in range(2, 34):
+        for n in (s * s - 1, s * s, s * s + s):
+            a, b = _doubles(rng, n), _doubles(rng, n)
+            got = (ArithFunc(a) * ArithFunc(b)).values
+            assert [v.hex() for v in got] == [v.hex() for v in convolve_lists(a, b)], n
+            # a product that overflowed: its 0 * inf terms are nan, as here
+            again = (ArithFunc._of(got, FLOAT) * ArithFunc(a)).values
+            assert [v.hex() for v in again] == [v.hex() for v in convolve_lists(list(got), a)], n
+
+
+def _chain_length(m, a):
+    """Steps of m -> a*m // (a+1) down to 0: how many divisions by f(a)
+    can stack up in the recursion's values g(1..m)."""
+    k = 0
+    while m:
+        m = a * m // (a + 1)
+        k += 1
+    return k
+
+
+def test_blocks_cover_the_window_and_read_only_earlier_blocks():
+    for a in range(1, 25):
+        for top in range(300):
+            blocks = list(ring._blocks(top, a))
+            assert [m for lo, hi in blocks for m in range(lo, hi)] == list(range(1, top + 1))
+            # g(m) reads g below a*m//(a+1) + 1: below lo for every m in the
+            # block, and not for the first m past it
+            assert all(a * (hi - 1) // (a + 1) < lo for lo, hi in blocks)
+            assert all(a * hi // (a + 1) >= lo for lo, hi in blocks[:-1])
+            assert len(blocks) == _chain_length(top, a)
+
+
+@pytest.mark.parametrize("a", range(1, 7))
+def test_recursion_matches_the_divisor_scan_on_block_edges(a):
+    # windows whose n // a is the last m of a block or the first of the
+    # next; small blocks push one slice per m, large ones one per i
+    rng = random.Random(a)
+    edges = sorted({a * lo + r for lo, _ in ring._blocks(150 // a, a) for r in (-1, 0)} - {a - 1})
+    for n in edges:
+        f, g = random_with_norm(rng, n, a), random_func(rng, n)
+        fv, h = list(f.values), f * g
+        assert list(try_divide(h, f).values) == divide_lists(list(h.values), fv), n
+        k = rng.randint(1, n)
+        hk = h + delta(k, n)
+        expected, result = divide_lists(list(hk.values), fv), try_divide(hk, f)
+        if isinstance(expected, int):
+            assert result == NotDivisibleWitness(expected, result.note), n
+        else:
+            assert list(result.values) == expected, n
+        if a == 1:
+            assert list(f.invert().values) == divide_lists([1] + [0] * (n - 1), fv), n
+
+
+def test_float_invert_sums_in_divisor_order_on_block_edges():
+    # from n = 768 on, the block [256, 512) sends terms from i = 3 and
+    # i = 2 to one entry, so the order of its per-i slices shows
+    rng = random.Random(29)
+    for n in (2, 3, 7, 8, 63, 64, 255, 256, 1023, 1024):
+        x = _doubles(rng, n)
+        x[0] = x[0] or -3.0
+        got = ArithFunc(x).invert().values
+        assert [v.hex() for v in got] == [v.hex() for v in invert_floats(x)], n
+
+
+def test_wide_columns_with_zero_entries_match_the_oracles():
+    # ~40% zero entries over 96-bit denominators, so the columns carry
+    # zero terms; a narrow partner is lifted to columns with them
+    rng = random.Random(23)
+    for n in (30, 64, 97):
+        dens = [rng.randrange(1 << 95, 1 << 96) for _ in range(n)]
+        wv = [Fraction(rng.randint(-9, 9) if rng.random() < 0.6 else 0, d) for d in dens]
+        wv[0], wv[1] = wv[0] or Fraction(1, dens[0]), Fraction(0)
+        nv = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        nv[0] = nv[0] or Fraction(1)
+        w, v = ArithFunc(wv), ArithFunc(nv)
+        w2 = ArithFunc([Fraction(0)] + wv[1:])  # norm 3
+        assert w._den is None and w2._den is None and v._den is not None
+        for x, y in ((w, w), (w, v), (v, w), (v, w2), (w, w2)):
+            xv, yv = list(x.values), list(y.values)
+            p = x * y
+            assert list(p.values) == convolve_lists(xv, yv)
+            assert list(try_divide(p, y).values) == divide_lists(list(p.values), yv)
+            pk = p + delta(n - 1, n)
+            expected = divide_lists(list(pk.values), yv)
+            result = try_divide(pk, y)
+            if isinstance(expected, int):
+                assert result == NotDivisibleWitness(expected, result.note)
+            else:
+                assert list(result.values) == expected
+        assert list(w.invert().values) == divide_lists([1] + [0] * (n - 1), wv)
+
+
+@pytest.mark.parametrize("den", [3, 2**70 + 1])
+def test_a_zero_pair_term_leaves_its_accumulator_as_it_is(den):
+    # both sides of the gcd branch: a term over den * 5 has at most or
+    # more than 64 bits
+    acc = [[1, 2], [7, 7]]
+    ring._step(acc, slice(0, 2), [[0, 4], [5, 5]], (3, den))
+    assert acc[0][0] == 1 and acc[1][0] == 7
+    assert Fraction(acc[0][1], acc[1][1]) == Fraction(2, 7) + Fraction(12, 5 * den)
+    before = [list(c) for c in acc]
+    ring._step(acc, slice(0, 2), [[1, 4], [5, 5]], (0, den))
+    assert acc == before
 
 
 # pair path ---------------------------------------------------------------------
