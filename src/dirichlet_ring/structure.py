@@ -136,17 +136,21 @@ def nonunit_product_profiles(window: int) -> set[tuple[int, ...]]:
 
     Both factors vanish at 1, so only factor indices 2..window//2 can
     reach the window; enumerating that range is therefore exhaustive for
-    any larger support bound.  Convolution commutes, so each unordered
-    pair of factors is multiplied once.  Integer arithmetic throughout.
+    any larger support bound.  Convolution commutes and (-g) * h = -(g *
+    h), and the factors come in pairs g, -g, so each unordered pair of
+    factors whose first nonzero entry is positive is multiplied once and
+    its product kept with its negation: a quarter of the products.
+    Integer arithmetic throughout.
     """
     top = window // 2
     factors = [
         (0,) + vals + (0,) * (window - top)
         for vals in itertools.product(ATOM_COEFFS, repeat=max(top - 1, 0))
-        if any(vals)
+        if any(vals) and next(filter(None, vals)) > 0
     ]
     pairs = itertools.combinations_with_replacement(factors, 2)
-    return {tuple(dirichlet_product(g, h, window, 0)) for g, h in pairs}
+    products = {tuple(dirichlet_product(g, h, window, 0)) for g, h in pairs}
+    return products | {tuple(-x for x in p) for p in products}
 
 
 def _certificate_for_profile(profile: tuple[int, ...], norm_bound: int) -> str:

@@ -55,10 +55,9 @@ def product_skipping_squares(a, b, n, zero):
     """``ring._product`` term by term, without the terms i = j > 1."""
     out = [[z] * n for z in zero]
     for i in range(1, n + 1):
-        x = [c[i - 1] for c in a]
         for j in range(1, n // i + 1):
-            if x[0] and not i == j > 1:
-                ring._step(out, slice(i * j - 1, i * j), [c[j - 1 : j] for c in b], x)
+            if a[0][i - 1] and not i == j > 1:
+                ring._step(out, slice(i * j - 1, i * j), b, slice(j - 1, j), a, i - 1)
     return out
 
 
@@ -66,9 +65,9 @@ def solve_doubling_g47(h, f, a, n, zero, divide):
     """``_solve`` with the solved value g(47) doubled before it is pushed on."""
     solved = 0  # the blocks are solved in order, from m = 1
 
-    def doubling(rest):
+    def doubling(h, acc, at):
         nonlocal solved
-        g = divide(rest)
+        g = divide(h, acc, at)
         if solved < 47 <= solved + len(g[0]):
             g[0][46 - solved] *= 2  # the value, or its numerator
         solved += len(g[0])
@@ -111,18 +110,18 @@ def lift_with_one_scale(n, *operands):
     return [(vals, lifted[0][1]) for vals, _ in lifted]
 
 
-def step_keeping_the_gcd(acc, sl, col, x):
+def step_keeping_the_gcd(acc, at, col, cut, row, k):
     """``_step`` whose pair gcd branch divides the gcd out of the
     numerators only."""
-    if len(x) == 1 or x[1].bit_length() + max(col[1]).bit_length() <= 64:
-        return STEP(acc, sl, col, x)
-    (nums, dens), (cn, cd), (xn, xd) = acc, col, x
+    if len(row) == 1 or row[1][k].bit_length() + max(col[1][cut]).bit_length() <= 64:
+        return STEP(acc, at, col, cut, row, k)
+    (nums, dens), cn, cd, xn, xd = acc, col[0][cut], col[1][cut], row[0][k], row[1][k]
     tn = [m * xn for m in cn]
     td = [e * xd if m else 1 for m, e in zip(cn, cd)]
-    an, ad = nums[sl], dens[sl]
+    an, ad = nums[at], dens[at]
     g = list(map(gcd, ad, td))
-    nums[sl] = [p * (t // k) + q * (d // k) for p, t, q, d, k in zip(an, td, tn, ad, g)]
-    dens[sl] = [d * t for d, t in zip(ad, td)]
+    nums[at] = [p * (t // q) + m * (d // q) for p, t, m, d, q in zip(an, td, tn, ad, g)]
+    dens[at] = [d * t for d, t in zip(ad, td)]
 
 
 FAULTS = {

@@ -2,6 +2,7 @@
 soundness search, norm facts about non-unit products, and the units
 group."""
 
+import itertools
 import random
 from fractions import Fraction
 from operator import add
@@ -216,6 +217,18 @@ def test_product_profiles_match_direct_convolution():
         if not any(g) or not any(h):
             continue
         assert tuple(convolve_lists(g, h)) in profiles
+
+
+@pytest.mark.parametrize("window", range(1, 10))
+def test_product_profiles_are_every_product_of_two_bounded_non_units(window):
+    # the enumeration multiplies only factors with a positive first entry
+    # and adds the negations; this is every unordered pair, multiplied
+    top = window // 2
+    factors = [(0,) + vals + (0,) * (window - top)
+               for vals in itertools.product((-1, 0, 1), repeat=max(top - 1, 0)) if any(vals)]
+    expected = {tuple(convolve_lists(list(g), list(h)))
+                for g, h in itertools.combinations_with_replacement(factors, 2)}
+    assert nonunit_product_profiles(window) == expected
 
 
 def test_no_certified_atom_factors_at_reduced_bounds():
