@@ -181,7 +181,7 @@ def _product(a: list, b: list, n: int, zero: tuple) -> list:
     for i in compress(range(1, s + 1), a[0]):
         _step(acc, slice(i - 1, n, i), b, slice(n // i), a, i - 1)
     t = n // (s + 1)
-    for j in compress(range(t, 0, -1), b[0][t - 1 :: -1] if t else ()):
+    for j in compress(range(t, 0, -1), reversed(b[0][:t])):
         _step(acc, slice((s + 1) * j - 1, n, j), a, slice(s, n // j), b, j - 1)
     return acc
 
@@ -199,8 +199,8 @@ def _blocks(top: int, a: int) -> Iterator[tuple[int, int]]:
     """
     lo = 1
     while lo <= top:
-        hi = min(-(-lo * (a + 1) // a), top + 1)
-        yield lo, hi
+        hi = (lo * (a + 1) + a - 1) // a
+        yield lo, (hi if hi <= top else top + 1)
         lo = hi
 
 
@@ -209,11 +209,11 @@ def _solve(h: list, f: list, a: int, n: int, zero: tuple, divide) -> tuple[list,
     norm of f and h, f, g and the accumulator are column sets.
 
     Returns (g, acc).  g, on 1..n//a, satisfies (f*g)(a*m) = h(a*m) for
-    every m.  Block by block, ``divide(h, acc, at)`` returns the block's g,
-    the rests h(a*m) - acc(a*m) at the slice ``at`` of the block's a*m
-    over f(a), then f(i) g(m) is pushed into acc at i*m
-    for every i > a: one slice per m, or one per i in descending order,
-    whichever is fewer, so every entry sums its terms in ascending m.
+    every m.  Block by block, ``divide(h, acc, at)`` returns the block's
+    g(m) = (h(a*m) - acc(a*m)) / f(a), where ``at`` slices out the block's
+    a*m; then f(i) g(m) is pushed into acc at i*m for every i > a: one
+    slice per m, or one per i in descending order, whichever is fewer, so
+    every entry sums its terms in ascending m.
     Since f vanishes below a, acc ends up holding (f*g)(k) at every k that
     is not a multiple of a; entries at multiples of a are scratch.
     """
@@ -227,7 +227,7 @@ def _solve(h: list, f: list, a: int, n: int, zero: tuple, divide) -> tuple[list,
             for m in compress(range(lo, min(hi, n // (a + 1) + 1)), g[0][lo - 1 :]):
                 _step(acc, slice((a + 1) * m - 1, n, m), f, slice(a, n // m), g, m - 1)
         else:
-            for i in compress(range(top, a, -1), f[0][top - 1 : a - 1 : -1]):
+            for i in compress(range(top, a, -1), reversed(f[0][a:top])):
                 last = min(hi - 1, n // i)
                 _step(acc, slice(i * lo - 1, i * last, i), g, slice(lo - 1, last), f, i - 1)
     return g, acc

@@ -3,13 +3,14 @@
 Each fault below breaks one function of the package and is patched in
 under every name a package module looks it up by (``zoo`` imports
 ``_lift`` by name; ``dirichlet_product``, which ``verify`` and
-``structure`` import, and every kernel run the loops of ``ring``).  A fault counts as caught when ``verify.run_all(64, 0)``
-reports a FAIL or one of the ``ORACLE_COMPARISONS`` against the
-independent evaluators in ``oracles`` disagrees.  ``KILLS`` records,
-for each fault, exactly the checks and comparisons that catch it (the
-fault x check kill matrix); the test asserts it, so a check that stops
-catching a fault shows up here.  A fault that a single check catches
-shows where to strengthen the suite.
+``structure`` import, and every kernel run the loops of ``ring``).  A
+fault counts as caught when ``verify.run_all(64, 0)`` reports a FAIL or
+one of the ``ORACLE_COMPARISONS`` against the independent evaluators in
+``oracles`` disagrees.  ``KILLS`` records, for each fault, exactly the
+checks and comparisons that catch it (the fault x check kill matrix);
+the test asserts it, so a check that stops catching a fault shows up
+here.  A fault that a single check catches shows where to strengthen
+the suite.
 
 The index-set cache of ``IdealSpec.constrained_indices`` is cleared
 around every test, so no fault leaves a wrong index set behind.
