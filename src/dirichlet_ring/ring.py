@@ -252,12 +252,12 @@ def _float_quotient(lead: float):
 
 
 def _pair_quotient(lead: Fraction, solved: list):
-    """Division step over pairs: the Fractions rest / lead, appended to
-    ``solved``, as columns.
+    """Division step over pairs: the block's g(m) = rest / lead, as
+    columns, each also appended to ``solved`` as the Fraction it was
+    reduced by, so the result needs no second gcd.
 
-    Each is reduced once, by Fraction: the solved values are multiplied
-    into every later accumulator, so leaving them unreduced would compound
-    their growth.
+    The solved values are multiplied into every later accumulator, so
+    leaving them unreduced would compound their growth.
     """
     num, den = lead.denominator, lead.numerator
 

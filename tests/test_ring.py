@@ -583,7 +583,8 @@ def test_float_invert_sums_in_divisor_order_on_block_edges():
     # from n = 768 on, the block [256, 512) sends terms from i = 3 and
     # i = 2 to one entry, so the order of its per-i slices shows; no
     # value overflows, since past an inf invert_floats also sums the
-    # terms 0 * inf = nan that the recursion skips (CHANGES.md)
+    # terms 0 * inf = nan that the recursion skips as terms with a zero
+    # factor
     rng = random.Random(29)
     for n in (2, 3, 7, 8, 63, 64, 255, 256, 1023, 1024):
         x = _doubles(rng, n, (0.0, -0.0, 0.5, -1.25, 3.0, -7.0))
@@ -599,7 +600,7 @@ def test_wide_columns_with_zero_entries_match_the_oracles():
     for n in (30, 64, 97):
         dens = [rng.randrange(1 << 95, 1 << 96) for _ in range(n)]
         wv = [Fraction(rng.randint(-9, 9) if rng.random() < 0.6 else 0, d) for d in dens]
-        wv[0], wv[1] = wv[0] or Fraction(1, dens[0]), Fraction(0)
+        wv[:3] = wv[0] or Fraction(1, dens[0]), Fraction(0), wv[2] or Fraction(-1, dens[2])
         nv = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
         nv[0] = nv[0] or Fraction(1)
         w, v = ArithFunc(wv), ArithFunc(nv)
