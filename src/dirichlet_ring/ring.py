@@ -262,7 +262,7 @@ def _pair_quotient(lead: Fraction, solved: list):
     num, den = lead.denominator, lead.numerator
 
     def divide(h: list, acc: list, at: slice) -> list:
-        (hn, hd), (an, ad) = ([c[at] for c in cols] for cols in (h, acc))
+        hn, hd, an, ad = h[0][at], h[1][at], acc[0][at], acc[1][at]
         rest = map(sub, map(mul, hn, ad), map(mul, an, hd))
         q = list(map(Fraction, map(mul, rest, repeat(num)), map(mul, map(mul, hd, ad), repeat(den))))
         solved.extend(q)
@@ -320,7 +320,7 @@ def _mismatch(acc: list, target: list, a: int, n: int) -> int | None:
         if len(acc) == 1:
             differs = map(ne, acc[0][at], target[0][at])
         else:
-            (xn, xd), (yn, yd) = ([c[at] for c in cols] for cols in (acc, target))
+            xn, xd, yn, yd = acc[0][at], acc[1][at], target[0][at], target[1][at]
             differs = map(ne, map(mul, xn, yd), map(mul, yn, xd))
         found += islice(compress(range(r, n + 1, a), differs), 1)
     return min(found, default=None)
