@@ -122,7 +122,8 @@ class IdealSpec(NamedTuple):
     def constrained_indices(self, window: int) -> tuple[int, ...]:
         """The indices 1..window, ascending, where members must vanish;
         cached per (spec, window), since ``member``, the probes and
-        ``random_in_ideal`` ask again and again for the same few."""
+        ``random_in_ideal`` ask again and again for the same few.  P_m and
+        P_{m,k} test ``m % p`` on the window's primes and never factor m."""
         if self.tag == TAG_NORM_FLOOR:
             return tuple(range(1, min(self.n, window + 1)))
         if self.tag == TAG_MAXIMAL:
@@ -130,14 +131,15 @@ class IdealSpec(NamedTuple):
         if self.tag == TAG_PRIME_TAIL:  # 1 and the primes from the n-th on
             return (1, *primes_upto(window)[self.n - 1 :])
         # the rest bound a count of idx's distinct primes: P_m (at 0) and
-        # P_{m,k} (at k) count the primes of m, J_~Q (at 0) those in Q, and
+        # P_{m,k} (at k) count those dividing m, J_~Q (at 0) those in Q, and
         # J_Q (at 0) those outside Q; 1, the empty product, always counts 0
         if self.tag == TAG_PRIME_PRODUCTS:
             chosen, outside = set(self.primes), not self.complement
+            counted = lambda p, a: (p in chosen) != outside
         else:
-            chosen, outside = set(factorize(self.m).distinct_primes), False
+            counted = lambda p, a: self.m % p == 0
         bound = self.k if self.tag == TAG_GCD_COUNT else 0
-        counts = prime_power_fold(window, lambda p, a: (p in chosen) != outside, add, 0)
+        counts = prime_power_fold(window, counted, add, 0)
         return tuple(idx for idx, c in enumerate(counts, start=1) if c <= bound)
 
 
@@ -271,12 +273,12 @@ def _chain_specs_and_points(family: str, length: int, window: int):
     # the points are the integers 1..length-1 (I), the primes p_1..p_(length-1)
     # (K) or p_2..p_length (P, J); the first `held` of the sequence fit
     first, last = (2, length) if family[0] in "PJ" else (1, length - 1)
-    held = window if family == "I_descending" else len(primes_upto(window))
+    ps = () if family == "I_descending" else primes_upto(window)
+    held = window if family == "I_descending" else len(ps)
     if last > held:
         k = max(first, held + 1)
         label = f"delta_{k if family == 'I_descending' else nth_prime(k)}"
         raise WindowError(f"window {window} too small to hold separator {label}")
-    ps = primes_upto(nth_prime(length + 1))
     if family == "P_ascending":
         specs = [IdealSpec.coprime_vanishing(m) for m in accumulate(ps[:length], mul)]
         return specs, ps[1:length], True
@@ -422,21 +424,18 @@ def probe_semiprime(
 def divisibility_depth(h: ArithFunc, f: ArithFunc) -> int:
     """Largest r such that f^r divides h on the window.
 
-    Bounded by log base norm(f) of norm(h), since norms multiply; a unit
-    divisor is rejected because its depth would be unbounded.
+    f^(r+1) divides h exactly when f divides h / f^r, which is unique on
+    its shorter window, so the running quotient is divided by f while its
+    window holds norm(f), and no power of f is built.  Norms multiply, so
+    the depth is at most log base norm(f) of norm(h); a unit divisor is
+    rejected because its depth would be unbounded.
     """
     if h.is_zero() or f.is_zero():
         raise ZeroFunctionError("divisibility depth needs nonzero operands")
-    if f.norm() == 1:
+    a = f.norm()
+    if a == 1:
         raise ValueError("unit divisor: every power divides, depth is unbounded")
     depth = 0
-    power = f
-    while True:
-        if power.is_zero():
-            # the power's norm outgrew the window, so it divides nothing here
-            return depth
-        q = try_divide(h, power)
-        if isinstance(q, NotDivisibleWitness):
-            return depth
+    while len(h) >= a and not isinstance(h := try_divide(h, f), NotDivisibleWitness):
         depth += 1
-        power = power.convolve(f)
+    return depth

@@ -9,9 +9,10 @@ Every JSON text here comes from one writer, :func:`dumps`, which writes
 the bytes ``json.dumps(obj, indent=2)`` writes.  It builds a sequence's
 values array straight from the stored form: an exact value is one row
 of its two decimal strings, a float value its ``repr`` (what ``json``
-writes), and the name goes through ``json.dumps``, so its escaping is
-``json``'s.  ``json.dumps`` with an indent runs CPython's pure-Python
-encoder, several times slower than this at tens of thousands of values.
+writes; float values must be finite, as the reader requires), and the
+name goes through ``json.dumps``, so its escaping is ``json``'s.
+``json.dumps`` with an indent runs CPython's pure-Python encoder,
+several times slower than this at tens of thousands of values.
 
 The reader takes a decimal string only as an optional sign and ASCII
 digits (:func:`is_decimal`), and reads an exact file as its numerators
@@ -66,6 +67,9 @@ def _values_json(f: ArithFunc, pad: str) -> str:
     """The values array of ``f`` at indent ``pad``."""
     p = pad + "  "
     if f.mode == FLOAT:
+        if not all(map(math.isfinite, f._values)):
+            k, v = next((k, v) for k, v in enumerate(f._values, 1) if not math.isfinite(v))
+            raise ValueError(f"float value {v!r} at index {k} cannot be written as JSON")
         body = p + f",\n{p}".join(map(repr, f._values))
     else:
         start, mid, end = f'{p}[\n{p}  "', f'",\n{p}  "', f'"\n{p}]'
@@ -93,7 +97,9 @@ def dumps(obj) -> str:
     """``json.dumps(obj, indent=2) + "\\n"`` for a JSON value whose dict
     keys are strings, where a (function, name) pair stands for its
     sequence object: byte for byte what ``json`` writes for
-    ``to_json_obj(function, name)`` in its place."""
+    ``to_json_obj(function, name)`` in its place.  A sequence holding an
+    inf or nan raises ``ValueError`` naming its index, where ``json``
+    would write ``Infinity`` or ``NaN``, which are not JSON."""
     return _json(obj, "") + "\n"
 
 

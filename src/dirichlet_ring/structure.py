@@ -109,9 +109,10 @@ def units_group_probe(samples: int, seed: int, window: int) -> Witness:
             return Witness(NON_MEMBER, note="commutativity failed")
         if e.convolve(f) != f:
             return Witness(NON_MEMBER, note="identity failed")
-        if f.convolve(f.invert()) != e:
+        f_inv = f.invert()
+        if f.convolve(f_inv) != e:
             return Witness(NON_MEMBER, note="inverse round-trip failed")
-        if fg.invert() != g.invert().convolve(f.invert()):
+        if fg.invert() != g.invert().convolve(f_inv):
             return Witness(NON_MEMBER, note="inverse of a product failed")
     return Witness(MEMBER, note=f"{samples} sampled unit pairs satisfy the group laws")
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's code paths: factoring
 is an upward divisor scan, convolution, division and inversion scan
-every divisor of every index, the totient counts coprime integers one by
+every divisor of every index, divisibility depth divides by each power
+of the divisor in turn, the totient counts coprime integers one by
 one, tau comes from a schoolbook expansion of the eta product and from
 the divisor-sum recursion over a sieve of sigma, additivity
 is tested pair by pair, a narrow scalar is drawn with two ``randint``
@@ -179,15 +180,28 @@ def divide_lists(h: list, f: list):
     return g
 
 
+def depth_power_chain(h: list, f: list) -> int:
+    """Largest r with f^r dividing h on the common window, by definition:
+    divide h by f, f^2, ..., each power a scanned convolution, until a
+    power is zero on the window or leaves a mismatch."""
+    n = min(len(h), len(f))
+    h, f = h[:n], f[:n]
+    depth, power = 0, f
+    while any(power) and not isinstance(divide_lists(h, power), int):
+        depth, power = depth + 1, convolve_lists(power, f)
+    return depth
+
+
 def invert_floats(f: list[float]) -> list[float]:
     """Float inverse by the divisor-order recursion, summed in the order
-    g(k) = -(1/f(1)) * sum of g(d) f(k/d) over divisors d < k, ascending."""
+    g(k) = -(1/f(1)) * sum of g(d) f(k/d) over divisors d < k, ascending;
+    a term with a zero factor is skipped, so 0 * inf adds no nan."""
     lead = 1.0 / f[0]
     g = [lead]
     for k in range(2, len(f) + 1):
         acc = 0.0
         for d in range(1, k):
-            if k % d == 0 and g[d - 1]:
+            if k % d == 0 and g[d - 1] and f[k // d - 1]:
                 acc += g[d - 1] * f[k // d - 1]
         g.append(-lead * acc if acc else 0.0)
     return g

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dirichlet_ring
-from dirichlet_ring import ArithFunc, generate, identity
+from dirichlet_ring import ArithFunc, delta, generate, identity
 from dirichlet_ring.cli import FORMATS, main, parse_ideal_spec
 from dirichlet_ring.ideals import IdealSpec
 from dirichlet_ring.seqfile import load, save
@@ -163,6 +163,13 @@ def test_ideal_member_command(tmp_path):
     obj = json.loads(out)
     assert code == 0
     assert obj["verdict"] == "non_member" and obj["index"] == 5
+    # a prime modulus past the window: every index up to 64 is coprime to it
+    path = tmp_path / "d7.json"
+    save(delta(7, 64), path, "d7")
+    code, out = run_cli("ideal", "member", "P:1000000000000000003", str(path))
+    obj = json.loads(out)
+    assert code == 0
+    assert obj["verdict"] == "non_member" and obj["index"] == 7
 
 
 def test_ideal_quotient_command(tmp_path):
@@ -237,6 +244,16 @@ def _assert_one_line_error(capsys, code):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     return err
+
+
+def test_overflowing_float_json_is_a_one_line_error(tmp_path, capsys):
+    path, out = tmp_path / "big.json", tmp_path / "out.json"
+    save(ArithFunc([1e308] * 4), path, "big")
+    for extra in ([], ["--format", "json"], ["--out", str(out)]):
+        err = _assert_one_line_error(capsys, main(["conv", str(path), str(path), *extra]))
+        assert err == "error: float value inf at index 1 cannot be written as JSON\n"
+    assert not out.exists()
+    assert run_cli("conv", str(path), str(path), "--format", "csv") == (0, "inf,inf,inf,inf\n")
 
 
 @pytest.mark.parametrize("payload", BAD_SEQUENCES.values(), ids=BAD_SEQUENCES.keys())

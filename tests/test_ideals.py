@@ -28,6 +28,7 @@ from dirichlet_ring import (
     probe_semiprime,
     zeros,
 )
+from dirichlet_ring import ring
 from dirichlet_ring.primes import nth_prime
 from dirichlet_ring.sampling import (
     random_func,
@@ -37,7 +38,7 @@ from dirichlet_ring.sampling import (
 )
 from dirichlet_ring.witness import MEMBER, NON_MEMBER, UNDECIDED
 
-from oracles import is_prime_scan, prime_factors_scan, rank_over_q
+from oracles import depth_power_chain, distinct_count_scan, is_prime_scan, prime_factors_scan, rank_over_q
 
 ALL_FAMILY_SPECS = [
     IdealSpec.norm_floor(4),
@@ -515,11 +516,82 @@ def test_depth_bounded_by_norm_logarithm():
         assert a**depth <= b
 
 
+def test_depth_matches_the_power_chain_oracle():
+    # h = g * f^r on one window, sometimes moved off it by an indicator
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(8, 128)
+        f = random_with_norm(rng, n, rng.randint(2, 5))
+        h = random_with_norm(rng, n, rng.randint(1, 3))
+        for _ in range(rng.randint(0, 3)):
+            h = h * f
+        if rng.random() < 0.3:
+            h = h + delta(rng.randint(1, n), n)
+        if not h.is_zero():
+            assert divisibility_depth(h, f) == depth_power_chain(list(h.values), list(f.values))
+
+
+def test_depth_on_unequal_windows_builds_no_product(monkeypatch):
+    rng = random.Random(43)
+    f = random_with_norm(rng, 4096, 2)
+    h = f * f * f * random_with_norm(rng, 4096, 1)
+
+    def refuse(*args):
+        raise AssertionError("divisibility_depth built a product")
+
+    monkeypatch.setattr(ArithFunc, "convolve", refuse)
+    monkeypatch.setattr(ring, "_product", refuse)
+    assert divisibility_depth(h, f) == 3
+    # delta_4 on 1..6 over delta_2 leaves delta_2 on 1..3, then delta_1 on
+    # 1..1, a window too short for norm 2
+    assert divisibility_depth(delta(4, 6), delta(2, 16)) == 2
+    # norm 5 lies past the window 1..4, so not even f^1 divides
+    assert divisibility_depth(delta(4, 4), delta(5, 8)) == 0
+
+
 def test_depth_rejects_units_and_zero():
     with pytest.raises(ValueError):
         divisibility_depth(delta(4, 16), identity(16))
     with pytest.raises(ZeroFunctionError):
         divisibility_depth(zeros(16), delta(2, 16))
+
+
+# the prime-divisor families read only the window's primes ---------------------------
+
+
+def _refuse_factorize(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorized {n}")
+
+    IdealSpec.constrained_indices.cache_clear()
+    monkeypatch.setattr(ideals, "factorize", refuse)
+
+
+@pytest.mark.parametrize("m", [1, 12, 30, 1001, 2**61 - 1, 1000000000000000003])
+def test_coprime_family_never_factors_its_modulus(monkeypatch, m):
+    _refuse_factorize(monkeypatch)
+    spec = IdealSpec.coprime_vanishing(m)
+    coprime = tuple(k for k in range(1, 65) if gcd(k, m) == 1)
+    assert spec.constrained_indices(64) == coprime
+    f = random_in_ideal(random.Random(m % 997), spec, 64)
+    assert member(spec, f).is_member
+    outside = member(spec, f + delta(coprime[-1], 64))
+    assert (outside.verdict, outside.index) == (NON_MEMBER, coprime[-1])
+    verdict = probe_prime(spec, 20, 3, 64)
+    if verdict.verdict == NON_MEMBER:
+        g, h = verdict.elements
+        assert not member(spec, g).is_member and not member(spec, h).is_member
+        assert member(spec, g * h).is_member
+    else:
+        assert verdict.verdict == UNDECIDED
+
+
+@pytest.mark.parametrize("m, k", [(6, 1), (30030, 2), (30030 * 1000003, 3)])
+def test_gcd_count_index_set_never_factors_its_modulus(monkeypatch, m, k):
+    spec = IdealSpec.gcd_count(m, k)  # the squarefree check factors m
+    _refuse_factorize(monkeypatch)
+    few = tuple(i for i in range(1, 129) if distinct_count_scan(gcd(i, m)) <= k)
+    assert spec.constrained_indices(128) == few
 
 
 # family identities -----------------------------------------------------------------

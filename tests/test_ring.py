@@ -519,9 +519,10 @@ def test_common_denominator_switch_at_184_bits(tmp_path, monkeypatch):
 # slice passes -------------------------------------------------------------------
 
 
-def _doubles(rng, n, pool=(0.0, -0.0, 1e300, -1e300, 0.5, -1.25, 3.0, -7.0)):
-    """Doubles with signed zeros and negatives, and by default +-1e300,
-    whose products overflow."""
+def _doubles(rng, n):
+    """Doubles with signed zeros and negatives, and +-1e300, whose
+    products overflow."""
+    pool = (0.0, -0.0, 1e300, -1e300, 0.5, -1.25, 3.0, -7.0)
     return [rng.choice(pool) if rng.random() < 0.5 else rng.uniform(-9, 9) for _ in range(n)]
 
 
@@ -581,13 +582,10 @@ def test_recursion_matches_the_divisor_scan_on_block_edges(a):
 
 def test_float_invert_sums_in_divisor_order_on_block_edges():
     # from n = 768 on, the block [256, 512) sends terms from i = 3 and
-    # i = 2 to one entry, so the order of its per-i slices shows; no
-    # value overflows, since past an inf invert_floats also sums the
-    # terms 0 * inf = nan that the recursion skips as terms with a zero
-    # factor
+    # i = 2 to one entry, so the order of its per-i slices shows
     rng = random.Random(29)
     for n in (2, 3, 7, 8, 63, 64, 255, 256, 1023, 1024):
-        x = _doubles(rng, n, (0.0, -0.0, 0.5, -1.25, 3.0, -7.0))
+        x = _doubles(rng, n)
         x[0] = x[0] or -3.0
         got = ArithFunc(x).invert().values
         assert [v.hex() for v in got] == [v.hex() for v in invert_floats(x)], n

@@ -209,6 +209,22 @@ def test_json_text_is_valid_json(tmp_path):
     assert parsed["n"] == 4
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_writer_refuses_non_finite_floats(tmp_path, value):
+    # a float kernel result can overflow; json would write Infinity or NaN
+    f = ArithFunc._of([0.5, -2.0, value, 1.0], FLOAT)
+    message = f"float value {value!r} at index 3 cannot be written as JSON"
+    for write in (lambda: to_json(f), lambda: dumps({"f": (f, "f")}), lambda: render(f, "json")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write()
+    path = tmp_path / "f.json"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save(f, path)
+    assert not path.exists()
+    assert to_csv(f) == f"0.5,-2.0,{value},1.0\n"
+    assert to_table(f).splitlines()[3] == f"3  {value}"
+
+
 exact_funcs = st.lists(st.fractions(), min_size=1, max_size=12).map(
     lambda vs: ArithFunc(vs, EXACT)
 )
