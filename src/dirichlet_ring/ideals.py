@@ -123,7 +123,7 @@ class IdealSpec(NamedTuple):
         """The indices 1..window, ascending, where members must vanish;
         cached per (spec, window), since ``member``, the probes and
         ``random_in_ideal`` ask again and again for the same few.  P_m and
-        P_{m,k} test ``m % p`` on the window's primes and never factor m."""
+        P_{m,k} test m % p once per prime of the window and never factor m."""
         if self.tag == TAG_NORM_FLOOR:
             return tuple(range(1, min(self.n, window + 1)))
         if self.tag == TAG_MAXIMAL:
@@ -135,11 +135,10 @@ class IdealSpec(NamedTuple):
         # J_Q (at 0) those outside Q; 1, the empty product, always counts 0
         if self.tag == TAG_PRIME_PRODUCTS:
             chosen, outside = set(self.primes), not self.complement
-            counted = lambda p, a: (p in chosen) != outside
         else:
-            counted = lambda p, a: self.m % p == 0
+            chosen, outside = {p for p in primes_upto(window) if self.m % p == 0}, False
         bound = self.k if self.tag == TAG_GCD_COUNT else 0
-        counts = prime_power_fold(window, counted, add, 0)
+        counts = prime_power_fold(window, lambda p, a: (p in chosen) != outside, add, 0)
         return tuple(idx for idx, c in enumerate(counts, start=1) if c <= bound)
 
 
@@ -273,12 +272,12 @@ def _chain_specs_and_points(family: str, length: int, window: int):
     # the points are the integers 1..length-1 (I), the primes p_1..p_(length-1)
     # (K) or p_2..p_length (P, J); the first `held` of the sequence fit
     first, last = (2, length) if family[0] in "PJ" else (1, length - 1)
-    ps = () if family == "I_descending" else primes_upto(window)
-    held = window if family == "I_descending" else len(ps)
+    held = window if family == "I_descending" else len(primes_upto(window))
     if last > held:
         k = max(first, held + 1)
         label = f"delta_{k if family == 'I_descending' else nth_prime(k)}"
         raise WindowError(f"window {window} too small to hold separator {label}")
+    ps = primes_upto(nth_prime(length + 1))
     if family == "P_ascending":
         specs = [IdealSpec.coprime_vanishing(m) for m in accumulate(ps[:length], mul)]
         return specs, ps[1:length], True
