@@ -123,7 +123,7 @@ class IdealSpec(NamedTuple):
         """The indices 1..window, ascending, where members must vanish;
         cached per (spec, window), since ``member``, the probes and
         ``random_in_ideal`` ask again and again for the same few.  P_m and
-        P_{m,k} test m % p once per prime of the window and never factor m."""
+        P_{m,k} test m % p at most once per prime of the window and never factor m."""
         if self.tag == TAG_NORM_FLOOR:
             return tuple(range(1, min(self.n, window + 1)))
         if self.tag == TAG_MAXIMAL:
@@ -135,8 +135,8 @@ class IdealSpec(NamedTuple):
         # J_Q (at 0) those outside Q; 1, the empty product, always counts 0
         if self.tag == TAG_PRIME_PRODUCTS:
             chosen, outside = set(self.primes), not self.complement
-        else:
-            chosen, outside = {p for p in primes_upto(window) if self.m % p == 0}, False
+        else:  # a prime dividing m is at most m
+            chosen, outside = {p for p in primes_upto(min(window, self.m)) if self.m % p == 0}, False
         bound = self.k if self.tag == TAG_GCD_COUNT else 0
         counts = prime_power_fold(window, lambda p, a: (p in chosen) != outside, add, 0)
         return tuple(idx for idx, c in enumerate(counts, start=1) if c <= bound)
