@@ -21,8 +21,8 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .primes import factorize, is_prime, nth_prime, prime_power_fold, primes_upto
-from .ring import (_ZERO_ONE, ArithFunc, EXACT, NotDivisibleWitness, WindowError,
-                   ZeroFunctionError, delta, indicator_shift, try_divide, zeros)
+from .ring import (ArithFunc, EXACT, NotDivisibleWitness, WindowError, ZeroFunctionError,
+                   delta, indicator_shift, take, try_divide, zeros)
 from .sampling import random_func
 from .witness import CHAIN_FAMILIES, MEMBER, NON_MEMBER, UNDECIDED, Witness
 
@@ -179,7 +179,7 @@ def principal_quotient(p: int, f: ArithFunc) -> ArithFunc:
     _require_member(IdealSpec.coprime_vanishing(p), f)
     if len(f) < p:
         raise WindowError(f"window {len(f)} holds no multiple of {p}")
-    return ArithFunc._of(f._values[p - 1 :: p], f.mode, f._den)
+    return take(f, range(p, len(f) + 1, p))
 
 
 class Decomposition(NamedTuple):
@@ -214,17 +214,16 @@ def decompose_coprime_vanishing(m: int, f: ArithFunc) -> Decomposition:
     owner = [0] * (window + 1)  # the largest prime of m dividing each index
     for q in qs:
         owner[q::q] = [q] * (window // q)
-    vals, zero = f._values, _ZERO_ONE[f.mode][0]
-    cofactors = {q: [zero] * max(window // q, 1) for q in qs}
+    cofactors = {q: [0] * max(window // q, 1) for q in qs}  # the k of each f(k) read, or 0
     for k, q in enumerate(owner):
         if q:
-            cofactors[q][k // q - 1] = vals[k - 1]
+            cofactors[q][k // q - 1] = k
     return Decomposition(
         m=m,
         target=f,
         generators=tuple(delta(q, window, f.mode) for q in qs),
         generator_points=qs,
-        cofactors=tuple(ArithFunc._of(cofactors[q], f.mode, f._den) for q in qs),
+        cofactors=tuple(take(f, cofactors[q]) for q in qs),
     )
 
 

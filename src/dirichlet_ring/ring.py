@@ -9,11 +9,14 @@ are irrational.
 An exact function whose common denominator d (the lcm of its values'
 denominators) has at most ``SHARED_BITS`` bits is narrow: it stores the
 integers d*f(k) and d, with gcd(d, *integers) == 1.  Any other is wide
-and stores its values as Fractions; :func:`shared_denominator` decides,
-for the constructor, every kernel result and the sequence-file loader.
-The values alone fix the stored form, so ``==`` and ``hash`` compare
-forms.  ``values`` and ``f(k)`` build a narrow function's Fractions on
-each request and keep none; the package's own readers use the integers.
+and stores two columns, the numerators and the denominators of its
+values, each pair in lowest terms with a positive denominator;
+:func:`shared_denominator` decides, for the constructor, every kernel
+result and the sequence-file loader.  The values alone fix the stored
+form, so ``==`` and ``hash`` compare forms.  ``values`` and ``f(k)``
+build Fractions, for either form, on each request and keep none; the
+package's own readers use the integers, other modules through
+:func:`take` and :func:`lowest_terms`.
 
 ``ArithFunc(values, mode)`` is the one checker for values from outside
 the package, sequence files included.  Ints and Fractions are exact,
@@ -37,13 +40,14 @@ is the same recursion plus a scan for the first index it cannot match.
 
 The loops run on column sets: a narrow operand's integers, a float
 function's values, or, when an operand is wide, numerator and
-denominator columns.  These are unreduced pairs, which put off the gcds
-that every Fraction operation takes (Knuth, TAOCP vol. 2, 4.5.1); the
-recursion reduces each solved value once.  A narrow result is put in
-lowest terms by one gcd.  Every entry sums its terms in the order of a
-term-by-term loop, ascending i in a product and ascending m in the
-recursion, and a term with a zero factor adds nothing, so float results
-do not depend on how the slices are cut.
+denominator columns, which are a wide function's stored columns.  Pairs
+in the loops are unreduced, which puts off the gcds that every Fraction
+operation takes (Knuth, TAOCP vol. 2, 4.5.1); the recursion reduces
+each solved value once, a product each output pair once, and a narrow
+result is put in lowest terms by one gcd.  Every entry sums its terms
+in the order of a term-by-term loop, ascending i in a product and
+ascending m in the recursion, and a term with a zero factor adds
+nothing, so float results do not depend on how the slices are cut.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, islice, repeat
 from math import gcd, inf, isfinite, isqrt, lcm
-from operator import add, floordiv, mod, mul, ne, sub
+from operator import add, floordiv, mod, mul, ne, sub, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 EXACT = "exact"
@@ -106,21 +110,33 @@ def shared_denominator(dens: Iterable[int]) -> int | None:
     return d
 
 
-def _canonical(entries: Sequence, den: int | None) -> tuple[tuple, int | None]:
-    """The stored form (entries, den) of integers over ``den``, or of
-    Fractions and ints when den is None."""
-    if den is None:  # values in lowest terms over their lcm need no gcd
-        den = shared_denominator(v.denominator for v in entries)
-        if den is None:
-            return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in entries), None
-        return tuple(v.numerator * (den // v.denominator) if den > 1 else v.numerator for v in entries), den
-    g = gcd(den, *entries)
-    if g > 1:
-        den //= g
-        entries = [x // g for x in entries]
-    if shared_denominator((den,)) is None:
-        return tuple(Fraction(x, den) for x in entries), None
-    return tuple(entries), den
+def _lowest(nums: Iterable[int], dens: Iterable[int]) -> tuple[list, list]:
+    """Pairs over positive denominators in lowest terms, one gcd each."""
+    g = list(map(gcd, nums, dens))
+    return list(map(floordiv, nums, g)), list(map(floordiv, dens, g))
+
+
+def _canonical(entries: Sequence, den) -> tuple[tuple, int | tuple]:
+    """The stored form (entries, den) of Fractions and ints when den is
+    None, of integers over an int ``den``, or of numerators over a
+    sequence ``den`` of positive denominators, each pair in lowest terms."""
+    if den is None:
+        entries, den = [v.numerator for v in entries], [v.denominator for v in entries]
+    elif isinstance(den, int):
+        g = gcd(den, *entries)
+        if g > 1:
+            den //= g
+            entries = [x // g for x in entries]
+        if den.bit_length() <= SHARED_BITS:
+            return tuple(entries), den
+        # past the bound; the lcm of the reduced pairs' denominators is den
+        nums, dens = _lowest(entries, repeat(den))
+        return tuple(nums), tuple(dens)
+    d = shared_denominator(den)
+    if d is None:
+        return tuple(entries), tuple(den)
+    # pairs in lowest terms over their lcm need no gcd
+    return tuple(entries) if d == 1 else tuple(x * (d // e) for x, e in zip(entries, den)), d
 
 
 def _norm(values: Sequence, n: int) -> int | None:
@@ -251,22 +267,20 @@ def _float_quotient(lead: float):
     return lambda h, acc, at: [[r * lead if r else 0.0 for r in map(sub, h[0][at], acc[0][at])]]
 
 
-def _pair_quotient(lead: Fraction, solved: list):
-    """Division step over pairs: the block's g(m) = rest / lead, as
-    columns, each also appended to ``solved`` as the Fraction it was
-    reduced by, so the result needs no second gcd.
+def _pair_quotient(lead_num: int, lead_den: int):
+    """Division step over pairs: the block's g(m) = rest / lead as
+    columns in lowest terms with positive denominators, so the solved
+    columns are the stored form of g.
 
     The solved values are multiplied into every later accumulator, so
     leaving them unreduced would compound their growth.
     """
-    num, den = lead.denominator, lead.numerator
+    num, den = (lead_den, lead_num) if lead_num > 0 else (-lead_den, -lead_num)
 
-    def divide(h: list, acc: list, at: slice) -> list:
+    def divide(h: list, acc: list, at: slice) -> tuple[list, list]:
         hn, hd, an, ad = h[0][at], h[1][at], acc[0][at], acc[1][at]
         rest = map(sub, map(mul, hn, ad), map(mul, an, hd))
-        q = list(map(Fraction, map(mul, rest, repeat(num)), map(mul, map(mul, hd, ad), repeat(den))))
-        solved.extend(q)
-        return [[v.numerator for v in q], [v.denominator for v in q]]
+        return _lowest(list(map(mul, rest, repeat(num))), list(map(mul, map(mul, hd, ad), repeat(den))))
 
     return divide
 
@@ -274,18 +288,13 @@ def _pair_quotient(lead: Fraction, solved: list):
 def _lift(n: int, *operands: ArithFunc) -> list[tuple[list, int | None]]:
     """The exact loops' column set of each operand on 1..n: [its stored
     integers] and their denominator when every operand is narrow, else
-    [numerators, denominators] of its values and None; a narrow operand's
-    numerators are its integers, unreduced over its denominator."""
-    if all(f._den is not None for f in operands):
-        return [([f._values], f._den) for f in operands]
-    lifted = []
-    for f in operands:
-        vals = f._values[:n]
-        if f._den is None:
-            lifted.append(([[v.numerator for v in vals], [v.denominator for v in vals]], None))
-        else:
-            lifted.append(([list(vals), [f._den] * n], None))
-    return lifted
+    [numerators, denominators] and None: a wide operand's stored columns,
+    or a narrow one's integers, unreduced over its denominator."""
+    dens = [f._den for f in operands]
+    if all(isinstance(d, int) for d in dens):
+        return [([f._values], d) for f, d in zip(operands, dens)]
+    return [([f._values[:n], d[:n] if isinstance(d, tuple) else (d,) * n], None)
+            for f, d in zip(operands, dens)]
 
 
 def _solve_exact(h: ArithFunc, f: ArithFunc, a: int, n: int) -> tuple[ArithFunc, list, list]:
@@ -300,9 +309,8 @@ def _solve_exact(h: ArithFunc, f: ArithFunc, a: int, n: int) -> tuple[ArithFunc,
     """
     (hs, dh), (fs, df) = _lift(n, h, f)
     if dh is None:
-        g = []
-        acc = _solve(hs, fs, a, n, (0, 1), _pair_quotient(f(a), g))[1]
-        return ArithFunc._of(g, EXACT), acc, hs
+        (gn, gd), acc = _solve(hs, fs, a, n, (0, 1), _pair_quotient(fs[0][a - 1], fs[1][a - 1]))
+        return ArithFunc._of(gn, EXACT, gd), acc, hs
     [F], [H] = fs, hs
     c = abs(F[a - 1]) ** sum(1 for _ in _blocks(n // a, a))
     target = [c * x for x in H[:n]]
@@ -332,7 +340,8 @@ class ArithFunc:
     Instances are immutable; every operation returns a new function.
     Calling the object evaluates it: ``f(k)`` for 1 <= k <= len(f).
     ``_values`` holds a narrow function's integers and ``_den`` their
-    denominator; otherwise ``_values`` holds the values, ``_den`` None.
+    denominator, a wide function's numerators and ``_den`` the tuple of
+    their denominators, or a float function's values and ``_den`` None.
     """
 
     __slots__ = ("_values", "_mode", "_den")
@@ -362,13 +371,15 @@ class ArithFunc:
                 raise ValueError("float values must be finite")
         self._store(vals, mode, None)
 
-    def _store(self, vals: Sequence, mode: str, den: int | None) -> None:
+    def _store(self, vals: Sequence, mode: str, den) -> None:
         self._values, self._den = _canonical(vals, den) if mode == EXACT else (tuple(vals), None)
         self._mode = mode
 
     @classmethod
-    def _of(cls, entries: Sequence, mode: str, den: int | None = None) -> "ArithFunc":
-        """Trusted constructor: floats, exact values, or integers over ``den``."""
+    def _of(cls, entries: Sequence, mode: str, den=None) -> "ArithFunc":
+        """Trusted constructor: floats, exact values, integers over an int
+        ``den``, or numerators over a sequence ``den`` of denominators, in
+        lowest terms and positive."""
         obj = cls.__new__(cls)
         obj._store(entries, mode, den)
         return obj
@@ -377,7 +388,9 @@ class ArithFunc:
     def values(self) -> tuple:
         """f(1), ..., f(n): Fractions in exact mode, floats in float mode."""
         d = self._den
-        return self._values if d is None else tuple(Fraction(x, d) for x in self._values)
+        if d is None:
+            return self._values
+        return tuple(map(Fraction, self._values, d if isinstance(d, tuple) else repeat(d)))
 
     @property
     def mode(self) -> str:
@@ -394,7 +407,9 @@ class ArithFunc:
         if not 1 <= k <= len(self._values):
             raise IndexError(f"index {k} outside the window 1..{len(self._values)}")
         d = self._den
-        return self._values[k - 1] if d is None else Fraction(self._values[k - 1], d)
+        if d is None:
+            return self._values[k - 1]
+        return Fraction(self._values[k - 1], d[k - 1] if isinstance(d, tuple) else d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ArithFunc):
@@ -421,8 +436,13 @@ class ArithFunc:
     def add(self, other: "ArithFunc") -> "ArithFunc":
         self._require_same_mode(other)
         da, db = self._den, other._den
-        if da is None or db is None:
-            return ArithFunc._of(list(map(add, self.values, other.values)), self._mode)
+        if da is None:
+            return ArithFunc._of(list(map(add, self._values, other._values)), FLOAT)
+        if isinstance(da, tuple) or isinstance(db, tuple):
+            n = min(len(self._values), len(other._values))
+            [((an, ad), _), ((bn, bd), _)] = _lift(n, self, other)
+            nums, dens = _lowest(list(map(add, map(mul, an, bd), map(mul, bn, ad))), list(map(mul, ad, bd)))
+            return ArithFunc._of(nums, EXACT, dens)
         d = da // gcd(da, db) * db
         a = self._values if d == da else [x * (d // da) for x in self._values]
         b = other._values if d == db else [x * (d // db) for x in other._values]
@@ -448,7 +468,8 @@ class ArithFunc:
         if self._mode == EXACT:
             (a, da), (b, db) = _lift(n, self, other)
             if da is None:
-                return ArithFunc._of(list(map(Fraction, *_product(a, b, n, (0, 1)))), EXACT)
+                nums, dens = _lowest(*_product(a, b, n, (0, 1)))
+                return ArithFunc._of(nums, EXACT, dens)
             return ArithFunc._of(_product(a, b, n, (0,))[0], EXACT, da * db)
         return ArithFunc._of(dirichlet_product(self._values, other._values, n, 0.0), FLOAT)
 
@@ -505,12 +526,14 @@ class ArithFunc:
     def truncate(self, n: int) -> "ArithFunc":
         if not 1 <= n <= len(self._values):
             raise WindowError(f"cannot truncate a window of {len(self._values)} to {n}")
-        return ArithFunc._of(self._values[:n], self._mode, self._den)
+        return take(self, range(1, n + 1))
 
     def to_float(self) -> "ArithFunc":
         """Explicit conversion to float mode (exact -> float is lossy)."""
         d = self._den  # int / int rounds once, as float(Fraction) does
-        return ArithFunc._of([x / d for x in self._values] if d else map(float, self._values), FLOAT)
+        if d is None:
+            return self
+        return ArithFunc._of(list(map(truediv, self._values, d if isinstance(d, tuple) else repeat(d))), FLOAT)
 
 
 # constructors ----------------------------------------------------------
@@ -583,6 +606,27 @@ def indicator_shift(m: int, g: ArithFunc, n_out: int) -> ArithFunc:
             f"window {n_out} reaches index {m * (len(g) + 1)} = {m}*{len(g) + 1}, "
             "beyond what the shifted operand determines"
         )
-    vals = [_ZERO_ONE[g.mode][0]] * n_out
-    vals[m - 1::m] = g._values[: n_out // m]
-    return ArithFunc._of(vals, g.mode, g._den)
+    idx = [0] * n_out
+    idx[m - 1::m] = range(1, n_out // m + 1)
+    return take(g, idx)
+
+
+def take(f: ArithFunc, idx: Sequence[int]) -> ArithFunc:
+    """The function whose value at j is f(idx[j - 1]), or 0 where
+    idx[j - 1] is 0, built from f's stored form: truncations, dilations
+    and quotients by a delta are all this."""
+    vals, d = (_ZERO_ONE[f.mode][0],) + f._values, f._den
+    entries = [vals[k] for k in idx]
+    if isinstance(d, tuple):
+        dens = (1,) + d
+        d = [dens[k] for k in idx]
+    return ArithFunc._of(entries, f.mode, d)
+
+
+def lowest_terms(f: ArithFunc) -> tuple[Sequence[int], Sequence[int] | None]:
+    """An exact f's values as numerators and denominators in lowest terms,
+    the denominators None when every value is an integer."""
+    d = f._den
+    if d == 1:
+        return f._values, None
+    return _lowest(f._values, repeat(d)) if isinstance(d, int) else (f._values, d)

@@ -16,20 +16,20 @@ several times slower than this at tens of thousands of values.
 
 The reader takes a decimal string only as an optional sign and ASCII
 digits (:func:`is_decimal`), and reads an exact file as its numerators
-over the lcm of its denominators, the stored form, with no ``Fraction``
-per value unless ``ring.shared_denominator``, the ring's one rule for
-the stored form, gives that lcm up.
+over the lcm of its denominators, or, when ``ring.shared_denominator``,
+the ring's one rule for the stored form, gives that lcm up, as its
+pairs in lowest terms with positive denominators; neither builds a
+``Fraction``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from itertools import chain, repeat
 from pathlib import Path
 
-from .ring import ArithFunc, EXACT, FLOAT, shared_denominator
+from .ring import ArithFunc, EXACT, FLOAT, lowest_terms, shared_denominator
 
 
 def is_decimal(text: str) -> bool:
@@ -41,25 +41,24 @@ def is_decimal(text: str) -> bool:
 
 def _string_pairs(f: ArithFunc):
     """Each exact value as a (numerator, denominator) pair of decimal
-    strings, in lowest terms, read from the stored form."""
-    d = f._den
-    if d is None:
-        return [(str(v.numerator), str(v.denominator)) for v in f._values]
-    if d == 1:
-        return zip(map(str, f._values), repeat("1"))
-    return [(str(x // g), str(d // g)) for x in f._values for g in (math.gcd(x, d),)]
+    strings, in lowest terms."""
+    nums, dens = lowest_terms(f)
+    return zip(map(str, nums), repeat("1") if dens is None else map(str, dens))
 
 
 def _texts(f: ArithFunc):
     """Each value as ``str`` writes it, an exact one as its ``Fraction``."""
-    if f._den in (None, 1):
-        return map(str, f._values)
-    return (a if b == "1" else f"{a}/{b}" for a, b in _string_pairs(f))
+    if f.mode == FLOAT:
+        return map(str, f.values)
+    nums, dens = lowest_terms(f)
+    if dens is None:
+        return map(str, nums)
+    return (str(a) if b == 1 else f"{a}/{b}" for a, b in zip(nums, dens))
 
 
 def to_json_obj(f: ArithFunc, name: str = "sequence") -> dict:
     """The sequence object as plain JSON values, the form ``from_json_obj`` reads."""
-    values = list(map(list, _string_pairs(f))) if f.mode == EXACT else list(f._values)
+    values = list(map(list, _string_pairs(f))) if f.mode == EXACT else list(f.values)
     return {"name": name, "mode": f.mode, "n": len(f), "values": values}
 
 
@@ -67,10 +66,10 @@ def _values_json(f: ArithFunc, pad: str) -> str:
     """The values array of ``f`` at indent ``pad``."""
     p = pad + "  "
     if f.mode == FLOAT:
-        if not all(map(math.isfinite, f._values)):
-            k, v = next((k, v) for k, v in enumerate(f._values, 1) if not math.isfinite(v))
+        if not all(map(math.isfinite, f.values)):
+            k, v = next((k, v) for k, v in enumerate(f.values, 1) if not math.isfinite(v))
             raise ValueError(f"float value {v!r} at index {k} cannot be written as JSON")
-        body = p + f",\n{p}".join(map(repr, f._values))
+        body = p + f",\n{p}".join(map(repr, f.values))
     else:
         start, mid, end = f'{p}[\n{p}  "', f'",\n{p}  "', f'"\n{p}]'
         body = start + f"{end},\n{start}".join(map(mid.join, _string_pairs(f))) + end
@@ -134,13 +133,17 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
                for v in raw) or not all(map(is_decimal, chain.from_iterable(raw))):
         raise ValueError("each exact value must be a [numerator, denominator] pair of decimal strings")
     # the numerators over the lcm of the distinct denominators, the stored
-    # form ArithFunc._of reduces, unless ring's rule stores Fractions
+    # form ArithFunc._of reduces, unless ring's rule gives the lcm up: then
+    # each pair in lowest terms, its sign on the numerator
     dens = {text: int(text) for text in {den for _, den in raw}}
     if 0 in dens.values():
         raise ValueError("an exact value has denominator 0")
     common = shared_denominator(dens.values())
     if common is None:
-        return name, ArithFunc([Fraction(int(num), dens[den]) for num, den in raw], EXACT)
+        pairs = [(int(num), dens[den]) for num, den in raw]
+        gs = [math.gcd(x, d) if d > 0 else -math.gcd(x, d) for x, d in pairs]
+        nums = [x // g for (x, _), g in zip(pairs, gs)]
+        return name, ArithFunc._of(nums, EXACT, [d // g for (_, d), g in zip(pairs, gs)])
     scale = {text: common // d for text, d in dens.items()}
     return name, ArithFunc._of([int(num) * scale[den] for num, den in raw], EXACT, common)
 

@@ -29,6 +29,7 @@ from dirichlet_ring import (
     zeros,
 )
 from dirichlet_ring import ring, seqfile
+from dirichlet_ring.ideals import decompose_coprime_vanishing, principal_quotient
 from dirichlet_ring.ring import dirichlet_product
 from dirichlet_ring.sampling import random_func, random_nonzero, random_unit, random_with_norm
 from dirichlet_ring.zoo import big_omega, generate, log_function, mangoldt, mobius, unit
@@ -473,9 +474,9 @@ def test_exact_kernels_match_divisor_scan_oracles(n, a, lead, seed, k):
 P184, Q184 = 2**92 - 83, 2**92 - 149  # primes whose product has 184 bits
 
 
-def test_common_denominator_switch_at_184_bits(tmp_path, monkeypatch):
+def test_common_denominator_switch_at_184_bits(tmp_path, monkeypatch, fractions_built):
     # p*q has 184 bits, so f scales; one more entry over 2 makes the common
-    # denominator 185 bits, and f2 keeps the Fraction path
+    # denominator 185 bits, and f2 keeps the pair path
     p, q = P184, Q184
     assert (p * q).bit_length() == 184
     n = 64
@@ -485,24 +486,25 @@ def test_common_denominator_switch_at_184_bits(tmp_path, monkeypatch):
     f = ArithFunc(base, EXACT)
     f2 = ArithFunc(base[:-1] + [Fraction(1, 2)], EXACT)
     assert f._den == p * q
-    assert f2._den is None
+    assert isinstance(f2._den, tuple)
     # kernel results on both sides: a product over p*q, and over 2*p*q
     over_p = [Fraction(rng.randint(-3, 3), p) for _ in range(n)]
     over_q = ArithFunc([Fraction(1, q)] + [Fraction(rng.randint(-3, 3), q) for _ in range(n - 1)])
     for lead, den in ((Fraction(1, p), p * q), (Fraction(1, 2 * p), None)):
         xv = [lead] + over_p[1:]
         product = ArithFunc(xv) * over_q
-        assert product._den == den
+        assert product._den == den if den else isinstance(product._den, tuple)
         assert list(product.values) == convolve_lists(xv, list(over_q.values))
         assert try_divide(product, over_q) == ArithFunc(xv)
-    # the loader, with no Fraction built for the narrow file
+    # the loader, with no Fraction built for either file
     seqfile.save(f, tmp_path / "f.json")
     seqfile.save(f2, tmp_path / "f2.json")
+    made = fractions_built.made
     f2_loaded = seqfile.load(tmp_path / "f2.json")[1]
-    monkeypatch.setattr(seqfile, "Fraction", None)
     f_loaded = seqfile.load(tmp_path / "f.json")[1]
+    assert fractions_built.made == made
     assert (f_loaded._den, f_loaded._values) == (f._den, f._values)
-    assert (f2_loaded._den, f2_loaded._values) == (None, f2._values)
+    assert (f2_loaded._den, f2_loaded._values) == (f2._den, f2._values)
     monkeypatch.undo()
     g = random_unit(rng, n)
     for x in (f, f2):
@@ -603,7 +605,7 @@ def test_wide_columns_with_zero_entries_match_the_oracles():
         nv[0] = nv[0] or Fraction(1)
         w, v = ArithFunc(wv), ArithFunc(nv)
         w2 = ArithFunc([Fraction(0)] + wv[1:])  # norm 3
-        assert w._den is None and w2._den is None and v._den is not None
+        assert isinstance(w._den, tuple) and isinstance(w2._den, tuple) and isinstance(v._den, int)
         for x, y in ((w, w), (w, v), (v, w), (v, w2), (w, w2)):
             xv, yv = list(x.values), list(y.values)
             p = x * y
@@ -660,7 +662,7 @@ def test_pair_path_matches_divisor_scan_oracles(n, a, wide, seed, k):
     gv = entries(n, g_wide)
     f, g = ArithFunc(fv, EXACT), ArithFunc(gv, EXACT)
     for x, is_wide in ((f, f_wide), (g, g_wide)):
-        assert (x._den is None) == is_wide
+        assert isinstance(x._den, tuple) == is_wide
     h = f * g
     assert list(h.values) == convolve_lists(fv, gv)
     assert list(try_divide(h, f).values) == divide_lists(list(h.values), fv)
@@ -688,19 +690,25 @@ def test_pair_path_matches_divisor_scan_oracles(n, a, wide, seed, k):
 
 
 def assert_stored_form(x, values):
-    """x equals and hashes like ArithFunc of these values, hands them out as
-    Fractions, and stores the form their common denominator d chooses:
-    the integers d*v over d up to 184 bits, the Fractions past that."""
+    """x equals and hashes like ArithFunc of these values and like
+    ArithFunc(x.values), hands them out as Fractions, and stores the form
+    their common denominator d chooses: the integers d*v over d up to
+    SHARED_BITS bits, past that the numerator and denominator columns,
+    each pair coprime with a positive denominator."""
     fractions = tuple(Fraction(v) for v in values)
-    ref = ArithFunc(fractions, EXACT)
-    assert x == ref and hash(x) == hash(ref)
+    ref, again = ArithFunc(fractions, EXACT), ArithFunc(x.values)
+    assert x == ref == again and hash(x) == hash(ref) == hash(again)
     assert x.values == fractions and all(type(v) is Fraction for v in x.values)
     d = math.lcm(*(v.denominator for v in fractions))
-    if d.bit_length() <= 184:
+    if d.bit_length() <= ring.SHARED_BITS:
         assert (x._values, x._den) == (tuple(int(v * d) for v in fractions), d)
         assert all(type(v) is int for v in x._values)
     else:
-        assert (x._values, x._den) == (fractions, None)
+        nums, dens = x._values, x._den
+        assert type(nums) is type(dens) is tuple and len(nums) == len(dens) == len(fractions)
+        assert all(type(v) is int for v in nums + dens)
+        assert all(math.gcd(p, q) == 1 and q > 0 for p, q in zip(nums, dens))
+        assert [Fraction(p, q) for p, q in zip(nums, dens)] == list(fractions)
 
 
 def _entries(rng, n, width):
@@ -735,6 +743,7 @@ def test_every_path_builds_the_stored_form_of_its_values(n, width, seed, tag):
     assert_stored_form((f + g) - f, gv)
     assert_stored_form(-f, [-x for x in fv])
     assert_stored_form(f * g, convolve_lists(fv, gv))
+    assert_stored_form(f * f, convolve_lists(fv, fv))
     assert_stored_form(g.invert(), divide_lists([1] + [0] * (n - 1), gv))
     if fv[0]:
         assert_stored_form(f.invert(), divide_lists([1] + [0] * (n - 1), fv))
@@ -746,12 +755,24 @@ def test_every_path_builds_the_stored_form_of_its_values(n, width, seed, tag):
     assert_stored_form(generate(tag, n), [ZOO_ORACLES[tag](k) for k in range(1, n + 1)])
     draws = random.Random(seed)
     assert_stored_form(random_func(random.Random(seed), n), [randint_scalar(draws) for _ in range(n)])
+    # a file's pairs, unreduced and with negative denominators
+    scales = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
     obj = {"name": "f", "mode": EXACT, "n": n,
-           "values": [[str(v.numerator), str(v.denominator)] for v in fv]}
+           "values": [[str(v.numerator * c), str(v.denominator * c)] for v, c in zip(fv, scales)]}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         assert_stored_form(seqfile.load(path)[1], fv)
+    # the ideals' readers: f(2k) off a member of the principal ideal at 2,
+    # and the cofactors of a member of P_6 at 2 and 3
+    if n >= 2:
+        assert_stored_form(principal_quotient(2, indicator_shift(2, f, n)), fv[: n // 2])
+    tv = [v if math.gcd(k, 6) > 1 else 0 for k, v in enumerate(fv, 1)]
+    split = decompose_coprime_vanishing(6, ArithFunc(tv))
+    for q, cofactor in zip((2, 3), split.cofactors):
+        assert_stored_form(cofactor, [tv[q * j - 1] if q == 3 or j % 3 else 0
+                                      for j in range(1, n // q + 1)] or [0])
+    assert_stored_form(split.reconstruction(), tv)
 
 
 def test_halves_sum_to_the_integer_form():
@@ -782,13 +803,32 @@ def test_loaded_file_is_stored_as_integers(tmp_path):
 def test_wide_quotient_that_cancels_comes_back_narrow():
     rng = random.Random(71)
     a = _wide(rng, 64)
-    assert a._den is None
+    assert isinstance(a._den, tuple)
     h = a * mobius(64)
-    assert h._den is None  # the product is wide too
+    assert isinstance(h._den, tuple)  # the product is wide too
     q = try_divide(h, a)
     assert q == mobius(64) and q._den == 1
     assert all(type(v) is int for v in q._values)
     assert ((a + mobius(64)) - a)._den == 1
+
+
+def test_wide_kernels_and_sequence_files_build_no_fraction(tmp_path, fractions_built):
+    # a wide result is its stored columns: the kernels reduce their output
+    # pairs by gcd, and the loader and writer read and write those pairs
+    rng = random.Random(61)
+    a, b = _wide(rng, 256), _wide(rng, 256)
+    a2 = ArithFunc((Fraction(0),) + _wide(rng, 255).values, EXACT)
+    c, cw = a * b, a2 * b + delta(101, 256)
+    made = fractions_built.made
+    results = [a * b, a.invert(), try_divide(c, b), try_divide(cw, a2), a.power(3)]
+    seqfile.save(a, tmp_path / "a.json")
+    loaded = seqfile.load(tmp_path / "a.json")[1]
+    assert fractions_built.made == made
+    assert results[0] == c and results[2] == a and loaded == a
+    assert results[3] == NotDivisibleWitness(101, results[3].note)
+    assert results[4] == a * a * a
+    assert list(results[1].values) == divide_lists([1] + [0] * 255, list(a.values))
+    assert all(isinstance(r._den, tuple) for r in (c, results[1], results[4]))
 
 
 # pinned outputs ---------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_ring_operations_commute_with_truncation(mn, kind, seed):
     rng = random.Random(seed)
     f, g = operand(rng, n, kind[0]), operand(rng, n, kind[1], norm=rng.randint(1, 3))
     if kind[0] == "wide" and n > 1:
-        assert f._den is None
+        assert isinstance(f._den, tuple)
     fm, gm = f.truncate(m), g.truncate(m)
     assert_prefix(fm + gm, f + g)
     assert_prefix(fm * gm, f * g)
