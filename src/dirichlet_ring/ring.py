@@ -65,7 +65,7 @@ Scalar = Union[int, float, Fraction]
 
 # the widest lcm at which convolve, invert, try_divide and power(3) ran no
 # slower on integers over it than on pairs, at n=1024 and 4096
-SHARED_BITS = 184
+SHARED_BITS = 80
 
 
 class ModeMismatchError(ValueError):

@@ -471,14 +471,14 @@ def test_exact_kernels_match_divisor_scan_oracles(n, a, lead, seed, k):
         assert list(f.invert().values) == divide_lists([1] + [0] * (n - 1), fv)
 
 
-P184, Q184 = 2**92 - 83, 2**92 - 149  # primes whose product has 184 bits
+P80, Q80 = 2**40 - 87, 2**40 - 167  # primes whose product has 80 bits
 
 
-def test_common_denominator_switch_at_184_bits(tmp_path, monkeypatch, fractions_built):
-    # p*q has 184 bits, so f scales; one more entry over 2 makes the common
-    # denominator 185 bits, and f2 keeps the pair path
-    p, q = P184, Q184
-    assert (p * q).bit_length() == 184
+def test_common_denominator_switch_at_shared_bits(tmp_path, monkeypatch, fractions_built):
+    # p*q has SHARED_BITS bits, so f scales; one more entry over 2 makes
+    # the common denominator one bit wider, and f2 keeps the pair path
+    p, q = P80, Q80
+    assert (p * q).bit_length() == ring.SHARED_BITS
     n = 64
     rng = random.Random(43)
     base = [Fraction(rng.randint(-3, 3), rng.choice((1, p, q))) for _ in range(n)]
@@ -644,7 +644,7 @@ def test_a_zero_pair_term_leaves_its_accumulator_as_it_is(den):
 )
 def test_pair_path_matches_divisor_scan_oracles(n, a, wide, seed, k):
     # 96-bit denominators on at least three nonzero entries push the
-    # common denominator past 184 bits, so the wide operands (f, g or both)
+    # common denominator past SHARED_BITS, so the wide operands (f, g or both)
     # run on unreduced pairs; a narrow one scales on its own but is
     # lifted to pairs with its partner
     rng = random.Random(seed)
@@ -714,9 +714,9 @@ def assert_stored_form(x, values):
 def _entries(rng, n, width):
     if width == "narrow":
         return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-    # two ~100-bit denominators pass 184 bits together; only one of them
+    # two ~48-bit denominators pass SHARED_BITS together; only one of them
     # may appear, and then the values are narrow again
-    dens = (rng.randrange(1 << 99, 1 << 100), rng.randrange(1 << 99, 1 << 100))
+    dens = (rng.randrange(1 << 47, 1 << 48), rng.randrange(1 << 47, 1 << 48))
     return [Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(n)]
 
 

@@ -168,6 +168,7 @@ def test_decimal_strings_are_accepted(text):
 
 
 P64, Q64 = 4294967291, 4294967279  # primes whose product has 64 bits
+P80, Q80 = 2**40 - 87, 2**40 - 167  # primes whose product has 80 bits
 P184, Q184 = 2**92 - 83, 2**92 - 149  # primes whose product has 184 bits
 
 STORED_FORM_FILES = {
@@ -178,6 +179,9 @@ STORED_FORM_FILES = {
     "lcm_at_64_bits": [["5", str(P64 * Q64)], ["1", str(P64)], ["-2", str(Q64)], ["3", "1"]],
     "lcm_past_64_bits": [["5", str(P64 * Q64)], ["1", str(P64)], ["-2", str(Q64)], ["1", "2"]],
     "unreduced_past_64_bits": [["2", str(2 * P64 * Q64)], ["1", str(P64)]],
+    "lcm_at_80_bits": [["5", str(P80 * Q80)], ["1", str(P80)], ["-2", str(Q80)], ["3", "1"]],
+    "lcm_past_80_bits": [["5", str(P80 * Q80)], ["1", str(P80)], ["-2", str(Q80)], ["1", "2"]],
+    "unreduced_past_80_bits": [["2", str(2 * P80 * Q80)], ["1", str(P80)]],
     "lcm_at_184_bits": [["5", str(P184 * Q184)], ["1", str(P184)], ["-2", str(Q184)], ["3", "1"]],
     "lcm_past_184_bits": [["5", str(P184 * Q184)], ["1", str(P184)], ["-2", str(Q184)], ["1", "2"]],
     "unreduced_past_184_bits": [["2", str(2 * P184 * Q184)], ["1", str(P184)]],

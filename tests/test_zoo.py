@@ -271,8 +271,8 @@ def test_sampled_additive_functions_form_a_group():
 
 
 scalars = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-# five or more distinct ~40-bit denominators put the common denominator past 184
-# bits, where the scan compares the stored Fractions
+# three or more distinct ~40-bit denominators put the common denominator past
+# SHARED_BITS, where the scan compares the stored numerator/denominator columns
 wide_scalars = st.builds(Fraction, st.integers(-3, 3), st.integers(2**39, 2**40))
 FACTORS = [prime_factors_scan(k) for k in range(1, 301)]  # FACTORS[k - 1] factors k
 
