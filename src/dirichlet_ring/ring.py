@@ -110,8 +110,9 @@ def shared_denominator(dens: Iterable[int]) -> int | None:
     return d
 
 
-def _lowest(nums: Iterable[int], dens: Iterable[int]) -> tuple[list, list]:
-    """Pairs over positive denominators in lowest terms, one gcd each."""
+def _lowest(nums: Sequence[int], dens: Iterable[int]) -> tuple[list, list]:
+    """Pairs over positive denominators in lowest terms, one gcd each;
+    ``dens`` is a sequence, or ``repeat(d)`` for one denominator."""
     g = list(map(gcd, nums, dens))
     return list(map(floordiv, nums, g)), list(map(floordiv, dens, g))
 

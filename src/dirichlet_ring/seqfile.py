@@ -49,7 +49,7 @@ def _string_pairs(f: ArithFunc):
 def _texts(f: ArithFunc):
     """Each value as ``str`` writes it, an exact one as its ``Fraction``."""
     if f.mode == FLOAT:
-        return map(str, f.values)
+        return map(str, f._values)
     nums, dens = lowest_terms(f)
     if dens is None:
         return map(str, nums)
@@ -58,7 +58,7 @@ def _texts(f: ArithFunc):
 
 def to_json_obj(f: ArithFunc, name: str = "sequence") -> dict:
     """The sequence object as plain JSON values, the form ``from_json_obj`` reads."""
-    values = list(map(list, _string_pairs(f))) if f.mode == EXACT else list(f.values)
+    values = list(map(list, _string_pairs(f))) if f.mode == EXACT else list(f._values)
     return {"name": name, "mode": f.mode, "n": len(f), "values": values}
 
 
@@ -66,10 +66,10 @@ def _values_json(f: ArithFunc, pad: str) -> str:
     """The values array of ``f`` at indent ``pad``."""
     p = pad + "  "
     if f.mode == FLOAT:
-        if not all(map(math.isfinite, f.values)):
-            k, v = next((k, v) for k, v in enumerate(f.values, 1) if not math.isfinite(v))
+        if not all(map(math.isfinite, f._values)):
+            k, v = next((k, v) for k, v in enumerate(f._values, 1) if not math.isfinite(v))
             raise ValueError(f"float value {v!r} at index {k} cannot be written as JSON")
-        body = p + f",\n{p}".join(map(repr, f.values))
+        body = p + f",\n{p}".join(map(repr, f._values))
     else:
         start, mid, end = f'{p}[\n{p}  "', f'",\n{p}  "', f'"\n{p}]'
         body = start + f"{end},\n{start}".join(map(mid.join, _string_pairs(f))) + end
