@@ -14,9 +14,12 @@ values, each pair in lowest terms with a positive denominator;
 :func:`shared_denominator` decides, for the constructor, every kernel
 result and the sequence-file loader.  The values alone fix the stored
 form, so ``==`` and ``hash`` compare forms.  ``values`` and ``f(k)``
-build Fractions, for either form, on each request and keep none; the
-package's own readers use the integers, other modules through
-:func:`take` and :func:`lowest_terms`.
+build Fractions, for either form, on each request and keep none.  Other
+modules reach the integers through :func:`take` and :func:`lowest_terms`.
+They read ``_values`` only for zero tests, which hold on it in every form
+(``ideals.member`` and ``_random_outside``, ``structure.classify`` and
+``check_nonprime_norm_product``), and for a float function's values
+(seqfile's writers); ``zoo._scan_pairs`` compares :func:`_lift`'s columns.
 
 ``ArithFunc(values, mode)`` is the one checker for values from outside
 the package, sequence files included.  Ints and Fractions are exact,
@@ -56,12 +59,10 @@ from fractions import Fraction
 from itertools import compress, islice, repeat
 from math import gcd, inf, isfinite, isqrt, lcm
 from operator import add, floordiv, mod, mul, ne, sub, truediv
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 EXACT = "exact"
 FLOAT = "float"
-
-Scalar = Union[int, float, Fraction]
 
 # the widest lcm at which convolve, invert, try_divide and power(3) ran no
 # slower on integers over it than on pairs, at n=1024 and 4096
@@ -342,12 +343,13 @@ class ArithFunc:
     Calling the object evaluates it: ``f(k)`` for 1 <= k <= len(f).
     ``_values`` holds a narrow function's integers and ``_den`` their
     denominator, a wide function's numerators and ``_den`` the tuple of
-    their denominators, or a float function's values and ``_den`` None.
+    their denominators, or a float function's values and ``_den`` None;
+    so the mode is FLOAT exactly when ``_den`` is None.
     """
 
-    __slots__ = ("_values", "_mode", "_den")
+    __slots__ = ("_values", "_den")
 
-    def __init__(self, values: Iterable[Scalar], mode: str | None = None):
+    def __init__(self, values: Iterable[int | float | Fraction], mode: str | None = None):
         vals = list(values)
         if not vals:
             raise ValueError("need at least one value (indices start at 1)")
@@ -374,7 +376,6 @@ class ArithFunc:
 
     def _store(self, vals: Sequence, mode: str, den) -> None:
         self._values, self._den = _canonical(vals, den) if mode == EXACT else (tuple(vals), None)
-        self._mode = mode
 
     @classmethod
     def _of(cls, entries: Sequence, mode: str, den=None) -> "ArithFunc":
@@ -395,7 +396,7 @@ class ArithFunc:
 
     @property
     def mode(self) -> str:
-        return self._mode
+        return FLOAT if self._den is None else EXACT
 
     @property
     def n(self) -> int:
@@ -415,22 +416,22 @@ class ArithFunc:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ArithFunc):
             return NotImplemented
-        return (self._mode, self._den, self._values) == (other._mode, other._den, other._values)
+        return (self._den, self._values) == (other._den, other._values)
 
     def __hash__(self) -> int:
-        return hash((self._mode, self._den, self._values))
+        return hash((self._den, self._values))
 
     def __repr__(self) -> str:
         head = ", ".join(str(self(k)) for k in range(1, min(len(self._values), 8) + 1))
         tail = ", ..." if len(self._values) > 8 else ""
-        return f"ArithFunc([{head}{tail}], mode={self._mode}, n={len(self._values)})"
+        return f"ArithFunc([{head}{tail}], mode={self.mode}, n={len(self._values)})"
 
     def is_zero(self) -> bool:
         return not any(self._values)
 
     def _require_same_mode(self, other: "ArithFunc") -> None:
-        if self._mode != other._mode:
-            raise ModeMismatchError(f"cannot combine {self._mode} mode with {other._mode} mode")
+        if self.mode != other.mode:
+            raise ModeMismatchError(f"cannot combine {self.mode} mode with {other.mode} mode")
 
     # ring operations ---------------------------------------------------
 
@@ -444,7 +445,7 @@ class ArithFunc:
             [((an, ad), _), ((bn, bd), _)] = _lift(n, self, other)
             nums, dens = _lowest(list(map(add, map(mul, an, bd), map(mul, bn, ad))), list(map(mul, ad, bd)))
             return ArithFunc._of(nums, EXACT, dens)
-        d = da // gcd(da, db) * db
+        d = lcm(da, db)
         a = self._values if d == da else [x * (d // da) for x in self._values]
         b = other._values if d == db else [x * (d // db) for x in other._values]
         return ArithFunc._of(list(map(add, a, b)), EXACT, d)
@@ -455,7 +456,7 @@ class ArithFunc:
         return self.add(other)
 
     def __neg__(self) -> "ArithFunc":
-        return ArithFunc._of([-v for v in self._values], self._mode, self._den)
+        return ArithFunc._of([-v for v in self._values], self.mode, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, ArithFunc):
@@ -466,7 +467,7 @@ class ArithFunc:
         """Dirichlet convolution: (f*g)(k) = sum of f(i)g(j) over ij = k."""
         self._require_same_mode(other)
         n = min(len(self._values), len(other._values))
-        if self._mode == EXACT:
+        if self.mode == EXACT:
             (a, da), (b, db) = _lift(n, self, other)
             if da is None:
                 nums, dens = _lowest(*_product(a, b, n, (0, 1)))
@@ -493,8 +494,8 @@ class ArithFunc:
         if not self._values[0]:
             raise NonUnitError("f(1) = 0: not a unit (lies in the maximal ideal)")
         n = len(self._values)
-        e = identity(n, self._mode)
-        if self._mode == EXACT:
+        e = identity(n, self.mode)
+        if self.mode == EXACT:
             return _solve_exact(e, self, 1, n)[0]
         [g], _ = _solve([e._values], [self._values], 1, n, (0.0,), _float_quotient(1 / self._values[0]))
         return ArithFunc._of(g, FLOAT)
@@ -509,7 +510,7 @@ class ArithFunc:
         if r < 0:
             raise ValueError("negative powers: invert first")
         if r == 0:
-            return identity(len(self._values), self._mode)
+            return identity(len(self._values), self.mode)
         out, base = None, self
         while True:
             if r & 1:
@@ -534,7 +535,10 @@ class ArithFunc:
         d = self._den  # int / int rounds once, as float(Fraction) does
         if d is None:
             return self
-        return ArithFunc._of(list(map(truediv, self._values, d if isinstance(d, tuple) else repeat(d))), FLOAT)
+        try:
+            return ArithFunc._of(list(map(truediv, self._values, d if isinstance(d, tuple) else repeat(d))), FLOAT)
+        except OverflowError:  # a value too large for a double, as in the constructor
+            raise ValueError("float values must be finite") from None
 
 
 # constructors ----------------------------------------------------------

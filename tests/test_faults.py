@@ -143,14 +143,18 @@ FAULTS = {
 
 
 def _operand(rng, n, wide, norm=1):
-    """Entries -3..3 over 1, 2, 3 (narrow) or over two ~100-bit denominators
-    (wide, stored as Fractions), vanishing below ``norm`` and not at it."""
-    d = rng.randrange(1 << 99, 1 << 100)
+    """Entries -3..3 over 1, 2, 3 (narrow) or over two denominators of at
+    least 20 bits past SHARED_BITS (wide, stored as numerator and
+    denominator columns), vanishing below ``norm`` and not at it.  The
+    draws do not depend on the bound, so neither do the narrow cases."""
+    d = (1 << (ring.SHARED_BITS + 19)) + rng.randrange(1 << 99)
     dens = (d, d + 1) if wide else (1, 2, 3)
     vals = [Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(n)]
     vals[: norm] = [0] * (norm - 1) + [Fraction(rng.choice((-2, -1, 1, 2)), dens[0])]
     vals[norm % n] = Fraction(rng.choice((-1, 1)), dens[-1])
-    return ArithFunc(vals)
+    f = ArithFunc(vals)
+    assert isinstance(f._den, tuple) == wide
+    return f
 
 
 def _cases(n):

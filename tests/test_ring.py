@@ -34,6 +34,7 @@ from dirichlet_ring.ring import dirichlet_product
 from dirichlet_ring.sampling import random_func, random_nonzero, random_unit, random_with_norm
 from dirichlet_ring.zoo import big_omega, generate, log_function, mangoldt, mobius, unit
 
+from conftest import coprime_pair
 from oracles import (Refused, big_omega_scan, construct_reference, convolve_lists,
                      distinct_count_scan, divide_lists, invert_floats, liouville_scan, mobius_scan,
                      phi_count, psi_scan, randint_scalar)
@@ -87,6 +88,9 @@ def test_constructor_rejects_values_that_are_not_finite_doubles(value):
     if isinstance(value, float):
         with pytest.raises(ValueError, match="float values must be finite"):
             ArithFunc([value, 2.0])
+    else:  # converting an exact function refuses it the same way
+        with pytest.raises(ValueError, match="float values must be finite"):
+            ArithFunc([1, value]).to_float()
 
 
 class _Int(int):
@@ -471,14 +475,10 @@ def test_exact_kernels_match_divisor_scan_oracles(n, a, lead, seed, k):
         assert list(f.invert().values) == divide_lists([1] + [0] * (n - 1), fv)
 
 
-P80, Q80 = 2**40 - 87, 2**40 - 167  # primes whose product has 80 bits
-
-
 def test_common_denominator_switch_at_shared_bits(tmp_path, monkeypatch, fractions_built):
     # p*q has SHARED_BITS bits, so f scales; one more entry over 2 makes
     # the common denominator one bit wider, and f2 keeps the pair path
-    p, q = P80, Q80
-    assert (p * q).bit_length() == ring.SHARED_BITS
+    p, q = coprime_pair(ring.SHARED_BITS)
     n = 64
     rng = random.Random(43)
     base = [Fraction(rng.randint(-3, 3), rng.choice((1, p, q))) for _ in range(n)]
@@ -594,11 +594,12 @@ def test_float_invert_sums_in_divisor_order_on_block_edges():
 
 
 def test_wide_columns_with_zero_entries_match_the_oracles():
-    # ~40% zero entries over 96-bit denominators, so the columns carry
-    # zero terms; a narrow partner is lifted to columns with them
+    # ~40% zero entries over denominators 16 bits past SHARED_BITS, so the
+    # columns carry zero terms; a narrow partner is lifted to columns with them
     rng = random.Random(23)
+    b = ring.SHARED_BITS + 16
     for n in (30, 64, 97):
-        dens = [rng.randrange(1 << 95, 1 << 96) for _ in range(n)]
+        dens = [rng.randrange(1 << (b - 1), 1 << b) for _ in range(n)]
         wv = [Fraction(rng.randint(-9, 9) if rng.random() < 0.6 else 0, d) for d in dens]
         wv[:3] = wv[0] or Fraction(1, dens[0]), Fraction(0), wv[2] or Fraction(-1, dens[2])
         nv = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
@@ -643,16 +644,16 @@ def test_a_zero_pair_term_leaves_its_accumulator_as_it_is(den):
     st.integers(1, 200),
 )
 def test_pair_path_matches_divisor_scan_oracles(n, a, wide, seed, k):
-    # 96-bit denominators on at least three nonzero entries push the
-    # common denominator past SHARED_BITS, so the wide operands (f, g or both)
-    # run on unreduced pairs; a narrow one scales on its own but is
-    # lifted to pairs with its partner
+    # denominators 16 bits past SHARED_BITS on at least three nonzero
+    # entries make the wide operands (f, g or both) run on unreduced pairs;
+    # a narrow one scales on its own but is lifted to pairs with its partner
     rng = random.Random(seed)
     k = min(k, n)
+    b = ring.SHARED_BITS + 16
 
     def entries(length, is_wide):
         if is_wide:
-            return [Fraction(rng.getrandbits(40) - (1 << 39) or 1, rng.randrange(1 << 95, 1 << 96))
+            return [Fraction(rng.getrandbits(40) - (1 << 39) or 1, rng.randrange(1 << (b - 1), 1 << b))
                     for _ in range(length)]
         return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(length)]
 
@@ -714,9 +715,10 @@ def assert_stored_form(x, values):
 def _entries(rng, n, width):
     if width == "narrow":
         return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-    # two ~48-bit denominators pass SHARED_BITS together; only one of them
-    # may appear, and then the values are narrow again
-    dens = (rng.randrange(1 << 47, 1 << 48), rng.randrange(1 << 47, 1 << 48))
+    # two denominators of 8 bits past half of SHARED_BITS pass it together;
+    # only one of them may appear, and then the values are narrow again
+    b = ring.SHARED_BITS // 2 + 8
+    dens = (rng.randrange(1 << (b - 1), 1 << b), rng.randrange(1 << (b - 1), 1 << b))
     return [Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(n)]
 
 

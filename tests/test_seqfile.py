@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichlet_ring import EXACT, FLOAT, ArithFunc
+from dirichlet_ring.ring import SHARED_BITS
 from dirichlet_ring.seqfile import (
     dumps,
     from_json_obj,
@@ -23,6 +24,8 @@ from dirichlet_ring.seqfile import (
     to_table,
 )
 from dirichlet_ring.zoo import euler_phi, log_function, mangoldt, mobius
+
+from conftest import coprime_pair
 
 
 def test_exact_round_trip(tmp_path):
@@ -55,9 +58,10 @@ def test_large_numerators_survive():
 
 
 # stored as integers over 6, and as numerator and denominator columns (two
-# ~100-bit denominators)
+# denominators each past SHARED_BITS bits)
 NARROW_SIXTHS = ArithFunc([Fraction(1, 6), Fraction(-1, 2), Fraction(2, 3), 0, -1, Fraction(5, 6)])
-WIDE = ArithFunc([Fraction(1, 2**100 + 1), Fraction(-3, 2**101 + 3), 7, 0])
+WIDE_DENS = (2 ** (SHARED_BITS + 20) + 1, 2 ** (SHARED_BITS + 21) + 3)
+WIDE = ArithFunc([Fraction(1, WIDE_DENS[0]), Fraction(-3, WIDE_DENS[1]), 7, 0])
 
 
 def test_csv_is_one_comma_separated_row():
@@ -65,7 +69,7 @@ def test_csv_is_one_comma_separated_row():
     assert to_csv(ArithFunc([Fraction(1, 3), 2])) == "1/3,2\n"
     assert NARROW_SIXTHS._den == 6 and isinstance(WIDE._den, tuple)
     assert to_csv(NARROW_SIXTHS) == "1/6,-1/2,2/3,0,-1,5/6\n"
-    assert to_csv(WIDE) == "1/1267650600228229401496703205377,-3/2535301200456458802993406410755,7,0\n"
+    assert to_csv(WIDE) == f"1/{WIDE_DENS[0]},-3/{WIDE_DENS[1]},7,0\n"
 
 
 def test_table_lists_index_value_pairs():
@@ -77,9 +81,7 @@ def test_table_lists_index_value_pairs():
     assert to_table(NARROW_SIXTHS, "t") == (
         "# t (mode=exact, n=6)\n1  1/6\n2  -1/2\n3  2/3\n4  0\n5  -1\n6  5/6\n"
     )
-    assert to_table(WIDE, "t") == (
-        "# t (mode=exact, n=4)\n1  1/1267650600228229401496703205377\n2  -3/2535301200456458802993406410755\n3  7\n4  0\n"
-    )
+    assert to_table(WIDE, "t") == f"# t (mode=exact, n=4)\n1  1/{WIDE_DENS[0]}\n2  -3/{WIDE_DENS[1]}\n3  7\n4  0\n"
 
 
 def test_render_dispatch():
@@ -168,7 +170,8 @@ def test_decimal_strings_are_accepted(text):
 
 
 P64, Q64 = 4294967291, 4294967279  # primes whose product has 64 bits
-P80, Q80 = 2**40 - 87, 2**40 - 167  # primes whose product has 80 bits
+P, Q = coprime_pair(SHARED_BITS)  # p*q has SHARED_BITS bits
+B = SHARED_BITS
 P184, Q184 = 2**92 - 83, 2**92 - 149  # primes whose product has 184 bits
 
 STORED_FORM_FILES = {
@@ -179,17 +182,20 @@ STORED_FORM_FILES = {
     "lcm_at_64_bits": [["5", str(P64 * Q64)], ["1", str(P64)], ["-2", str(Q64)], ["3", "1"]],
     "lcm_past_64_bits": [["5", str(P64 * Q64)], ["1", str(P64)], ["-2", str(Q64)], ["1", "2"]],
     "unreduced_past_64_bits": [["2", str(2 * P64 * Q64)], ["1", str(P64)]],
-    "lcm_at_80_bits": [["5", str(P80 * Q80)], ["1", str(P80)], ["-2", str(Q80)], ["3", "1"]],
-    "lcm_past_80_bits": [["5", str(P80 * Q80)], ["1", str(P80)], ["-2", str(Q80)], ["1", "2"]],
-    "unreduced_past_80_bits": [["2", str(2 * P80 * Q80)], ["1", str(P80)]],
     "lcm_at_184_bits": [["5", str(P184 * Q184)], ["1", str(P184)], ["-2", str(Q184)], ["3", "1"]],
     "lcm_past_184_bits": [["5", str(P184 * Q184)], ["1", str(P184)], ["-2", str(Q184)], ["1", "2"]],
     "unreduced_past_184_bits": [["2", str(2 * P184 * Q184)], ["1", str(P184)]],
+    # at and past SHARED_BITS, checked to be narrow and wide below; at a
+    # bound of 64 or 184 bits these replace the cases above of that name
+    f"lcm_at_{B}_bits": [["5", str(P * Q)], ["1", str(P)], ["-2", str(Q)], ["3", "1"]],
+    f"lcm_past_{B}_bits": [["5", str(P * Q)], ["1", str(P)], ["-2", str(Q)], ["1", "2"]],
+    f"unreduced_past_{B}_bits": [["2", str(2 * P * Q)], ["1", str(P)]],
 }
 
 
-@pytest.mark.parametrize("pairs", STORED_FORM_FILES.values(), ids=STORED_FORM_FILES.keys())
-def test_loader_stores_what_the_constructor_stores(pairs, fractions_built):
+@pytest.mark.parametrize("key", STORED_FORM_FILES)
+def test_loader_stores_what_the_constructor_stores(key, fractions_built):
+    pairs = STORED_FORM_FILES[key]
     ref = ArithFunc([Fraction(int(a), int(b)) for a, b in pairs], EXACT)
     obj = {"name": "x", "mode": EXACT, "n": len(pairs), "values": pairs}
     made = fractions_built.made
@@ -197,6 +203,8 @@ def test_loader_stores_what_the_constructor_stores(pairs, fractions_built):
     assert fractions_built.made == made
     assert (f.mode, f._den, f._values) == (ref.mode, ref._den, ref._values)
     assert f == ref and hash(f) == hash(ref)
+    if key.endswith(f"_{B}_bits"):  # the unreduced pair reduces to one at the bound
+        assert isinstance(f._den, tuple) if key.startswith("lcm_past") else f._den == P * Q
 
 
 def test_loader_normalizes_fractions():
@@ -232,9 +240,10 @@ def test_json_writer_refuses_non_finite_floats(tmp_path, value):
 exact_funcs = st.lists(st.fractions(), min_size=1, max_size=12).map(
     lambda vs: ArithFunc(vs, EXACT)
 )
-# a 186-bit denominator makes the function wide (stored as Fractions)
+# a denominator one bit past SHARED_BITS makes the function wide (stored as
+# numerator and denominator columns)
 wide_funcs = st.lists(st.fractions(), max_size=11).map(
-    lambda vs: ArithFunc([Fraction(-1, 2**185 + 1), *vs], EXACT)
+    lambda vs: ArithFunc([Fraction(-1, 2**SHARED_BITS + 1), *vs], EXACT)
 )
 float_funcs = st.lists(
     st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12

@@ -4,7 +4,8 @@ agree too: a membership violation or an atom certificate seen at m is
 seen at n, and a primality probe never certifies.
 
 Operands are narrow (small denominators, stored as integers over one
-denominator), wide (two ~100-bit denominators, stored as Fractions) or
+denominator), wide (two denominators of 20 bits past ``SHARED_BITS``,
+stored as numerator and denominator columns) or
 float, on windows 1 <= m <= n <= 48.
 """
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from dirichlet_ring import (EXACT, FLOAT, ArithFunc, IdealSpec, NotDivisibleWitness, WindowError,
                             ZeroFunctionError, classify, member, probe_prime, try_divide)
 from dirichlet_ring.ideals import TAG_NORM_FLOOR
+from dirichlet_ring.ring import SHARED_BITS
 from dirichlet_ring.structure import CERT_NONE
 from dirichlet_ring.witness import NON_MEMBER, UNDECIDED
 from dirichlet_ring.zoo import FUNCTION_TAGS, generate
@@ -41,13 +43,13 @@ specs = st.sampled_from([
 
 def operand(rng, n, kind, norm=1):
     """A function on 1..n that vanishes below ``norm`` and not at it.  A wide
-    one has its two ~100-bit denominators at its first two nonzero entries,
-    so it is wide on every window that holds both."""
+    one has its two wide denominators at its first two nonzero entries, so
+    it is wide on every window that holds both."""
     if kind == "float":
         vals = [rng.choice([0.0, rng.uniform(-3, 3)]) for _ in range(n)]
         zero, lead = 0.0, rng.uniform(0.5, 3) * rng.choice([-1, 1])
     else:
-        d = rng.randrange(1 << 99, 1 << 100)
+        d = rng.randrange(1 << (SHARED_BITS + 19), 1 << (SHARED_BITS + 20))
         dens = ((1,), (2, 3)) if kind == "narrow" else ((d,), (d + 1,))
         vals = [Fraction(rng.randint(-3, 3), rng.choice(dens[k % 2])) for k in range(n)]
         zero, lead = 0, Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice(dens[0]))

@@ -22,6 +22,7 @@ from dirichlet_ring import (
     identity,
     is_additive,
     is_completely_additive,
+    ring,
 )
 from dirichlet_ring.primes import (
     factorize,
@@ -271,9 +272,11 @@ def test_sampled_additive_functions_form_a_group():
 
 
 scalars = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-# three or more distinct ~40-bit denominators put the common denominator past
-# SHARED_BITS, where the scan compares the stored numerator/denominator columns
-wide_scalars = st.builds(Fraction, st.integers(-3, 3), st.integers(2**39, 2**40))
+# three or more distinct denominators of half SHARED_BITS put the common
+# denominator past it, where the scan compares the stored numerator/denominator
+# columns
+wide_scalars = st.builds(Fraction, st.integers(-3, 3),
+                         st.integers(2 ** (ring.SHARED_BITS // 2 - 1), 2 ** (ring.SHARED_BITS // 2)))
 FACTORS = [prime_factors_scan(k) for k in range(1, 301)]  # FACTORS[k - 1] factors k
 
 
