@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import seqfile, zoo
 from .ring import EXACT, FLOAT, NotDivisibleWitness, try_divide
@@ -36,6 +35,9 @@ DEFAULT_SEED = 0
 ENV_WINDOW = "DIRICHLET_N"
 FORMATS = ("json", "csv", "table")
 MODES = (EXACT, FLOAT)
+# the most digits in an integer read or written, in place of Python's 4300;
+# conversion is quadratic: 0.08 s to read, 0.2 s to write (2-vCPU Xeon, 3.11)
+MAX_DIGITS = 100_000
 
 
 def integer(text: str) -> int:
@@ -310,6 +312,8 @@ def _render(result, fmt: str) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         # resolve the inputs from outside the program in the order the
         # commands check them: spec, sequence files, window
@@ -323,16 +327,22 @@ def main(argv=None) -> int:
             result, status = result
         text = _render(result, getattr(args, "format", None))
         if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
         else:
             sys.stdout.write(text)
         return status
     except (ValueError, OSError, IndexError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if message.startswith("Exceeds the limit"):  # Python's advice names a call, not an option
+            message = f"an integer has more than {MAX_DIGITS} decimal digits, the most read or written"
+        print(f"error: {message}", file=sys.stderr)
         return COMPUTE_ERROR
     except MemoryError:  # its message is empty
         print("error: out of memory", file=sys.stderr)
         return COMPUTE_ERROR
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 
 JSON layout: {"name": str, "mode": "exact"|"float", "n": int,
 "values": [...]} where an exact value is a two-element array of decimal
-strings [numerator, denominator] (arbitrary precision) and a float value
-is a plain JSON number.  The values array holds indices 1..n in order.
+strings [numerator, denominator] (arbitrary precision; library callers
+keep Python's limit on int/str conversions, 4300 digits by default,
+which the CLI lifts to ``cli.MAX_DIGITS``) and a float value is a plain
+JSON number.  The values array holds indices 1..n in order.
 
 Every JSON text here comes from one writer, :func:`dumps`, which writes
 the bytes ``json.dumps(obj, indent=2)`` writes.  It builds a sequence's
@@ -27,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain, repeat
-from pathlib import Path
 
 from .ring import ArithFunc, EXACT, FLOAT, lowest_terms, shared_denominator
 
@@ -148,7 +149,7 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
     return name, ArithFunc._of([int(num) * scale[den] for num, den in raw], EXACT, common)
 
 
-def load(path: str | Path) -> tuple[str, ArithFunc]:
+def load(path: str) -> tuple[str, ArithFunc]:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return from_json_obj(json.load(handle))
@@ -156,8 +157,10 @@ def load(path: str | Path) -> tuple[str, ArithFunc]:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def save(f: ArithFunc, path: str | Path, name: str = "sequence") -> None:
-    Path(path).write_text(to_json(f, name), encoding="utf-8")
+def save(f: ArithFunc, path: str, name: str = "sequence") -> None:
+    text = to_json(f, name)  # a refused value leaves no file
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def to_csv(f: ArithFunc) -> str:

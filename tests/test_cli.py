@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import dirichlet_ring
 from dirichlet_ring import ArithFunc, delta, generate, identity
-from dirichlet_ring.cli import FORMATS, main, parse_ideal_spec
+from dirichlet_ring.cli import FORMATS, MAX_DIGITS, main, parse_ideal_spec
 from dirichlet_ring.ideals import IdealSpec
 from dirichlet_ring.seqfile import load, save
 
@@ -268,6 +269,42 @@ def test_deeply_nested_file_is_a_one_line_error(tmp_path, capsys):
     path.write_text("[" * 100000, encoding="utf-8")
     err = _assert_one_line_error(capsys, main(["norm", str(path)]))
     assert "nested too deeply" in err
+
+
+def test_exact_values_past_python_digit_limit_round_trip(tmp_path):
+    # f(1) = 1/(2**64 + 13): its 10th self-convolution, f^1024, has
+    # 19,729-digit denominators, past Python's 4300-digit default; each
+    # result is written and read back by the next command
+    p = 2**64 + 13
+    paths = [tmp_path / f"f{k}.json" for k in range(11)]
+    save(ArithFunc([Fraction(1, p), Fraction(1, 3)] + [0] * 6), paths[0], "f")
+    limit = sys.get_int_max_str_digits()
+    for a, b in zip(paths, paths[1:]):
+        assert main(["conv", str(a), str(a), "--out", str(b)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    top = json.loads(paths[10].read_text(encoding="utf-8"))["values"]
+    assert top[0][0] == "1" and len(top[0][1]) == 19729
+    # f^1024 / f^512 is f^512, read from f^1024's file and written again
+    quotient = tmp_path / "q.json"
+    assert main(["divide", str(paths[10]), str(paths[9]), "--out", str(quotient)]) == 0
+    assert json.loads(quotient.read_text(encoding="utf-8"))["values"] == \
+        json.loads(paths[9].read_text(encoding="utf-8"))["values"]
+
+
+def test_integer_past_max_digits_is_a_one_line_error(tmp_path, capsys):
+    message = f"error: an integer has more than {MAX_DIGITS} decimal digits, the most read or written\n"
+    path, out = tmp_path / "big.json", tmp_path / "out.json"
+    limit = sys.get_int_max_str_digits()
+    # read: a numerator one digit past the bound
+    big = {"name": "big", "mode": "exact", "n": 2, "values": [["1" * (MAX_DIGITS + 1), "1"], ["0", "1"]]}
+    path.write_text(json.dumps(big), encoding="utf-8")
+    assert _assert_one_line_error(capsys, main(["norm", str(path)])) == message
+    # written: 10**(MAX_DIGITS // 2) is read, but its square has MAX_DIGITS + 1 digits
+    big["values"][0][0] = "1" + "0" * (MAX_DIGITS // 2)
+    path.write_text(json.dumps(big), encoding="utf-8")
+    assert _assert_one_line_error(capsys, main(["conv", str(path), str(path), "--out", str(out)])) == message
+    assert not out.exists()
+    assert sys.get_int_max_str_digits() == limit
 
 
 # a window past sys.maxsize is refused by name; 2**61 and 2**62 pass that
