@@ -119,12 +119,10 @@ def _lowest(nums: Sequence[int], dens: Iterable[int]) -> tuple[list, list]:
 
 
 def _canonical(entries: Sequence, den) -> tuple[tuple, int | tuple]:
-    """The stored form (entries, den) of Fractions and ints when den is
-    None, of integers over an int ``den``, or of numerators over a
-    sequence ``den`` of positive denominators, each pair in lowest terms."""
-    if den is None:
-        entries, den = [v.numerator for v in entries], [v.denominator for v in entries]
-    elif isinstance(den, int):
+    """The stored form (entries, den) of integers over an int ``den``, or
+    of numerators over a sequence ``den`` of positive denominators, each
+    pair in lowest terms."""
+    if isinstance(den, int):
         g = gcd(den, *entries)
         if g > 1:
             den //= g
@@ -312,12 +310,12 @@ def _solve_exact(h: ArithFunc, f: ArithFunc, a: int, n: int) -> tuple[ArithFunc,
     (hs, dh), (fs, df) = _lift(n, h, f)
     if dh is None:
         (gn, gd), acc = _solve(hs, fs, a, n, (0, 1), _pair_quotient(fs[0][a - 1], fs[1][a - 1]))
-        return ArithFunc._of(gn, EXACT, gd), acc, hs
+        return ArithFunc._of(gn, gd), acc, hs
     [F], [H] = fs, hs
     c = abs(F[a - 1]) ** sum(1 for _ in _blocks(n // a, a))
     target = [c * x for x in H[:n]]
     [g], acc = _solve([target], fs, a, n, (0,), _exact_quotient(F[a - 1]))
-    return ArithFunc._of([x * df for x in g], EXACT, dh * c), acc, [target]
+    return ArithFunc._of([x * df for x in g], dh * c), acc, [target]
 
 
 def _mismatch(acc: list, target: list, a: int, n: int) -> int | None:
@@ -372,18 +370,17 @@ class ArithFunc:
                 vals = [inf]
             if not all(map(isfinite, vals)):
                 raise ValueError("float values must be finite")
-        self._store(vals, mode, None)
-
-    def _store(self, vals: Sequence, mode: str, den) -> None:
-        self._values, self._den = _canonical(vals, den) if mode == EXACT else (tuple(vals), None)
+            self._values, self._den = tuple(vals), None
+        else:  # ints and Fractions alike have a numerator and a denominator
+            self._values, self._den = _canonical([v.numerator for v in vals], [v.denominator for v in vals])
 
     @classmethod
-    def _of(cls, entries: Sequence, mode: str, den=None) -> "ArithFunc":
-        """Trusted constructor: floats, exact values, integers over an int
-        ``den``, or numerators over a sequence ``den`` of denominators, in
-        lowest terms and positive."""
+    def _of(cls, entries: Sequence, den=None) -> "ArithFunc":
+        """Trusted constructor: float values when ``den`` is None, else
+        integers over an int ``den``, or numerators over a sequence ``den``
+        of denominators, in lowest terms and positive."""
         obj = cls.__new__(cls)
-        obj._store(entries, mode, den)
+        obj._values, obj._den = (tuple(entries), None) if den is None else _canonical(entries, den)
         return obj
 
     @property
@@ -439,16 +436,16 @@ class ArithFunc:
         self._require_same_mode(other)
         da, db = self._den, other._den
         if da is None:
-            return ArithFunc._of(list(map(add, self._values, other._values)), FLOAT)
+            return ArithFunc._of(list(map(add, self._values, other._values)))
         if isinstance(da, tuple) or isinstance(db, tuple):
             n = min(len(self._values), len(other._values))
             [((an, ad), _), ((bn, bd), _)] = _lift(n, self, other)
             nums, dens = _lowest(list(map(add, map(mul, an, bd), map(mul, bn, ad))), list(map(mul, ad, bd)))
-            return ArithFunc._of(nums, EXACT, dens)
+            return ArithFunc._of(nums, dens)
         d = lcm(da, db)
         a = self._values if d == da else [x * (d // da) for x in self._values]
         b = other._values if d == db else [x * (d // db) for x in other._values]
-        return ArithFunc._of(list(map(add, a, b)), EXACT, d)
+        return ArithFunc._of(list(map(add, a, b)), d)
 
     def __add__(self, other):
         if not isinstance(other, ArithFunc):
@@ -456,7 +453,7 @@ class ArithFunc:
         return self.add(other)
 
     def __neg__(self) -> "ArithFunc":
-        return ArithFunc._of([-v for v in self._values], self.mode, self._den)
+        return ArithFunc._of([-v for v in self._values], self._den)
 
     def __sub__(self, other):
         if not isinstance(other, ArithFunc):
@@ -471,9 +468,9 @@ class ArithFunc:
             (a, da), (b, db) = _lift(n, self, other)
             if da is None:
                 nums, dens = _lowest(*_product(a, b, n, (0, 1)))
-                return ArithFunc._of(nums, EXACT, dens)
-            return ArithFunc._of(_product(a, b, n, (0,))[0], EXACT, da * db)
-        return ArithFunc._of(dirichlet_product(self._values, other._values, n, 0.0), FLOAT)
+                return ArithFunc._of(nums, dens)
+            return ArithFunc._of(_product(a, b, n, (0,))[0], da * db)
+        return ArithFunc._of(dirichlet_product(self._values, other._values, n, 0.0))
 
     def __mul__(self, other):
         if not isinstance(other, ArithFunc):
@@ -498,7 +495,7 @@ class ArithFunc:
         if self.mode == EXACT:
             return _solve_exact(e, self, 1, n)[0]
         [g], _ = _solve([e._values], [self._values], 1, n, (0.0,), _float_quotient(1 / self._values[0]))
-        return ArithFunc._of(g, FLOAT)
+        return ArithFunc._of(g)
 
     def power(self, r: int) -> "ArithFunc":
         """r-fold convolution power by square-and-multiply; f^0 is the identity.
@@ -536,7 +533,7 @@ class ArithFunc:
         if d is None:
             return self
         try:
-            return ArithFunc._of(list(map(truediv, self._values, d if isinstance(d, tuple) else repeat(d))), FLOAT)
+            return ArithFunc._of(list(map(truediv, self._values, d if isinstance(d, tuple) else repeat(d))))
         except OverflowError:  # a value too large for a double, as in the constructor
             raise ValueError("float values must be finite") from None
 
@@ -568,7 +565,7 @@ def delta(m: int, n: int, mode: str = EXACT) -> ArithFunc:
     vals = [zero] * n
     if m <= n:
         vals[m - 1] = one
-    return ArithFunc._of(vals, mode, 1)
+    return ArithFunc._of(vals, 1 if mode == EXACT else None)
 
 
 def try_divide(h: ArithFunc, f: ArithFunc) -> ArithFunc | NotDivisibleWitness:
@@ -625,7 +622,7 @@ def take(f: ArithFunc, idx: Sequence[int]) -> ArithFunc:
     if isinstance(d, tuple):
         dens = (1,) + d
         d = [dens[k] for k in idx]
-    return ArithFunc._of(entries, f.mode, d)
+    return ArithFunc._of(entries, d)
 
 
 def lowest_terms(f: ArithFunc) -> tuple[Sequence[int], Sequence[int] | None]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import add
 
 from .primes import prime_power_fold
-from .ring import ArithFunc, EXACT
+from .ring import ArithFunc
 
 # a narrow scalar times 6, by its two draws: (i - 3) * 6 / (j + 1)
 _NARROW = tuple(tuple((i - 3) * 6 // (j + 1) for j in range(3)) for i in range(7))
@@ -48,14 +48,14 @@ def random_scalar(rng: random.Random) -> Fraction:
 
 
 def random_func(rng: random.Random, n: int) -> ArithFunc:
-    return ArithFunc._of(_draws(rng, n), EXACT, 6)
+    return ArithFunc._of(_draws(rng, n), 6)
 
 
 def random_nonzero(rng: random.Random, n: int) -> ArithFunc:
     vals = _draws(rng, n)
     if not any(vals):
         vals[rng.randrange(n)] = 6 * rng.choice((-3, -2, -1, 1, 2, 3))
-    return ArithFunc._of(vals, EXACT, 6)
+    return ArithFunc._of(vals, 6)
 
 
 def random_unit(rng: random.Random, n: int) -> ArithFunc:
@@ -63,7 +63,7 @@ def random_unit(rng: random.Random, n: int) -> ArithFunc:
     vals = _draws(rng, n)
     while not vals[0]:
         vals[0] = _draws(rng, 1)[0]
-    return ArithFunc._of(vals, EXACT, 6)
+    return ArithFunc._of(vals, 6)
 
 
 def random_non_unit(rng: random.Random, n: int) -> ArithFunc:
@@ -72,7 +72,7 @@ def random_non_unit(rng: random.Random, n: int) -> ArithFunc:
     vals[0] = 0
     if n > 1 and not any(vals):
         vals[1 + rng.randrange(n - 1)] = 6 * rng.choice((-3, -2, -1, 1, 2, 3))
-    return ArithFunc._of(vals, EXACT, 6)
+    return ArithFunc._of(vals, 6)
 
 
 def random_with_norm(rng: random.Random, n: int, norm: int) -> ArithFunc:
@@ -82,7 +82,7 @@ def random_with_norm(rng: random.Random, n: int, norm: int) -> ArithFunc:
     vals = [0] * (norm - 1)
     vals.append(6 * rng.choice((-3, -2, -1, 1, 2, 3)) // rng.randint(1, 3))
     vals.extend(_draws(rng, n - norm))
-    return ArithFunc._of(vals, EXACT, 6)
+    return ArithFunc._of(vals, 6)
 
 
 def random_in_ideal(rng: random.Random, spec, n: int) -> ArithFunc:
@@ -91,7 +91,7 @@ def random_in_ideal(rng: random.Random, spec, n: int) -> ArithFunc:
     vals = _draws(rng, n)
     for idx in spec.constrained_indices(n):
         vals[idx - 1] = 0
-    return ArithFunc._of(vals, EXACT, 6)
+    return ArithFunc._of(vals, 6)
 
 
 def random_additive(rng: random.Random, n: int) -> ArithFunc:
@@ -105,4 +105,4 @@ def random_additive(rng: random.Random, n: int) -> ArithFunc:
             v = assigned[(p, a)] = _draws(rng, 1)[0]
         return v
 
-    return ArithFunc._of(prime_power_fold(n, value_at, add, 0), EXACT, 6)
+    return ArithFunc._of(prime_power_fold(n, value_at, add, 0), 6)

@@ -144,9 +144,9 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
         pairs = [(int(num), dens[den]) for num, den in raw]
         gs = [math.gcd(x, d) if d > 0 else -math.gcd(x, d) for x, d in pairs]
         nums = [x // g for (x, _), g in zip(pairs, gs)]
-        return name, ArithFunc._of(nums, EXACT, [d // g for (_, d), g in zip(pairs, gs)])
+        return name, ArithFunc._of(nums, [d // g for (_, d), g in zip(pairs, gs)])
     scale = {text: common // d for text, d in dens.items()}
-    return name, ArithFunc._of([int(num) * scale[den] for num, den in raw], EXACT, common)
+    return name, ArithFunc._of([int(num) * scale[den] for num, den in raw], common)
 
 
 def load(path: str) -> tuple[str, ArithFunc]:

@@ -22,7 +22,6 @@ from . import ideals, sampling, structure, zoo
 from .ideals import IdealSpec, chain, divisibility_depth, member, probe_prime, probe_semiprime
 from .primes import factorize
 from .ring import (
-    EXACT,
     ArithFunc,
     NonUnitError,
     NotDivisibleWitness,
@@ -365,7 +364,7 @@ def _check_semiprime(ctx: _Ctx) -> str:
         vals = sampling._draws(ctx.rng, ctx.n)  # in sixths
         vals[0] = 0
         vals[1] = 6 * ctx.rng.choice((1, 2, 3))
-        f = ArithFunc._of(vals, EXACT, 6)
+        f = ArithFunc._of(vals, 6)
         w = probe_semiprime(6, 1, f, rmax=2, window=ctx.n)
         _require(w.verdict == NON_MEMBER, "powers entered the ideal")
     return "delta-pair witness refutes primality; 8 power chains stay outside as predicted"

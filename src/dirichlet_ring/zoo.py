@@ -14,7 +14,7 @@ from math import gcd
 from operator import add, mul
 
 from .primes import is_prime, prime_power_fold, primes_upto
-from .ring import ArithFunc, EXACT, FLOAT, _lift, delta, identity
+from .ring import ArithFunc, FLOAT, _lift, delta, identity
 from .witness import MEMBER, NON_MEMBER, Witness
 
 # a float pair fails when |f(mk) - f(m) - f(k)| passes FLOAT_SLACK times
@@ -24,11 +24,11 @@ FLOAT_SLACK = 8 * 2.0**-53
 
 
 def _multiplicative(n: int, at) -> ArithFunc:
-    return ArithFunc._of(prime_power_fold(n, at, mul, 1), EXACT, 1)
+    return ArithFunc._of(prime_power_fold(n, at, mul, 1), 1)
 
 
 def _additive(n: int, at) -> ArithFunc:
-    return ArithFunc._of(prime_power_fold(n, at, add, 0), EXACT, 1)
+    return ArithFunc._of(prime_power_fold(n, at, add, 0), 1)
 
 
 def mobius(n: int) -> ArithFunc:
@@ -92,7 +92,7 @@ def ramanujan_tau(n: int) -> ArithFunc:
         t += k
     for _ in range(3):
         coeffs = _square(coeffs, n)
-    return ArithFunc._of(coeffs, EXACT, 1)
+    return ArithFunc._of(coeffs, 1)
 
 
 def dedekind_psi(n: int) -> ArithFunc:
@@ -124,12 +124,12 @@ def log_function(n: int) -> ArithFunc:
 
 def unit(n: int) -> ArithFunc:
     """The constant-one function u."""
-    return ArithFunc._of([1] * n, EXACT, 1)
+    return ArithFunc._of([1] * n, 1)
 
 
 def natural(n: int) -> ArithFunc:
     """The inclusion k -> k."""
-    return ArithFunc._of(range(1, n + 1), EXACT, 1)
+    return ArithFunc._of(range(1, n + 1), 1)
 
 
 _PLAIN = {

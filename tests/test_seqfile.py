@@ -171,7 +171,6 @@ def test_decimal_strings_are_accepted(text):
 
 P64, Q64 = 4294967291, 4294967279  # primes whose product has 64 bits
 P, Q = coprime_pair(SHARED_BITS)  # p*q has SHARED_BITS bits
-B = SHARED_BITS
 P184, Q184 = 2**92 - 83, 2**92 - 149  # primes whose product has 184 bits
 
 STORED_FORM_FILES = {
@@ -187,9 +186,9 @@ STORED_FORM_FILES = {
     "unreduced_past_184_bits": [["2", str(2 * P184 * Q184)], ["1", str(P184)]],
     # at and past SHARED_BITS, checked to be narrow and wide below; at a
     # bound of 64 or 184 bits these replace the cases above of that name
-    f"lcm_at_{B}_bits": [["5", str(P * Q)], ["1", str(P)], ["-2", str(Q)], ["3", "1"]],
-    f"lcm_past_{B}_bits": [["5", str(P * Q)], ["1", str(P)], ["-2", str(Q)], ["1", "2"]],
-    f"unreduced_past_{B}_bits": [["2", str(2 * P * Q)], ["1", str(P)]],
+    f"lcm_at_{SHARED_BITS}_bits": [["5", str(P * Q)], ["1", str(P)], ["-2", str(Q)], ["3", "1"]],
+    f"lcm_past_{SHARED_BITS}_bits": [["5", str(P * Q)], ["1", str(P)], ["-2", str(Q)], ["1", "2"]],
+    f"unreduced_past_{SHARED_BITS}_bits": [["2", str(2 * P * Q)], ["1", str(P)]],
 }
 
 
@@ -203,7 +202,7 @@ def test_loader_stores_what_the_constructor_stores(key, fractions_built):
     assert fractions_built.made == made
     assert (f.mode, f._den, f._values) == (ref.mode, ref._den, ref._values)
     assert f == ref and hash(f) == hash(ref)
-    if key.endswith(f"_{B}_bits"):  # the unreduced pair reduces to one at the bound
+    if key.endswith(f"_{SHARED_BITS}_bits"):  # the unreduced pair reduces to one at the bound
         assert isinstance(f._den, tuple) if key.startswith("lcm_past") else f._den == P * Q
 
 
@@ -224,7 +223,7 @@ def test_json_text_is_valid_json(tmp_path):
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_json_writer_refuses_non_finite_floats(tmp_path, value):
     # a float kernel result can overflow; json would write Infinity or NaN
-    f = ArithFunc._of([0.5, -2.0, value, 1.0], FLOAT)
+    f = ArithFunc._of([0.5, -2.0, value, 1.0])
     message = f"float value {value!r} at index 3 cannot be written as JSON"
     for write in (lambda: to_json(f), lambda: dumps({"f": (f, "f")}), lambda: render(f, "json")):
         with pytest.raises(ValueError, match=re.escape(message)):
