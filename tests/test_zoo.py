@@ -284,7 +284,7 @@ FACTORS = [prime_factors_scan(k) for k in range(1, 301)]  # FACTORS[k - 1] facto
 def additive_cases(draw):
     """An additive function on 1..n built from one value per prime power
     (completely additive: per prime, a * c_p at p^a), the values narrow or
-    with ~40-bit denominators, maybe changed at one index."""
+    with denominators of half SHARED_BITS, maybe changed at one index."""
     n = draw(st.integers(1, 300))
     complete = draw(st.booleans())
     free = [k for k in range(2, n + 1)
