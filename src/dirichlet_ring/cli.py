@@ -26,7 +26,6 @@ from . import seqfile, zoo
 from .ring import EXACT, FLOAT, NotDivisibleWitness, try_divide
 from .witness import CHAIN_FAMILIES
 
-USAGE_ERROR = 2
 COMPUTE_ERROR = 1
 VERIFY_FAILURE = 3
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .primes import factorize, is_prime, nth_prime, prime_power_fold, primes_upto
 from .ring import (ArithFunc, EXACT, NotDivisibleWitness, WindowError, ZeroFunctionError,
                    delta, indicator_shift, take, try_divide, zeros)
-from .sampling import random_func
+from .sampling import random_outside
 from .witness import CHAIN_FAMILIES, MEMBER, NON_MEMBER, UNDECIDED, Witness
 
 
@@ -312,20 +312,6 @@ def chain(family: str, length: int, window: int) -> ChainReport:
 # probes ------------------------------------------------------------------
 
 
-def _random_outside(idxs: tuple[int, ...], rng: random.Random, window: int) -> tuple[ArithFunc, int]:
-    """A random non-member and its first violating index, given the ideal's
-    nonempty tuple of constrained indices."""
-    for _ in range(64):
-        f = random_func(rng, window)
-        first = next((idx for idx in idxs if f._values[idx - 1]), None)
-        if first is not None:
-            return f, first
-    # force a violation at the first constrained index
-    vals = list(random_func(rng, window).values)
-    vals[idxs[0] - 1] = 1
-    return ArithFunc(vals, EXACT), idxs[0]
-
-
 def _known_counterexample(spec: IdealSpec, window: int):
     """Hand-built non-primality witnesses for the families that have one."""
     if spec.tag == TAG_PRIME_TAIL:
@@ -366,8 +352,8 @@ def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness
     idxs = spec.constrained_indices(window)
     rng = random.Random(seed)
     for _ in range(trials if idxs else 0):  # an ideal constraining nothing has no non-members
-        f, kf = _random_outside(idxs, rng, window)
-        g, kg = _random_outside(idxs, rng, window)
+        f, kf = random_outside(rng, spec, window)
+        g, kg = random_outside(rng, spec, window)
         # f(kf) g(kg) lands at kf * kg; past the window the product can
         # look like a member only because its violation is cut off
         if kf * kg <= window and member(spec, f.convolve(g)).is_member:

@@ -17,15 +17,16 @@ form, so ``==`` and ``hash`` compare forms.  ``values`` and ``f(k)``
 build Fractions, for either form, on each request and keep none.  Other
 modules reach the integers through :func:`take` and :func:`lowest_terms`.
 They read ``_values`` only for zero tests, which hold on it in every form
-(``ideals.member`` and ``_random_outside``, ``structure.classify`` and
+(``ideals.member``, ``structure.classify`` and
 ``check_nonprime_norm_product``), and for a float function's values
 (seqfile's writers); ``zoo._scan_pairs`` compares :func:`_lift`'s columns.
 
-``ArithFunc(values, mode)`` is the one checker for values from outside
-the package, sequence files included.  Ints and Fractions are exact,
-floats are float values, and a list of both needs ``mode=``; float mode
-converts exact values and rejects any that is not a finite double.
-Package code that holds the stored form builds with ``ArithFunc._of``.
+``ArithFunc(values, mode)`` checks values from outside the package,
+float sequence files included: ints and Fractions are exact, floats are
+float values, and a list of both needs ``mode=``; float mode converts
+exact values and rejects any that is not a finite double.  An exact
+file's strings are checked by ``seqfile.from_json_obj``, which builds
+with ``ArithFunc._of`` as package code holding the stored form does.
 
 Two loops carry the whole ring, and both run as strided slice passes:
 ``_step`` adds a column times one scalar into every m-th entry of an

@@ -43,6 +43,14 @@ def _draws(rng: random.Random, n: int) -> list[int]:
     return out
 
 
+def _nonzero(rng: random.Random) -> int:
+    """One nonzero narrow scalar times 6: ``_draws(rng, 1)`` until nonzero."""
+    v = _draws(rng, 1)[0]
+    while not v:
+        v = _draws(rng, 1)[0]
+    return v
+
+
 def random_scalar(rng: random.Random) -> Fraction:
     return _SIXTHS[_draws(rng, 1)[0]]
 
@@ -54,15 +62,14 @@ def random_func(rng: random.Random, n: int) -> ArithFunc:
 def random_nonzero(rng: random.Random, n: int) -> ArithFunc:
     vals = _draws(rng, n)
     if not any(vals):
-        vals[rng.randrange(n)] = 6 * rng.choice((-3, -2, -1, 1, 2, 3))
+        vals[rng.randrange(n)] = _nonzero(rng)
     return ArithFunc._of(vals, 6)
 
 
 def random_unit(rng: random.Random, n: int) -> ArithFunc:
     """Random function with a nonzero value at 1."""
     vals = _draws(rng, n)
-    while not vals[0]:
-        vals[0] = _draws(rng, 1)[0]
+    vals[0] = vals[0] or _nonzero(rng)
     return ArithFunc._of(vals, 6)
 
 
@@ -71,7 +78,7 @@ def random_non_unit(rng: random.Random, n: int) -> ArithFunc:
     vals = _draws(rng, n)
     vals[0] = 0
     if n > 1 and not any(vals):
-        vals[1 + rng.randrange(n - 1)] = 6 * rng.choice((-3, -2, -1, 1, 2, 3))
+        vals[1 + rng.randrange(n - 1)] = _nonzero(rng)
     return ArithFunc._of(vals, 6)
 
 
@@ -80,7 +87,7 @@ def random_with_norm(rng: random.Random, n: int, norm: int) -> ArithFunc:
     if not 1 <= norm <= n:
         raise ValueError(f"norm {norm} must lie in the window 1..{n}")
     vals = [0] * (norm - 1)
-    vals.append(6 * rng.choice((-3, -2, -1, 1, 2, 3)) // rng.randint(1, 3))
+    vals.append(_nonzero(rng))
     vals.extend(_draws(rng, n - norm))
     return ArithFunc._of(vals, 6)
 
@@ -92,6 +99,16 @@ def random_in_ideal(rng: random.Random, spec, n: int) -> ArithFunc:
     for idx in spec.constrained_indices(n):
         vals[idx - 1] = 0
     return ArithFunc._of(vals, 6)
+
+
+def random_outside(rng: random.Random, spec, n: int) -> tuple[ArithFunc, int]:
+    """Random non-member of an ideal constraining some index of the window, and its
+    least nonzero constrained index; the first is redrawn nonzero when all drew 0."""
+    idxs = spec.constrained_indices(n)
+    vals = _draws(rng, n)
+    first = next((idx for idx in idxs if vals[idx - 1]), idxs[0])
+    vals[first - 1] = vals[first - 1] or _nonzero(rng)
+    return ArithFunc._of(vals, 6), first
 
 
 def random_additive(rng: random.Random, n: int) -> ArithFunc:

@@ -360,11 +360,8 @@ def _check_semiprime(ctx: _Ctx) -> str:
     spec = IdealSpec.gcd_count(6, 1)
     verdict = probe_prime(spec, trials=0, seed=ctx.seed, window=ctx.n)
     _require(verdict.verdict == NON_MEMBER, "no witness that P_{6,1} is not prime")
-    for _ in range(8):
-        vals = sampling._draws(ctx.rng, ctx.n)  # in sixths
-        vals[0] = 0
-        vals[1] = 6 * ctx.rng.choice((1, 2, 3))
-        f = ArithFunc._of(vals, 6)
+    for _ in range(8):  # f(1) = 0 and f(2) != 0, so n0 = 2
+        f = sampling.random_with_norm(ctx.rng, ctx.n, 2)
         w = probe_semiprime(6, 1, f, rmax=2, window=ctx.n)
         _require(w.verdict == NON_MEMBER, "powers entered the ideal")
     return "delta-pair witness refutes primality; 8 power chains stay outside as predicted"

@@ -33,6 +33,7 @@ from dirichlet_ring.primes import nth_prime
 from dirichlet_ring.sampling import (
     random_func,
     random_in_ideal,
+    random_outside,
     random_scalar,
     random_with_norm,
 )
@@ -444,6 +445,18 @@ def test_probe_prime_maximal_stays_undecided():
     assert w.verdict == UNDECIDED
 
 
+@pytest.mark.parametrize("seed", [1, 2])  # pairs of norms 2, 2 and 2, 3
+def test_probe_prime_random_search_refutes(monkeypatch, seed):
+    # without the hand-built witness, the sampled pairs must find one
+    monkeypatch.setattr(ideals, "_known_counterexample", lambda spec, window: None)
+    spec = IdealSpec.norm_floor(4)
+    w = probe_prime(spec, trials=200, seed=seed, window=64)
+    assert w.verdict == NON_MEMBER
+    f, g = w.elements
+    assert not member(spec, f).is_member and not member(spec, g).is_member
+    assert member(spec, f * g).is_member
+
+
 def test_probe_norm_floor_refuted():
     w = probe_prime(IdealSpec.norm_floor(4), trials=0, seed=1, window=32)
     assert w.verdict == NON_MEMBER
@@ -483,10 +496,19 @@ def test_probe_semiprime_window_defaults_to_the_operand():
         probe_semiprime(6, 1, f, rmax=1, window=9)
 
 
-def test_random_outside_forces_a_violation_when_sampling_finds_none(monkeypatch):
-    monkeypatch.setattr(ideals, "random_func", lambda rng, n: zeros(n))
-    f, first = ideals._random_outside((3, 5), random.Random(0), 8)
-    assert (f, first) == (delta(3, 8), 3)
+def test_random_outside_forces_a_violation_when_sampling_finds_none():
+    # replaying each seed's free draw shows which path it took
+    spec, forced = IdealSpec.norm_floor(3), 0  # constrains 1 and 2
+    for seed in range(500):
+        free = random_func(random.Random(seed), 8).values
+        f, first = random_outside(random.Random(seed), spec, 8)
+        assert member(spec, f).index == first
+        if free[0] or free[1]:
+            assert f.values == free
+        else:  # the fix-up draws a nonzero f(1); the rest is the free draw
+            forced += 1
+            assert first == 1 and f.values[1:] == free[1:]
+    assert forced
 
 
 @pytest.mark.parametrize("rmax", [0, -1])

@@ -4,6 +4,7 @@ powers, and exact trial division."""
 import hashlib
 import json
 import math
+import operator
 import random
 import tempfile
 from fractions import Fraction
@@ -74,6 +75,7 @@ def test_constructor_rejects_empty():
 def test_explicit_float_mode_coerces_ints():
     f = ArithFunc([1, 0, -1], mode=FLOAT)
     assert f.mode == FLOAT and f.values == (1.0, 0.0, -1.0)
+    assert f.to_float() is f
 
 
 def test_exact_mode_rejects_floats():
@@ -135,6 +137,8 @@ def test_call_is_one_based_and_bounded():
         f(0)
     with pytest.raises(IndexError):
         f(3)
+    assert repr(ArithFunc([1, 2, 3])) == "ArithFunc([1, 2, 3], mode=exact, n=3)"
+    assert repr(ArithFunc(list(range(1, 11)))) == "ArithFunc([1, 2, 3, 4, 5, 6, 7, 8, ...], mode=exact, n=10)"
 
 
 # addition ----------------------------------------------------------------
@@ -159,6 +163,11 @@ def test_add_truncates_to_shorter_window():
 def test_add_rejects_mode_mismatch():
     with pytest.raises(ModeMismatchError):
         identity(4) + identity(4, FLOAT)
+    # a non-ArithFunc operand is NotImplemented: == falls back to identity, the rest raise
+    assert not ArithFunc([1]) == 1
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(ArithFunc([1]), 1)
 
 
 # convolution -------------------------------------------------------------
