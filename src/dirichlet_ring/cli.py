@@ -32,7 +32,6 @@ VERIFY_FAILURE = 3
 DEFAULT_N = 256
 DEFAULT_SEED = 0
 ENV_WINDOW = "DIRICHLET_N"
-FORMATS = ("json", "csv", "table")
 MODES = (EXACT, FLOAT)
 # the most digits in an integer read or written, in place of Python's 4300;
 # conversion is quadratic: 0.08 s to read, 0.2 s to write (2-vCPU Xeon, 3.11)
@@ -97,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(name)
         if window:
             p.add_argument("--n", type=integer, default=None, help="window length")
-        p.add_argument("--format", choices=FORMATS, default="json")
+        p.add_argument("--format", choices=seqfile.FORMATS, default="json")
         p.add_argument("--out", default=None, help="write output to a file")
         p.set_defaults(func=func, files=files)
 
@@ -175,9 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
 # Each takes the parsed arguments and then the inputs ``main`` resolved for
 # it: the ideal spec, the name and function of each sequence file, the
 # window.  Each returns a (function, name) pair, a dict, or finished text
-# for ``_render``, and none reads or writes anything itself; verify-paper
-# pairs its report with its exit status.  A dict embeds a sequence as a
-# (function, name) pair, which ``seqfile.dumps`` writes.
+# for ``seqfile.render``, and none reads or writes anything itself;
+# verify-paper pairs its report with its exit status.  A dict embeds a
+# sequence as a (function, name) pair, which ``seqfile.dumps`` writes.
 
 
 def _window(args) -> int:
@@ -292,23 +291,6 @@ def _cmd_verify(args, n):
     return verify.render_report(results, n, args.seed), status
 
 
-def _render(result, fmt: str) -> str:
-    """Text for a command's result: finished text as it is, a dict in
-    ``fmt`` (JSON through ``seqfile.dumps``), a (function, name) pair
-    through ``seqfile.render``."""
-    if isinstance(result, str):
-        return result
-    if not isinstance(result, dict):
-        f, name = result
-        return seqfile.render(f, fmt, name)
-    if fmt == "json":
-        return seqfile.dumps(result)
-    if fmt == "csv":
-        return ",".join(f"{k}={v}" for k, v in result.items()) + "\n"
-    width = max(len(str(k)) for k in result)
-    return "\n".join(f"{k:<{width}}  {v}" for k, v in result.items()) + "\n"
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     limit = sys.get_int_max_str_digits()
@@ -324,7 +306,7 @@ def main(argv=None) -> int:
         result, status = args.func(args, *inputs), 0
         if args.func is _cmd_verify:
             result, status = result
-        text = _render(result, getattr(args, "format", None))
+        text = seqfile.render(result, getattr(args, "format", None))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)

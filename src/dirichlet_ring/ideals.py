@@ -361,10 +361,8 @@ def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness
     return Witness(UNDECIDED, note=f"no counterexample among {trials} sampled pairs")
 
 
-def probe_semiprime(
-    m: int, k: int, f: ArithFunc, rmax: int, window: int | None = None
-) -> Witness:
-    """Track the powers of a non-member of the gcd-count ideal.
+def probe_semiprime(m: int, k: int, f: ArithFunc, rmax: int) -> Witness:
+    """Track the powers of a non-member of the gcd-count ideal on f's window.
 
     For f outside the ideal with least constrained nonzero index n0, each
     power f^r must stay outside, failing first at exactly n0^r.  The
@@ -374,20 +372,15 @@ def probe_semiprime(
     if rmax < 1:
         raise ValueError("rmax must be at least 1: no power would be checked")
     spec = IdealSpec.gcd_count(m, k)
-    if window is None:
-        window = len(f)
-    if window > len(f):
-        raise WindowError(f"requested window {window} exceeds the operand's {len(f)}")
-    f = f.truncate(window)
     base = member(spec, f)
     if base.is_member:
         return Witness(
             MEMBER, note="vacuously in the ideal; every power stays there by closure"
         )
     n0 = base.index
-    if n0**rmax > window:
+    if n0**rmax > len(f):
         raise WindowError(
-            f"window {window} cannot see index {n0}^{rmax} = {n0 ** rmax}"
+            f"window {len(f)} cannot see index {n0}^{rmax} = {n0 ** rmax}"
         )
     power = f
     for r in range(1, rmax + 1):

@@ -47,7 +47,9 @@ def factorize(n: int) -> Factorization:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n).factors == ((n, 1),)
+    """Trial division by 2, then by odd p up to sqrt(n); a composite is
+    answered at its least prime factor, never factored in full."""
+    return n == 2 or n > 2 and n % 2 != 0 and all(n % p for p in range(3, isqrt(n) + 1, 2))
 
 
 def nth_prime(k: int) -> int:

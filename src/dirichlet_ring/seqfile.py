@@ -32,6 +32,8 @@ from itertools import chain, repeat
 
 from .ring import ArithFunc, EXACT, FLOAT, lowest_terms, shared_denominator
 
+FORMATS = ("json", "csv", "table")  # the output formats of :func:`render`
+
 
 def is_decimal(text: str) -> bool:
     """Whether ``text`` is an optional sign followed by ASCII digits: the
@@ -176,11 +178,19 @@ def to_table(f: ArithFunc, name: str = "sequence") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render(f: ArithFunc, fmt: str, name: str = "sequence") -> str:
+def render(result, fmt: str) -> str:
+    """Text for a command's result: finished text as it is; a (function,
+    name) pair or a dict in ``fmt``, one of ``FORMATS``, whose JSON is
+    :func:`dumps`'s."""
+    if isinstance(result, str):
+        return result
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
     if fmt == "json":
-        return to_json(f, name)
+        return dumps(result)
+    if isinstance(result, tuple):  # a (function, name) pair
+        return to_csv(result[0]) if fmt == "csv" else to_table(*result)
     if fmt == "csv":
-        return to_csv(f)
-    if fmt == "table":
-        return to_table(f, name)
-    raise ValueError(f"unknown format {fmt!r}")
+        return ",".join(f"{k}={v}" for k, v in result.items()) + "\n"
+    width = max(len(str(k)) for k in result)
+    return "\n".join(f"{k:<{width}}  {v}" for k, v in result.items()) + "\n"

@@ -25,7 +25,8 @@ COMPLETELY_ADDITIVE = "completely_additive"
 # bounds for the exhaustive atom-soundness search: candidate factors and
 # certified atoms draw their entries from ATOM_COEFFS on a support of at
 # most ATOM_SUPPORT_BOUND indices, and certificates are only enumerated
-# for norms up to ATOM_NORM_BOUND
+# for norms up to ATOM_NORM_BOUND.  ATOM_SUPPORT_BOUND is the default
+# window, which the acceptance tests search; verify-paper searches window 10
 ATOM_SUPPORT_BOUND = 12
 ATOM_NORM_BOUND = 6
 ATOM_COEFFS = (-1, 0, 1)

@@ -11,11 +11,16 @@ ring kernels, on numerator and denominator columns, is checked by the
 test suite instead: by its comparisons with the independent evaluators
 and by the pinned wide-kernel digests.  A wide sample here would slow
 every run for a path the tests already cover.
+
+A detail line or failure message prints only values its check ran with:
+a count is its loop's bound, an ideal its spec's label, an indicator
+delta_k the k it was built from; so a changed parameter shows in the report.
 """
 
 from __future__ import annotations
 
 import random
+from math import prod
 from typing import NamedTuple
 
 from . import ideals, sampling, structure, zoo
@@ -87,7 +92,7 @@ def _check_units_group(ctx: _Ctx) -> str:
 
 
 def _check_additive_nonunits(ctx: _Ctx) -> str:
-    for _ in range(8):
+    for _ in range(pairs := 8):
         f = sampling.random_additive(ctx.rng, ctx.n)
         g = sampling.random_additive(ctx.rng, ctx.n)
         _require(zoo.is_additive(f).is_member, "additive sample failed its own check")
@@ -95,11 +100,11 @@ def _check_additive_nonunits(ctx: _Ctx) -> str:
         _require(zoo.is_additive(-f).is_member, "negation of additive not additive")
         if not f.is_zero():
             _require(classify(f).in_maximal, "an additive function came out a unit")
-    return "8 sampled additive pairs: closed under +, -, all non-units"
+    return f"{pairs} sampled additive pairs: closed under +, -, all non-units"
 
 
 def _check_local_dichotomy(ctx: _Ctx) -> str:
-    for _ in range(20):
+    for _ in range(samples := 20):
         f = sampling.random_nonzero(ctx.rng, ctx.n)
         report = classify(f)
         _require(report.is_unit != report.in_maximal, "unit xor maximal failed")
@@ -108,37 +113,37 @@ def _check_local_dichotomy(ctx: _Ctx) -> str:
         if not f(1):
             _require((f + g)(1) == 0, "maximal ideal not closed under +")
         _require(g.convolve(h)(1) == 0, "maximal ideal absorbed nothing")
-    return "20 samples: dichotomy and maximal-ideal closure hold"
+    return f"{samples} samples: dichotomy and maximal-ideal closure hold"
 
 
 def _check_essential(ctx: _Ctx) -> str:
-    for _ in range(10):
+    for _ in range(samples := 10):
         f = sampling.random_nonzero(ctx.rng, ctx.n)
         w = structure.essential_witness(f)
         _require(not w.is_zero(), "witness vanished")
         _require(w(1) == 0, "witness escaped the maximal ideal")
-    return "10 nonzero samples each meet the maximal ideal inside their ideal"
+    return f"{samples} nonzero samples each meet the maximal ideal inside their ideal"
 
 
 def _check_norm_homomorphism(ctx: _Ctx) -> str:
     _require(identity(ctx.n).norm() == 1, "norm(e) != 1")
-    for _ in range(25):
+    for _ in range(pairs := 25):
         i = ctx.rng.randint(1, 12)
         j = ctx.rng.randint(1, max(1, ctx.n // i // 2))
         f = sampling.random_with_norm(ctx.rng, ctx.n, i)
         g = sampling.random_with_norm(ctx.rng, ctx.n, j)
         _require(f.convolve(g).norm() == i * j, f"norm broke at {i} * {j}")
-    return "norm(e) = 1 and 25 random pairs multiply norms exactly"
+    return f"norm(e) = 1 and {pairs} random pairs multiply norms exactly"
 
 
 def _check_integral_domain(ctx: _Ctx) -> str:
-    for _ in range(20):
+    for _ in range(pairs := 20):
         i = ctx.rng.randint(1, 8)
         j = ctx.rng.randint(1, max(1, ctx.n // i // 2))
         f = sampling.random_with_norm(ctx.rng, ctx.n, i)
         g = sampling.random_with_norm(ctx.rng, ctx.n, j)
         _require(not f.convolve(g).is_zero(), "zero divisor appeared in the window")
-    return "20 nonzero pairs with visible norm product: products all nonzero"
+    return f"{pairs} nonzero pairs with visible norm product: products all nonzero"
 
 
 def _idempotents(window: int) -> list[tuple[int, ...]]:
@@ -173,7 +178,7 @@ def _check_no_idempotents(ctx: _Ctx) -> str:
 
 def _check_atoms_every_norm(ctx: _Ctx) -> str:
     window = 13
-    for c in range(2, 13):
+    for c in (norms := range(2, window)):  # the window holds c + 1 for every norm c
         f = delta(c, window) + delta(c + 1, window)
         report = classify(f)
         expected = CERT_PRIME_NORM if report.norm in (2, 3, 5, 7, 11) else CERT_COMPOSITE_NEXT
@@ -184,16 +189,17 @@ def _check_atoms_every_norm(ctx: _Ctx) -> str:
         )
     counterexample = certified_atom_factor_search(window=10)
     _require(counterexample is None, f"certified atom factored: {counterexample}")
-    return "certificates fire for every norm 2..12; bounded search finds no factorization"
+    return (f"certificates fire for every norm {norms[0]}..{norms[-1]}; "
+            "bounded search finds no factorization")
 
 
 def _check_nonprime_norm_products(ctx: _Ctx) -> str:
-    for _ in range(15):
+    for _ in range(products := 15):
         f = sampling.random_non_unit(ctx.rng, ctx.n)
         g = sampling.random_non_unit(ctx.rng, ctx.n)
         verdict = structure.check_nonprime_norm_product(f, g)
         _require(verdict.verdict == MEMBER, verdict.note)
-    return "15 non-unit products vanish at every prime index in the window"
+    return f"{products} non-unit products vanish at every prime index in the window"
 
 
 # chains -------------------------------------------------------------------
@@ -201,12 +207,16 @@ def _check_nonprime_norm_products(ctx: _Ctx) -> str:
 
 def _check_descending_norm_chain(ctx: _Ctx) -> str:
     report = chain("I_descending", 8, ctx.n)
-    return f"I_1 through I_8 strictly descend; separators {_sep_labels(report)}"
+    return f"{_ends(report)} strictly descend; separators {_sep_labels(report)}"
 
 
 def _check_ascending_prime_tail_chain(ctx: _Ctx) -> str:
     report = chain("K_ascending", 8, ctx.n)
-    return f"K_1 through K_8 strictly ascend; separators {_sep_labels(report)}"
+    return f"{_ends(report)} strictly ascend; separators {_sep_labels(report)}"
+
+
+def _ends(report) -> str:
+    return f"{report.specs[0]} through {report.specs[-1]}"
 
 
 def _sep_labels(report) -> str:
@@ -216,28 +226,27 @@ def _sep_labels(report) -> str:
 def _check_krull_chains(ctx: _Ctx) -> str:
     up = chain("P_ascending", 5, ctx.n)
     down = chain("J_descending", 5, ctx.n)
-    return (
-        f"{up.specs[0]} through {up.specs[-1]} ascend strictly; "
-        f"{down.specs[0]} through {down.specs[-1]} descend strictly"
-    )
+    return f"{_ends(up)} ascend strictly; {_ends(down)} descend strictly"
 
 
 # prime and semi-prime ideals ----------------------------------------------
 
 
 def _check_prime_tail_not_prime(ctx: _Ctx) -> str:
-    for t in (1, 2, 3):
-        verdict = probe_prime(IdealSpec.prime_tail(t), trials=0, seed=ctx.seed, window=ctx.n)
-        _require(verdict.verdict == NON_MEMBER, f"no witness for the tail ideal K_{t}")
+    specs = [IdealSpec.prime_tail(t) for t in (1, 2, 3)]
+    for spec in specs:
+        verdict = probe_prime(spec, trials=0, seed=ctx.seed, window=ctx.n)
+        _require(verdict.verdict == NON_MEMBER, f"no witness for the tail ideal {spec}")
         f, g = verdict.elements
         _require(f(1) == 0 and f(2) == 1, "unexpected witness shape")
-    return "the all-ones-from-2 witness refutes primality of K_1, K_2, K_3"
+    return f"the all-ones-from-2 witness refutes primality of {', '.join(map(str, specs))}"
 
 
 def _check_coprime_ideal_prime(ctx: _Ctx) -> str:
     spec = IdealSpec.coprime_vanishing(6)
-    verdict = probe_prime(spec, trials=40, seed=ctx.seed, window=MIN_WINDOW)
-    _require(verdict.verdict == UNDECIDED, "a probe refuted primality of P_6")
+    trials = 40
+    verdict = probe_prime(spec, trials=trials, seed=ctx.seed, window=MIN_WINDOW)
+    _require(verdict.verdict == UNDECIDED, f"a probe refuted primality of {spec}")
     for _ in range(10):
         f = sampling.random_func(ctx.rng, ctx.n)
         g = sampling.random_func(ctx.rng, ctx.n)
@@ -247,49 +256,52 @@ def _check_coprime_ideal_prime(ctx: _Ctx) -> str:
         k1, k2 = wf.index, wg.index
         if k1 * k2 <= ctx.n:
             _require(f.convolve(g)(k1 * k2) == f(k1) * g(k2), "product witness identity failed")
-    return "40-trial probe finds no counterexample; product-witness identity holds"
+    return f"{trials}-trial probe finds no counterexample; product-witness identity holds"
 
 
 def _check_principal_prime(ctx: _Ctx) -> str:
-    for p in (2, 3, 5):
-        spec = IdealSpec.coprime_vanishing(p)
-        for _ in range(6):
+    specs = [IdealSpec.coprime_vanishing(p) for p in (2, 3, 5)]
+    for spec in specs:
+        for _ in range(draws := 6):
             f = sampling.random_in_ideal(ctx.rng, spec, ctx.n)
-            q = ideals.principal_quotient(p, f)
-            back = ideals.indicator_shift(p, q, ctx.n)
-            _require(back == f, f"round-trip through the quotient failed at p = {p}")
-    return "18 members of P_2, P_3, P_5 reconvolve exactly from their quotients"
+            q = ideals.principal_quotient(spec.m, f)
+            back = ideals.indicator_shift(spec.m, q, ctx.n)
+            _require(back == f, f"round-trip through the quotient failed at p = {spec.m}")
+    return (f"{len(specs) * draws} members of {', '.join(map(str, specs))} "
+            "reconvolve exactly from their quotients")
 
 
 def _check_generator_count(ctx: _Ctx) -> str:
-    for m in (6, 12):
-        spec = IdealSpec.coprime_vanishing(m)
-        qs = factorize(m).distinct_primes
-        for _ in range(6):
+    specs = [IdealSpec.coprime_vanishing(m) for m in (6, 12)]
+    for spec in specs:
+        qs = factorize(spec.m).distinct_primes
+        for _ in range(draws := 6):
             f = sampling.random_in_ideal(ctx.rng, spec, ctx.n)
-            dec = ideals.decompose_coprime_vanishing(m, f)
-            _require(dec.reconstruction() == f, f"reconstruction failed for m = {m}")
+            dec = ideals.decompose_coprime_vanishing(spec.m, f)
+            _require(dec.reconstruction() == f, f"reconstruction failed for m = {spec.m}")
         basis = [[g(q) for q in qs] for g in (delta(q, ctx.n) for q in qs)]
         expected = [[int(i == j) for j in range(len(qs))] for i in range(len(qs))]
         _require(basis == expected, "indicator evaluations are not the standard basis")
-    return "12 members of P_6 and P_12 reconstruct exactly; evaluations give the standard basis"
+    return (f"{len(specs) * draws} members of {' and '.join(map(str, specs))} reconstruct exactly; "
+            "evaluations give the standard basis")
 
 
 def _check_not_bezout(ctx: _Ctx) -> str:
     window = MIN_WINDOW
     d2, d3 = delta(2, window), delta(3, window)
     spec = IdealSpec.coprime_vanishing(6)
-    _require(member(spec, d2).is_member and member(spec, d3).is_member, "indicators not in P_6")
-    _require(not member(spec, delta(5, window)).is_member, "P_6 swallowed delta_5")
+    _require(member(spec, d2).is_member and member(spec, d3).is_member, f"indicators not in {spec}")
+    _require(not member(spec, delta(k := 5, window)).is_member, f"{spec} swallowed delta_{k}")
     units = 0
-    for _ in range(100):
+    for _ in range(candidates := 100):
         g = sampling.random_nonzero(ctx.rng, window)
         if g(1):
             units += 1
             continue
         divides_both = not any(isinstance(try_divide(d, g), NotDivisibleWitness) for d in (d2, d3))
         _require(not divides_both, "a single non-unit divided both generators")
-    return f"no common divisor among 100 candidates ({units} units rejected since P_6 is proper)"
+    return (f"no common divisor among {candidates} candidates "
+            f"({units} units rejected since {spec} is proper)")
 
 
 def _candidates(ctx: _Ctx) -> list[tuple[str, ArithFunc]]:
@@ -310,76 +322,75 @@ def _require_same_verdicts(ctx: _Ctx, a: IdealSpec, b: IdealSpec, message: str) 
 def _check_prime_products_ideal(ctx: _Ctx) -> str:
     allow = IdealSpec.prime_products((2, 3))
     verdict = probe_prime(allow, trials=40, seed=ctx.seed, window=MIN_WINDOW)
-    _require(verdict.verdict == UNDECIDED, "a probe refuted primality of J_{2,3}")
-    co = IdealSpec.prime_products((2, 3), complement=True)
-    _require_same_verdicts(ctx, co, IdealSpec.coprime_vanishing(6),
-                           "complement-mode J and P_6 disagree")
-    return "probe undecided as expected; finite-complement J agrees with P_6 everywhere tested"
+    _require(verdict.verdict == UNDECIDED, f"a probe refuted primality of {allow}")
+    co = IdealSpec.prime_products(allow.primes, complement=True)
+    same = IdealSpec.coprime_vanishing(prod(allow.primes))
+    _require_same_verdicts(ctx, co, same, f"complement-mode J and {same} disagree")
+    return f"probe undecided as expected; finite-complement J agrees with {same} everywhere tested"
 
 
 def _check_inclusion_chain(ctx: _Ctx) -> str:
-    chain_specs = [
-        ("P_2", IdealSpec.coprime_vanishing(2)),
-        ("P_6", IdealSpec.coprime_vanishing(6)),
-        ("J_{5,7}", IdealSpec.prime_products((5, 7))),
-        ("J_{5}", IdealSpec.prime_products((5,))),
+    specs = [
+        IdealSpec.coprime_vanishing(2),
+        IdealSpec.coprime_vanishing(6),
+        IdealSpec.prime_products((5, 7)),
+        IdealSpec.prime_products((5,)),
     ]
     candidates = _candidates(ctx)
     for label, f in candidates:
-        for (small, a), (large, b) in zip(chain_specs, chain_specs[1:]):
-            if member(a, f).is_member:
-                _require(member(b, f).is_member, f"{small} escaped {large} at {label}")
-    return f"inclusions P_2 in P_6 in J_{{5,7}} in J_{{5}} hold on {len(candidates)} candidates"
+        for small, large in zip(specs, specs[1:]):
+            if member(small, f).is_member:
+                _require(member(large, f).is_member, f"{small} escaped {large} at {label}")
+    return f"inclusions {' in '.join(map(str, specs))} hold on {len(candidates)} candidates"
 
 
 def _check_same_ideal_criterion(ctx: _Ctx) -> str:
-    same_a = IdealSpec.coprime_vanishing(6)
-    _require_same_verdicts(ctx, same_a, IdealSpec.coprime_vanishing(12), "P_6 and P_12 disagree")
-    d5 = delta(5, MIN_WINDOW)
+    p6, p12, p10 = (IdealSpec.coprime_vanishing(m) for m in (6, 12, 10))
+    _require_same_verdicts(ctx, p6, p12, f"{p6} and {p12} disagree")
+    d = delta(k := 5, MIN_WINDOW)
     _require(
-        member(IdealSpec.coprime_vanishing(10), d5).is_member and not member(same_a, d5).is_member,
-        "delta_5 fails to separate P_10 from P_6",
+        member(p10, d).is_member and not member(p6, d).is_member,
+        f"delta_{k} fails to separate {p10} from {p6}",
     )
-    return "P_6 = P_12 on all tested inputs; delta_5 separates P_10 from P_6"
+    return f"{p6} = {p12} on all tested inputs; delta_{k} separates {p10} from {p6}"
 
 
 def _check_divisibility_depth(ctx: _Ctx) -> str:
-    _require(divisibility_depth(delta(8, ctx.n), delta(2, ctx.n)) == 3, "depth of 8 over 2")
-    _require(divisibility_depth(delta(6, ctx.n), delta(2, ctx.n)) == 1, "depth of 6 over 2")
-    for _ in range(10):
+    for top, bottom, r in ((8, 2, 3), (6, 2, 1)):
+        _require(divisibility_depth(delta(top, ctx.n), delta(bottom, ctx.n)) == r,
+                 f"depth of {top} over {bottom}")
+    for _ in range(depths := 10):
         a = ctx.rng.randint(2, 4)
         b = ctx.rng.randint(2, ctx.n // 2)
         f = sampling.random_with_norm(ctx.rng, ctx.n, a)
         h = sampling.random_with_norm(ctx.rng, ctx.n, b)
         depth = divisibility_depth(h, f)
         _require(a**depth <= b, f"depth {depth} beats the norm bound for {a}, {b}")
-    return "indicator depths exact; 10 random depths obey the norm-logarithm bound"
+    return f"indicator depths exact; {depths} random depths obey the norm-logarithm bound"
 
 
 def _check_semiprime(ctx: _Ctx) -> str:
     spec = IdealSpec.gcd_count(6, 1)
     verdict = probe_prime(spec, trials=0, seed=ctx.seed, window=ctx.n)
-    _require(verdict.verdict == NON_MEMBER, "no witness that P_{6,1} is not prime")
-    for _ in range(8):  # f(1) = 0 and f(2) != 0, so n0 = 2
+    _require(verdict.verdict == NON_MEMBER, f"no witness that {spec} is not prime")
+    for _ in range(chains := 8):  # f(1) = 0 and f(2) != 0, so n0 = 2
         f = sampling.random_with_norm(ctx.rng, ctx.n, 2)
-        w = probe_semiprime(6, 1, f, rmax=2, window=ctx.n)
+        w = probe_semiprime(spec.m, spec.k, f, rmax=2)
         _require(w.verdict == NON_MEMBER, "powers entered the ideal")
-    return "delta-pair witness refutes primality; 8 power chains stay outside as predicted"
+    return f"delta-pair witness refutes primality; {chains} power chains stay outside as predicted"
 
 
 def _check_semiprime_boundaries(ctx: _Ctx) -> str:
     window = MIN_WINDOW
     base = IdealSpec.coprime_vanishing(6)
-    k0 = IdealSpec.gcd_count(6, 0)
-    k_big = IdealSpec.gcd_count(6, 2)
+    k0 = IdealSpec.gcd_count(base.m, 0)
+    k_big = IdealSpec.gcd_count(base.m, 2)
     for idx in range(1, window + 1):
         d = delta(idx, window)
-        _require(
-            member(k0, d).verdict == member(base, d).verdict,
-            f"P_{{6,0}} and P_6 disagree on delta_{idx}",
-        )
-        _require(not member(k_big, d).is_member, f"P_{{6,2}} admitted delta_{idx}")
-    return "P_{6,0} matches P_6 on all indicators; P_{6,2} rejects every indicator"
+        _require(member(k0, d).verdict == member(base, d).verdict,
+                 f"{k0} and {base} disagree on delta_{idx}")
+        _require(not member(k_big, d).is_member, f"{k_big} admitted delta_{idx}")
+    return f"{k0} matches {base} on all indicators; {k_big} rejects every indicator"
 
 
 # the function zoo ----------------------------------------------------------

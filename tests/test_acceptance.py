@@ -233,7 +233,7 @@ def test_criterion_09_semiprime_family():
             vals.append(Fraction(rng.choice((1, 2, 3))))
             vals.extend(random_scalar(rng) for _ in range(window - n0))
             f = ArithFunc(vals, EXACT)
-            w = probe_semiprime(6, 1, f, rmax=3, window=window)
+            w = probe_semiprime(6, 1, f, rmax=3)
             assert w.verdict == NON_MEMBER and w.index == n0
         # boundary agreement on indicators
         base, k0, k2 = (

@@ -14,9 +14,9 @@ import pytest
 
 import dirichlet_ring
 from dirichlet_ring import ArithFunc, delta, generate, identity
-from dirichlet_ring.cli import FORMATS, MAX_DIGITS, main, parse_ideal_spec
+from dirichlet_ring.cli import MAX_DIGITS, main, parse_ideal_spec
 from dirichlet_ring.ideals import IdealSpec
-from dirichlet_ring.seqfile import load, save
+from dirichlet_ring.seqfile import FORMATS, load, save
 
 PINNED_CLI_DIGEST = "6c666dc6ef32e21c3b64d1038047806b6f93ef4722a5fb82e3e93f11a8886ca6"
 
@@ -335,6 +335,7 @@ def test_env_window_past_an_index_is_a_one_line_error(capsys, monkeypatch):
     ["gen", "unit_u", "--n", "0"],
     ["verify-paper", "--n", "0"],
     ["ideal", "probe", "K:3", "--trials", "0", "--n", "0"],
+    ["chain", "K_ascending", "--n", "0"],
 ])
 def test_zero_window_is_a_one_line_error(capsys, argv):
     _assert_one_line_error(capsys, main(argv))
@@ -404,6 +405,14 @@ def test_unknown_chain_family_is_argparses_usage_error():
 def test_three_part_coprime_spec_is_a_one_line_error(capsys):
     err = _assert_one_line_error(capsys, main(["ideal", "probe", "P:1,2,3", "--n", "8"]))
     assert err == "error: P takes one parameter (P:m) or two (P:m,k)\n"
+
+
+def test_large_composite_in_a_prime_spec_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    save(generate("unit_u", 8), path)
+    # 2 * (10**18 + 3): the primality test stops at the divisor 2
+    err = _assert_one_line_error(capsys, main(["ideal", "member", "J:2000000000000000006", str(path)]))
+    assert err == "error: 2000000000000000006 is not prime\n"
 
 
 def test_verify_paper_small_window_rejected():

@@ -68,6 +68,10 @@ def test_spec_validation():
         IdealSpec.gcd_count(12, 1)  # 12 is not squarefree
     with pytest.raises(ValueError):
         IdealSpec.gcd_count(6, -1)
+    with pytest.raises(ValueError, match="modulus"):
+        IdealSpec.gcd_count(0, 1)
+    with pytest.raises(ValueError, match="tail start"):
+        IdealSpec.prime_tail(0)
 
 
 def test_spec_labels():
@@ -97,6 +101,8 @@ def test_member_norm_floor_uses_norm():
     f = random_with_norm(random.Random(1), 32, 7)
     assert member(IdealSpec.norm_floor(5), f).verdict == MEMBER
     assert member(IdealSpec.norm_floor(8), f).verdict == NON_MEMBER
+    with pytest.raises(ValueError, match="norm 5 must lie in the window 1..4"):
+        random_with_norm(random.Random(1), 4, 5)
 
 
 def test_member_norm_floor_window_guard():
@@ -234,6 +240,8 @@ def test_quotient_rejects_non_members_with_witness():
     with pytest.raises(NotInIdealError) as info:
         principal_quotient(3, delta(2, 16))
     assert info.value.witness.index == 2
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        principal_quotient(4, delta(4, 16))
 
 
 def test_quotient_round_trip_random_members():
@@ -463,13 +471,13 @@ def test_probe_norm_floor_refuted():
 
 
 def test_probe_semiprime_indicator_powers():
-    w = probe_semiprime(6, 1, delta(2, 8), rmax=3, window=8)
+    w = probe_semiprime(6, 1, delta(2, 8), rmax=3)
     assert w.verdict == NON_MEMBER and w.index == 2
 
 
 def test_probe_semiprime_vacuous_for_members():
     f = delta(6, 64)  # inside P_{6,1}
-    w = probe_semiprime(6, 1, f, rmax=3, window=64)
+    w = probe_semiprime(6, 1, f, rmax=3)
     assert w.verdict == MEMBER
 
 
@@ -480,20 +488,13 @@ def test_probe_semiprime_least_indices_track_powers():
         vals[0] = Fraction(0)
         vals[1] = Fraction(rng.choice((1, 2, 3)))
         f = ArithFunc(vals, EXACT)
-        w = probe_semiprime(30, 2, f, rmax=2, window=16)
+        w = probe_semiprime(30, 2, f, rmax=2)
         assert w.verdict == NON_MEMBER and w.index == 2
 
 
 def test_probe_semiprime_window_guard():
     with pytest.raises(WindowError):
-        probe_semiprime(6, 1, delta(2, 8), rmax=4, window=8)  # 2^4 = 16 > 8
-
-
-def test_probe_semiprime_window_defaults_to_the_operand():
-    f = delta(2, 8)
-    assert probe_semiprime(6, 1, f, rmax=3) == probe_semiprime(6, 1, f, rmax=3, window=8)
-    with pytest.raises(WindowError, match="exceeds"):
-        probe_semiprime(6, 1, f, rmax=1, window=9)
+        probe_semiprime(6, 1, delta(2, 8), rmax=4)  # 2^4 = 16 > 8
 
 
 def test_random_outside_forces_a_violation_when_sampling_finds_none():

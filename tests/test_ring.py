@@ -70,6 +70,8 @@ def test_constructor_rejects_mixed_modes():
 def test_constructor_rejects_empty():
     with pytest.raises(ValueError):
         ArithFunc([])
+    with pytest.raises(ValueError, match="window length"):
+        delta(1, 0)
 
 
 def test_explicit_float_mode_coerces_ints():
@@ -919,3 +921,7 @@ def test_indicator_shift_places_values():
 def test_indicator_shift_window_guard():
     with pytest.raises(WindowError):
         indicator_shift(2, ArithFunc([1, 2]), 6)  # index 6 needs g(3)
+    with pytest.raises(ValueError, match="shift factor"):
+        indicator_shift(0, ArithFunc([1, 2]), 4)
+    with pytest.raises(ValueError, match="window length"):
+        indicator_shift(2, ArithFunc([1, 2]), 0)

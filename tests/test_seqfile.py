@@ -86,11 +86,17 @@ def test_table_lists_index_value_pairs():
 
 def test_render_dispatch():
     f = ArithFunc([1])
-    assert render(f, "json") == to_json(f)
-    assert render(f, "csv") == to_csv(f)
-    assert render(f, "table") == to_table(f)
-    with pytest.raises(ValueError):
-        render(f, "yaml")
+    assert render((f, "f"), "json") == to_json(f, "f")
+    assert render((f, "f"), "csv") == to_csv(f)
+    assert render((f, "f"), "table") == to_table(f, "f")
+    result = {"divisible": False, "index": 3}
+    assert render(result, "json") == dumps(result)
+    assert render(result, "csv") == "divisible=False,index=3\n"
+    assert render(result, "table") == "divisible  False\nindex      3\n"
+    assert render("finished text\n", "json") == "finished text\n"
+    for result in ((f, "f"), {"index": 3}):
+        with pytest.raises(ValueError, match="unknown format 'yaml'"):
+            render(result, "yaml")
 
 
 def test_loader_validation():

@@ -18,6 +18,7 @@ from dirichlet_ring import (
     delta,
     essential_witness,
     identity,
+    indicator_shift,
     units_group_probe,
     zeros,
 )
@@ -34,7 +35,7 @@ from dirichlet_ring.structure import (
     certified_atom_factor_search,
     nonunit_product_profiles,
 )
-from dirichlet_ring.witness import MEMBER
+from dirichlet_ring.witness import MEMBER, NON_MEMBER
 from dirichlet_ring.zoo import (FUNCTION_TAGS, big_omega, generate, is_additive,
                                 is_completely_additive, liouville, mangoldt, mobius)
 
@@ -166,6 +167,38 @@ def test_nonprime_norm_product_rejects_units():
 
 def test_units_group_probe_passes():
     assert units_group_probe(10, seed=4, window=32).verdict == MEMBER
+
+
+CONVOLVE, INVERT = ArithFunc.convolve, ArithFunc.invert
+
+
+def _product_vanishing_at_1(self, other):
+    return zeros(len(self))
+
+
+def _product_plus_delta_2_times_left(self, other):  # not symmetric in its operands
+    return CONVOLVE(self, other) + indicator_shift(2, self, len(self))
+
+
+def _invert_right_only_once():
+    calls = []
+
+    def invert(self):  # the first inverse is exact, every later one is off at index 2
+        calls.append(self)
+        return INVERT(self) + (delta(2, len(self)) if len(calls) > 1 else zeros(len(self)))
+
+    return invert
+
+
+@pytest.mark.parametrize("method, fault, note", [
+    ("convolve", lambda: _product_vanishing_at_1, "closure failed at index 1"),
+    ("convolve", lambda: _product_plus_delta_2_times_left, "commutativity failed"),
+    ("invert", _invert_right_only_once, "inverse of a product failed"),
+])
+def test_units_group_probe_names_the_broken_law(monkeypatch, method, fault, note):
+    monkeypatch.setattr(ArithFunc, method, fault())
+    verdict = units_group_probe(10, seed=4, window=32)
+    assert verdict.verdict == NON_MEMBER and verdict.note == note
 
 
 @pytest.mark.parametrize("samples", [0, -4])

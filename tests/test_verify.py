@@ -35,6 +35,10 @@ def test_invertibility_check_counts_only_non_unit_rejections(monkeypatch):
     monkeypatch.setattr(ArithFunc, "invert", crash_on_non_units)
     with pytest.raises(RuntimeError):
         verify._check_invertibility(verify._Ctx(64, 0, "invertibility"))
+    # a kernel that "inverts" a non-unit fails the check
+    monkeypatch.setattr(ArithFunc, "invert", lambda self: invert(self) if self(1) else self)
+    with pytest.raises(AssertionError, match=r"^inverted an element with f\(1\) = 0$"):
+        verify._check_invertibility(verify._Ctx(64, 0, "invertibility"))
 
 
 def test_shared_candidates_are_named_in_failures():

@@ -100,6 +100,7 @@ def test_factorize_rejects_nonpositive():
 def test_is_prime_matches_scan():
     for n in range(1, 200):
         assert is_prime(n) == is_prime_scan(n)
+    assert not is_prime(2 * (10**18 + 3))
     for limit in (0, 1, 2, 3, 500):
         assert primes_upto(limit) == [k for k in range(limit + 1) if is_prime_scan(k)]
         spf = smallest_prime_factors(limit)
