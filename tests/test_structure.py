@@ -180,7 +180,7 @@ def _product_plus_delta_2_times_left(self, other):  # not symmetric in its opera
     return CONVOLVE(self, other) + indicator_shift(2, self, len(self))
 
 
-def _invert_right_only_once():
+def _invert_exact_only_once():
     calls = []
 
     def invert(self):  # the first inverse is exact, every later one is off at index 2
@@ -193,7 +193,7 @@ def _invert_right_only_once():
 @pytest.mark.parametrize("method, fault, note", [
     ("convolve", lambda: _product_vanishing_at_1, "closure failed at index 1"),
     ("convolve", lambda: _product_plus_delta_2_times_left, "commutativity failed"),
-    ("invert", _invert_right_only_once, "inverse of a product failed"),
+    ("invert", _invert_exact_only_once, "inverse of a product failed"),
 ])
 def test_units_group_probe_names_the_broken_law(monkeypatch, method, fault, note):
     monkeypatch.setattr(ArithFunc, method, fault())
