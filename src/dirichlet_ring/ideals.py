@@ -351,14 +351,15 @@ def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness
             return Witness(NON_MEMBER, note=refuted, elements=known)
     idxs = spec.constrained_indices(window)
     rng = random.Random(seed)
-    for _ in range(trials if idxs else 0):  # an ideal constraining nothing has no non-members
+    drawn = trials if idxs else 0  # an ideal constraining nothing has no non-members
+    for _ in range(drawn):
         f, kf = random_outside(rng, spec, window)
         g, kg = random_outside(rng, spec, window)
         # f(kf) g(kg) lands at kf * kg; past the window the product can
         # look like a member only because its violation is cut off
         if kf * kg <= window and member(spec, f.convolve(g)).is_member:
             return Witness(NON_MEMBER, note=refuted, elements=(f, g))
-    return Witness(UNDECIDED, note=f"no counterexample among {trials} sampled pairs")
+    return Witness(UNDECIDED, note=f"no counterexample among {drawn} sampled pairs")
 
 
 def probe_semiprime(m: int, k: int, f: ArithFunc, rmax: int) -> Witness:

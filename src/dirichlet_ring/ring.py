@@ -30,7 +30,8 @@ with ``ArithFunc._of`` as package code holding the stored form does.
 
 Two loops carry the whole ring, and both run as strided slice passes:
 ``_step`` adds a column times one scalar into every m-th entry of an
-accumulator at C level, and holds all the per-type arithmetic.
+accumulator at C level; it and ``_divide``, which solves one block of
+the recursion, hold all the per-type arithmetic.
 ``_product`` is the convolution, split by Dirichlet's hyperbola method
 into one slice per i <= sqrt(n) and one per j <= n/(sqrt(n)+1); every
 product in the package goes through it, and ``ArithFunc.power`` squares
@@ -39,8 +40,9 @@ standard recursion for f * g = h (Apostol, *Introduction to Analytic
 Number Theory*, ch. 2) run in sieve order and in blocks: a block of g
 reads only earlier blocks, so its values are solved together and then
 pushed into the accumulator at every i*m, and no index ever searches for
-its divisors.  Inversion is the quotient of e by f, and exact division
-is the same recursion plus a scan for the first index it cannot match.
+its divisors.  ``_quotient`` runs it plus a scan for the first index it
+cannot match: inversion, exact or float, is its quotient of e by f, and
+exact division reads the quotient and the scan.
 
 The loops run on column sets: a narrow operand's integers, a float
 function's values, or, when an operand is wide, numerator and
@@ -186,6 +188,35 @@ def _step(acc: list, at: slice, col: list, cut: slice, row: list, k: int) -> Non
     dens[at] = map(mul, ad, td)
 
 
+def _divide(h: list, acc: list, at: slice, f: list, a: int) -> list:
+    """The column set of (h - acc) / f(a) at the indices ``at`` slices out.
+
+    Pairs are solved in lowest terms with positive denominators, so the
+    solved columns are the stored form of g: the solved values are
+    multiplied into every later accumulator, and leaving them unreduced
+    would compound their growth.  Floats are multiplied by 1/f(a), and a
+    zero rest gives 0.0 whatever the lead's sign.  Integers are divided
+    exactly, and a remainder is refused rather than rounded.
+    """
+    if len(f) == 2:  # times 1/f(a), its sign moved to the numerator
+        num, den = f[1][a - 1], f[0][a - 1]
+        if den < 0:
+            num, den = -num, -den
+        hn, hd, an, ad = h[0][at], h[1][at], acc[0][at], acc[1][at]
+        rest = map(sub, map(mul, hn, ad), map(mul, an, hd))
+        return _lowest(list(map(mul, rest, repeat(num))), list(map(mul, map(mul, hd, ad), repeat(den))))
+    lead = f[0][a - 1]
+    rest = map(sub, h[0][at], acc[0][at])
+    if isinstance(lead, float):
+        r = 1 / lead
+        return [[x * r if x else 0.0 for x in rest]]
+    rest = list(rest)
+    if any(map(mod, rest, repeat(lead))):
+        left = next(x % lead for x in rest if x % lead)
+        raise ArithmeticError(f"scaled recursion left remainder {left} on division by {lead}")
+    return [list(map(floordiv, rest, repeat(lead)))]
+
+
 def _product(a: list, b: list, n: int, zero: tuple) -> list:
     """The column set of (a*b)(k) for k = 1..n; sums start at ``zero``.
 
@@ -221,12 +252,12 @@ def _blocks(top: int, a: int) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _solve(h: list, f: list, a: int, n: int, zero: tuple, divide) -> tuple[list, list]:
+def _solve(h: list, f: list, a: int, n: int, zero: tuple) -> tuple[list, list]:
     """Blocked sieve-order recursion for f * g = h on 1..n, where a is the
     norm of f and h, f, g and the accumulator are column sets.
 
     Returns (g, acc).  g, on 1..n//a, satisfies (f*g)(a*m) = h(a*m) for
-    every m.  Block by block, ``divide(h, acc, at)`` returns the block's
+    every m.  Block by block, :func:`_divide` solves the block's
     g(m) = (h(a*m) - acc(a*m)) / f(a), where ``at`` slices out the block's
     a*m; then f(i) g(m) is pushed into acc at i*m for every i > a: one
     slice per m, or one per i in descending order, whichever is fewer, so
@@ -237,7 +268,7 @@ def _solve(h: list, f: list, a: int, n: int, zero: tuple, divide) -> tuple[list,
     acc = [[z] * n for z in zero]
     g = [[] for _ in zero]
     for lo, hi in _blocks(n // a, a):
-        for c, q in zip(g, divide(h, acc, slice(a * lo - 1, a * (hi - 1), a))):
+        for c, q in zip(g, _divide(h, acc, slice(a * lo - 1, a * (hi - 1), a), f, a)):
             c += q
         top = n // lo  # the largest i that meets the block
         if hi - lo <= top - a:
@@ -250,42 +281,6 @@ def _solve(h: list, f: list, a: int, n: int, zero: tuple, divide) -> tuple[list,
     return g, acc
 
 
-def _exact_quotient(d: int):
-    """Division step over ints that refuses to round."""
-
-    def divide(h: list, acc: list, at: slice) -> list:
-        rest = list(map(sub, h[0][at], acc[0][at]))
-        if any(map(mod, rest, repeat(d))):
-            left = next(x % d for x in rest if x % d)
-            raise ArithmeticError(f"scaled recursion left remainder {left} on division by {d}")
-        return [list(map(floordiv, rest, repeat(d)))]
-
-    return divide
-
-
-def _float_quotient(lead: float):
-    """Division step over floats: a zero rest gives 0.0, whatever lead's sign."""
-    return lambda h, acc, at: [[r * lead if r else 0.0 for r in map(sub, h[0][at], acc[0][at])]]
-
-
-def _pair_quotient(lead_num: int, lead_den: int):
-    """Division step over pairs: the block's g(m) = rest / lead as
-    columns in lowest terms with positive denominators, so the solved
-    columns are the stored form of g.
-
-    The solved values are multiplied into every later accumulator, so
-    leaving them unreduced would compound their growth.
-    """
-    num, den = (lead_den, lead_num) if lead_num > 0 else (-lead_den, -lead_num)
-
-    def divide(h: list, acc: list, at: slice) -> tuple[list, list]:
-        hn, hd, an, ad = h[0][at], h[1][at], acc[0][at], acc[1][at]
-        rest = map(sub, map(mul, hn, ad), map(mul, an, hd))
-        return _lowest(list(map(mul, rest, repeat(num))), list(map(mul, map(mul, hd, ad), repeat(den))))
-
-    return divide
-
-
 def _lift(n: int, *operands: ArithFunc) -> list[tuple[list, int | None]]:
     """The exact loops' column set of each operand on 1..n: [its stored
     integers] and their denominator when every operand is narrow, else
@@ -296,27 +291,6 @@ def _lift(n: int, *operands: ArithFunc) -> list[tuple[list, int | None]]:
         return [([f._values], d) for f, d in zip(operands, dens)]
     return [([f._values[:n], d[:n] if isinstance(d, tuple) else (d,) * n], None)
             for f, d in zip(operands, dens)]
-
-
-def _solve_exact(h: ArithFunc, f: ArithFunc, a: int, n: int) -> tuple[ArithFunc, list, list]:
-    """``_solve`` on exact functions; returns (g, acc, target).
-
-    When h and f are both narrow, h = H/dh and f = F/df, the recursion
-    solves F * G = c*H over ints with c = |F(a)|^K, K the number of
-    blocks: a value of block t reads only earlier blocks, so it has at
-    most t divisions by F(a) in it, every one of them exact, and g =
-    G*df / (dh*c).  acc holds F * G, on the scale of target = c*H.
-    Otherwise it runs on pair columns and target is h as pairs.
-    """
-    (hs, dh), (fs, df) = _lift(n, h, f)
-    if dh is None:
-        (gn, gd), acc = _solve(hs, fs, a, n, (0, 1), _pair_quotient(fs[0][a - 1], fs[1][a - 1]))
-        return ArithFunc._of(gn, gd), acc, hs
-    [F], [H] = fs, hs
-    c = abs(F[a - 1]) ** sum(1 for _ in _blocks(n // a, a))
-    target = [c * x for x in H[:n]]
-    [g], acc = _solve([target], fs, a, n, (0,), _exact_quotient(F[a - 1]))
-    return ArithFunc._of([x * df for x in g], dh * c), acc, [target]
 
 
 def _mismatch(acc: list, target: list, a: int, n: int) -> int | None:
@@ -333,6 +307,31 @@ def _mismatch(acc: list, target: list, a: int, n: int) -> int | None:
             differs = map(ne, map(mul, xn, yd), map(mul, yn, xd))
         found += islice(compress(range(r, n + 1, a), differs), 1)
     return min(found, default=None)
+
+
+def _quotient(h: ArithFunc, f: ArithFunc, a: int, n: int) -> tuple[ArithFunc, int | None]:
+    """``_solve`` for f * g = h on functions of one mode; returns g and
+    the least k <= n, not a multiple of a, at which f * g misses h, or
+    None when it matches h on the whole window.
+
+    When h and f are both narrow, h = H/dh and f = F/df, the recursion
+    solves F * G = c*H over ints with c = |F(a)|^K, K the number of
+    blocks: a value of block t reads only earlier blocks, so it has at
+    most t divisions by F(a) in it, every one of them exact, and g =
+    G*df / (dh*c).  Otherwise it runs on pair columns, or on floats.
+    """
+    if f._den is None:
+        [g], acc = _solve([h._values], [f._values], a, n, (0.0,))
+        return ArithFunc._of(g), _mismatch(acc, [h._values], a, n)
+    (hs, dh), (fs, df) = _lift(n, h, f)
+    if dh is None:
+        (gn, gd), acc = _solve(hs, fs, a, n, (0, 1))
+        return ArithFunc._of(gn, gd), _mismatch(acc, hs, a, n)
+    [F], [H] = fs, hs
+    c = abs(F[a - 1]) ** sum(1 for _ in _blocks(n // a, a))
+    target = [c * x for x in H[:n]]
+    [g], acc = _solve([target], fs, a, n, (0,))
+    return ArithFunc._of([x * df for x in g], dh * c), _mismatch(acc, [target], a, n)
 
 
 class ArithFunc:
@@ -492,11 +491,7 @@ class ArithFunc:
         if not self._values[0]:
             raise NonUnitError("f(1) = 0: not a unit (lies in the maximal ideal)")
         n = len(self._values)
-        e = identity(n, self.mode)
-        if self.mode == EXACT:
-            return _solve_exact(e, self, 1, n)[0]
-        [g], _ = _solve([e._values], [self._values], 1, n, (0.0,), _float_quotient(1 / self._values[0]))
-        return ArithFunc._of(g)
+        return _quotient(identity(n, self.mode), self, 1, n)[0]
 
     def power(self, r: int) -> "ArithFunc":
         """r-fold convolution power by square-and-multiply; f^0 is the identity.
@@ -586,9 +581,8 @@ def try_divide(h: ArithFunc, f: ArithFunc) -> ArithFunc | NotDivisibleWitness:
     b = _norm(h._values, n)
     if b is not None and b % a:
         return NotDivisibleWitness(b, "dividend norm is not a multiple of the divisor norm")
-    g, acc, target = _solve_exact(h, f, a, n)
-    # the recursion fixes every multiple of a; check the rest of the window
-    k = _mismatch(acc, target, a, n)
+    # the recursion fixes every multiple of a; _quotient checks the rest
+    g, k = _quotient(h, f, a, n)
     return g if k is None else NotDivisibleWitness(k, "no quotient can match the dividend at this index")
 
 

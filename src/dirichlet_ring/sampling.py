@@ -24,7 +24,6 @@ from .ring import ArithFunc
 
 # a narrow scalar times 6, by its two draws: (i - 3) * 6 / (j + 1)
 _NARROW = tuple(tuple((i - 3) * 6 // (j + 1) for j in range(3)) for i in range(7))
-_SIXTHS = {k: Fraction(k, 6) for k in range(-18, 19)}
 
 
 def _draws(rng: random.Random, n: int) -> list[int]:
@@ -52,7 +51,7 @@ def _nonzero(rng: random.Random) -> int:
 
 
 def random_scalar(rng: random.Random) -> Fraction:
-    return _SIXTHS[_draws(rng, 1)[0]]
+    return Fraction(_draws(rng, 1)[0], 6)
 
 
 def random_func(rng: random.Random, n: int) -> ArithFunc:

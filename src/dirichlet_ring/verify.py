@@ -397,12 +397,12 @@ def _check_semiprime_boundaries(ctx: _Ctx) -> str:
 
 
 def _check_zoo_invertibility(ctx: _Ctx) -> str:
-    n = MIN_WINDOW
+    n, p = MIN_WINDOW, 2
     non_units = {
         "big_omega": zoo.big_omega(n),
         "distinct_prime_count": zoo.distinct_prime_count(n),
         "mangoldt": zoo.mangoldt(n),
-        "nu_2": zoo.p_adic_valuation(2, n),
+        f"nu_{p}": zoo.p_adic_valuation(p, n),
         "log": zoo.log_function(n),
     }
     units = {

@@ -214,6 +214,8 @@ def test_ideal_probe_command():
     code, out = run_cli("ideal", "probe", "P:6", "--trials", "25", "--seed", "5",
                         "--n", "32")
     assert json.loads(out)["verdict"] == "undecided_at_truncation"
+    code, out = run_cli("ideal", "probe", "I:1", "--trials", "3", "--n", "4")
+    assert (code, json.loads(out)["note"]) == (0, "no counterexample among 0 sampled pairs")
 
 
 # exit codes and determinism ------------------------------------------------------------

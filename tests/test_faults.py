@@ -33,7 +33,7 @@ CONSTRAINED = IdealSpec.constrained_indices  # the cached original
 CERTIFICATE = structure._certificate_for_profile
 LIFT = ring._lift
 MISMATCH = ring._mismatch
-SOLVE = ring._solve
+DIVIDE = ring._divide
 STEP = ring._step
 SIEVE = primes.smallest_prime_factors
 
@@ -62,19 +62,14 @@ def product_skipping_squares(a, b, n, zero):
     return out
 
 
-def solve_doubling_g47(h, f, a, n, zero, divide):
-    """``_solve`` with the solved value g(47) doubled before it is pushed on."""
-    solved = 0  # the blocks are solved in order, from m = 1
-
-    def doubling(h, acc, at):
-        nonlocal solved
-        g = divide(h, acc, at)
-        if solved < 47 <= solved + len(g[0]):
-            g[0][46 - solved] *= 2  # the value, or its numerator
-        solved += len(g[0])
-        return g
-
-    return SOLVE(h, f, a, n, zero, doubling)
+def divide_doubling_g47(h, acc, at, f, a):
+    """``_divide`` with the solved value g(47) doubled before ``_solve``
+    pushes it on."""
+    g = DIVIDE(h, acc, at, f, a)
+    m = (at.start + 1) // a  # the block's first m
+    if m <= 47 < m + len(g[0]):
+        g[0][47 - m] *= 2  # the value, or its numerator
+    return g
 
 
 def mismatch_scanning_one_short(acc, target, a, n):
@@ -127,7 +122,7 @@ def step_keeping_the_gcd(acc, at, col, cut, row, k):
 
 FAULTS = {
     "product skips i = j > 1": lambda mp: inject(mp, ring._product, product_skipping_squares),
-    "_solve doubles g(47)": lambda mp: inject(mp, SOLVE, solve_doubling_g47),
+    "_solve doubles g(47)": lambda mp: inject(mp, DIVIDE, divide_doubling_g47),
     "leftover scan stops one short": lambda mp: inject(mp, MISMATCH, mismatch_scanning_one_short),
     "P_m loses its last index": lambda mp: mp.setattr(
         IdealSpec, "constrained_indices", constrained_dropping_last_of_p_m),

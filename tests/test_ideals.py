@@ -37,7 +37,7 @@ from dirichlet_ring.sampling import (
     random_scalar,
     random_with_norm,
 )
-from dirichlet_ring.witness import MEMBER, NON_MEMBER, UNDECIDED
+from dirichlet_ring.witness import MEMBER, NON_MEMBER, UNDECIDED, Witness
 
 from oracles import depth_power_chain, distinct_count_scan, is_prime_scan, prime_factors_scan, rank_over_q
 
@@ -388,13 +388,17 @@ def test_descending_prime_products_chain():
         assert link.not_in_smaller.verdict == NON_MEMBER
 
 
-def test_chain_window_guard():
+def test_chain_window_guard(monkeypatch):
     with pytest.raises(WindowError):
         chain("P_ascending", 4, 5)  # needs delta_7 visible
     with pytest.raises(ValueError):
         chain("P_ascending", 1, 64)
     with pytest.raises(ValueError):
         chain("sideways", 3, 64)
+    # an oracle that calls every function a member refutes the first separator
+    monkeypatch.setattr(ideals, "member", lambda spec, f: Witness(MEMBER))
+    with pytest.raises(AssertionError, match=r"^separator delta_3 fails to separate$"):
+        chain("P_ascending", 3, 64)
 
 
 # the longest chain each family fits in a window of 64, and the separator
@@ -451,6 +455,13 @@ def test_probe_prime_skips_pairs_whose_violation_leaves_the_window(seed):
 def test_probe_prime_maximal_stays_undecided():
     w = probe_prime(IdealSpec.maximal(), trials=30, seed=3, window=32)
     assert w.verdict == UNDECIDED
+
+
+def test_probe_prime_counts_the_pairs_it_draws():
+    # I_1, the whole ring, constrains no index: it has no non-member to draw
+    for spec, drawn in ((IdealSpec.norm_floor(1), 0), (IdealSpec.maximal(), 3)):
+        w = probe_prime(spec, trials=3, seed=1, window=4)
+        assert w == Witness(UNDECIDED, note=f"no counterexample among {drawn} sampled pairs")
 
 
 @pytest.mark.parametrize("seed", [1, 2])  # pairs of norms 2, 2 and 2, 3

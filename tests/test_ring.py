@@ -486,6 +486,12 @@ def test_exact_kernels_match_divisor_scan_oracles(n, a, lead, seed, k):
         assert list(f.invert().values) == divide_lists([1] + [0] * (n - 1), fv)
 
 
+def test_the_integer_division_step_refuses_a_remainder():
+    # rests 9 and 7 over the lead 3: 7 would round, so the block is refused
+    with pytest.raises(ArithmeticError, match=r"^scaled recursion left remainder 1 on division by 3$"):
+        ring._divide([[9, 7]], [[0, 0]], slice(0, 2), [[3]], 1)
+
+
 def test_common_denominator_switch_at_shared_bits(tmp_path, monkeypatch, fractions_built):
     # p*q has SHARED_BITS bits, so f scales; one more entry over 2 makes
     # the common denominator one bit wider, and f2 keeps the pair path

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dirichlet_ring.sampling import _draws, random_scalar
+from dirichlet_ring.sampling import _draws, random_non_unit, random_nonzero, random_scalar
 
 from oracles import randint_scalar
 
@@ -26,3 +26,12 @@ def test_draws_match_n_pairs_of_randint_draws(n):
         ours, ref = random.Random(seed), random.Random(seed)
         assert [Fraction(k, 6) for k in _draws(ours, n)] == [randint_scalar(ref) for _ in range(n)]
         assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("sampler, n, seed, first", [(random_nonzero, 1, 9, 0), (random_non_unit, 2, 7, 1)])
+def test_an_all_zero_draw_is_patched_nonzero(sampler, n, seed, first):
+    # the seed draws zeros at every index from ``first`` on, the ones the
+    # sampler may fill (a non-unit keeps f(1) = 0)
+    assert not any(_draws(random.Random(seed), n)[first:])
+    f = sampler(random.Random(seed), n)
+    assert not f.is_zero() and not any(f.values[:first])
