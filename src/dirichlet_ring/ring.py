@@ -15,11 +15,12 @@ values, each pair in lowest terms with a positive denominator;
 result and the sequence-file loader.  The values alone fix the stored
 form, so ``==`` and ``hash`` compare forms.  ``values`` and ``f(k)``
 build Fractions, for either form, on each request and keep none.  Other
-modules reach the integers through :func:`take` and :func:`lowest_terms`.
+modules reach the integers through :func:`take` and :func:`lowest_terms`,
+and a float function's values, its stored tuple, through ``values``.
 They read ``_values`` only for zero tests, which hold on it in every form
-(``ideals.member``, ``structure.classify`` and
-``check_nonprime_norm_product``), and for a float function's values
-(seqfile's writers); ``zoo._scan_pairs`` compares :func:`_lift`'s columns.
+(``ideals.member``, ``structure.classify`` and ``zoo._scan_pairs``); the
+pair scan of ``zoo._scan_pairs`` reads a float function's ``_values`` and
+an exact one's :func:`_lift` columns.
 
 ``ArithFunc(values, mode)`` checks values from outside the package,
 float sequence files included: ints and Fractions are exact, floats are
@@ -394,10 +395,6 @@ class ArithFunc:
     @property
     def mode(self) -> str:
         return FLOAT if self._den is None else EXACT
-
-    @property
-    def n(self) -> int:
-        return len(self._values)
 
     def __len__(self) -> int:
         return len(self._values)

@@ -52,16 +52,13 @@ def _string_pairs(f: ArithFunc):
 def _texts(f: ArithFunc):
     """Each value as ``str`` writes it, an exact one as its ``Fraction``."""
     if f.mode == FLOAT:
-        return map(str, f._values)
-    nums, dens = lowest_terms(f)
-    if dens is None:
-        return map(str, nums)
-    return (str(a) if b == 1 else f"{a}/{b}" for a, b in zip(nums, dens))
+        return map(str, f.values)
+    return (a if b == "1" else f"{a}/{b}" for a, b in _string_pairs(f))
 
 
 def to_json_obj(f: ArithFunc, name: str = "sequence") -> dict:
     """The sequence object as plain JSON values, the form ``from_json_obj`` reads."""
-    values = list(map(list, _string_pairs(f))) if f.mode == EXACT else list(f._values)
+    values = list(map(list, _string_pairs(f))) if f.mode == EXACT else list(f.values)
     return {"name": name, "mode": f.mode, "n": len(f), "values": values}
 
 
@@ -69,10 +66,10 @@ def _values_json(f: ArithFunc, pad: str) -> str:
     """The values array of ``f`` at indent ``pad``."""
     p = pad + "  "
     if f.mode == FLOAT:
-        if not all(map(math.isfinite, f._values)):
-            k, v = next((k, v) for k, v in enumerate(f._values, 1) if not math.isfinite(v))
+        if not all(map(math.isfinite, f.values)):
+            k, v = next((k, v) for k, v in enumerate(f.values, 1) if not math.isfinite(v))
             raise ValueError(f"float value {v!r} at index {k} cannot be written as JSON")
-        body = p + f",\n{p}".join(map(repr, f._values))
+        body = p + f",\n{p}".join(map(repr, f.values))
     else:
         start, mid, end = f'{p}[\n{p}  "', f'",\n{p}  "', f'"\n{p}]'
         body = start + f"{end},\n{start}".join(map(mid.join, _string_pairs(f))) + end
@@ -151,12 +148,25 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
     return name, ArithFunc._of([int(num) * scale[den] for num, den in raw], common)
 
 
+def _fields(pairs: list, path: str) -> dict:
+    """A JSON object as a dict, refusing a repeated name: ``json`` alone keeps the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        name = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"{path}: field {name!r} appears more than once")
+    return obj
+
+
 def load(path: str) -> tuple[str, ArithFunc]:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return from_json_obj(json.load(handle))
+            obj = json.load(handle, object_pairs_hook=lambda pairs: _fields(pairs, path))
+        except UnicodeDecodeError as exc:  # json reads the whole file in one decode
+            raise ValueError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
         except RecursionError:  # json's parser recurses once per nested array or object
             raise ValueError(f"{path}: JSON nested too deeply") from None
+    return from_json_obj(obj)
 
 
 def save(f: ArithFunc, path: str, name: str = "sequence") -> None:

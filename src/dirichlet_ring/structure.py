@@ -8,7 +8,7 @@ import random
 from math import gcd
 from typing import NamedTuple
 
-from .primes import is_prime, primes_upto
+from .primes import is_prime
 from .ring import ArithFunc, ZeroFunctionError, dirichlet_product, identity, indicator_shift
 from .sampling import random_unit
 from .witness import MEMBER, NON_MEMBER, Witness
@@ -75,18 +75,19 @@ def classify(f: ArithFunc) -> ElementReport:
 def check_nonprime_norm_product(f: ArithFunc, g: ArithFunc) -> Witness:
     """Confirm that a product of two non-units vanishes at every prime index.
 
-    Consequently its norm is never a prime integer.  The returned witness
-    summarizes the scan; a violation (which the arithmetic rules out)
-    would come back as non_member with the offending prime.
+    Consequently its norm is never a prime integer.  Membership in K_1
+    decides it; a violation (which the arithmetic rules out) would come
+    back as non_member with the offending prime.
     """
     if f.is_zero() or g.is_zero():
         raise ZeroFunctionError("need nonzero operands")
     if f(1) or g(1):
         raise ValueError("both operands must be non-units (value 0 at index 1)")
+    from .ideals import IdealSpec, member  # here, so that classify does not load ideals
     h = f.convolve(g)
-    for p in primes_upto(len(h)):
-        if h._values[p - 1]:
-            return Witness(NON_MEMBER, index=p, note="nonzero at a prime index")
+    verdict = member(IdealSpec.prime_tail(1), h)  # K_1: zero at 1 and at every prime
+    if not verdict.is_member:
+        return Witness(NON_MEMBER, index=verdict.index, note="nonzero at a prime index")
     c = h.norm()
     desc = "zero at truncation" if c is None else str(c)
     return Witness(

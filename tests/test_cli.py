@@ -273,6 +273,17 @@ def test_deeply_nested_file_is_a_one_line_error(tmp_path, capsys):
     assert "nested too deeply" in err
 
 
+@pytest.mark.parametrize("data, reason", [
+    (b"\xff{}", "not UTF-8 text at byte 0 (invalid start byte)"),
+    (b'{"name": "f", "mode": "exact", "n": 1, "values": [["1", "1"]], "values": [["2", "1"]]}',
+     "field 'values' appears more than once"),
+], ids=["not_utf8", "repeated_values"])
+def test_undecodable_or_ambiguous_file_is_a_one_line_error_naming_it(tmp_path, capsys, data, reason):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert _assert_one_line_error(capsys, main(["norm", str(path)])) == f"error: {path}: {reason}\n"
+
+
 def test_exact_values_past_python_digit_limit_round_trip(tmp_path):
     # f(1) = 1/(2**64 + 13): its 10th self-convolution, f^1024, has
     # 19,729-digit denominators, past Python's 4300-digit default; each

@@ -78,11 +78,11 @@ def test_gen_loads_neither_verify_nor_structure():
     assert not {"dirichlet_ring.verify", "dirichlet_ring.structure", "dataclasses"} & set(loaded)
 
 
-@pytest.mark.parametrize("command", ["gen", "norm"])
+@pytest.mark.parametrize("command", ["gen", "norm", "classify"])
 def test_gen_and_norm_load_no_ideal_code(tmp_path, command):
     path = tmp_path / "f.json"
     path.write_text('{"name": "f", "mode": "exact", "n": 2, "values": [["1", "1"], ["1", "2"]]}')
-    argv = ["gen", "mobius", "--n", "4"] if command == "gen" else ["norm", str(path)]
+    argv = ["gen", "mobius", "--n", "4"] if command == "gen" else [command, str(path)]
     script = (f"import json, sys\nfrom dirichlet_ring import cli\ncli.main({argv!r})\n"
               "print(json.dumps(sorted(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": SRC_DIR}

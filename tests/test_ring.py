@@ -159,7 +159,7 @@ def test_add_disjoint_indicators():
 
 
 def test_add_truncates_to_shorter_window():
-    assert (ArithFunc([1, 2, 3]) + ArithFunc([1, 1])).n == 2
+    assert len(ArithFunc([1, 2, 3]) + ArithFunc([1, 1])) == 2
 
 
 def test_add_rejects_mode_mismatch():

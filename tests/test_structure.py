@@ -39,7 +39,7 @@ from dirichlet_ring.witness import MEMBER, NON_MEMBER
 from dirichlet_ring.zoo import (FUNCTION_TAGS, big_omega, generate, is_additive,
                                 is_completely_additive, liouville, mangoldt, mobius)
 
-from oracles import convolve_lists
+from oracles import convolve_lists, is_prime_scan
 
 
 def test_classify_mobius_is_a_unit():
@@ -153,6 +153,28 @@ def test_nonunit_products_vanish_at_primes():
         f = random_non_unit(rng, 128)
         g = random_non_unit(rng, 128)
         assert check_nonprime_norm_product(f, g).verdict == MEMBER
+
+
+@pytest.mark.parametrize("shift", [None, 4, 5, 11])
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 64])
+def test_nonprime_norm_product_agrees_with_a_prime_scan(monkeypatch, n, shift):
+    # a shift adds 1 at that index of every product, so that the verdict
+    # on a product nonzero at a prime, and its index, are compared too
+    if shift is not None:
+        monkeypatch.setattr(ArithFunc, "convolve", lambda a, b: CONVOLVE(a, b) + delta(shift, len(a)))
+    rng = random.Random(n)
+    for _ in range(25):
+        f, g = random_non_unit(rng, n), random_non_unit(rng, n)
+        if n == 1:  # the one non-unit on 1..1 is zero
+            with pytest.raises(ZeroFunctionError):
+                check_nonprime_norm_product(f, g)
+            continue
+        h = convolve_lists(list(f.values), list(g.values))
+        if shift is not None and shift <= n:
+            h[shift - 1] += 1
+        p = next((p for p in range(1, n + 1) if is_prime_scan(p) and h[p - 1]), None)
+        w = check_nonprime_norm_product(f, g)
+        assert (w.verdict, w.index) == ((MEMBER, None) if p is None else (NON_MEMBER, p))
 
 
 def test_nonprime_norm_product_rejects_units():
