@@ -18,7 +18,6 @@ whitespace and other scripts' digits.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -214,7 +213,7 @@ def _cmd_inv(args, name, f):
 def _cmd_norm(args, _, f):
     value = f.norm()
     if args.format == "json":
-        return json.dumps({"norm": value}) + "\n"
+        return {"norm": value}
     return ("zero-function" if value is None else str(value)) + "\n"
 
 

@@ -385,12 +385,12 @@ def _check_semiprime_boundaries(ctx: _Ctx) -> str:
     base = IdealSpec.coprime_vanishing(6)
     k0 = IdealSpec.gcd_count(base.m, 0)
     k_big = IdealSpec.gcd_count(base.m, 2)
-    for idx in range(1, window + 1):
+    for idx in (indices := range(1, window + 1)):
         d = delta(idx, window)
         _require(member(k0, d).verdict == member(base, d).verdict,
                  f"{k0} and {base} disagree on delta_{idx}")
         _require(not member(k_big, d).is_member, f"{k_big} admitted delta_{idx}")
-    return f"{k0} matches {base} on all indicators; {k_big} rejects every indicator"
+    return f"{k0} matches {base} on delta_{indices[0]}..delta_{indices[-1]}; {k_big} rejects each"
 
 
 # the function zoo ----------------------------------------------------------
@@ -407,7 +407,7 @@ def _check_zoo_invertibility(ctx: _Ctx) -> str:
         _require(not f(1), f"{name} should vanish at 1")
     for name, f in units.items():
         _require(bool(f(1)), f"{name} should not vanish at 1")
-    return "value at 1 separates the five non-units from the five units"
+    return f"value at 1 separates the {len(non_units)} non-units from the {len(units)} units"
 
 
 def _check_mobius_inversion(ctx: _Ctx) -> str:

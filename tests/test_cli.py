@@ -18,7 +18,7 @@ from dirichlet_ring.cli import MAX_DIGITS, main, parse_ideal_spec
 from dirichlet_ring.ideals import IdealSpec
 from dirichlet_ring.seqfile import FORMATS, load, save
 
-PINNED_CLI_DIGEST = "6c666dc6ef32e21c3b64d1038047806b6f93ef4722a5fb82e3e93f11a8886ca6"
+PINNED_CLI_DIGEST = "cd360ac9b628d18ef574d80738de66aa27817b89552e399a1411b6f270342d79"
 
 SRC_DIR = str(Path(dirichlet_ring.__file__).resolve().parent.parent)
 
@@ -129,6 +129,13 @@ def test_norm_command(tmp_path):
     save(ArithFunc([0, 0]), path, "z")
     code, out = run_cli("norm", str(path), "--format", "table")
     assert code == 0 and out == "zero-function\n"
+
+
+def test_norm_json_is_written_as_every_dict_result_is(tmp_path):
+    path = tmp_path / "f.json"
+    for f, value in ((ArithFunc([0, 0, 0, 0, 0, 1]), 6), (ArithFunc([0, 0]), None)):
+        save(f, path, "f")
+        assert run_cli("norm", str(path)) == (0, json.dumps({"norm": value}, indent=2) + "\n")
 
 
 def test_divide_command_success_and_witness(tmp_path):
