@@ -144,8 +144,8 @@ def test_load_names_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     data = to_json(ArithFunc([1, 2]), "cafe").encode().replace(b"cafe", b"caf\xe9")  # a latin-1 name
     path.write_bytes(data)
-    at = data.index(b"\xe9")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text at byte {at} (invalid continuation byte)")):
+    message = f"{path}: not UTF-8 text at byte {data.index(bytes([0xE9]))} (invalid continuation byte)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load(path)
 
 
@@ -154,8 +154,10 @@ def test_load_refuses_a_field_given_twice(tmp_path, field):
     # even with the same value twice: json alone would keep the last one
     obj = to_json_obj(ArithFunc([1, 2]), "g")
     path = tmp_path / "twice.json"
-    path.write_text(json.dumps(obj)[:-1] + f", {json.dumps(field)}: {json.dumps(obj[field])}}}", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: field '{field}' appears more than once$"):
+    text = json.dumps(obj)[:-1] + f", {json.dumps(field)}: {json.dumps(obj[field])}}}"
+    path.write_text(text, encoding="utf-8")
+    message = f"{path}: field {field!r} appears more than once"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load(path)
 
 
