@@ -7,9 +7,10 @@ DIRICHLET_N environment variable overrides the default window length.
 the program (the ideal spec, then the sequence files, then the window),
 calls the command with the resolved values, and renders and writes the
 result once: ``--out`` gets exactly the bytes stdout would get, for
-every command including ``verify-paper``.  The commands that run
-``ideals``, ``structure`` or ``verify`` import it, so no other command
-loads it.  Every integer from outside the program, in an option, an
+every command including ``verify-paper``.  Only the command that argv
+names gets its arguments in the parser, and the commands that run
+``zoo``, ``ideals``, ``structure`` or ``verify`` import it, so no other
+command loads it.  Every integer from outside the program, in an option, an
 ideal spec or ``DIRICHLET_N``, is an optional sign and ASCII digits
 (``seqfile.is_decimal``); ``int`` alone would also take underscores,
 whitespace and other scripts' digits.
@@ -21,9 +22,8 @@ import argparse
 import os
 import sys
 
-from . import seqfile, zoo
+from . import seqfile
 from .ring import EXACT, FLOAT, NotDivisibleWitness, try_divide
-from .witness import CHAIN_FAMILIES
 
 COMPUTE_ERROR = 1
 VERIFY_FAILURE = 3
@@ -82,13 +82,26 @@ def parse_ideal_spec(text: str) -> IdealSpec:
     raise ValueError("P takes one parameter (P:m) or two (P:m,k)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every command, where only the command that ``argv``
+    names, and ideal's subcommand that it names, gets its arguments: a
+    process builds none of the others, whose names and help lines alone
+    make the usage, the help and the errors of the levels above.  With
+    ``argv`` None, every command gets its arguments."""
+    # the top level and ideal take no option with a value, so their
+    # commands are argv's first two words that are not options
+    words = None if argv is None else [a for a in argv if not a.startswith("-")][:2]
     parser = argparse.ArgumentParser(
         prog="dirichlet",
         description="Exact arithmetic in the ring of arithmetical functions "
         "under Dirichlet convolution.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(subparsers, name, help_text, level=0):
+        """The subparser ``name``, and whether to give it its arguments."""
+        p = subparsers.add_parser(name, help=help_text)
+        return p, words is None or words[level:level + 1] == [name]
 
     def add_common(p, func, files=(), window=False):
         for name in files:
@@ -99,72 +112,76 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to a file")
         p.set_defaults(func=func, files=files)
 
-    def add_chain(subparsers, name, help_text):
-        p = subparsers.add_parser(name, help=help_text)
-        p.add_argument("family", choices=CHAIN_FAMILIES)
-        p.add_argument("--length", type=integer, default=4)
-        p.add_argument("--dot", action="store_true", help="emit a DOT digraph")
-        add_common(p, _cmd_chain, window=True)
+    def add_chain(subparsers, help_text, level):
+        p, chosen = command(subparsers, "chain", help_text, level)
+        if chosen:
+            from .witness import CHAIN_FAMILIES
+            p.add_argument("family", choices=CHAIN_FAMILIES)
+            p.add_argument("--length", type=integer, default=4)
+            p.add_argument("--dot", action="store_true", help="emit a DOT digraph")
+            add_common(p, _cmd_chain, window=True)
 
-    p_gen = sub.add_parser("gen", help="generate a named arithmetical function")
-    p_gen.add_argument("tag", choices=zoo.FUNCTION_TAGS)
-    p_gen.add_argument("--param", type=integer, default=None,
+    p, chosen = command(sub, "gen", "generate a named arithmetical function")
+    if chosen:
+        from .zoo import FUNCTION_TAGS
+        p.add_argument("tag", choices=FUNCTION_TAGS)
+        p.add_argument("--param", type=integer, default=None,
                        help="parameter for delta (the support point) or "
                             "p_adic_valuation (the prime)")
-    p_gen.add_argument("--mode", choices=MODES, default=None,
+        p.add_argument("--mode", choices=MODES, default=None,
                        help="request a scalar mode (exact functions can be "
                             "converted to float, not the reverse)")
-    p_gen.add_argument("--name", default=None, help="name stored in the output")
-    add_common(p_gen, _cmd_gen, window=True)
+        p.add_argument("--name", default=None, help="name stored in the output")
+        add_common(p, _cmd_gen, window=True)
 
-    p_conv = sub.add_parser("conv", help="Dirichlet convolution of two sequence files")
-    add_common(p_conv, _cmd_conv, ("left", "right"))
+    for name, help_text, func, files in (
+        ("conv", "Dirichlet convolution of two sequence files", _cmd_conv, ("left", "right")),
+        ("inv", "convolution inverse of a sequence file", _cmd_inv, ("file",)),
+        ("norm", "least index with a nonzero value", _cmd_norm, ("file",)),
+        ("divide", "exact division: divide H by F on the window", _cmd_divide, ("dividend", "divisor")),
+        ("classify", "unit/maximal status, norm, atom certificate", _cmd_classify, ("file",)),
+    ):
+        p, chosen = command(sub, name, help_text)
+        if chosen:
+            add_common(p, func, files)
 
-    p_inv = sub.add_parser("inv", help="convolution inverse of a sequence file")
-    add_common(p_inv, _cmd_inv, ("file",))
+    p_ideal, chosen = command(sub, "ideal", "ideal-family tooling")
+    if chosen:
+        ideal_sub = p_ideal.add_subparsers(dest="ideal_command", required=True)
 
-    p_norm = sub.add_parser("norm", help="least index with a nonzero value")
-    add_common(p_norm, _cmd_norm, ("file",))
+        p, chosen = command(ideal_sub, "member", "membership oracle", 1)
+        if chosen:
+            p.add_argument("spec", help="e.g. P:6, P:6,1, I:5, K:3, J:2,3, J:~2,3, maximal")
+            add_common(p, _cmd_ideal_member, ("file",))
 
-    p_div = sub.add_parser("divide", help="exact division: divide H by F on the window")
-    add_common(p_div, _cmd_divide, ("dividend", "divisor"))
+        p, chosen = command(ideal_sub, "quotient", "quotient by the indicator at a prime", 1)
+        if chosen:
+            p.add_argument("prime", type=integer)
+            add_common(p, _cmd_ideal_quotient, ("file",))
 
-    p_cls = sub.add_parser("classify", help="unit/maximal status, norm, atom certificate")
-    add_common(p_cls, _cmd_classify, ("file",))
+        p, chosen = command(ideal_sub, "decompose", "split a member of P_m over its generators", 1)
+        if chosen:
+            p.add_argument("modulus", type=integer)
+            add_common(p, _cmd_ideal_decompose, ("file",))
 
-    p_ideal = sub.add_parser("ideal", help="ideal-family tooling")
-    ideal_sub = p_ideal.add_subparsers(dest="ideal_command", required=True)
+        add_chain(ideal_sub, "build a chain with separator witnesses", 1)
 
-    p_member = ideal_sub.add_parser("member", help="membership oracle")
-    p_member.add_argument("spec", help="e.g. P:6, P:6,1, I:5, K:3, J:2,3, J:~2,3, maximal")
-    add_common(p_member, _cmd_ideal_member, ("file",))
+        p, chosen = command(ideal_sub, "probe", "randomized primality refutation search", 1)
+        if chosen:
+            p.add_argument("spec")
+            p.add_argument("--trials", type=integer, default=100)
+            p.add_argument("--seed", type=integer, default=DEFAULT_SEED)
+            add_common(p, _cmd_ideal_probe, window=True)
 
-    p_quot = ideal_sub.add_parser("quotient", help="quotient by the indicator at a prime")
-    p_quot.add_argument("prime", type=integer)
-    add_common(p_quot, _cmd_ideal_quotient, ("file",))
+    add_chain(sub, "alias for 'ideal chain'", 0)
 
-    p_dec = ideal_sub.add_parser("decompose", help="split a member of P_m over its generators")
-    p_dec.add_argument("modulus", type=integer)
-    add_common(p_dec, _cmd_ideal_decompose, ("file",))
-
-    add_chain(ideal_sub, "chain", "build a chain with separator witnesses")
-
-    p_probe = ideal_sub.add_parser("probe", help="randomized primality refutation search")
-    p_probe.add_argument("spec")
-    p_probe.add_argument("--trials", type=integer, default=100)
-    p_probe.add_argument("--seed", type=integer, default=DEFAULT_SEED)
-    add_common(p_probe, _cmd_ideal_probe, window=True)
-
-    add_chain(sub, "chain", "alias for 'ideal chain'")
-
-    p_verify = sub.add_parser(
-        "verify-paper",
-        help="run the full property-verification suite and print a report",
-    )
-    p_verify.add_argument("--n", type=integer, default=None)
-    p_verify.add_argument("--seed", type=integer, default=DEFAULT_SEED)
-    p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(func=_cmd_verify, files=())
+    p, chosen = command(sub, "verify-paper",
+                        "run the full property-verification suite and print a report")
+    if chosen:
+        p.add_argument("--n", type=integer, default=None)
+        p.add_argument("--seed", type=integer, default=DEFAULT_SEED)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_verify, files=())
 
     return parser
 
@@ -194,6 +211,7 @@ def _window(args) -> int:
 
 
 def _cmd_gen(args, n):
+    from . import zoo
     f = zoo.generate(args.tag, n, args.param)
     if args.mode == FLOAT and f.mode == EXACT:
         f = f.to_float()
@@ -291,7 +309,8 @@ def _cmd_verify(args, n):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(MAX_DIGITS)
     try:

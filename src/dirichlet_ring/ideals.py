@@ -4,24 +4,25 @@ decompositions, chain builders, and primality probes.
 Every family is described by an :class:`IdealSpec`, whose
 ``constrained_indices(window)`` is the tuple of indices where the
 defining condition forces a member to vanish, cached per (spec, window).
-Each family is decided once over the whole window from the one
-smallest-prime-factor sieve: ``K_n`` reads the primes off it, and the
-prime-divisor families bound a count of the distinct primes of each
-index, folded over the window.  Membership verdicts are therefore
-statements about the truncation window, never about the full ring.
+Each family is decided once over the whole window from the window's
+primes: ``K_n`` reads them off the sieve, and the prime-divisor
+families bound a count of each index's distinct primes from a chosen
+set, built by one slice of multiples per chosen prime.  Membership
+verdicts are therefore statements about the truncation window, never
+about the full ring.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
 from math import prod
-from operator import add, mul
+from operator import le, mul
 from typing import NamedTuple
 
-from .primes import factorize, is_prime, nth_prime, prime_power_fold, primes_upto
-from .ring import (ArithFunc, EXACT, NotDivisibleWitness, WindowError, ZeroFunctionError,
+from .primes import factorize, is_prime, nth_prime, primes_upto
+from .ring import (ArithFunc, NotDivisibleWitness, WindowError, ZeroFunctionError,
                    delta, indicator_shift, take, try_divide, zeros)
 from .sampling import random_outside
 from .witness import CHAIN_FAMILIES, MEMBER, NON_MEMBER, UNDECIDED, Witness
@@ -41,6 +42,9 @@ TAG_COPRIME = "P"  # vanish wherever gcd with m is 1
 TAG_PRIME_PRODUCTS = "J"  # vanish on products of primes from Q
 TAG_PRIME_TAIL = "K"  # vanish at 1 and at all primes from the n-th on
 TAG_GCD_COUNT = "Pk"  # vanish wherever gcd with m has few distinct primes
+
+
+_PLUS_ONE = bytes(range(1, 256)) + b"\xff"  # a bytes.translate table adding 1 to each byte
 
 
 class IdealSpec(NamedTuple):
@@ -130,16 +134,21 @@ class IdealSpec(NamedTuple):
             return (1,)
         if self.tag == TAG_PRIME_TAIL:  # 1 and the primes from the n-th on
             return (1, *primes_upto(window)[self.n - 1 :])
-        # the rest bound a count of idx's distinct primes: P_m (at 0) and
-        # P_{m,k} (at k) count those dividing m, J_~Q (at 0) those in Q, and
-        # J_Q (at 0) those outside Q; 1, the empty product, always counts 0
-        if self.tag == TAG_PRIME_PRODUCTS:
-            chosen, outside = set(self.primes), not self.complement
+        # the rest bound a count of idx's distinct primes from a chosen set,
+        # one slice of multiples per chosen prime: P_m (at 0) and P_{m,k} (at
+        # k) count those dividing m, J_~Q (at 0) those in Q, and J_Q (at 0)
+        # those outside Q
+        if self.tag == TAG_PRIME_PRODUCTS and self.complement:
+            chosen = [p for p in self.primes if p <= window]
+        elif self.tag == TAG_PRIME_PRODUCTS:
+            chosen = set(primes_upto(window)).difference(self.primes)
         else:  # a prime dividing m is at most m
-            chosen, outside = {p for p in primes_upto(min(window, self.m)) if self.m % p == 0}, False
+            chosen = [p for p in primes_upto(min(window, self.m)) if self.m % p == 0]
+        counts = bytearray(window)  # at idx - 1; no index below 2**63 has 16 distinct primes
+        for p in chosen:
+            counts[p - 1 :: p] = counts[p - 1 :: p].translate(_PLUS_ONE)
         bound = self.k if self.tag == TAG_GCD_COUNT else 0
-        counts = prime_power_fold(window, lambda p, a: (p in chosen) != outside, add, 0)
-        return tuple(idx for idx, c in enumerate(counts, start=1) if c <= bound)
+        return tuple(compress(range(1, window + 1), map(le, counts, repeat(bound))))
 
 
 def member(spec: IdealSpec, f: ArithFunc) -> Witness:
@@ -315,7 +324,7 @@ def chain(family: str, length: int, window: int) -> ChainReport:
 def _known_counterexample(spec: IdealSpec, window: int):
     """Hand-built non-primality witnesses for the families that have one."""
     if spec.tag == TAG_PRIME_TAIL:
-        f = ArithFunc([0] + [1] * (window - 1), EXACT)
+        f = ArithFunc._of([0] + [1] * (window - 1), 1)
         return f, f
     if spec.tag == TAG_GCD_COUNT:
         qs = factorize(spec.m).distinct_primes

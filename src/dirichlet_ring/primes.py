@@ -1,7 +1,8 @@
 """Prime utilities: a memoized trial-division factorizer for single
-integers, and one smallest-prime-factor sieve that lists the primes and
-builds multiplicative and additive functions on a whole window from their
-prime-power values."""
+integers, and one smallest-prime-factor sieve, written by one slice
+assignment per prime up to the square root of the window, that lists
+the primes and builds multiplicative and additive functions on a whole
+window from their prime-power values."""
 
 from __future__ import annotations
 
@@ -67,13 +68,15 @@ def smallest_prime_factors(n: int) -> list[int]:
     """The list spf with spf[k] the least prime dividing k, for 2 <= k <= n.
 
     spf[0] = 0 and spf[1] = 1, so k is prime exactly when spf[k] == k >= 2.
+    Each prime p <= sqrt(n), read off the sieve of sqrt(n), is written
+    over its multiples from p*p by one slice assignment, in descending
+    order of p, so the least prime of each k is written last.
     """
-    spf = list(range(n + 1))
-    for p in range(2, isqrt(max(n, 0)) + 1):
-        if spf[p] == p:
-            for m in range(p * p, n + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
+    spf = list(range(n + 1))  # first, so a window too large to hold fails here
+    small = smallest_prime_factors(isqrt(n)) if n >= 4 else []
+    for p in range(len(small) - 1, 1, -1):
+        if small[p] == p:
+            spf[p * p :: p] = [p] * ((n - p * p) // p + 1)
     return spf
 
 

@@ -9,15 +9,21 @@ JSON number.  The values array holds indices 1..n in order.
 
 Every JSON text here comes from one writer, :func:`dumps`, which writes
 the bytes ``json.dumps(obj, indent=2)`` writes.  It builds a sequence's
-values array straight from the stored form: an exact value is one row
-of its two decimal strings, a float value its ``repr`` (what ``json``
-writes; float values must be finite, as the reader requires), and the
-name goes through ``json.dumps``, so its escaping is ``json``'s.
-``json.dumps`` with an indent runs CPython's pure-Python encoder,
-several times slower than this at tens of thousands of values.
+values array straight from the stored form: the exact values are one
+``%``-format call over a row template repeated once per value, each
+row filled by the value's numerator and denominator (past Python's
+digit limit ``%d`` raises the ``ValueError`` that ``str`` raises), a
+float value is its ``repr`` (what ``json`` writes; float values must
+be finite, as the reader requires), and the name goes through
+``json.dumps``, so its escaping is ``json``'s.  The pieces are joined
+once, at the end.  ``json.dumps`` with an indent runs CPython's
+pure-Python encoder, several times slower than this at tens of
+thousands of values.
 
 The reader takes a decimal string only as an optional sign and ASCII
-digits (:func:`is_decimal`), and reads an exact file as its numerators
+digits (:func:`is_decimal`): it checks the numerators as one string
+when each is an optional "-" and ASCII digits, and each distinct
+denominator once, and reads an exact file as its numerators
 over the lcm of its denominators, or, when ``ring.shared_denominator``,
 the ring's one rule for the stored form, gives that lcm up, as its
 pairs in lowest terms with positive denominators; neither builds a
@@ -29,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain, repeat
+from operator import mul
 
 from .ring import ArithFunc, EXACT, FLOAT, lowest_terms, shared_denominator
 
@@ -62,34 +69,43 @@ def to_json_obj(f: ArithFunc, name: str = "sequence") -> dict:
     return {"name": name, "mode": f.mode, "n": len(f), "values": values}
 
 
-def _values_json(f: ArithFunc, pad: str) -> str:
-    """The values array of ``f`` at indent ``pad``."""
+def _values_json(f: ArithFunc, pad: str, out: list) -> None:
+    """Append the values array of ``f`` at indent ``pad`` to ``out``."""
     p = pad + "  "
     if f.mode == FLOAT:
         if not all(map(math.isfinite, f.values)):
             k, v = next((k, v) for k, v in enumerate(f.values, 1) if not math.isfinite(v))
             raise ValueError(f"float value {v!r} at index {k} cannot be written as JSON")
-        body = p + f",\n{p}".join(map(repr, f.values))
-    else:
-        start, mid, end = f'{p}[\n{p}  "', f'",\n{p}  "', f'"\n{p}]'
-        body = start + f"{end},\n{start}".join(map(mid.join, _string_pairs(f))) + end
-    return f"[\n{body}\n{pad}]"
+        body = f",\n{p}".join(map(repr, f.values))
+    else:  # one row per value, all filled in by one %-format call
+        nums, dens = lowest_terms(f)
+        row = f'[\n{p}  "%d",\n{p}  "{"1" if dens is None else "%d"}"\n{p}]'
+        args = tuple(nums) if dens is None else tuple(chain.from_iterable(zip(nums, dens)))
+        body = f",\n{p}".join([row] * len(nums)) % args
+    out += f"[\n{p}", body, f"\n{pad}]"
 
 
-def _json(obj, pad: str) -> str:
-    """``obj`` as :func:`dumps` writes it, at indent ``pad``."""
+def _json(obj, pad: str, out: list) -> None:
+    """Append ``obj`` as :func:`dumps` writes it, at indent ``pad``, to
+    ``out``, so the text is joined once, at the end."""
     if isinstance(obj, tuple):  # a (function, name) pair
         f, name = obj
         obj = {"name": name, "mode": f.mode, "n": len(f), "values": f}
     if isinstance(obj, ArithFunc):
-        return _values_json(obj, pad)
-    if not obj or not isinstance(obj, (dict, list)):
-        return json.dumps(obj)
-    p = pad + "  "
-    if isinstance(obj, dict):
-        items = [f"{json.dumps(k)}: {_json(v, p)}" for k, v in obj.items()]
-        return "{\n" + p + f",\n{p}".join(items) + f"\n{pad}}}"
-    return "[\n" + p + f",\n{p}".join([_json(v, p) for v in obj]) + f"\n{pad}]"
+        _values_json(obj, pad, out)
+    elif not obj or not isinstance(obj, (dict, list)):
+        out.append(json.dumps(obj))
+    else:
+        p = pad + "  "
+        is_dict = isinstance(obj, dict)
+        out.append("{" if is_dict else "[")
+        for i, item in enumerate(obj.items() if is_dict else obj):
+            out.append(f",\n{p}" if i else f"\n{p}")
+            if is_dict:
+                out.append(f"{json.dumps(item[0])}: ")
+                item = item[1]
+            _json(item, p, out)
+        out.append(f"\n{pad}}}" if is_dict else f"\n{pad}]")
 
 
 def dumps(obj) -> str:
@@ -99,12 +115,18 @@ def dumps(obj) -> str:
     ``to_json_obj(function, name)`` in its place.  A sequence holding an
     inf or nan raises ``ValueError`` naming its index, where ``json``
     would write ``Infinity`` or ``NaN``, which are not JSON."""
-    return _json(obj, "") + "\n"
+    out = []
+    _json(obj, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def to_json(f: ArithFunc, name: str = "sequence") -> str:
     """The sequence file text of ``f``."""
     return dumps((f, name))
+
+
+_NOT_PAIRS = "each exact value must be a [numerator, denominator] pair of decimal strings"
 
 
 def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
@@ -125,17 +147,26 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
     if len(raw) != n:
         raise ValueError(f"declared n = {n} but {len(raw)} values present")
     if mode == FLOAT:  # the constructor rejects values that are not finite doubles
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
+        if not all(map(isinstance, raw, repeat((int, float)))) or any(map(isinstance, raw, repeat(bool))):
             raise ValueError("each float value must be a JSON number")
         return name, ArithFunc(raw, FLOAT)
-    # one pass for the shape, one for the strings
-    if not all(isinstance(v, list) and len(v) == 2 and isinstance(v[0], str) and isinstance(v[1], str)
-               for v in raw) or not all(map(is_decimal, chain.from_iterable(raw))):
-        raise ValueError("each exact value must be a [numerator, denominator] pair of decimal strings")
+    # the shape, then the strings: is_decimal reads each distinct denominator,
+    # and each numerator only if they are not all an optional "-" and ASCII digits
+    if not all(map(isinstance, raw, repeat(list))) or set(map(len, raw)) != {2}:
+        raise ValueError(_NOT_PAIRS)
+    nums, texts = [v[0] for v in raw], [v[1] for v in raw]
+    try:  # str.removeprefix and set raise TypeError on a list, a number or None
+        bare, distinct = list(map(str.removeprefix, nums, repeat("-"))), set(texts)
+    except TypeError:
+        raise ValueError(_NOT_PAIRS) from None
+    digits = "".join(bare)
+    decimal = all(bare) and digits.isascii() and digits.isdigit() or all(map(is_decimal, nums))
+    if not (decimal and all(map(isinstance, distinct, repeat(str))) and all(map(is_decimal, distinct))):
+        raise ValueError(_NOT_PAIRS)
     # the numerators over the lcm of the distinct denominators, the stored
     # form ArithFunc._of reduces, unless ring's rule gives the lcm up: then
     # each pair in lowest terms, its sign on the numerator
-    dens = {text: int(text) for text in {den for _, den in raw}}
+    dens = {text: int(text) for text in distinct}
     if 0 in dens.values():
         raise ValueError("an exact value has denominator 0")
     common = shared_denominator(dens.values())
@@ -145,7 +176,9 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
         nums = [x // g for (x, _), g in zip(pairs, gs)]
         return name, ArithFunc._of(nums, [d // g for (_, d), g in zip(pairs, gs)])
     scale = {text: common // d for text, d in dens.items()}
-    return name, ArithFunc._of([int(num) * scale[den] for num, den in raw], common)
+    if set(scale.values()) == {1}:  # every denominator is the lcm
+        return name, ArithFunc._of(list(map(int, nums)), common)
+    return name, ArithFunc._of(list(map(mul, map(int, nums), map(scale.__getitem__, texts))), common)
 
 
 def _fields(pairs: list, path: str) -> dict:
@@ -159,6 +192,9 @@ def _fields(pairs: list, path: str) -> dict:
 
 
 def load(path: str) -> tuple[str, ArithFunc]:
+    """The (name, function) a sequence file holds; every error of its own
+    text names the file.  Python's limit on the digits of an int is left
+    as it is, for ``cli.main`` to name its own limit."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle, object_pairs_hook=lambda pairs: _fields(pairs, path))
@@ -166,7 +202,14 @@ def load(path: str) -> tuple[str, ArithFunc]:
             raise ValueError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
         except RecursionError:  # json's parser recurses once per nested array or object
             raise ValueError(f"{path}: JSON nested too deeply") from None
-    return from_json_obj(obj)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    try:
+        return from_json_obj(obj)
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):
+            raise
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save(f: ArithFunc, path: str, name: str = "sequence") -> None:

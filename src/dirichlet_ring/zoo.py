@@ -4,14 +4,17 @@ The multiplicative and additive ones are defined by their values at prime
 powers (``primes.prime_power_fold``); Ramanujan's tau comes from Jacobi's
 identity and three squarings by Kronecker substitution, each one bigint
 product.  Everything is exact except the Mangoldt function and the
-logarithm, whose values are irrational and therefore live in float mode.
+logarithm, whose values are irrational and therefore live in float mode;
+every generator builds through the trusted ``ArithFunc._of``.  The
+additivity checks run one ``map`` pass per m over slices of the values.
 """
 
 from __future__ import annotations
 
 import math
 from math import gcd
-from operator import add, mul
+from itertools import compress, repeat
+from operator import add, mul, ne
 
 from .primes import is_prime, prime_power_fold, primes_upto
 from .ring import ArithFunc, FLOAT, _lift, delta, identity
@@ -49,7 +52,7 @@ def mangoldt(n: int) -> ArithFunc:
         while q <= n:
             vals[q - 1] = log_p
             q *= p
-    return ArithFunc(vals, FLOAT)
+    return ArithFunc._of(vals)
 
 
 def liouville(n: int) -> ArithFunc:
@@ -119,7 +122,7 @@ def p_adic_valuation(p: int, n: int) -> ArithFunc:
 
 def log_function(n: int) -> ArithFunc:
     """Natural logarithm at each index.  Float mode."""
-    return ArithFunc([math.log(k) for k in range(1, n + 1)], FLOAT)
+    return ArithFunc._of(list(map(math.log, range(1, n + 1))))
 
 
 def unit(n: int) -> ArithFunc:
@@ -177,13 +180,15 @@ def _scan_pairs(f: ArithFunc, coprime_only: bool) -> Witness:
     """The first pair m <= k, in order of m then k, with mk <= len(f) and
     f(mk) != f(m) + f(k); only coprime pairs when ``coprime_only``.
 
-    Exact mode compares the columns of ``ring._lift``: a narrow
-    function's stored integers, or a wide one's (numerator, denominator)
-    pairs, cross-multiplied.  Float mode allows roundoff (``FLOAT_SLACK``).
+    Each m is one pass over the slices f(m*m), f(m*(m+1)), ... and f(m),
+    f(m+1), ..., with ``ne`` and ``add`` on exact integers.  Exact mode
+    compares the columns of ``ring._lift``: a narrow function's stored
+    integers, or a wide one's (numerator, denominator) pairs,
+    cross-multiplied.  Float mode allows roundoff (``FLOAT_SLACK``).
     """
     n = len(f)
     vals = f._values
-    fails = lambda a, b, c: a - b != c  # a = f(mk), b = f(m), c = f(k)
+    fails = None  # ne(a, b + c) on integers, a = f(mk), b = f(m), c = f(k)
     if f.mode == FLOAT:
         fails = lambda a, b, c: abs(a - b - c) > FLOAT_SLACK * (abs(a) + abs(b) + abs(c))
     elif not vals[0]:  # else the first pair, (1, 1), fails on the stored values
@@ -194,10 +199,16 @@ def _scan_pairs(f: ArithFunc, coprime_only: bool) -> Witness:
             fails = lambda a, b, c: (a[0] * b[1] - b[0] * a[1]) * c[1] != c[0] * a[1] * b[1]
     m = 1
     while m * m <= n:
-        fm = vals[m - 1]
-        for k in range(m, n // m + 1):
-            if fails(vals[m * k - 1], fm, vals[k - 1]) and (not coprime_only or gcd(m, k) == 1):
-                return Witness(NON_MEMBER, pair=(m, k), note=f"f({m}*{k}) != f({m}) + f({k})")
+        top = n // m
+        fmk, fk = vals[m * m - 1 : m * top : m], vals[m - 1 : top]  # f(mk) and f(k), k = m..top
+        if fails is None:
+            failed = map(ne, fmk, map(add, repeat(vals[m - 1]), fk))
+        else:
+            failed = map(fails, fmk, repeat(vals[m - 1]), fk)
+        ks = compress(range(m, top + 1), failed)
+        k = next((k for k in ks if gcd(m, k) == 1) if coprime_only else ks, None)
+        if k is not None:
+            return Witness(NON_MEMBER, pair=(m, k), note=f"f({m}*{k}) != f({m}) + f({k})")
         m += 1
     return Witness(MEMBER, note=f"all pairs with product <= {n} pass")
 

@@ -13,7 +13,7 @@ calls, and the constructor's input rules are checked one entry at a time.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, isfinite
+from math import gcd, inf, isfinite, isqrt
 from operator import mul
 
 
@@ -30,6 +30,12 @@ def prime_factors_scan(n: int) -> list[tuple[int, int]]:
             out.append((d, a))
         d += 1
     return out
+
+
+def least_prime_factor_scan(n: int) -> int:
+    """The least d >= 2 dividing n >= 2, trying candidates upward to
+    sqrt(n); n itself when none divides."""
+    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
 
 
 def is_prime_scan(n: int) -> bool:

@@ -14,7 +14,7 @@ import pytest
 
 import dirichlet_ring
 from dirichlet_ring import ArithFunc, delta, generate, identity
-from dirichlet_ring.cli import MAX_DIGITS, main, parse_ideal_spec
+from dirichlet_ring.cli import MAX_DIGITS, build_parser, main, parse_ideal_spec
 from dirichlet_ring.ideals import IdealSpec
 from dirichlet_ring.seqfile import FORMATS, load, save
 
@@ -54,6 +54,27 @@ def test_parse_ideal_specs():
     assert parse_ideal_spec("maximal") == IdealSpec.maximal()
     with pytest.raises(ValueError):
         parse_ideal_spec("Q:4")
+
+
+# every command, by the words that name it
+COMMAND_WORDS = [["gen"], ["conv"], ["inv"], ["norm"], ["divide"], ["classify"], ["ideal"],
+                 ["ideal", "member"], ["ideal", "quotient"], ["ideal", "decompose"], ["ideal", "chain"],
+                 ["ideal", "probe"], ["chain"], ["verify-paper"]]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nope"], ["ideal", "nope"]]
+                         + [words + extra for words in COMMAND_WORDS for extra in (["--help"], ["--bogus"])],
+                         ids=" ".join)
+def test_help_and_usage_equal_the_full_parsers(capsys, argv):
+    """The parser built for argv, which gives arguments to the command argv
+    names only, prints what the parser of every command prints."""
+    printed = []
+    for parser in (build_parser(), build_parser(argv)):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        printed.append((exc.value.code, *capsys.readouterr()))
+    assert printed[0] == printed[1]
+    assert printed[0][1] if "--help" in argv else printed[0][2].startswith("usage: dirichlet")
 
 
 # generation --------------------------------------------------------------------
@@ -284,11 +305,24 @@ def test_deeply_nested_file_is_a_one_line_error(tmp_path, capsys):
     (b"\xff{}", "not UTF-8 text at byte 0 (invalid start byte)"),
     (b'{"name": "f", "mode": "exact", "n": 1, "values": [["1", "1"]], "values": [["2", "1"]]}',
      "field 'values' appears more than once"),
-], ids=["not_utf8", "repeated_values"])
+    (b'{"name": "f", ', "Expecting property name enclosed in double quotes: line 1 column 15 (char 14)"),
+    (b'{"name": "f", "mode": "exact", "n": 0, "values": []}', "n must be a positive integer"),
+], ids=["not_utf8", "repeated_values", "truncated", "zero_n"])
 def test_undecodable_or_ambiguous_file_is_a_one_line_error_naming_it(tmp_path, capsys, data, reason):
     path = tmp_path / "bad.json"
     path.write_bytes(data)
     assert _assert_one_line_error(capsys, main(["norm", str(path)])) == f"error: {path}: {reason}\n"
+
+
+def test_the_error_names_which_of_two_files_is_bad(tmp_path, capsys):
+    good, bad = tmp_path / "a.json", tmp_path / "b.json"
+    save(ArithFunc([1, 2]), good, "a")
+    text = good.read_text(encoding="utf-8")[:14]
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    for argv in (["conv", str(good), str(bad)], ["divide", str(bad), str(good)]):
+        assert _assert_one_line_error(capsys, main(argv)) == f"error: {bad}: {exc.value}\n"
 
 
 def test_exact_values_past_python_digit_limit_round_trip(tmp_path):

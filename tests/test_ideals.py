@@ -179,7 +179,7 @@ SCAN_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("window", [1, 2, 3, 64, 300])
+@pytest.mark.parametrize("window", [1, 2, 3, 64, 300, 1000])
 def test_constrained_indices_match_definition_scan(window):
     for spec in SCAN_SPECS:
         assert spec.constrained_indices(window) == tuple(_constrained_by_scan(spec, window)), spec

@@ -78,11 +78,12 @@ def test_gen_loads_neither_verify_nor_structure():
     assert not {"dirichlet_ring.verify", "dirichlet_ring.structure", "dataclasses"} & set(loaded)
 
 
-@pytest.mark.parametrize("command", ["gen", "norm", "classify"])
+@pytest.mark.parametrize("command", ["gen", "norm", "classify", "ideal member"])
 def test_gen_and_norm_load_no_ideal_code(tmp_path, command):
     path = tmp_path / "f.json"
     path.write_text('{"name": "f", "mode": "exact", "n": 2, "values": [["1", "1"], ["1", "2"]]}')
-    argv = ["gen", "mobius", "--n", "4"] if command == "gen" else [command, str(path)]
+    argv = {"gen": ["gen", "mobius", "--n", "4"],
+            "ideal member": ["ideal", "member", "P:6", str(path)]}.get(command, [command, str(path)])
     script = (f"import json, sys\nfrom dirichlet_ring import cli\ncli.main({argv!r})\n"
               "print(json.dumps(sorted(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": SRC_DIR}
@@ -90,9 +91,13 @@ def test_gen_and_norm_load_no_ideal_code(tmp_path, command):
     assert result.returncode == 0, result.stderr
     loaded = set(json.loads(result.stdout.decode().splitlines()[-1]))
     assert "dirichlet_ring.seqfile" in loaded
-    assert "dirichlet_ring.ideals" not in loaded
+    assert ("dirichlet_ring.ideals" in loaded) == (command == "ideal member")
     if command == "gen":
         assert "dirichlet_ring.sampling" not in loaded
+    if command in ("norm", "ideal member"):  # the function tags are read by gen alone
+        assert "dirichlet_ring.zoo" not in loaded
+    if command == "norm":
+        assert not {"dirichlet_ring.primes", "dirichlet_ring.witness"} & loaded
 
 
 # the records ----------------------------------------------------------------------

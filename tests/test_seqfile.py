@@ -149,6 +149,19 @@ def test_load_names_a_file_that_is_not_utf8(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("text", ['{"name": "f", "mode": "exact", "n": 1, "values": [["1", ',
+                                  '{"name": "f", "mode": "exact", "n": 0, "values": []}',
+                                  '{"name": "f", "mode": "exact", "n": 1, "values": [["1", "1_0"]]}'],
+                         ids=["truncated", "zero_n", "not_decimal"])
+def test_load_names_the_file_in_every_error_of_its_text(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as reason:  # what json or from_json_obj says alone
+        from_json_obj(json.loads(text))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {reason.value}')}$"):
+        load(path)
+
+
 @pytest.mark.parametrize("field", ["name", "mode", "n", "values"])
 def test_load_refuses_a_field_given_twice(tmp_path, field):
     # even with the same value twice: json alone would keep the last one
@@ -365,6 +378,19 @@ def test_json_writer_matches_json_module(f, name):
 def test_embedded_sequences_match_json_module(obj):
     # the shape of the probe and decompose reports: sequence objects in lists in a dict
     assert dumps(obj) == json.dumps(json_reference(obj), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("f", [
+    euler_phi(40),
+    NARROW_SIXTHS,
+    ArithFunc([-3, Fraction(-1, 2), 0, -7]),
+    WIDE,
+    log_function(30),
+    ArithFunc([Fraction(-2, 3)]),
+], ids=["integer", "narrow_over_6", "negative", "wide", "float", "window_1"])
+def test_json_writer_matches_json_module_on_each_stored_form(f):
+    name = 'f%d "%s"'  # the name is not part of the row template
+    assert to_json(f, name) == json.dumps(to_json_obj(f, name), indent=2) + "\n"
 
 
 def test_json_writer_matches_json_module_at_scale():

@@ -53,6 +53,7 @@ from oracles import (
     big_omega_scan,
     distinct_count_scan,
     is_prime_scan,
+    least_prime_factor_scan,
     liouville_scan,
     mobius_scan,
     nu_p_scan,
@@ -106,6 +107,15 @@ def test_is_prime_matches_scan():
         spf = smallest_prime_factors(limit)
         assert len(spf) == limit + 1
         assert spf[2:] == [prime_factors_scan(k)[0][0] for k in range(2, limit + 1)]
+
+
+def test_sieve_matches_the_least_divisor_scan():
+    """Every window from 0 to 3000, and 65536: the sieve's slices, written
+    from the largest prime down, leave each index its least prime."""
+    least = [0, 1] + [least_prime_factor_scan(k) for k in range(2, 65537)]
+    for n in [*range(3001), 65536]:
+        assert smallest_prime_factors(n) == least[: n + 1], n
+        assert primes_upto(n) == [k for k in range(2, n + 1) if least[k] == k], n
 
 
 def test_nth_prime_sequence():
@@ -308,6 +318,29 @@ def test_additivity_scan_matches_oracle_scan(vals):
     for check, coprime_only in ((is_additive, True), (is_completely_additive, False)):
         w = check(f)
         assert (w.verdict, w.pair, w.note) == additivity_pair_scan(vals, coprime_only)
+
+
+def _perturbed_additive(form: str, at):
+    """Omega weighted per prime on 1..300, narrow, wide (over a denominator
+    past SHARED_BITS) or float, with its value at ``at`` moved by one half."""
+    den = 2 ** (ring.SHARED_BITS + 8) + 1 if form == "wide" else 3
+    vals = [sum((a * Fraction(p % 5 - 2, den) for p, a in prime_factors_scan(k)), Fraction(0))
+            for k in range(1, 301)]
+    if at is not None:
+        vals[at - 1] += Fraction(1, 2)
+    return ArithFunc(vals, FLOAT if form == "float" else None)
+
+
+@pytest.mark.parametrize("at", [None, 1, 2, 36, 97, 210, 300])
+@pytest.mark.parametrize("form", ["narrow", "wide", "float"])
+def test_additivity_scan_returns_the_first_failing_pair(form, at):
+    f = _perturbed_additive(form, at)
+    assert isinstance(f._den, tuple) == (form == "wide")
+    slack = zoo.FLOAT_SLACK if form == "float" else 0.0
+    for check, coprime_only in ((is_additive, True), (is_completely_additive, False)):
+        w = check(f)
+        assert (w.verdict, w.pair, w.note) == additivity_pair_scan(list(f.values), coprime_only, slack)
+        assert (w.verdict == "member") == (at is None)
 
 
 @pytest.mark.parametrize("build", [log_function, mangoldt])
