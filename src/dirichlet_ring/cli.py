@@ -332,9 +332,10 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         return status
     except (ValueError, OSError, IndexError, OverflowError) as exc:
-        message = str(exc)
-        if message.startswith("Exceeds the limit"):  # Python's advice names a call, not an option
-            message = f"an integer has more than {MAX_DIGITS} decimal digits, the most read or written"
+        # Python's advice on its digit limit names a call, not an option
+        message, advice, _ = str(exc).partition("Exceeds the limit")
+        if advice:
+            message += f"an integer has more than {MAX_DIGITS} decimal digits, the most read or written"
         print(f"error: {message}", file=sys.stderr)
         return COMPUTE_ERROR
     except MemoryError:  # its message is empty

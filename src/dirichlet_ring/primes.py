@@ -91,8 +91,10 @@ def prime_power_fold(n: int, at, combine, start) -> list:
     ``combine(value at q, at(p, a))`` at k = p^a * q, p the least prime of k.
 
     ``mul`` from 1 gives a multiplicative function, ``add`` from 0 an
-    additive one.  ``at(p, a)`` is first called at k = p^a, so prime powers
-    are first reached in ascending order.
+    additive one.  ``at(p, a)`` is called once per prime power, at
+    k = p^a, so in ascending order of p^a; every other k reads the value
+    at p^a, ``combine(start, at(p, a))``, which is ``at(p, a)`` itself
+    when ``start`` is ``combine``'s identity.
     """
     spf = smallest_prime_factors(n)
     vals = [start] * n
@@ -101,5 +103,5 @@ def prime_power_fold(n: int, at, combine, start) -> list:
         q, a = k // p, 1
         while q % p == 0:
             q, a = q // p, a + 1
-        vals[k - 1] = combine(vals[q - 1], at(p, a))
+        vals[k - 1] = combine(vals[q - 1], at(p, a) if q == 1 else vals[k // q - 1])
     return vals

@@ -4,7 +4,9 @@ A function is stored as its values at 1..n.  Addition is pointwise and
 multiplication is Dirichlet convolution, so everything here is
 prefix-correct: entry k of any result depends only on entries at
 divisors of k.  Float mode exists for the few functions whose values
-are irrational.
+are irrational, and a float function holds finite doubles only: the
+constructor and ``ArithFunc._of`` check every float function where it
+is built, so a kernel result that overflows raises ``ValueError``.
 
 An exact function whose common denominator d (the lcm of its values'
 denominators) has at most ``SHARED_BITS`` bits is narrow: it stores the
@@ -61,7 +63,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, islice, repeat
-from math import gcd, inf, isfinite, isqrt, lcm
+from math import gcd, isfinite, isqrt, lcm
 from operator import add, floordiv, mod, mul, ne, sub, truediv
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -143,6 +145,19 @@ def _canonical(entries: Sequence, den) -> tuple[tuple, int | tuple]:
     return tuple(entries) if d == 1 else tuple(x * (d // e) for x, e in zip(entries, den)), d
 
 
+def _finite(values: Iterable[float]) -> tuple:
+    """A float function's stored tuple: every value must be a finite
+    double, so a kernel result that overflowed is refused where it is
+    built, as is an exact value too large for a double as it converts."""
+    try:
+        vals = tuple(values)
+        if all(map(isfinite, vals)):
+            return vals
+    except OverflowError:
+        pass
+    raise ValueError("float values must be finite")
+
+
 def _norm(values: Sequence, n: int) -> int | None:
     return next((i for i in range(1, n + 1) if values[i - 1]), None)
 
@@ -163,15 +178,12 @@ def _step(acc: list, at: slice, col: list, cut: slice, row: list, k: int) -> Non
     n=4096 took 200 ms instead of 82 (2-vCPU Xeon, Python 3.11).
 
     row[k] is never zero: the loops skip those.  A term with a zero
-    factor adds nothing, as if skipped: 0.0 * inf, which would be nan, is
-    skipped too.
+    factor adds nothing, as if skipped: on finite doubles it adds +-0.0
+    to a sum that started at +0.0.
     """
     if len(row) == 1:
         s, v = acc[0], row[0][k]
-        if isinstance(v, float) and not isfinite(v):
-            s[at] = [p + q * v if q else p for p, q in zip(s[at], col[0][cut])]
-        else:
-            s[at] = [p + q * v for p, q in zip(s[at], col[0][cut])]
+        s[at] = [p + q * v for p, q in zip(s[at], col[0][cut])]
         return
     xn, xd = row[0][k], row[1][k]
     (nums, dens), cn, cd = acc, col[0][cut], col[1][cut]
@@ -365,23 +377,18 @@ class ArithFunc:
                 raise TypeError("bool is not a scalar value")
             raise ModeMismatchError(f"{mode} mode cannot hold {type(bad).__name__} values")
         if mode == FLOAT:
-            try:
-                vals = list(map(float, vals))
-            except OverflowError:  # an int or Fraction too large for a double
-                vals = [inf]
-            if not all(map(isfinite, vals)):
-                raise ValueError("float values must be finite")
-            self._values, self._den = tuple(vals), None
+            self._values, self._den = _finite(map(float, vals)), None
         else:  # ints and Fractions alike have a numerator and a denominator
             self._values, self._den = _canonical([v.numerator for v in vals], [v.denominator for v in vals])
 
     @classmethod
     def _of(cls, entries: Sequence, den=None) -> "ArithFunc":
-        """Trusted constructor: float values when ``den`` is None, else
-        integers over an int ``den``, or numerators over a sequence ``den``
-        of denominators, in lowest terms and positive."""
+        """Trusted constructor: float values when ``den`` is None, each
+        checked to be finite, else integers over an int ``den``, or
+        numerators over a sequence ``den`` of denominators, in lowest
+        terms and positive."""
         obj = cls.__new__(cls)
-        obj._values, obj._den = (tuple(entries), None) if den is None else _canonical(entries, den)
+        obj._values, obj._den = (_finite(entries), None) if den is None else _canonical(entries, den)
         return obj
 
     @property
@@ -525,10 +532,7 @@ class ArithFunc:
         d = self._den  # int / int rounds once, as float(Fraction) does
         if d is None:
             return self
-        try:
-            return ArithFunc._of(list(map(truediv, self._values, d if isinstance(d, tuple) else repeat(d))))
-        except OverflowError:  # a value too large for a double, as in the constructor
-            raise ValueError("float values must be finite") from None
+        return ArithFunc._of(map(truediv, self._values, d if isinstance(d, tuple) else repeat(d)))
 
 
 # constructors ----------------------------------------------------------

@@ -111,14 +111,6 @@ def random_outside(rng: random.Random, spec, n: int) -> tuple[ArithFunc, int]:
 
 
 def random_additive(rng: random.Random, n: int) -> ArithFunc:
-    """Random additive function: one value per prime power, drawn the
-    first time the fold reaches that prime power."""
-    assigned: dict[tuple[int, int], int] = {}
-
-    def value_at(p: int, a: int) -> int:
-        v = assigned.get((p, a))
-        if v is None:
-            v = assigned[(p, a)] = _draws(rng, 1)[0]
-        return v
-
-    return ArithFunc._of(prime_power_fold(n, value_at, add, 0), 6)
+    """Random additive function: one value per prime power, drawn when
+    the fold reaches that prime power, in ascending order."""
+    return ArithFunc._of(prime_power_fold(n, lambda p, a: _draws(rng, 1)[0], add, 0), 6)

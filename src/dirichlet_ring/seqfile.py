@@ -13,10 +13,10 @@ values array straight from the stored form: the exact values are one
 ``%``-format call over a row template repeated once per value, each
 row filled by the value's numerator and denominator (past Python's
 digit limit ``%d`` raises the ``ValueError`` that ``str`` raises), a
-float value is its ``repr`` (what ``json`` writes; float values must
-be finite, as the reader requires), and the name goes through
-``json.dumps``, so its escaping is ``json``'s.  The pieces are joined
-once, at the end.  ``json.dumps`` with an indent runs CPython's
+float value is its ``repr`` (what ``json`` writes; a float function
+holds finite doubles only, so none is ``Infinity`` or ``NaN``), and the
+name goes through ``json.dumps``, so its escaping is ``json``'s.  The
+pieces are joined once, at the end.  ``json.dumps`` with an indent runs CPython's
 pure-Python encoder, several times slower than this at tens of
 thousands of values.
 
@@ -73,9 +73,6 @@ def _values_json(f: ArithFunc, pad: str, out: list) -> None:
     """Append the values array of ``f`` at indent ``pad`` to ``out``."""
     p = pad + "  "
     if f.mode == FLOAT:
-        if not all(map(math.isfinite, f.values)):
-            k, v = next((k, v) for k, v in enumerate(f.values, 1) if not math.isfinite(v))
-            raise ValueError(f"float value {v!r} at index {k} cannot be written as JSON")
         body = f",\n{p}".join(map(repr, f.values))
     else:  # one row per value, all filled in by one %-format call
         nums, dens = lowest_terms(f)
@@ -112,9 +109,7 @@ def dumps(obj) -> str:
     """``json.dumps(obj, indent=2) + "\\n"`` for a JSON value whose dict
     keys are strings, where a (function, name) pair stands for its
     sequence object: byte for byte what ``json`` writes for
-    ``to_json_obj(function, name)`` in its place.  A sequence holding an
-    inf or nan raises ``ValueError`` naming its index, where ``json``
-    would write ``Infinity`` or ``NaN``, which are not JSON."""
+    ``to_json_obj(function, name)`` in its place."""
     out = []
     _json(obj, "", out)
     out.append("\n")
@@ -181,39 +176,32 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
     return name, ArithFunc._of(list(map(mul, map(int, nums), map(scale.__getitem__, texts))), common)
 
 
-def _fields(pairs: list, path: str) -> dict:
+def _fields(pairs: list) -> dict:
     """A JSON object as a dict, refusing a repeated name: ``json`` alone keeps the last."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         seen = set()
         name = next(k for k, _ in pairs if k in seen or seen.add(k))
-        raise ValueError(f"{path}: field {name!r} appears more than once")
+        raise ValueError(f"field {name!r} appears more than once")
     return obj
 
 
 def load(path: str) -> tuple[str, ArithFunc]:
-    """The (name, function) a sequence file holds; every error of its own
-    text names the file.  Python's limit on the digits of an int is left
-    as it is, for ``cli.main`` to name its own limit."""
+    """The (name, function) a sequence file holds; every error of its
+    text, Python's limit on the digits of an int included, names the file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            obj = json.load(handle, object_pairs_hook=lambda pairs: _fields(pairs, path))
+            return from_json_obj(json.load(handle, object_pairs_hook=_fields))
         except UnicodeDecodeError as exc:  # json reads the whole file in one decode
             raise ValueError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
         except RecursionError:  # json's parser recurses once per nested array or object
             raise ValueError(f"{path}: JSON nested too deeply") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # json's syntax errors and every field error
             raise ValueError(f"{path}: {exc}") from None
-    try:
-        return from_json_obj(obj)
-    except ValueError as exc:
-        if str(exc).startswith("Exceeds the limit"):
-            raise
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def save(f: ArithFunc, path: str, name: str = "sequence") -> None:
-    text = to_json(f, name)  # a refused value leaves no file
+    text = to_json(f, name)  # an integer past the digit limit leaves no file
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 

@@ -176,6 +176,16 @@ def generate(tag: str, n: int, param: int | None = None) -> ArithFunc:
 # additivity ------------------------------------------------------------
 
 
+def _float_fails(a: float, b: float, c: float) -> bool:
+    """Whether |a - b - c| passes FLOAT_SLACK times |a| + |b| + |c|; when
+    that sum overflows, on a/4, b/4 and c/4, which a power of two scales
+    exactly at that size, so no pair passes by inf > inf being False."""
+    size = abs(a) + abs(b) + abs(c)
+    if size == math.inf:
+        return _float_fails(a / 4, b / 4, c / 4)
+    return abs(a - b - c) > FLOAT_SLACK * size
+
+
 def _scan_pairs(f: ArithFunc, coprime_only: bool) -> Witness:
     """The first pair m <= k, in order of m then k, with mk <= len(f) and
     f(mk) != f(m) + f(k); only coprime pairs when ``coprime_only``.
@@ -184,13 +194,13 @@ def _scan_pairs(f: ArithFunc, coprime_only: bool) -> Witness:
     f(m+1), ..., with ``ne`` and ``add`` on exact integers.  Exact mode
     compares the columns of ``ring._lift``: a narrow function's stored
     integers, or a wide one's (numerator, denominator) pairs,
-    cross-multiplied.  Float mode allows roundoff (``FLOAT_SLACK``).
+    cross-multiplied.  Float mode allows roundoff (:func:`_float_fails`).
     """
     n = len(f)
     vals = f._values
     fails = None  # ne(a, b + c) on integers, a = f(mk), b = f(m), c = f(k)
     if f.mode == FLOAT:
-        fails = lambda a, b, c: abs(a - b - c) > FLOAT_SLACK * (abs(a) + abs(b) + abs(c))
+        fails = _float_fails
     elif not vals[0]:  # else the first pair, (1, 1), fails on the stored values
         [(cols, _)] = _lift(n, f)
         vals = cols[0]

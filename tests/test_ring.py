@@ -97,6 +97,14 @@ def test_constructor_rejects_values_that_are_not_finite_doubles(value):
             ArithFunc([1, value]).to_float()
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_of_refuses_non_finite_floats(value):
+    # the trusted constructor keeps the float rule too, so no kernel
+    # result, and no writer, ever holds an inf or a nan
+    with pytest.raises(ValueError, match="^float values must be finite$"):
+        ArithFunc._of([0.5, -2.0, value, 1.0])
+
+
 class _Int(int):
     """An int subclass: both modes take it as an int."""
 
@@ -538,22 +546,40 @@ def test_common_denominator_switch_at_shared_bits(tmp_path, monkeypatch, fractio
 # slice passes -------------------------------------------------------------------
 
 
-def _doubles(rng, n):
-    """Doubles with signed zeros and negatives, and +-1e300, whose
-    products overflow."""
-    pool = (0.0, -0.0, 1e300, -1e300, 0.5, -1.25, 3.0, -7.0)
+_POOL = (0.0, -0.0, 1e300, -1e300, 0.5, -1.25, 3.0, -7.0)
+_SMALL_POOL = tuple(x for x in _POOL if abs(x) < 1e300)
+
+
+def _doubles(rng, n, pool=_POOL):
+    """Doubles with signed zeros and negatives, and, from the default
+    pool, +-1e300, whose products overflow."""
     return [rng.choice(pool) if rng.random() < 0.5 else rng.uniform(-9, 9) for _ in range(n)]
+
+
+def _same_bits_or_refused(compute, expected: list, n: int) -> bool:
+    """compute() gives the bits of the oracle's ``expected``, or, where
+    ``expected`` holds an inf or a nan, raises the float rule's
+    ValueError; whether ``expected`` was finite."""
+    if not all(map(math.isfinite, expected)):
+        with pytest.raises(ValueError, match="^float values must be finite$"):
+            compute()
+        return False
+    assert [v.hex() for v in compute().values] == [v.hex() for v in expected], n
+    return True
 
 
 def test_float_product_sums_in_divisor_order_bit_for_bit():
     # n = s^2 - 1, s^2 and s^2 + s put the hyperbola split on each side
-    # of an edge; every entry must still sum its terms in ascending i
-    rng = random.Random(19)
-    for s in range(2, 34):
-        for n in (s * s - 1, s * s, s * s + s):
-            a, b = _doubles(rng, n), _doubles(rng, n)
-            got = (ArithFunc(a) * ArithFunc(b)).values
-            assert [v.hex() for v in got] == [v.hex() for v in convolve_lists(a, b)], n
+    # of an edge; every entry must still sum its terms in ascending i.
+    # Most windows with +-1e300 overflow, so the same windows run again
+    # on the pool without them, where every product is finite
+    for pool in (_POOL, _SMALL_POOL):
+        rng = random.Random(19)
+        for s in range(2, 34):
+            for n in (s * s - 1, s * s, s * s + s):
+                a, b = _doubles(rng, n, pool), _doubles(rng, n, pool)
+                finite = _same_bits_or_refused(lambda: ArithFunc(a) * ArithFunc(b), convolve_lists(a, b), n)
+                assert finite or pool is _POOL
 
 
 def _chain_length(m, a):
@@ -601,13 +627,33 @@ def test_recursion_matches_the_divisor_scan_on_block_edges(a):
 
 def test_float_invert_sums_in_divisor_order_on_block_edges():
     # from n = 768 on, the block [256, 512) sends terms from i = 3 and
-    # i = 2 to one entry, so the order of its per-i slices shows
-    rng = random.Random(29)
-    for n in (2, 3, 7, 8, 63, 64, 255, 256, 1023, 1024):
-        x = _doubles(rng, n)
-        x[0] = x[0] or -3.0
-        got = ArithFunc(x).invert().values
-        assert [v.hex() for v in got] == [v.hex() for v in invert_floats(x)], n
+    # i = 2 to one entry, so the order of its per-i slices shows; as for
+    # the product, the windows run on both pools
+    for pool in (_POOL, _SMALL_POOL):
+        rng = random.Random(29)
+        for n in (2, 3, 7, 8, 63, 64, 255, 256, 1023, 1024):
+            x = _doubles(rng, n, pool)
+            x[0] = x[0] or -3.0
+            assert _same_bits_or_refused(ArithFunc(x).invert, invert_floats(x), n) or pool is _POOL
+
+
+_big_doubles = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([1e300, -1e300, 1e308, -1e308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_big_doubles, min_size=1, max_size=24), st.lists(_big_doubles, min_size=1, max_size=24))
+def test_float_results_are_finite_or_refused(a, b):
+    # the float rule: every float function holds finite doubles, so each
+    # operation gives one or raises ValueError, exactly where the oracle's
+    # result holds an inf or a nan
+    f, g = ArithFunc(a), ArithFunc(b)
+    cases = [(lambda: f * g, convolve_lists(a, b)), (lambda: f.power(2), convolve_lists(a, a)),
+             (lambda: f + g, [x + y for x, y in zip(a, b)]), (lambda: f - g, [x - y for x, y in zip(a, b)])]
+    if a[0]:
+        cases.append((f.invert, invert_floats(a)))
+    for compute, expected in cases:
+        _same_bits_or_refused(compute, expected, len(expected))
 
 
 def test_wide_columns_with_zero_entries_match_the_oracles():

@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from dirichlet_ring.primes import (
     factorize,
     is_prime,
     nth_prime,
+    prime_power_fold,
     primes_upto,
     smallest_prime_factors,
 )
@@ -352,6 +354,24 @@ def test_float_additivity_is_the_tolerance_pair_scan(build):
         assert (w.verdict, w.pair, w.note) == expected
 
 
+@pytest.mark.parametrize("vals, additive_class", [
+    ([0, 1e308, 1e308, 5], "additive"),
+    ([0, 1e308, -1e308, 1e308, 0, 1], "additive"),
+    ([0, 1e308, 1e308, 0, 0, 5], "not_additive"),
+])
+def test_float_additivity_fails_a_pair_whose_sum_overflows(vals, additive_class):
+    # f(2) + f(2) overflows; compared on a quarter of each value, f(4) is
+    # far from it, where inf > slack * inf would have passed the pair and
+    # classify said completely_additive.  Only the last window has a
+    # coprime pair, (2, 3), that fails
+    f = ArithFunc(list(map(float, vals)))
+    for check, coprime_only in ((is_additive, True), (is_completely_additive, False)):
+        w = check(f)
+        assert (w.verdict, w.pair, w.note) == additivity_pair_scan(vals, coprime_only, zoo.FLOAT_SLACK)
+    assert is_completely_additive(f).pair == (2, 2)
+    assert classify(f).additive_class == additive_class
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 1024), st.floats(-6, 12))
 def test_scaled_logs_are_completely_additive(n, exponent):
@@ -388,6 +408,14 @@ def test_random_additive_draw_order_is_pinned():
     f = random_additive(random.Random(7), 256)
     digest = hashlib.sha256(",".join(map(str, f.values)).encode()).hexdigest()
     assert digest == "9a64d8ff361effa0111a0dac1a1e9480c2ae06b01c876c6a36cf1805cf026047"
+
+
+def test_prime_power_fold_calls_at_once_per_prime_power_in_ascending_order():
+    calls = []
+    n = 1000
+    vals = prime_power_fold(n, lambda p, a: calls.append((p, a)) or p + a, add, 0)
+    assert calls == [fs[0] for fs in map(prime_factors_scan, range(2, n + 1)) if len(fs) == 1]
+    assert vals == [sum(p + a for p, a in prime_factors_scan(k)) for k in range(1, n + 1)]
 
 
 # the classical inversion identities -------------------------------------------
