@@ -13,14 +13,14 @@ from importlib import import_module
 # each public name, by the module that defines it
 _EXPORTS = {name: module for module, names in {
     "primes": "Factorization factorize is_prime nth_prime",
-    "ring": "EXACT FLOAT ArithFunc ModeMismatchError NonUnitError NotDivisibleWitness "
-            "WindowError ZeroFunctionError delta identity indicator_shift try_divide zeros",
+    "ring": "EXACT FLOAT MEMBER NON_MEMBER UNDECIDED ArithFunc ModeMismatchError NonUnitError "
+            "NotDivisibleWitness WindowError Witness ZeroFunctionError delta identity "
+            "indicator_shift try_divide zeros",
     "ideals": "ChainLink ChainReport Decomposition IdealSpec NotInIdealError chain "
               "decompose_coprime_vanishing divisibility_depth member principal_quotient "
               "probe_prime probe_semiprime",
     "structure": "ElementReport check_nonprime_norm_product classify essential_witness "
                  "units_group_probe",
-    "witness": "MEMBER NON_MEMBER UNDECIDED Witness",
     "zoo": "FUNCTION_TAGS generate is_additive is_completely_additive",
 }.items() for name in names.split()}
 

@@ -115,7 +115,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     def add_chain(subparsers, help_text, level):
         p, chosen = command(subparsers, "chain", help_text, level)
         if chosen:
-            from .witness import CHAIN_FAMILIES
+            from .ideals import CHAIN_FAMILIES
             p.add_argument("family", choices=CHAIN_FAMILIES)
             p.add_argument("--length", type=integer, default=4)
             p.add_argument("--dot", action="store_true", help="emit a DOT digraph")
@@ -217,7 +217,8 @@ def _cmd_gen(args, n):
         f = f.to_float()
     elif args.mode == EXACT and f.mode == FLOAT:
         raise ValueError(f"{args.tag} has irrational values; exact mode is impossible")
-    return f, args.name or (args.tag if args.param is None else f"{args.tag}({args.param})")
+    name = args.tag if args.param is None else f"{args.tag}({args.param})"
+    return f, name if args.name is None else args.name
 
 
 def _cmd_conv(args, name_a, a, name_b, b):
@@ -326,8 +327,9 @@ def main(argv=None) -> int:
             result, status = result
         text = seqfile.render(result, getattr(args, "format", None))
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            data = text.encode("utf-8")  # a text that cannot be encoded leaves no file
+            with open(args.out, "wb") as handle:
+                handle.write(data)
         else:
             sys.stdout.write(text)
         return status

@@ -22,10 +22,9 @@ from operator import le, mul
 from typing import NamedTuple
 
 from .primes import factorize, is_prime, nth_prime, primes_upto
-from .ring import (ArithFunc, NotDivisibleWitness, WindowError, ZeroFunctionError,
-                   delta, indicator_shift, take, try_divide, zeros)
+from .ring import (MEMBER, NON_MEMBER, UNDECIDED, ArithFunc, NotDivisibleWitness, WindowError,
+                   Witness, ZeroFunctionError, delta, indicator_shift, take, try_divide, zeros)
 from .sampling import random_outside
-from .witness import CHAIN_FAMILIES, MEMBER, NON_MEMBER, UNDECIDED, Witness
 
 
 class NotInIdealError(ValueError):
@@ -267,6 +266,9 @@ class ChainReport(NamedTuple):
             )
         lines.append("}")
         return "\n".join(lines)
+
+
+CHAIN_FAMILIES = ("P_ascending", "J_descending", "I_descending", "K_ascending")
 
 
 def _chain_specs_and_points(family: str, length: int, window: int):

@@ -57,6 +57,10 @@ result is put in lowest terms by one gcd.  Every entry sums its terms
 in the order of a term-by-term loop, ascending i in a product and
 ascending m in the recursion, and a term with a zero factor adds
 nothing, so float results do not depend on how the slices are cut.
+
+The verdict records live here too: ``NotDivisibleWitness`` for a
+division, and ``Witness`` with its verdicts ``MEMBER``, ``NON_MEMBER``
+and ``UNDECIDED`` for the oracles and probes of the other modules.
 """
 
 from __future__ import annotations
@@ -96,6 +100,37 @@ class NotDivisibleWitness(NamedTuple):
 
     index: int
     note: str = ""
+
+
+MEMBER = "member"
+NON_MEMBER = "non_member"
+UNDECIDED = "undecided_at_truncation"
+
+
+class Witness(NamedTuple):
+    """A verdict about the truncation window, never more: ``member`` and
+    ``non_member`` are what the window shows, and ``undecided_at_truncation``
+    is the honest outcome when it cannot settle the question either way."""
+
+    verdict: str
+    index: int | None = None
+    pair: tuple[int, int] | None = None
+    note: str = ""
+    elements: tuple = ()
+
+    @property
+    def is_member(self) -> bool:
+        return self.verdict == MEMBER
+
+    def to_dict(self) -> dict:
+        out: dict = {"verdict": self.verdict}
+        if self.index is not None:
+            out["index"] = self.index
+        if self.pair is not None:
+            out["pair"] = list(self.pair)
+        if self.note:
+            out["note"] = self.note
+        return out
 
 
 def _kind(t: type) -> str | None:

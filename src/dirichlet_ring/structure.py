@@ -9,9 +9,9 @@ from math import gcd
 from typing import NamedTuple
 
 from .primes import is_prime
-from .ring import ArithFunc, ZeroFunctionError, dirichlet_product, identity, indicator_shift
+from .ring import (MEMBER, NON_MEMBER, ArithFunc, Witness, ZeroFunctionError, dirichlet_product,
+                   identity, indicator_shift)
 from .sampling import random_unit
-from .witness import MEMBER, NON_MEMBER, Witness
 from .zoo import is_additive, is_completely_additive
 
 CERT_PRIME_NORM = "prime_norm"

@@ -25,23 +25,14 @@ from typing import NamedTuple
 
 from . import ideals, sampling, structure, zoo
 from .ideals import IdealSpec, chain, divisibility_depth, member, probe_prime, probe_semiprime
-from .primes import factorize
-from .ring import (
-    ArithFunc,
-    NonUnitError,
-    NotDivisibleWitness,
-    delta,
-    dirichlet_product,
-    identity,
-    try_divide,
-)
+from .ring import (MEMBER, NON_MEMBER, UNDECIDED, ArithFunc, NonUnitError, NotDivisibleWitness,
+                   delta, dirichlet_product, identity, indicator_shift, try_divide)
 from .structure import (
     CERT_COMPOSITE_NEXT,
     CERT_PRIME_NORM,
     certified_atom_factor_search,
     classify,
 )
-from .witness import MEMBER, NON_MEMBER, UNDECIDED
 
 MIN_WINDOW = 64  # also the window of every check whose inputs do not scale with n
 
@@ -265,7 +256,7 @@ def _check_principal_prime(ctx: _Ctx) -> str:
         for _ in range(draws := 6):
             f = sampling.random_in_ideal(ctx.rng, spec, ctx.n)
             q = ideals.principal_quotient(spec.m, f)
-            back = ideals.indicator_shift(spec.m, q, ctx.n)
+            back = indicator_shift(spec.m, q, ctx.n)
             _require(back == f, f"round-trip through the quotient failed at p = {spec.m}")
     return (f"{len(specs) * draws} members of {', '.join(map(str, specs))} "
             "reconvolve exactly from their quotients")
@@ -274,14 +265,14 @@ def _check_principal_prime(ctx: _Ctx) -> str:
 def _check_generator_count(ctx: _Ctx) -> str:
     specs = [IdealSpec.coprime_vanishing(m) for m in (6, 12)]
     for spec in specs:
-        qs = factorize(spec.m).distinct_primes
         for _ in range(draws := 6):
             f = sampling.random_in_ideal(ctx.rng, spec, ctx.n)
             dec = ideals.decompose_coprime_vanishing(spec.m, f)
             _require(dec.reconstruction() == f, f"reconstruction failed for m = {spec.m}")
-        basis = [[g(q) for q in qs] for g in (delta(q, ctx.n) for q in qs)]
-        expected = [[int(i == j) for j in range(len(qs))] for i in range(len(qs))]
-        _require(basis == expected, "indicator evaluations are not the standard basis")
+            qs = dec.generator_points
+            basis = [[g(q) for q in qs] for g in dec.generators]
+            expected = [[int(i == j) for j in range(len(qs))] for i in range(len(qs))]
+            _require(basis == expected, "indicator evaluations are not the standard basis")
     return (f"{len(specs) * draws} members of {' and '.join(map(str, specs))} reconstruct exactly; "
             "evaluations give the standard basis")
 

@@ -17,8 +17,7 @@ from itertools import compress, repeat
 from operator import add, mul, ne
 
 from .primes import is_prime, prime_power_fold, primes_upto
-from .ring import ArithFunc, FLOAT, _lift, delta, identity
-from .witness import MEMBER, NON_MEMBER, Witness
+from .ring import FLOAT, MEMBER, NON_MEMBER, ArithFunc, Witness, _lift, delta, identity
 
 # a float pair fails when |f(mk) - f(m) - f(k)| passes FLOAT_SLACK times
 # |f(mk)| + |f(m)| + |f(k)|: twice the 4 units of roundoff, 2^-53, that

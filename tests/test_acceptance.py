@@ -46,7 +46,7 @@ from dirichlet_ring.structure import (
     certified_atom_factor_search,
     nonunit_product_profiles,
 )
-from dirichlet_ring.witness import MEMBER, NON_MEMBER
+from dirichlet_ring import MEMBER, NON_MEMBER
 from dirichlet_ring.zoo import (
     big_omega,
     distinct_prime_count,

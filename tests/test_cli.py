@@ -101,6 +101,14 @@ def test_gen_with_param(tmp_path):
     assert out == "0,0,0,1,0,0\n"
 
 
+def test_gen_keeps_an_empty_name(tmp_path):
+    path = tmp_path / "mu.json"
+    code, _ = run_cli("gen", "mobius", "--n", "2", "--name", "", "--out", str(path))
+    assert code == 0
+    assert json.loads(path.read_text(encoding="utf-8"))["name"] == ""
+    assert load(path) == ("", generate("mobius", 2))
+
+
 def test_gen_float_conversion_and_refusal():
     code, out = run_cli("gen", "mobius", "--n", "3", "--mode", "float", "--format", "csv")
     assert code == 0
@@ -362,6 +370,22 @@ def test_integer_past_max_digits_is_a_one_line_error(tmp_path, capsys):
     assert _assert_one_line_error(capsys, main(["conv", str(path), str(path), "--out", str(out)])) == message
     assert not out.exists()
     assert sys.get_int_max_str_digits() == limit
+
+
+# a name that is a lone surrogate cannot be encoded as UTF-8: from a
+# sequence file, the JSON escape of U+D800; from the command line, the
+# bytes ED A0 80, which Python reads as three escaped surrogates
+@pytest.mark.parametrize("argv", [
+    ["inv", "{path}", "--format", "table"],
+    ["gen", "mobius", "--n", "3", "--name", "\udced\udca0\udc80", "--format", "table"],
+])
+def test_unencodable_text_writes_no_out_file(tmp_path, capsys, argv):
+    path, out = tmp_path / "f.json", tmp_path / "o.txt"
+    path.write_text('{"name": "\\ud800", "mode": "exact", "n": 2, "values": [["1", "1"], ["1", "1"]]}',
+                    encoding="utf-8")
+    argv = [arg.format(path=path) for arg in argv] + ["--out", str(out)]
+    _assert_one_line_error(capsys, main(argv))
+    assert not out.exists()
 
 
 # a window past sys.maxsize is refused by name; 2**61 and 2**62 pass that

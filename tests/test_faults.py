@@ -23,7 +23,7 @@ from math import gcd
 
 import pytest
 
-from dirichlet_ring import primes, ring, structure, verify
+from dirichlet_ring import ideals, primes, ring, structure, verify
 from dirichlet_ring.ideals import TAG_COPRIME, IdealSpec
 from dirichlet_ring.ring import ArithFunc, NotDivisibleWitness
 
@@ -36,6 +36,7 @@ MISMATCH = ring._mismatch
 DIVIDE = ring._divide
 STEP = ring._step
 SIEVE = primes.smallest_prime_factors
+DECOMPOSE = ideals.decompose_coprime_vanishing
 
 
 def inject(monkeypatch, original, fault) -> None:
@@ -100,6 +101,14 @@ def sieve_calling_49_prime(n):
     return spf
 
 
+def decomposition_one_index_late(m, f):
+    """``decompose_coprime_vanishing`` whose generators are the indicators
+    one index past m's primes; the points and cofactors stay right."""
+    dec = DECOMPOSE(m, f)
+    return dec._replace(generators=tuple(ring.delta(q + 1, len(f), f.mode)
+                                         for q in dec.generator_points))
+
+
 def lift_with_one_scale(n, *operands):
     """``_lift`` that gives every operand the first operand's denominator."""
     lifted = LIFT(n, *operands)
@@ -129,6 +138,7 @@ FAULTS = {
     "certificate fires at norms 2..6": lambda mp: inject(
         mp, CERTIFICATE, certificate_firing_at_small_norms),
     "sieve calls 49 prime": lambda mp: inject(mp, SIEVE, sieve_calling_49_prime),
+    "generators one index late": lambda mp: inject(mp, DECOMPOSE, decomposition_one_index_late),
     "_lift shares one scale": lambda mp: inject(mp, LIFT, lift_with_one_scale),
     "_Pair gcd branch keeps the gcd": lambda mp: inject(mp, STEP, step_keeping_the_gcd),
 }
@@ -186,7 +196,8 @@ ORACLE_COMPARISONS = {"oracle: convolve": _convolve_agrees, "oracle: try_divide"
 # verify-paper samples narrow functions only, so the wide-path fault is
 # caught by the oracle comparisons alone, and so is the leftover scan,
 # which misses only a witness at the last index; only the atoms check
-# sees the certificate fault.
+# sees the certificate fault, and only the generator check sees a wrong
+# generator, since a reconstruction reads the points and the cofactors.
 
 KILLS = {
     "product skips i = j > 1": {"invertibility", "units_group", "semiprime", "mobius_inversion",
@@ -198,6 +209,7 @@ KILLS = {
     "certificate fires at norms 2..6": {"atoms_every_norm"},
     "sieve calls 49 prime": {"nonprime_norm_products", "prime_tail_not_prime",
                              "mobius_inversion"},
+    "generators one index late": {"generator_count"},
     "_lift shares one scale": {"invertibility", "units_group", "oracle: convolve",
                                "oracle: try_divide"},
     "_Pair gcd branch keeps the gcd": {"oracle: convolve", "oracle: try_divide"},

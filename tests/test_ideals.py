@@ -37,7 +37,7 @@ from dirichlet_ring.sampling import (
     random_scalar,
     random_with_norm,
 )
-from dirichlet_ring.witness import MEMBER, NON_MEMBER, UNDECIDED, Witness
+from dirichlet_ring import MEMBER, NON_MEMBER, UNDECIDED, Witness
 
 from oracles import depth_power_chain, distinct_count_scan, is_prime_scan, prime_factors_scan, rank_over_q
 

@@ -35,7 +35,7 @@ from dirichlet_ring.structure import (
     certified_atom_factor_search,
     nonunit_product_profiles,
 )
-from dirichlet_ring.witness import MEMBER, NON_MEMBER
+from dirichlet_ring import MEMBER, NON_MEMBER
 from dirichlet_ring.zoo import (FUNCTION_TAGS, big_omega, generate, is_additive,
                                 is_completely_additive, liouville, mangoldt, mobius)
 

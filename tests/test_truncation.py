@@ -21,7 +21,7 @@ from dirichlet_ring import (EXACT, FLOAT, ArithFunc, IdealSpec, NotDivisibleWitn
 from dirichlet_ring.ideals import TAG_NORM_FLOOR
 from dirichlet_ring.ring import SHARED_BITS
 from dirichlet_ring.structure import CERT_NONE
-from dirichlet_ring.witness import NON_MEMBER, UNDECIDED
+from dirichlet_ring import NON_MEMBER, UNDECIDED
 from dirichlet_ring.zoo import FUNCTION_TAGS, generate
 
 MAX_N = 48

@@ -34,7 +34,7 @@ from dirichlet_ring.primes import (
     smallest_prime_factors,
 )
 from dirichlet_ring.sampling import random_additive
-from dirichlet_ring.witness import MEMBER, NON_MEMBER
+from dirichlet_ring import MEMBER, NON_MEMBER
 from dirichlet_ring.zoo import (
     big_omega,
     dedekind_psi,
