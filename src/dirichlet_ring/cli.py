@@ -1,8 +1,8 @@
 """Command-line surface: generation, ring arithmetic, ideal tooling,
 element classification, chain reports, and the verification suite.
 
-Identical arguments (and seed) always produce byte-identical output; the
-DIRICHLET_N environment variable overrides the default window length.
+Identical arguments (and seed) always produce byte-identical output: a
+command reads only its command line and the files it names.
 ``main`` is the whole pipeline.  It resolves every input from outside
 the program (the ideal spec, then the sequence files, then the window),
 calls the command with the resolved values, and renders and writes the
@@ -10,8 +10,8 @@ result once: ``--out`` gets exactly the bytes stdout would get, for
 every command including ``verify-paper``.  Only the command that argv
 names gets its arguments in the parser, and the commands that run
 ``zoo``, ``ideals``, ``structure`` or ``verify`` import it, so no other
-command loads it.  Every integer from outside the program, in an option, an
-ideal spec or ``DIRICHLET_N``, is an optional sign and ASCII digits
+command loads it.  Every integer from outside the program, in an option or
+an ideal spec, is an optional sign and ASCII digits
 (``seqfile.is_decimal``); ``int`` alone would also take underscores,
 whitespace and other scripts' digits.
 """
@@ -19,7 +19,6 @@ whitespace and other scripts' digits.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import seqfile
@@ -30,7 +29,6 @@ VERIFY_FAILURE = 3
 
 DEFAULT_N = 256
 DEFAULT_SEED = 0
-ENV_WINDOW = "DIRICHLET_N"
 MODES = (EXACT, FLOAT)
 # the most digits in an integer read or written, in place of Python's 4300;
 # conversion is quadratic: 0.08 s to read, 0.2 s to write (2-vCPU Xeon, 3.11)
@@ -196,17 +194,11 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 def _window(args) -> int:
-    """The --n window, else the environment's, else DEFAULT_N.  No list
-    can be indexed past sys.maxsize, so a larger window is refused here."""
-    if args.n is not None:
-        n, source = args.n, "--n"
-    else:
-        raw = os.environ.get(ENV_WINDOW, str(DEFAULT_N))
-        if not seqfile.is_decimal(raw) or int(raw) < 1:
-            raise ValueError(f"{ENV_WINDOW} must be a positive integer, not {raw!r}")
-        n, source = int(raw), ENV_WINDOW
+    """The --n window, else DEFAULT_N.  No list can be indexed past
+    sys.maxsize, so a larger window is refused here."""
+    n = DEFAULT_N if args.n is None else args.n
     if n > sys.maxsize:
-        raise ValueError(f"{source} must be at most {sys.maxsize}, not {n}")
+        raise ValueError(f"--n must be at most {sys.maxsize}, not {n}")
     return n
 
 
