@@ -18,7 +18,7 @@ _EXPORTS = {name: module for module, names in {
             "indicator_shift try_divide zeros",
     "ideals": "ChainLink ChainReport Decomposition IdealSpec NotInIdealError chain "
               "decompose_coprime_vanishing divisibility_depth member principal_quotient "
-              "probe_prime probe_semiprime",
+              "probe_prime window_prime",
     "structure": "ElementReport check_nonprime_norm_product classify essential_witness "
                  "units_group_probe",
     "zoo": "FUNCTION_TAGS generate is_additive is_completely_additive",

@@ -1,5 +1,5 @@
 """Ideal families of the convolution ring: membership oracles, quotients,
-decompositions, chain builders, and primality probes.
+decompositions, chain builders, and primality decisions and probes.
 
 Every family is described by an :class:`IdealSpec`, whose
 ``constrained_indices(window)`` is the tuple of indices where the
@@ -153,10 +153,7 @@ class IdealSpec(NamedTuple):
 def member(spec: IdealSpec, f: ArithFunc) -> Witness:
     """Decide membership on f's window; non-members carry the violating index."""
     window = len(f)
-    if spec.tag == TAG_NORM_FLOOR and spec.n > window + 1:
-        raise WindowError(
-            f"norm threshold {spec.n} inspects indices beyond the window {window}"
-        )
+    _require_window(spec, window)
     vals = f._values
     for idx in spec.constrained_indices(window):
         if vals[idx - 1]:
@@ -164,6 +161,11 @@ def member(spec: IdealSpec, f: ArithFunc) -> Witness:
                 NON_MEMBER, index=idx, note=f"f({idx}) != 0 but {spec.label()} forces 0 there"
             )
     return Witness(MEMBER, note=f"vanishes at every constrained index <= {window}")
+
+
+def _require_window(spec: IdealSpec, window: int) -> None:
+    if spec.tag == TAG_NORM_FLOOR and spec.n > window + 1:
+        raise WindowError(f"norm threshold {spec.n} inspects indices beyond the window {window}")
 
 
 def _require_member(spec: IdealSpec, f: ArithFunc) -> None:
@@ -320,6 +322,38 @@ def chain(family: str, length: int, window: int) -> ChainReport:
     return ChainReport(family=family, specs=tuple(specs), links=tuple(links))
 
 
+# primality ---------------------------------------------------------------
+
+
+def window_prime(spec: IdealSpec, window: int, squares: bool = False) -> Witness:
+    """Decide whether the ideal is prime on 1..window, or semi-prime with ``squares``.
+
+    Its constrained indices T are divisor-closed, so f and g outside it, with
+    least nonzero indices a and b in T and ab in T, have (f*g)(ab) = f(a)g(b).
+    So it is prime exactly when a, b in T with ab <= window gives ab in T, and
+    semi-prime when a = b does; delta_a and delta_b exhibit a failure.  Pairs
+    with ab > window stay undecided, and the whole ring is neither."""
+    if window < 1:
+        raise ValueError("window length must be at least 1")
+    _require_window(spec, window)
+    idxs = spec.constrained_indices(window)
+    if not idxs:
+        return Witness(NON_MEMBER, note=f"not {'semi-' * squares}prime (the whole ring)")
+    inside, pairs = set(idxs), 0
+    for i, a in enumerate(idxs):
+        for b in (a,) if squares else idxs[i:]:
+            if a * b > window:
+                break
+            if a * b not in inside:
+                return Witness(NON_MEMBER, pair=(a, b), elements=(delta(a, window), delta(b, window)),
+                               note=f"delta_{a} * delta_{b} = delta_{a * b} lies in {spec.label()}")
+            pairs += 1
+        if a * a > window:
+            break
+    return Witness(MEMBER, note=f"every one of {pairs} {'squares' if squares else 'pairs'} "
+                                f"with product <= {window} stays outside")
+
+
 # probes ------------------------------------------------------------------
 
 
@@ -371,43 +405,6 @@ def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness
         if kf * kg <= window and member(spec, f.convolve(g)).is_member:
             return Witness(NON_MEMBER, note=refuted, elements=(f, g))
     return Witness(UNDECIDED, note=f"no counterexample among {drawn} sampled pairs")
-
-
-def probe_semiprime(m: int, k: int, f: ArithFunc, rmax: int) -> Witness:
-    """Track the powers of a non-member of the gcd-count ideal on f's window.
-
-    For f outside the ideal with least constrained nonzero index n0, each
-    power f^r must stay outside, failing first at exactly n0^r.  The
-    returned ``non_member`` verdict records that all powers up to rmax did
-    so; a function already in the ideal gives a vacuous ``member`` pass.
-    """
-    if rmax < 1:
-        raise ValueError("rmax must be at least 1: no power would be checked")
-    spec = IdealSpec.gcd_count(m, k)
-    base = member(spec, f)
-    if base.is_member:
-        return Witness(
-            MEMBER, note="vacuously in the ideal; every power stays there by closure"
-        )
-    n0 = base.index
-    if n0**rmax > len(f):
-        raise WindowError(
-            f"window {len(f)} cannot see index {n0}^{rmax} = {n0 ** rmax}"
-        )
-    power = f
-    for r in range(1, rmax + 1):
-        verdict = member(spec, power)
-        if verdict.is_member or verdict.index != n0**r:
-            raise AssertionError(
-                f"power {r} deviates from the predicted first failure at {n0 ** r}"
-            )
-        if r < rmax:
-            power = power.convolve(f)
-    return Witness(
-        NON_MEMBER,
-        index=n0,
-        note=f"powers 1..{rmax} stay outside, first failing exactly at {n0}^r",
-    )
 
 
 def divisibility_depth(h: ArithFunc, f: ArithFunc) -> int:

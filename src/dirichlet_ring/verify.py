@@ -10,7 +10,8 @@ denominator of at most ``ring.SHARED_BITS`` bits.  The wide path of the
 ring kernels, on numerator and denominator columns, is checked by the
 test suite instead: by its comparisons with the independent evaluators
 and by the pinned wide-kernel digests.  A wide sample here would slow
-every run for a path the tests already cover.
+every run for a path the tests already cover.  The prime ideals are not
+sampled: ``ideals.window_prime`` decides them over the whole window.
 
 A detail line or failure message prints only values its check ran with:
 a count is its loop's bound, an ideal its spec's label, an indicator
@@ -24,9 +25,9 @@ from math import prod
 from typing import NamedTuple
 
 from . import ideals, sampling, structure, zoo
-from .ideals import IdealSpec, chain, divisibility_depth, member, probe_prime, probe_semiprime
-from .ring import (MEMBER, NON_MEMBER, UNDECIDED, ArithFunc, NonUnitError, NotDivisibleWitness,
-                   delta, dirichlet_product, identity, indicator_shift, try_divide)
+from .ideals import IdealSpec, chain, divisibility_depth, member, probe_prime, window_prime
+from .ring import (MEMBER, NON_MEMBER, ArithFunc, NonUnitError, NotDivisibleWitness, delta,
+                   dirichlet_product, identity, indicator_shift, try_divide)
 from .structure import (
     CERT_COMPOSITE_NEXT,
     CERT_PRIME_NORM,
@@ -235,19 +236,14 @@ def _check_prime_tail_not_prime(ctx: _Ctx) -> str:
 
 def _check_coprime_ideal_prime(ctx: _Ctx) -> str:
     spec = IdealSpec.coprime_vanishing(6)
-    trials = 40
-    verdict = probe_prime(spec, trials=trials, seed=ctx.seed, window=MIN_WINDOW)
-    _require(verdict.verdict == UNDECIDED, f"a probe refuted primality of {spec}")
+    verdict = window_prime(spec, ctx.n)
+    _require(verdict.is_member, f"{spec} is not prime on the window: {verdict.note}")
     for _ in range(10):
-        f = sampling.random_func(ctx.rng, ctx.n)
-        g = sampling.random_func(ctx.rng, ctx.n)
-        wf, wg = member(spec, f), member(spec, g)
-        if wf.is_member or wg.is_member:
-            continue
-        k1, k2 = wf.index, wg.index
-        if k1 * k2 <= ctx.n:
+        f, g = sampling.random_func(ctx.rng, ctx.n), sampling.random_func(ctx.rng, ctx.n)
+        k1, k2 = member(spec, f).index, member(spec, g).index  # None for a member
+        if k1 and k2 and k1 * k2 <= ctx.n:
             _require(f.convolve(g)(k1 * k2) == f(k1) * g(k2), "product witness identity failed")
-    return f"{trials}-trial probe finds no counterexample; product-witness identity holds"
+    return f"{spec}: {verdict.note}; product-witness identity holds"
 
 
 def _check_principal_prime(ctx: _Ctx) -> str:
@@ -312,12 +308,12 @@ def _require_same_verdicts(ctx: _Ctx, a: IdealSpec, b: IdealSpec, message: str) 
 
 def _check_prime_products_ideal(ctx: _Ctx) -> str:
     allow = IdealSpec.prime_products((2, 3))
-    verdict = probe_prime(allow, trials=40, seed=ctx.seed, window=MIN_WINDOW)
-    _require(verdict.verdict == UNDECIDED, f"a probe refuted primality of {allow}")
+    verdict = window_prime(allow, ctx.n)
+    _require(verdict.is_member, f"{allow} is not prime on the window: {verdict.note}")
     co = IdealSpec.prime_products(allow.primes, complement=True)
     same = IdealSpec.coprime_vanishing(prod(allow.primes))
     _require_same_verdicts(ctx, co, same, f"complement-mode J and {same} disagree")
-    return f"probe undecided as expected; finite-complement J agrees with {same} everywhere tested"
+    return f"{allow}: {verdict.note}; finite-complement J agrees with {same} everywhere tested"
 
 
 def _check_inclusion_chain(ctx: _Ctx) -> str:
@@ -362,13 +358,18 @@ def _check_divisibility_depth(ctx: _Ctx) -> str:
 
 def _check_semiprime(ctx: _Ctx) -> str:
     spec = IdealSpec.gcd_count(6, 1)
-    verdict = probe_prime(spec, trials=0, seed=ctx.seed, window=ctx.n)
-    _require(verdict.verdict == NON_MEMBER, f"no witness that {spec} is not prime")
-    for _ in range(chains := 8):  # f(1) = 0 and f(2) != 0, so n0 = 2
-        f = sampling.random_with_norm(ctx.rng, ctx.n, 2)
-        w = probe_semiprime(spec.m, spec.k, f, rmax=2)
-        _require(w.verdict == NON_MEMBER, "powers entered the ideal")
-    return f"delta-pair witness refutes primality; {chains} power chains stay outside as predicted"
+    refuted = window_prime(spec, ctx.n)
+    _require(refuted.pair == (2, 3), f"no delta_2, delta_3 witness that {spec} is not prime")
+    f, g = refuted.elements
+    _require(member(spec, f.convolve(g)).is_member, f"delta_2 * delta_3 lies outside {spec}")
+    verdict = window_prime(spec, ctx.n, squares=True)
+    _require(verdict.is_member, f"{spec} is not semi-prime on the window: {verdict.note}")
+    for a in spec.constrained_indices(ctx.n):  # each delta_a outside with a^2 in the window
+        if a * a > ctx.n:
+            break
+        d = delta(a, ctx.n)
+        _require(member(spec, d.convolve(d)).index == a * a, f"delta_{a}^2 misses index {a * a}")
+    return f"delta_2 * delta_3 lies in {spec}; {verdict.note}"
 
 
 def _check_semiprime_boundaries(ctx: _Ctx) -> str:
@@ -422,7 +423,7 @@ CHECKS = (
     ("norm-threshold ideals I_n descend strictly without end", _check_descending_norm_chain),
     ("prime-tail ideals K_n ascend strictly without end", _check_ascending_prime_tail_chain),
     ("K_n is not prime: explicit witness pair", _check_prime_tail_not_prime),
-    ("P_m is prime: refutation probe finds nothing", _check_coprime_ideal_prime),
+    ("P_m is prime: every pair in the window checked", _check_coprime_ideal_prime),
     ("P_p at a prime is principal with indicator generator", _check_principal_prime),
     ("P_m decomposes over its k prime indicators", _check_generator_count),
     ("P_6 needs two generators: no sampled single divisor", _check_not_bezout),

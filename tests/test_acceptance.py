@@ -29,7 +29,6 @@ from dirichlet_ring import (
     indicator_shift,
     member,
     principal_quotient,
-    probe_semiprime,
     try_divide,
 )
 from dirichlet_ring.sampling import (
@@ -215,7 +214,8 @@ def test_criterion_08_prime_tail_not_prime():
 
 
 def test_criterion_09_semiprime_family():
-    with criterion(9, "P_{6,1}: indicator witness, 20 power chains, boundary cases"):
+    with criterion(9, "P_{6,1}: indicator witness, boundary cases, and 20 power chains "
+                      "each in P_{6,1} and P_{30,2}"):
         n = 64
         spec = IdealSpec.gcd_count(6, 1)
         d2, d3 = delta(2, n), delta(3, n)
@@ -227,14 +227,16 @@ def test_criterion_09_semiprime_family():
         rng = random.Random(909)
         window = 512
         starts = [1, 2, 3, 4, 5, 7, 8]
-        for trial in range(20):
-            n0 = starts[trial % len(starts)]
-            vals = [Fraction(0)] * (n0 - 1)
-            vals.append(Fraction(rng.choice((1, 2, 3))))
-            vals.extend(random_scalar(rng) for _ in range(window - n0))
-            f = ArithFunc(vals, EXACT)
-            w = probe_semiprime(6, 1, f, rmax=3)
-            assert w.verdict == NON_MEMBER and w.index == n0
+        for semiprime in (spec, IdealSpec.gcd_count(30, 2)):
+            for trial in range(20):
+                n0 = starts[trial % len(starts)]
+                vals = [Fraction(0)] * (n0 - 1)
+                vals.append(Fraction(rng.choice((1, 2, 3))))
+                vals.extend(random_scalar(rng) for _ in range(window - n0))
+                f = ArithFunc(vals, EXACT)
+                for r in range(1, 4):
+                    w = member(semiprime, f.power(r))
+                    assert w.verdict == NON_MEMBER and w.index == n0**r
         # boundary agreement on indicators
         base, k0, k2 = (
             IdealSpec.coprime_vanishing(6),

@@ -1,5 +1,6 @@
-"""Ideal families: membership, quotients, decompositions, chains, and
-the primality/semi-primality probes."""
+"""Ideal families: membership, quotients, decompositions, chains, the
+window decisions of primality and semi-primality, and the primality
+probe."""
 
 import random
 from fractions import Fraction
@@ -25,7 +26,7 @@ from dirichlet_ring import (
     member,
     principal_quotient,
     probe_prime,
-    probe_semiprime,
+    window_prime,
     zeros,
 )
 from dirichlet_ring import ring
@@ -34,12 +35,12 @@ from dirichlet_ring.sampling import (
     random_func,
     random_in_ideal,
     random_outside,
-    random_scalar,
     random_with_norm,
 )
 from dirichlet_ring import MEMBER, NON_MEMBER, UNDECIDED, Witness
 
-from oracles import depth_power_chain, distinct_count_scan, is_prime_scan, prime_factors_scan, rank_over_q
+from oracles import (convolve_lists, depth_power_chain, distinct_count_scan, is_prime_scan,
+                     prime_factors_scan, rank_over_q)
 
 ALL_FAMILY_SPECS = [
     IdealSpec.norm_floor(4),
@@ -481,33 +482,6 @@ def test_probe_norm_floor_refuted():
     assert w.verdict == NON_MEMBER
 
 
-def test_probe_semiprime_indicator_powers():
-    w = probe_semiprime(6, 1, delta(2, 8), rmax=3)
-    assert w.verdict == NON_MEMBER and w.index == 2
-
-
-def test_probe_semiprime_vacuous_for_members():
-    f = delta(6, 64)  # inside P_{6,1}
-    w = probe_semiprime(6, 1, f, rmax=3)
-    assert w.verdict == MEMBER
-
-
-def test_probe_semiprime_least_indices_track_powers():
-    rng = random.Random(7)
-    for _ in range(5):
-        vals = [random_scalar(rng) for _ in range(16)]
-        vals[0] = Fraction(0)
-        vals[1] = Fraction(rng.choice((1, 2, 3)))
-        f = ArithFunc(vals, EXACT)
-        w = probe_semiprime(30, 2, f, rmax=2)
-        assert w.verdict == NON_MEMBER and w.index == 2
-
-
-def test_probe_semiprime_window_guard():
-    with pytest.raises(WindowError):
-        probe_semiprime(6, 1, delta(2, 8), rmax=4)  # 2^4 = 16 > 8
-
-
 def test_random_outside_forces_a_violation_when_sampling_finds_none():
     # replaying each seed's free draw shows which path it took
     spec, forced = IdealSpec.norm_floor(3), 0  # constrains 1 and 2
@@ -523,10 +497,103 @@ def test_random_outside_forces_a_violation_when_sampling_finds_none():
     assert forced
 
 
-@pytest.mark.parametrize("rmax", [0, -1])
-def test_probe_semiprime_needs_a_power_to_check(rmax):
-    with pytest.raises(ValueError, match="rmax"):
-        probe_semiprime(6, 1, delta(2, 64), rmax=rmax)
+# window decisions of primality ---------------------------------------------------
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_window_prime_needs_a_window(window):
+    with pytest.raises(ValueError, match="window length"):
+        window_prime(IdealSpec.maximal(), window)
+
+
+PRIME_SPECS = [
+    *(IdealSpec.norm_floor(n) for n in (1, 2, 4, 9, 20)),
+    IdealSpec.maximal(),
+    *(IdealSpec.coprime_vanishing(m) for m in (1, 2, 6, 30)),
+    *(IdealSpec.gcd_count(m, k) for m, k in ((6, 0), (6, 1), (6, 2), (30, 1), (30, 2))),
+    IdealSpec.prime_products((2, 3)),
+    IdealSpec.prime_products((5,)),
+    IdealSpec.prime_products((2, 3), complement=True),
+    IdealSpec.prime_products((7,), complement=True),
+    *(IdealSpec.prime_tail(n) for n in (1, 3)),
+]
+
+
+def _brute_prime(spec, window, squares, indicators, products):
+    """The first pair (a, b), a <= b, of indicators outside whose product
+    lies inside, and the number of pairs before it, by the product of
+    every two indicators on the window and the definition scan; ab > window
+    leaves the product zero on the window, so such a pair decides nothing."""
+    constrained = _constrained_by_scan(spec, window)
+    outside = [a for a, d in indicators.items() if any(d[k - 1] for k in constrained)]
+    count = 0
+    for i, a in enumerate(outside):
+        for b in outside[i : i + 1] if squares else outside[i:]:
+            if a * b <= window:
+                if not any(products[a, b][k - 1] for k in constrained):
+                    return (a, b), count
+                count += 1
+    return None, count
+
+
+@pytest.mark.parametrize("squares", [False, True], ids=["prime", "semiprime"])
+def test_window_prime_matches_brute_force(squares):
+    for window in range(1, 25):
+        indicators = {a: [int(k == a) for k in range(1, window + 1)] for a in range(1, window + 1)}
+        products = {(a, b): convolve_lists(indicators[a], indicators[b])
+                    for a in indicators for b in indicators}
+        for spec in PRIME_SPECS:
+            if spec.tag == ideals.TAG_NORM_FLOOR and spec.n > window + 1:  # as member refuses it
+                with pytest.raises(WindowError, match=f"^norm threshold {spec.n} inspects indices "
+                                                      f"beyond the window {window}$"):
+                    window_prime(spec, window, squares)
+                continue
+            w = window_prime(spec, window, squares)
+            pair, count = _brute_prime(spec, window, squares, indicators, products)
+            if not _constrained_by_scan(spec, window):  # the whole ring never passes vacuously
+                kind = "semi-prime" if squares else "prime"
+                assert w == Witness(NON_MEMBER, note=f"not {kind} (the whole ring)"), (spec, window)
+            elif pair is None:
+                kind = "squares" if squares else "pairs"
+                note = f"every one of {count} {kind} with product <= {window} stays outside"
+                assert w == Witness(MEMBER, note=note), (spec, window)
+            else:
+                a, b = pair
+                note = f"delta_{a} * delta_{b} = delta_{a * b} lies in {spec.label()}"
+                elements = (delta(a, window), delta(b, window))
+                assert w == Witness(NON_MEMBER, pair=pair, note=note, elements=elements), (spec, window)
+
+
+def _outside(rng, spec, window):
+    """A seeded non-member with entries in -3..3, zero below a random
+    index, and the least index where it violates the ideal."""
+    for _ in range(1000):
+        zero = rng.randrange(window)
+        vals = [0] * zero + [rng.randint(-3, 3) for _ in range(window - zero)]
+        verdict = member(spec, ArithFunc(vals))
+        if not verdict.is_member:
+            return vals, verdict.index
+    raise AssertionError(f"no non-member of {spec} drawn on 1..{window}")
+
+
+def test_non_members_never_contradict_a_window_decision():
+    rng = random.Random(31)
+    checked = 0
+    for window in range(1, 25):
+        for spec in PRIME_SPECS:
+            if spec.tag == ideals.TAG_NORM_FLOOR and spec.n > window + 1:
+                continue
+            for squares in (False, True):
+                if not window_prime(spec, window, squares).is_member:
+                    continue
+                for _ in range(10):
+                    f, a = _outside(rng, spec, window)
+                    g, b = (f, a) if squares else _outside(rng, spec, window)
+                    if a * b <= window:
+                        product = member(spec, ArithFunc(convolve_lists(f, g)))
+                        assert product.index == a * b, (spec, window, f, g)
+                        checked += 1
+    assert checked > 1000
 
 
 # divisibility depth ---------------------------------------------------------------

@@ -27,8 +27,8 @@ PINNED_EXPORTS = [
     "ZeroFunctionError", "chain", "check_nonprime_norm_product", "classify",
     "decompose_coprime_vanishing", "delta", "divisibility_depth", "essential_witness", "factorize",
     "generate", "identity", "indicator_shift", "is_additive", "is_completely_additive", "is_prime",
-    "member", "nth_prime", "principal_quotient", "probe_prime", "probe_semiprime", "try_divide",
-    "units_group_probe", "zeros",
+    "member", "nth_prime", "principal_quotient", "probe_prime", "try_divide", "units_group_probe",
+    "window_prime", "zeros",
 ]
 
 
