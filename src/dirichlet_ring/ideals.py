@@ -329,7 +329,7 @@ def window_prime(spec: IdealSpec, window: int, squares: bool = False) -> Witness
     """Decide whether the ideal is prime on 1..window, or semi-prime with ``squares``.
 
     Its constrained indices T are divisor-closed, so f and g outside it, with
-    least nonzero indices a and b in T and ab in T, have (f*g)(ab) = f(a)g(b).
+    least nonzero indices a and b in T and ab in T, have (f*g)(ab) = f(a)g(b) != 0.
     So it is prime exactly when a, b in T with ab <= window gives ab in T, and
     semi-prime when a = b does; delta_a and delta_b exhibit a failure.  Pairs
     with ab > window stay undecided, and the whole ring is neither."""
