@@ -52,7 +52,7 @@ def test_shared_candidates_are_named_in_failures():
 
 
 def test_seed_63_passes_every_check():
-    # the P_6 probe once refuted primality here from a violation at index 65
+    # seed 63 once failed: a sampled P_6 probe refuted primality from a violation at index 65
     assert all(r.passed for r in verify.run_all(64, 63))
 
 
