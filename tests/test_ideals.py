@@ -35,6 +35,7 @@ from dirichlet_ring.sampling import (
     random_func,
     random_in_ideal,
     random_outside,
+    random_scalar,
     random_with_norm,
 )
 from dirichlet_ring import MEMBER, NON_MEMBER, UNDECIDED, Witness
@@ -504,6 +505,22 @@ def test_random_outside_forces_a_violation_when_sampling_finds_none():
 def test_window_prime_needs_a_window(window):
     with pytest.raises(ValueError, match="window length"):
         window_prime(IdealSpec.maximal(), window)
+
+
+def test_probe_semiprime_least_indices_track_powers():
+    # f(1) = 0 and f(2) != 0 put f outside P_{30,2} at 2 and its square at 4,
+    # as the squares scan of the semi-prime P_{30,2} says they must
+    spec = IdealSpec.gcd_count(30, 2)
+    assert window_prime(spec, 16, squares=True).is_member
+    rng = random.Random(7)
+    for _ in range(5):
+        vals = [random_scalar(rng) for _ in range(16)]
+        vals[0] = Fraction(0)
+        vals[1] = Fraction(rng.choice((1, 2, 3)))
+        f = ArithFunc(vals, EXACT)
+        for r in (1, 2):
+            w = member(spec, f.power(r))
+            assert w.verdict == NON_MEMBER and w.index == 2**r
 
 
 PRIME_SPECS = [
