@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from operator import add
 
-from .primes import prime_power_fold
+from .primes import prime_power_fold, primes_upto
 from .ring import ArithFunc
 
 # a narrow scalar times 6, by its two draws: (i - 3) * 6 / (j + 1)
@@ -111,6 +111,12 @@ def random_outside(rng: random.Random, spec, n: int) -> tuple[ArithFunc, int]:
 
 
 def random_additive(rng: random.Random, n: int) -> ArithFunc:
-    """Random additive function: one value per prime power, drawn when
-    the fold reaches that prime power, in ascending order."""
-    return ArithFunc._of(prime_power_fold(n, lambda p, a: _draws(rng, 1)[0], add, 0), 6)
+    """Random additive function: one value per prime power, drawn in one
+    batch and taken by the fold in ascending order of the prime powers."""
+    count = 0
+    for p in primes_upto(n):
+        power = p
+        while power <= n:
+            count, power = count + 1, power * p
+    values = iter(_draws(rng, count))
+    return ArithFunc._of(prime_power_fold(n, lambda p, a: next(values), add, 0), 6)

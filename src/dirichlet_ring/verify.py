@@ -10,8 +10,9 @@ denominator of at most ``ring.SHARED_BITS`` bits.  The wide path of the
 ring kernels, on numerator and denominator columns, is checked by the
 test suite instead: by its comparisons with the independent evaluators
 and by the pinned wide-kernel digests.  A wide sample here would slow
-every run for a path the tests already cover.  The prime ideals are not
-sampled: ``ideals.window_prime`` decides them over the whole window.
+every run for a path the tests already cover.  Ideals are decided over the
+whole window, not sampled: primality by ``ideals.window_prime``, equality and
+inclusion by comparing the index sets where members must vanish.
 
 A detail line or failure message prints only values its check ran with:
 a count is its loop's bound, an ideal its spec's label, an indicator
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 from . import ideals, sampling, structure, zoo
 from .ideals import IdealSpec, chain, divisibility_depth, member, probe_prime, window_prime
-from .ring import (MEMBER, NON_MEMBER, ArithFunc, NonUnitError, NotDivisibleWitness, delta,
+from .ring import (MEMBER, NON_MEMBER, NonUnitError, NotDivisibleWitness, delta,
                    dirichlet_product, identity, indicator_shift, try_divide)
 from .structure import (
     CERT_COMPOSITE_NEXT,
@@ -241,8 +242,9 @@ def _check_coprime_ideal_prime(ctx: _Ctx) -> str:
     for _ in range(10):
         f, g = sampling.random_func(ctx.rng, ctx.n), sampling.random_func(ctx.rng, ctx.n)
         k1, k2 = member(spec, f).index, member(spec, g).index  # None for a member
-        if k1 and k2 and k1 * k2 <= ctx.n:
-            _require(f.convolve(g)(k1 * k2) == f(k1) * g(k2), "product witness identity failed")
+        if k1 and k2 and (k := k1 * k2) <= ctx.n:  # (f * g)(k), summed over the divisors of k
+            fg = sum(f(d) * g(k // d) for d in range(1, k + 1) if k % d == 0)
+            _require(fg == f(k1) * g(k2), "product witness identity failed")
     return f"{spec}: {verdict.note}; product-witness identity holds"
 
 
@@ -291,19 +293,12 @@ def _check_not_bezout(ctx: _Ctx) -> str:
             f"({units} units rejected since {spec} is proper)")
 
 
-def _candidates(ctx: _Ctx) -> list[tuple[str, ArithFunc]]:
-    """Every indicator on MIN_WINDOW, then ten ``random_func`` draws, each
-    with the label a failure message names it by."""
-    window = MIN_WINDOW
-    found = [(f"delta_{idx}", delta(idx, window)) for idx in range(1, window + 1)]
-    for k in range(1, 11):
-        found.append((f"random function {k}", sampling.random_func(ctx.rng, window)))
-    return found
-
-
-def _require_same_verdicts(ctx: _Ctx, a: IdealSpec, b: IdealSpec, message: str) -> None:
-    for label, f in _candidates(ctx):
-        _require(member(a, f).verdict == member(b, f).verdict, f"{message} on {label}")
+def _first_difference(a: IdealSpec, b: IdealSpec, n: int, subset: bool = False) -> int | None:
+    """The least k <= n that exactly one of a and b constrains (with ``subset``, that
+    only b constrains), or None.  Each family is a support ideal, so delta_k lies in
+    exactly one of them (in a and not in b), and None means a = b (a in b) on 1..n."""
+    sa, sb = set(a.constrained_indices(n)), set(b.constrained_indices(n))
+    return min(sb - sa if subset else sa ^ sb, default=None)
 
 
 def _check_prime_products_ideal(ctx: _Ctx) -> str:
@@ -312,8 +307,9 @@ def _check_prime_products_ideal(ctx: _Ctx) -> str:
     _require(verdict.is_member, f"{allow} is not prime on the window: {verdict.note}")
     co = IdealSpec.prime_products(allow.primes, complement=True)
     same = IdealSpec.coprime_vanishing(prod(allow.primes))
-    _require_same_verdicts(ctx, co, same, f"complement-mode J and {same} disagree")
-    return f"{allow}: {verdict.note}; finite-complement J agrees with {same} everywhere tested"
+    idx = _first_difference(co, same, ctx.n)
+    _require(idx is None, f"complement-mode J and {same} disagree on delta_{idx}")
+    return f"{allow}: {verdict.note}; finite-complement J agrees with {same} on 1..{ctx.n}"
 
 
 def _check_inclusion_chain(ctx: _Ctx) -> str:
@@ -323,23 +319,20 @@ def _check_inclusion_chain(ctx: _Ctx) -> str:
         IdealSpec.prime_products((5, 7)),
         IdealSpec.prime_products((5,)),
     ]
-    candidates = _candidates(ctx)
-    for label, f in candidates:
-        for small, large in zip(specs, specs[1:]):
-            if member(small, f).is_member:
-                _require(member(large, f).is_member, f"{small} escaped {large} at {label}")
-    return f"inclusions {' in '.join(map(str, specs))} hold on {len(candidates)} candidates"
+    for small, large in zip(specs, specs[1:]):
+        idx = _first_difference(small, large, ctx.n, subset=True)
+        _require(idx is None, f"{small} escaped {large} at delta_{idx}")
+    return f"inclusions {' in '.join(map(str, specs))} hold on 1..{ctx.n}"
 
 
 def _check_same_ideal_criterion(ctx: _Ctx) -> str:
     p6, p12, p10 = (IdealSpec.coprime_vanishing(m) for m in (6, 12, 10))
-    _require_same_verdicts(ctx, p6, p12, f"{p6} and {p12} disagree")
+    idx = _first_difference(p6, p12, ctx.n)
+    _require(idx is None, f"{p6} and {p12} disagree on delta_{idx}")
     d = delta(k := 5, MIN_WINDOW)
-    _require(
-        member(p10, d).is_member and not member(p6, d).is_member,
-        f"delta_{k} fails to separate {p10} from {p6}",
-    )
-    return f"{p6} = {p12} on all tested inputs; delta_{k} separates {p10} from {p6}"
+    _require(member(p10, d).is_member and not member(p6, d).is_member,
+             f"delta_{k} fails to separate {p10} from {p6}")
+    return f"{p6} = {p12} on 1..{ctx.n}; delta_{k} separates {p10} from {p6}"
 
 
 def _check_divisibility_depth(ctx: _Ctx) -> str:
@@ -373,16 +366,15 @@ def _check_semiprime(ctx: _Ctx) -> str:
 
 
 def _check_semiprime_boundaries(ctx: _Ctx) -> str:
-    window = MIN_WINDOW
     base = IdealSpec.coprime_vanishing(6)
     k0 = IdealSpec.gcd_count(base.m, 0)
     k_big = IdealSpec.gcd_count(base.m, 2)
-    for idx in (indices := range(1, window + 1)):
-        d = delta(idx, window)
-        _require(member(k0, d).verdict == member(base, d).verdict,
-                 f"{k0} and {base} disagree on delta_{idx}")
-        _require(not member(k_big, d).is_member, f"{k_big} admitted delta_{idx}")
-    return f"{k0} matches {base} on delta_{indices[0]}..delta_{indices[-1]}; {k_big} rejects each"
+    zero = IdealSpec.norm_floor(ctx.n + 1)  # constrains every index of 1..n
+    idx = _first_difference(k0, base, ctx.n)
+    _require(idx is None, f"{k0} and {base} disagree on delta_{idx}")
+    idx = _first_difference(k_big, zero, ctx.n)
+    _require(idx is None, f"{k_big} admitted delta_{idx}")
+    return f"{k0} = {base} and {k_big} = 0 on 1..{ctx.n}"
 
 
 # the function zoo ----------------------------------------------------------

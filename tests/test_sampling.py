@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dirichlet_ring.sampling import _draws, random_non_unit, random_nonzero, random_scalar
+from dirichlet_ring.sampling import _draws, random_additive, random_non_unit, random_nonzero, random_scalar
 
 from oracles import randint_scalar
 
@@ -35,3 +35,31 @@ def test_an_all_zero_draw_is_patched_nonzero(sampler, n, seed, first):
     assert not any(_draws(random.Random(seed), n)[first:])
     f = sampler(random.Random(seed), n)
     assert not f.is_zero() and not any(f.values[:first])
+
+
+def _prime_power_parts(k):
+    """The prime powers p^a exactly dividing k, by trial division."""
+    parts, p = [], 2
+    while k > 1:
+        q = 1
+        while k % p == 0:
+            k, q = k // p, q * p
+        if q > 1:
+            parts.append(q)
+        p += 1
+    return parts
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 64, 300])
+def test_additive_sample_draws_one_randint_pair_per_prime_power(n):
+    # one pair per prime power p^a <= n, in ascending order of p^a, then
+    # f(k) is the sum over the p^a exactly dividing k: the values and the
+    # generator's final state of drawing one entry as the fold reaches p^a
+    parts = [_prime_power_parts(k) for k in range(1, n + 1)]
+    powers = [k for k, ps in enumerate(parts, 1) if ps == [k]]
+    for seed in range(30):
+        ours, ref = random.Random(seed), random.Random(seed)
+        at = {q: randint_scalar(ref) for q in powers}
+        expected = [sum((at[q] for q in ps), Fraction(0)) for ps in parts]
+        assert list(random_additive(ours, n).values) == expected
+        assert ours.getstate() == ref.getstate()

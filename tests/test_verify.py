@@ -3,12 +3,13 @@ its pinned report."""
 
 import hashlib
 import itertools
+import re
 
 import pytest
 
 from dirichlet_ring import verify
-from dirichlet_ring.ideals import IdealSpec
-from dirichlet_ring.ring import ArithFunc, dirichlet_product
+from dirichlet_ring.ideals import IdealSpec, member
+from dirichlet_ring.ring import ArithFunc, delta, dirichlet_product
 
 
 def test_run_all_records_a_crashing_check_and_goes_on(monkeypatch):
@@ -41,14 +42,61 @@ def test_invertibility_check_counts_only_non_unit_rejections(monkeypatch):
         verify._check_invertibility(verify._Ctx(64, 0, "invertibility"))
 
 
-def test_shared_candidates_are_named_in_failures():
-    ctx = verify._Ctx(64, 0, "candidates")
-    labels = [label for label, _ in verify._candidates(ctx)]
-    assert labels[0] == "delta_1" and labels[63] == "delta_64"
-    assert labels[64:] == [f"random function {k}" for k in range(1, 11)]
+def test_first_difference_names_the_separating_delta(monkeypatch):
     p6, p10 = IdealSpec.coprime_vanishing(6), IdealSpec.coprime_vanishing(10)
+    assert verify._first_difference(p6, p10, 64) == 3  # delta_3 lies in P_6, not in P_10
+    assert verify._first_difference(p10, p6, 64, subset=True) == 5
+    assert verify._first_difference(p6, IdealSpec.coprime_vanishing(12), 64) is None
+    # the same-ideal check, handed P_10 for P_12, names the least separating delta
+    coprime_vanishing = IdealSpec.coprime_vanishing
+    monkeypatch.setattr(IdealSpec, "coprime_vanishing",
+                        lambda m: coprime_vanishing(10 if m == 12 else m))
     with pytest.raises(AssertionError, match=r"^P_6 and P_10 disagree on delta_3$"):
-        verify._require_same_verdicts(ctx, p6, p10, "P_6 and P_10 disagree")
+        verify._check_same_ideal_criterion(verify._Ctx(64, 0, "same ideal"))
+
+
+def _compared_specs(n):
+    """The specs the four support-ideal checks compare at window n; the last
+    is the zero ideal on 1..n."""
+    P, J, Pk = IdealSpec.coprime_vanishing, IdealSpec.prime_products, IdealSpec.gcd_count
+    return [P(2), P(6), P(10), P(12), J((2, 3), complement=True), J((5, 7)), J((5,)),
+            Pk(6, 0), Pk(6, 2), IdealSpec.norm_floor(n + 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_first_difference_agrees_with_delta_by_delta_membership(n):
+    # the oracle is the comparison the checks made before: member on every
+    # delta_k of the window.  Every ordered pair is compared, each way, so
+    # pairs that separate are met as well as pairs that agree
+    specs = _compared_specs(n)
+    deltas = [delta(k, n) for k in range(1, n + 1)]
+    holds = {spec: [member(spec, d).is_member for d in deltas] for spec in specs}
+    for a, b in itertools.product(specs, repeat=2):
+        for subset in (False, True):  # with subset, the least delta_k in a and not in b
+            expected = next((k for k, (in_a, in_b) in enumerate(zip(holds[a], holds[b]), 1)
+                             if in_a != in_b and (in_a or not subset)), None)
+            assert verify._first_difference(a, b, n, subset) == expected, (a, b, subset)
+
+
+@pytest.mark.parametrize("check, spec, message", [
+    ("prime_products_ideal", IdealSpec.prime_products((2, 3), complement=True),
+     "complement-mode J and P_6 disagree on delta_256"),
+    ("same_ideal_criterion", IdealSpec.coprime_vanishing(12), "P_6 and P_12 disagree on delta_256"),
+    ("inclusion_chain", IdealSpec.prime_products((5,)), "J_{5,7} escaped J_{5} at delta_256"),
+    ("semiprime_boundaries", IdealSpec.gcd_count(6, 0), "P_{6,0} and P_6 disagree on delta_256"),
+    ("semiprime_boundaries", IdealSpec.gcd_count(6, 2), "P_{6,2} admitted delta_256"),
+], ids=["J_Q", "same_ideal", "inclusions", "P_{6,0}", "P_{6,2}"])
+def test_a_difference_at_the_last_index_fails_the_check(monkeypatch, check, spec, message):
+    # the spec gains or loses index 256 alone, so only the whole window separates it
+    constrained = IdealSpec.constrained_indices
+
+    def toggled(self, window):
+        idxs = constrained(self, window)
+        return tuple(sorted(set(idxs) ^ {256})) if self == spec else idxs
+
+    monkeypatch.setattr(IdealSpec, "constrained_indices", toggled)
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        getattr(verify, f"_check_{check}")(verify._Ctx(256, 0, check))
 
 
 def test_seed_63_passes_every_check():
