@@ -18,7 +18,7 @@ from dirichlet_ring.cli import DEFAULT_N, MAX_DIGITS, build_parser, main, parse_
 from dirichlet_ring.ideals import IdealSpec
 from dirichlet_ring.seqfile import FORMATS, load, save
 
-PINNED_CLI_DIGEST = "79f4db7c897cd752fffa85bbcf20632000d062a883a5153fd74fd539c5c3d6e2"
+PINNED_CLI_DIGEST = "fc47db553967000c87810a2ccf5c98195f09c19263f33e4cab77ffb009fe519c"
 
 SRC_DIR = str(Path(dirichlet_ring.__file__).resolve().parent.parent)
 

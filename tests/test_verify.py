@@ -127,8 +127,8 @@ def test_idempotent_check_takes_few_products(monkeypatch):
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (0, "4313aad9dbead3bc85ad341f9270e50c7540755bc5b048f4289dcb1f72958822"),
-    (1, "d558615eae98acd5f05dee675d2fbe3bbf6f611217d732c7b0254b357018d455"),
+    (0, "d72e47052f4cdfa011333766b61a2203066cb640bdf40a10521e2b6231a9e374"),
+    (1, "4bc6fd0d458753557617e60bc033eb0ed0c36485897a081c02e4f5bf1c322866"),
 ], ids=["seed0", "seed1"])  # ids without the digest, so a new digest keeps the test's name
 def test_report_at_256_is_pinned(seed, digest):
     # the whole verify-paper report, verdicts, witnesses and draws included;
@@ -140,5 +140,5 @@ def test_report_at_256_is_pinned(seed, digest):
 def test_report_at_1024_is_pinned():
     # the window of the benchmark's longest verify-paper run
     report = verify.render_report(verify.run_all(1024, 0), 1024, 0)
-    digest = "e923b2f06d3497ac9fb9e7b9de19048830e90c042dd1cb38c78a112fc7a93a24"
+    digest = "1ef04bb2987f068a6cf5df33dd8d701ff8d82c506f92e61f18bb1a1f62f2e483"
     assert hashlib.sha256(report.encode()).hexdigest() == digest
