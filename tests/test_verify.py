@@ -65,9 +65,9 @@ def _compared_specs(n):
 
 @pytest.mark.parametrize("n", range(1, 65))
 def test_first_difference_agrees_with_delta_by_delta_membership(n):
-    # the oracle is the comparison the checks made before: member on every
-    # delta_k of the window.  Every ordered pair is compared, each way, so
-    # pairs that separate are met as well as pairs that agree
+    # the oracle: member on every delta_k of the window.  Every ordered pair
+    # is compared, each way, so pairs that separate are met as well as pairs
+    # that agree
     specs = _compared_specs(n)
     deltas = [delta(k, n) for k in range(1, n + 1)]
     holds = {spec: [member(spec, d).is_member for d in deltas] for spec in specs}
