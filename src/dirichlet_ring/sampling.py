@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from operator import add
 
-from .primes import prime_power_fold, primes_upto
+from .primes import smallest_prime_factors
 from .ring import ArithFunc
 
 # a narrow scalar times 6, by its two draws: (i - 3) * 6 / (j + 1)
@@ -112,11 +111,18 @@ def random_outside(rng: random.Random, spec, n: int) -> tuple[ArithFunc, int]:
 
 def random_additive(rng: random.Random, n: int) -> ArithFunc:
     """Random additive function: one value per prime power, drawn in one
-    batch and taken by the fold in ascending order of the prime powers."""
-    count = 0
-    for p in primes_upto(n):
-        power = p
-        while power <= n:
-            count, power = count + 1, power * p
-    values = iter(_draws(rng, count))
-    return ArithFunc._of(prime_power_fold(n, lambda p, a: next(values), add, 0), 6)
+    batch in ascending order of the prime powers, all read off one sieve.
+    ``rest[k]`` is k with the power of its least prime divided out, so k
+    is a prime power when it is 1, and else f(k) = f(rest[k]) + f(k / rest[k])."""
+    spf = smallest_prime_factors(n)
+    rest = [1] * (n + 1)
+    for k in range(2, n + 1):
+        p = spf[k]
+        q = k // p
+        rest[k] = rest[q] if spf[q] == p else q
+    values = iter(_draws(rng, rest.count(1) - 2))  # rest[0] and rest[1] are 1 too
+    vals = [0] * (n + 1)
+    for k in range(2, n + 1):
+        r = rest[k]
+        vals[k] = next(values) if r == 1 else vals[r] + vals[k // r]
+    return ArithFunc._of(vals[1:], 6)

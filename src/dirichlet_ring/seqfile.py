@@ -9,12 +9,13 @@ JSON number.  The values array holds indices 1..n in order.
 
 Every JSON text here comes from one writer, :func:`dumps`, which writes
 the bytes ``json.dumps(obj, indent=2)`` writes.  It builds a sequence's
-values array straight from the stored form: the exact values are one
-``%``-format call over a row template repeated once per value, each
-row filled by the value's numerator and denominator (past Python's
-digit limit ``%d`` raises the ``ValueError`` that ``str`` raises), a
-float value is its ``repr`` (what ``json`` writes; a float function
-holds finite doubles only, so none is ``Infinity`` or ``NaN``), and the
+values array straight from the stored form, exact or float, as one
+``%``-format call over a row template repeated once per value: an exact
+row is filled by the value's numerator and denominator (past Python's
+digit limit ``%d`` raises the ``ValueError`` that ``str`` raises), and a
+float row is ``%r`` filled from the stored tuple, the ``repr`` that
+``json`` writes (a float function holds finite doubles only, so none is
+``Infinity`` or ``NaN``), so no list of per-value strings is built.  The
 name goes through ``json.dumps``, so its escaping is ``json``'s.  The
 pieces are joined once, at the end.  ``json.dumps`` with an indent runs CPython's
 pure-Python encoder, several times slower than this at tens of
@@ -27,7 +28,12 @@ denominator once, and reads an exact file as its numerators
 over the lcm of its denominators, or, when ``ring.shared_denominator``,
 the ring's one rule for the stored form, gives that lcm up, as its
 pairs in lowest terms with positive denominators; neither builds a
-``Fraction``.
+``Fraction``.  :func:`load` takes the values list out of the object it
+parsed, and the per-value ``[num, den]`` lists are released once their
+strings are read, before anything converts, as are the strings before
+the stored form is built, so the reader never holds the parse tree and
+the function together.  :func:`from_json_obj` reads a copy of its
+argument's fields and leaves the argument as it was.
 """
 
 from __future__ import annotations
@@ -72,13 +78,14 @@ def to_json_obj(f: ArithFunc, name: str = "sequence") -> dict:
 def _values_json(f: ArithFunc, pad: str, out: list) -> None:
     """Append the values array of ``f`` at indent ``pad`` to ``out``."""
     p = pad + "  "
-    if f.mode == FLOAT:
-        body = f",\n{p}".join(map(repr, f.values))
-    else:  # one row per value, all filled in by one %-format call
+    if f.mode == FLOAT:  # the stored tuple, each value as its repr
+        row, args = "%r", f.values
+    else:
         nums, dens = lowest_terms(f)
         row = f'[\n{p}  "%d",\n{p}  "{"1" if dens is None else "%d"}"\n{p}]'
         args = tuple(nums) if dens is None else tuple(chain.from_iterable(zip(nums, dens)))
-        body = f",\n{p}".join([row] * len(nums)) % args
+    # one row per value, all filled in by one %-format call
+    body = f",\n{p}".join([row] * len(f)) % args
     out += f"[\n{p}", body, f"\n{pad}]"
 
 
@@ -121,14 +128,30 @@ def to_json(f: ArithFunc, name: str = "sequence") -> str:
     return dumps((f, name))
 
 
+def _all_decimal(nums: list) -> bool:
+    """Whether every one of the strings ``nums`` is a decimal string, read
+    as one string when each is an optional "-" and ASCII digits."""
+    bare = list(map(str.removeprefix, nums, repeat("-")))
+    digits = "".join(bare)
+    return all(bare) and digits.isascii() and digits.isdigit() or all(map(is_decimal, nums))
+
+
 _NOT_PAIRS = "each exact value must be a [numerator, denominator] pair of decimal strings"
 
 
 def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
+    """The (name, function) a sequence object holds; ``obj`` is left as it is."""
+    return _take(dict(obj) if isinstance(obj, dict) else obj)
+
+
+def _take(obj: dict) -> tuple[str, ArithFunc]:
+    """:func:`from_json_obj` on a dict that is the caller's to spend: the
+    values list is taken out of it, so the per-value lists die here, before
+    anything converts, even where the caller still holds the dict."""
     if not isinstance(obj, dict):
         raise ValueError("a sequence must be a JSON object")
     try:
-        name, mode, n, raw = obj["name"], obj["mode"], obj["n"], obj["values"]
+        name, mode, n, raw = obj["name"], obj["mode"], obj["n"], obj.pop("values")
     except KeyError as exc:
         raise ValueError(f"sequence object is missing field {exc}") from None
     if not isinstance(name, str):
@@ -150,12 +173,11 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
     if not all(map(isinstance, raw, repeat(list))) or set(map(len, raw)) != {2}:
         raise ValueError(_NOT_PAIRS)
     nums, texts = [v[0] for v in raw], [v[1] for v in raw]
+    del raw  # the [num, den] lists go before anything converts
     try:  # str.removeprefix and set raise TypeError on a list, a number or None
-        bare, distinct = list(map(str.removeprefix, nums, repeat("-"))), set(texts)
+        decimal, distinct = _all_decimal(nums), set(texts)
     except TypeError:
         raise ValueError(_NOT_PAIRS) from None
-    digits = "".join(bare)
-    decimal = all(bare) and digits.isascii() and digits.isdigit() or all(map(is_decimal, nums))
     if not (decimal and all(map(isinstance, distinct, repeat(str))) and all(map(is_decimal, distinct))):
         raise ValueError(_NOT_PAIRS)
     # the numerators over the lcm of the distinct denominators, the stored
@@ -166,14 +188,17 @@ def from_json_obj(obj: dict) -> tuple[str, ArithFunc]:
         raise ValueError("an exact value has denominator 0")
     common = shared_denominator(dens.values())
     if common is None:
-        pairs = [(int(num), dens[den]) for num, den in raw]
+        pairs = [(int(num), dens[den]) for num, den in zip(nums, texts)]
         gs = [math.gcd(x, d) if d > 0 else -math.gcd(x, d) for x, d in pairs]
         nums = [x // g for (x, _), g in zip(pairs, gs)]
         return name, ArithFunc._of(nums, [d // g for (_, d), g in zip(pairs, gs)])
     scale = {text: common // d for text, d in dens.items()}
     if set(scale.values()) == {1}:  # every denominator is the lcm
-        return name, ArithFunc._of(list(map(int, nums)), common)
-    return name, ArithFunc._of(list(map(mul, map(int, nums), map(scale.__getitem__, texts))), common)
+        entries = tuple(map(int, nums))
+    else:
+        entries = tuple(map(mul, map(int, nums), map(scale.__getitem__, texts)))
+    del nums, texts  # the strings go before the stored form is built
+    return name, ArithFunc._of(entries, common)
 
 
 def _fields(pairs: list) -> dict:
@@ -191,7 +216,7 @@ def load(path: str) -> tuple[str, ArithFunc]:
     text, Python's limit on the digits of an int included, names the file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return from_json_obj(json.load(handle, object_pairs_hook=_fields))
+            return _take(json.load(handle, object_pairs_hook=_fields))
         except UnicodeDecodeError as exc:  # json reads the whole file in one decode
             raise ValueError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from None
         except RecursionError:  # json's parser recurses once per nested array or object

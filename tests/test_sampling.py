@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dirichlet_ring import primes, sampling
 from dirichlet_ring.sampling import _draws, random_additive, random_non_unit, random_nonzero, random_scalar
 
 from oracles import randint_scalar
@@ -63,3 +64,19 @@ def test_additive_sample_draws_one_randint_pair_per_prime_power(n):
         expected = [sum((at[q] for q in ps), Fraction(0)) for ps in parts]
         assert list(random_additive(ours, n).values) == expected
         assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n", [2, 64, 300])
+def test_additive_sample_sieves_the_window_once(n, monkeypatch):
+    # the sieve's own recursion sieves isqrt(n), so count only the window's
+    windows = []
+    sieve = primes.smallest_prime_factors
+
+    def counted(m):
+        windows.append(m)
+        return sieve(m)
+
+    monkeypatch.setattr(primes, "smallest_prime_factors", counted)
+    monkeypatch.setattr(sampling, "smallest_prime_factors", counted, raising=False)
+    random_additive(random.Random(0), n)
+    assert windows.count(n) == 1

@@ -1,8 +1,12 @@
 """Sequence file format: JSON round-trips, CSV rows, and validation."""
 
+import copy
+import gc
 import json
 import math
+import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -404,3 +408,58 @@ def test_loader_accepts_exactly_the_decimal_strings(pairs):
     else:
         _, f = from_json_obj(obj)
         assert f.values == tuple(Fraction(int(a), int(b)) for a, b in pairs)
+
+
+def _traced_peak(call):
+    """The peak bytes ``call()`` allocates above what was live before it,
+    under tracemalloc, and its result."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_loader_peaks_near_the_json_parse_of_its_file(tmp_path):
+    # the [num, den] lists are released before the strings convert, so the
+    # loader holds the parse tree, not the tree and the function together
+    rng = random.Random(5)
+    values = [[str(rng.randrange(-20, 21)), "1"] for _ in range(65536)]
+    path = tmp_path / "ints.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({"name": "ints", "mode": EXACT, "n": 65536, "values": values}, handle)
+    del values
+
+    def parse():
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    parsed, _ = _traced_peak(parse)
+    loaded, (_, f) = _traced_peak(lambda: load(str(path)))
+    assert len(f) == 65536
+    assert loaded <= 1.15 * parsed, (loaded, parsed)
+
+
+def test_float_writer_peaks_near_its_text():
+    # one %-format call over the stored tuple, with no list of repr strings
+    f = log_function(65536)
+    peak, text = _traced_peak(lambda: to_json(f))
+    assert peak <= 2.5 * len(text), (peak, len(text))
+
+
+@pytest.mark.parametrize("obj", [
+    to_json_obj(euler_phi(64), "exact"),
+    to_json_obj(WIDE, "wide"),
+    to_json_obj(log_function(64), "float"),
+], ids=["exact", "wide", "float"])
+def test_from_json_obj_leaves_its_argument_as_it_was(obj):
+    before = copy.deepcopy(obj)
+    from_json_obj(obj)
+    assert obj == before
