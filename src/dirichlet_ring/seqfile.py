@@ -130,7 +130,8 @@ def to_json(f: ArithFunc, name: str = "sequence") -> str:
 
 def _all_decimal(nums: list) -> bool:
     """Whether every one of the strings ``nums`` is a decimal string, read
-    as one string when each is an optional "-" and ASCII digits."""
+    as one string when each is an optional "-" and ASCII digits; a function
+    of its own, so that list and string are gone before the loader converts."""
     bare = list(map(str.removeprefix, nums, repeat("-")))
     digits = "".join(bare)
     return all(bare) and digits.isascii() and digits.isdigit() or all(map(is_decimal, nums))
