@@ -77,6 +77,6 @@ def test_additive_sample_sieves_the_window_once(n, monkeypatch):
         return sieve(m)
 
     monkeypatch.setattr(primes, "smallest_prime_factors", counted)
-    monkeypatch.setattr(sampling, "smallest_prime_factors", counted, raising=False)
+    monkeypatch.setattr(sampling, "smallest_prime_factors", counted)
     random_additive(random.Random(0), n)
     assert windows.count(n) == 1
