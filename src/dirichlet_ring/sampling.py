@@ -8,17 +8,20 @@ Entries come from one loop, ``_draws(rng, n)``, which binds
 it is below 3 for the denominator.  That is how CPython's
 ``randint(-3, 3)`` and ``randint(1, 3)`` draw, so the values and the
 generator's final state are those of n pairs of ``randint`` calls, and a
-single entry is ``_draws(rng, 1)[0]`` at the same point of the stream.
-Every such value is an integer number of sixths, so the samplers build
-narrow functions from integers over 6 and no entry becomes a Fraction.
+single entry is ``_draws(rng, 1)[0]`` at the same point of the stream:
+``random_additive`` draws one that way per prime power, as
+``primes.prime_power_fold`` reaches it.  Every such value is an integer
+number of sixths, so the samplers build narrow functions from integers
+over 6 and no entry becomes a Fraction.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 
-from .primes import smallest_prime_factors
+from .primes import prime_power_fold
 from .ring import ArithFunc
 
 # a narrow scalar times 6, by its two draws: (i - 3) * 6 / (j + 1)
@@ -110,19 +113,7 @@ def random_outside(rng: random.Random, spec, n: int) -> tuple[ArithFunc, int]:
 
 
 def random_additive(rng: random.Random, n: int) -> ArithFunc:
-    """Random additive function: one value per prime power, drawn in one
-    batch in ascending order of the prime powers, all read off one sieve.
-    ``rest[k]`` is k with the power of its least prime divided out, so k
-    is a prime power when it is 1, and else f(k) = f(rest[k]) + f(k / rest[k])."""
-    spf = smallest_prime_factors(n)
-    rest = [1] * (n + 1)
-    for k in range(2, n + 1):
-        p = spf[k]
-        q = k // p
-        rest[k] = rest[q] if spf[q] == p else q
-    values = iter(_draws(rng, rest.count(1) - 2))  # rest[0] and rest[1] are 1 too
-    vals = [0] * (n + 1)
-    for k in range(2, n + 1):
-        r = rest[k]
-        vals[k] = next(values) if r == 1 else vals[r] + vals[k // r]
-    return ArithFunc._of(vals[1:], 6)
+    """Random additive function: one entry per prime power, drawn through
+    ``prime_power_fold`` as it reaches p^a, so in ascending order of p^a,
+    and f(k) is the sum of the entries at the prime powers exactly dividing k."""
+    return ArithFunc._of(prime_power_fold(n, lambda p, a: _draws(rng, 1)[0], add, 0), 6)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dirichlet_ring import primes, sampling
+from dirichlet_ring import primes
 from dirichlet_ring.sampling import _draws, random_additive, random_non_unit, random_nonzero, random_scalar
 
 from oracles import randint_scalar
@@ -51,7 +51,7 @@ def _prime_power_parts(k):
     return parts
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 64, 300])
+@pytest.mark.parametrize("n", [1, 2, 10, 64, 300, 1024])
 def test_additive_sample_draws_one_randint_pair_per_prime_power(n):
     # one pair per prime power p^a <= n, in ascending order of p^a, then
     # f(k) is the sum over the p^a exactly dividing k: the values and the
@@ -68,7 +68,8 @@ def test_additive_sample_draws_one_randint_pair_per_prime_power(n):
 
 @pytest.mark.parametrize("n", [2, 64, 300])
 def test_additive_sample_sieves_the_window_once(n, monkeypatch):
-    # the sieve's own recursion sieves isqrt(n), so count only the window's
+    # the sampler folds through primes, whose sieve recurses on isqrt(n),
+    # so count only the window's
     windows = []
     sieve = primes.smallest_prime_factors
 
@@ -77,6 +78,5 @@ def test_additive_sample_sieves_the_window_once(n, monkeypatch):
         return sieve(m)
 
     monkeypatch.setattr(primes, "smallest_prime_factors", counted)
-    monkeypatch.setattr(sampling, "smallest_prime_factors", counted)
     random_additive(random.Random(0), n)
     assert windows.count(n) == 1
