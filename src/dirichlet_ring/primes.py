@@ -91,21 +91,21 @@ def prime_power_fold(n: int, at, combine, start) -> list:
     ``combine(value at q, at(p, a))`` at k = p^a * q, p the least prime of k.
 
     ``mul`` from 1 gives a multiplicative function, ``add`` from 0 an
-    additive one.  q is ``rest[k]``: ``rest[k // p]`` when p divides k // p,
-    else k // p, so no k runs a division loop.  ``at(p, a)`` is called once
-    per prime power, where q is 1, so in ascending order of p^a; every other
-    k reads the value at p^a = k // q, ``combine(start, at(p, a))``, which is
+    additive one.  The sieve's entry at k is overwritten by p^a: p times
+    the entry at k // p when p divides k // p, else p, so no k runs a
+    division loop and q = k // p^a.  ``at(p, a)`` is called once per prime
+    power, where p^a = k, so in ascending order of p^a; every other k
+    reads the value at p^a, ``combine(start, at(p, a))``, which is
     ``at(p, a)`` itself when ``start`` is ``combine``'s identity.
     """
-    spf = smallest_prime_factors(n)
-    rest, exponent = [1] * (n + 1), {}  # exponent[p]: a of the last p^a reached
+    power, exponent = smallest_prime_factors(n), {}  # exponent[p]: a of the last p^a reached
     vals = [start] * (n + 1)  # vals[k] is the value at k; vals[0] goes at the end
     for k in range(2, n + 1):
-        p = spf[k]
+        p = power[k]
         m = k // p
-        q = rest[k] = rest[m] if spf[m] == p else m
-        if q == 1:
+        pa = power[k] = power[m] * p if m % p == 0 else p
+        if pa == k:
             a = exponent[p] = exponent.get(p, 0) + 1
-        vals[k] = combine(vals[q], at(p, a) if q == 1 else vals[k // q])
+        vals[k] = combine(vals[k // pa], at(p, a) if pa == k else vals[pa])
     del vals[0]
     return vals
