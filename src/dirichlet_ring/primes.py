@@ -92,8 +92,9 @@ def prime_power_fold(n: int, at, combine, start) -> list:
 
     ``mul`` from 1 gives a multiplicative function, ``add`` from 0 an
     additive one.  The sieve's entry at k is overwritten by p^a: p times
-    the entry at k // p when p divides k // p, else p, so no k runs a
-    division loop and q = k // p^a.  ``at(p, a)`` is called once per prime
+    the entry at k // p when p divides k // p (whose least prime is then p
+    too, its entry already overwritten), else p, so no k runs a division
+    loop and q = k // p^a.  ``at(p, a)`` is called once per prime
     power, where p^a = k, so in ascending order of p^a; every other k
     reads the value at p^a, ``combine(start, at(p, a))``, which is
     ``at(p, a)`` itself when ``start`` is ``combine``'s identity.
