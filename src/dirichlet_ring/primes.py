@@ -91,22 +91,17 @@ def prime_power_fold(n: int, at, combine, start) -> list:
     ``combine(value at q, at(p, a))`` at k = p^a * q, p the least prime of k.
 
     ``mul`` from 1 gives a multiplicative function, ``add`` from 0 an
-    additive one.  The sieve's entry at k is overwritten by p^a: p times
-    the entry at k // p when p divides k // p (whose least prime is then p
-    too, its entry already overwritten), else p, so no k runs a division
-    loop and q = k // p^a.  ``at(p, a)`` is called once per prime
-    power, where p^a = k, so in ascending order of p^a; every other k
-    reads the value at p^a, ``combine(start, at(p, a))``, which is
-    ``at(p, a)`` itself when ``start`` is ``combine``'s identity.
+    additive one.  ``at(p, a)`` is called once per prime power, at
+    k = p^a, so in ascending order of p^a; every other k reads the value
+    at p^a, ``combine(start, at(p, a))``, which is ``at(p, a)`` itself
+    when ``start`` is ``combine``'s identity.
     """
-    power, exponent = smallest_prime_factors(n), {}  # exponent[p]: a of the last p^a reached
-    vals = [start] * (n + 1)  # vals[k] is the value at k; vals[0] goes at the end
+    spf = smallest_prime_factors(n)
+    vals = [start] * n
     for k in range(2, n + 1):
-        p = power[k]
-        m = k // p
-        pa = power[k] = power[m] * p if m % p == 0 else p
-        if pa == k:
-            a = exponent[p] = exponent.get(p, 0) + 1
-        vals[k] = combine(vals[k // pa], at(p, a) if pa == k else vals[pa])
-    del vals[0]
+        p = spf[k]
+        q, a = k // p, 1
+        while q % p == 0:
+            q, a = q // p, a + 1
+        vals[k - 1] = combine(vals[q - 1], at(p, a) if q == 1 else vals[k // q - 1])
     return vals

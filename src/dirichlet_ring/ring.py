@@ -164,10 +164,8 @@ def _canonical(entries: Sequence, den) -> tuple[tuple, int | tuple]:
     of numerators over a sequence ``den`` of positive denominators, each
     pair in lowest terms."""
     if isinstance(den, int):
-        # a running gcd over slices of 1024, stopping at 1, never copies the window
-        g, i = den, 0
-        while g > 1 and i < len(entries):
-            g, i = gcd(g, *entries[i : i + 1024]), i + 1024
+        # over 1 the pairs are in lowest terms, and the star call would copy the window
+        g = gcd(den, *entries) if den > 1 else 1
         if g > 1:
             den //= g
             entries = [x // g for x in entries]
