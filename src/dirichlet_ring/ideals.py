@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .primes import factorize, is_prime, nth_prime, primes_upto
 from .ring import (MEMBER, NON_MEMBER, UNDECIDED, ArithFunc, NotDivisibleWitness, WindowError,
                    Witness, ZeroFunctionError, delta, indicator_shift, take, try_divide, zeros)
-from .sampling import random_outside
+from .sampling import random_func
 
 
 class NotInIdealError(ValueError):
@@ -213,27 +213,27 @@ class Decomposition(NamedTuple):
 def decompose_coprime_vanishing(m: int, f: ArithFunc) -> Decomposition:
     """Split f over the indicator generators at m's distinct primes.
 
-    A member of P_m vanishes off the multiples of m's primes, so each f(k)
-    is read straight into the cofactor of the largest prime q of m that
-    divides k, at position k/q.  A cofactor's window is floor(len(f)/q),
-    or a single zero when no multiple of q fits in the window.
+    A member of P_m vanishes off the multiples of m's primes, so cofactor
+    q reads f at q, 2q, ..., with the multiples of each larger prime of m
+    set to 0 by one slice each: f(k) goes to the largest prime of m that
+    divides k, at k/q.  A cofactor's window is floor(len(f)/q), or a
+    single zero when no multiple of q fits in the window.
     """
     _require_member(IdealSpec.coprime_vanishing(m), f)
     qs = factorize(m).distinct_primes
     window = len(f)
-    owner = [0] * (window + 1)  # the largest prime of m dividing each index
-    for q in qs:
-        owner[q::q] = [q] * (window // q)
-    cofactors = {q: [0] * max(window // q, 1) for q in qs}  # the k of each f(k) read, or 0
-    for k, q in enumerate(owner):
-        if q:
-            cofactors[q][k // q - 1] = k
+    cofactors = []
+    for i, q in enumerate(qs):
+        ks = list(range(q, window + 1, q)) or [0]  # the k of each f(k) read, or 0
+        for r in qs[i + 1 :]:  # r divides k = jq exactly when r divides j
+            ks[r - 1 :: r] = [0] * (len(ks) // r)
+        cofactors.append(take(f, ks))
     return Decomposition(
         m=m,
         target=f,
         generators=tuple(delta(q, window, f.mode) for q in qs),
         generator_points=qs,
-        cofactors=tuple(take(f, cofactors[q]) for q in qs),
+        cofactors=tuple(cofactors),
     )
 
 
@@ -379,6 +379,11 @@ def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness
     pair of elements lies outside the ideal while their product lands
     inside.  ``undecided_at_truncation`` means no counterexample was
     found; the window can never *prove* an ideal prime.
+
+    The hand-built pair goes first, then ``trials`` pairs of ``random_func``
+    draws, skipping each pair with a member.  The search never refutes what
+    the hand-built pairs miss: its refutation is a ``window_prime`` failure,
+    and each of those has a hand-built pair.
     """
     if trials < 0:
         raise ValueError("trial count must be nonnegative")
@@ -398,11 +403,11 @@ def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness
     rng = random.Random(seed)
     drawn = trials if idxs else 0  # an ideal constraining nothing has no non-members
     for _ in range(drawn):
-        f, kf = random_outside(rng, spec, window)
-        g, kg = random_outside(rng, spec, window)
+        f, g = random_func(rng, window), random_func(rng, window)
+        kf, kg = member(spec, f).index, member(spec, g).index  # None for a member
         # f(kf) g(kg) lands at kf * kg; past the window the product can
         # look like a member only because its violation is cut off
-        if kf * kg <= window and member(spec, f.convolve(g)).is_member:
+        if kf and kg and kf * kg <= window and member(spec, f.convolve(g)).is_member:
             return Witness(NON_MEMBER, note=refuted, elements=(f, g))
     return Witness(UNDECIDED, note=f"no counterexample among {drawn} sampled pairs")
 

@@ -7,7 +7,9 @@ window from their prime-power values."""
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
+from operator import not_
 from typing import NamedTuple
 
 
@@ -72,11 +74,13 @@ def smallest_prime_factors(n: int) -> list[int]:
     over its multiples from p*p by one slice assignment, in descending
     order of p, so the least prime of each k is written last.
     """
-    spf = list(range(n + 1))  # first, so a window too large to hold fails here
+    spf = [0] * (n + 1)  # no int per index; first, so a window too large to hold fails here
     small = smallest_prime_factors(isqrt(n)) if n >= 4 else []
     for p in range(len(small) - 1, 1, -1):
         if small[p] == p:
             spf[p * p :: p] = [p] * ((n - p * p) // p + 1)
+    for k in compress(range(n + 1), map(not_, spf)):  # 0, 1 and the primes
+        spf[k] = k
     return spf
 
 

@@ -102,16 +102,6 @@ def random_in_ideal(rng: random.Random, spec, n: int) -> ArithFunc:
     return ArithFunc._of(vals, 6)
 
 
-def random_outside(rng: random.Random, spec, n: int) -> tuple[ArithFunc, int]:
-    """Random non-member of an ideal constraining some index of the window, and its
-    least nonzero constrained index; the first is redrawn nonzero when all drew 0."""
-    idxs = spec.constrained_indices(n)
-    vals = _draws(rng, n)
-    first = next((idx for idx in idxs if vals[idx - 1]), idxs[0])
-    vals[first - 1] = vals[first - 1] or _nonzero(rng)
-    return ArithFunc._of(vals, 6), first
-
-
 def random_additive(rng: random.Random, n: int) -> ArithFunc:
     """Random additive function: one entry per prime power, drawn through
     ``prime_power_fold`` as it reaches p^a, so in ascending order of p^a,

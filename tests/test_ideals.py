@@ -34,7 +34,6 @@ from dirichlet_ring.primes import nth_prime
 from dirichlet_ring.sampling import (
     random_func,
     random_in_ideal,
-    random_outside,
     random_scalar,
     random_with_norm,
 )
@@ -447,11 +446,19 @@ def test_probe_prime_coprime_family_stays_undecided():
     assert w.verdict == UNDECIDED
 
 
-@pytest.mark.parametrize("seed", [63, 93, 182, 354, 395])
-def test_probe_prime_skips_pairs_whose_violation_leaves_the_window(seed):
-    # each seed samples a pair with first violations k1 * k2 at 65 or 77
-    w = probe_prime(IdealSpec.coprime_vanishing(6), trials=40, seed=seed, window=64)
-    assert w.verdict == UNDECIDED
+def _hand_draws(monkeypatch, *draws):
+    """Make the probe's search draw the given functions, in order."""
+    queue = iter(draws)
+    monkeypatch.setattr(ideals, "random_func", lambda rng, n: next(queue))
+
+
+def test_probe_prime_skips_pairs_whose_violation_leaves_the_window(monkeypatch):
+    # the violations at 5 and 13 multiply to 65, so delta_5 * delta_13 is
+    # 0 on the window only because the window cuts it off
+    spec = IdealSpec.coprime_vanishing(6)
+    _hand_draws(monkeypatch, delta(2, 64) + delta(5, 64), delta(13, 64))
+    w = probe_prime(spec, trials=1, seed=0, window=64)
+    assert w == Witness(UNDECIDED, note="no counterexample among 1 sampled pairs")
 
 
 def test_probe_prime_maximal_stays_undecided():
@@ -466,16 +473,17 @@ def test_probe_prime_counts_the_pairs_it_draws():
         assert w == Witness(UNDECIDED, note=f"no counterexample among {drawn} sampled pairs")
 
 
-@pytest.mark.parametrize("seed", [1, 2])  # pairs of norms 2, 2 and 2, 3
-def test_probe_prime_random_search_refutes(monkeypatch, seed):
-    # without the hand-built witness, the sampled pairs must find one
+@pytest.mark.parametrize("skipped", [1, 2])
+def test_probe_prime_random_search_refutes(monkeypatch, skipped):
+    # without the hand-built witness, the search skips each pair holding a
+    # member, then delta_2 twice refutes I_4: delta_4 lies in it
     monkeypatch.setattr(ideals, "_known_counterexample", lambda spec, window: None)
-    spec = IdealSpec.norm_floor(4)
-    w = probe_prime(spec, trials=200, seed=seed, window=64)
-    assert w.verdict == NON_MEMBER
-    f, g = w.elements
-    assert not member(spec, f).is_member and not member(spec, g).is_member
-    assert member(spec, f * g).is_member
+    spec, d2, zero = IdealSpec.norm_floor(4), delta(2, 64), zeros(64)
+    pairs = [(zero, d2), (d2, zero)][:skipped] + [(d2, d2)]
+    _hand_draws(monkeypatch, *(f for pair in pairs for f in pair))
+    w = probe_prime(spec, trials=skipped + 1, seed=0, window=64)
+    assert w == Witness(NON_MEMBER, note="product of two non-members lies in the ideal",
+                        elements=(d2, d2))
 
 
 def test_probe_norm_floor_refuted():
@@ -483,19 +491,30 @@ def test_probe_norm_floor_refuted():
     assert w.verdict == NON_MEMBER
 
 
-def test_random_outside_forces_a_violation_when_sampling_finds_none():
-    # replaying each seed's free draw shows which path it took
-    spec, forced = IdealSpec.norm_floor(3), 0  # constrains 1 and 2
-    for seed in range(500):
-        free = random_func(random.Random(seed), 8).values
-        f, first = random_outside(random.Random(seed), spec, 8)
-        assert member(spec, f).index == first
-        if free[0] or free[1]:
-            assert f.values == free
-        else:  # the fix-up draws a nonzero f(1); the rest is the free draw
-            forced += 1
-            assert first == 1 and f.values[1:] == free[1:]
-    assert forced
+PROBE_SPECS = ALL_FAMILY_SPECS + [  # each family at the edges of its hand-built pair
+    *(IdealSpec.norm_floor(n) for n in (1, 2, 3, 5, 6)),
+    *(IdealSpec.coprime_vanishing(m) for m in (1, 2, 30, 210)),
+    *(IdealSpec.gcd_count(m, k) for m, k in ((30, 1), (30, 2), (210, 1), (210, 2), (210, 3))),
+    IdealSpec.prime_products((2,)),
+    IdealSpec.prime_products((5, 7)),
+    *(IdealSpec.prime_products(q, complement=True) for q in ((7,), (2, 3, 5))),
+    *(IdealSpec.prime_tail(n) for n in (1, 2, 4, 5, 40)),
+]
+
+
+def test_probe_search_never_refutes_beyond_the_hand_built_pairs():
+    # a search refutation is a window_prime failing pair, and each of those
+    # has a hand-built pair, so 25 sampled pairs decide what 0 pairs do
+    for spec in PROBE_SPECS:
+        for window in range(1, 49):
+            if spec.tag == "I" and spec.n > window + 1:
+                continue  # the window cannot hold the threshold
+            refuted = window_prime(spec, window).pair is not None  # None for the whole ring
+            for seed in range(3):
+                known = probe_prime(spec, 0, seed, window)
+                searched = probe_prime(spec, 25, seed, window)
+                assert (searched.verdict, searched.elements) == (known.verdict, known.elements)
+                assert known.verdict == NON_MEMBER or not refuted, (spec, window)
 
 
 # window decisions of primality ---------------------------------------------------

@@ -1,9 +1,11 @@
 """Function generators against independent brute-force evaluators, plus
 the additivity oracles."""
 
+import gc
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from operator import add
 
@@ -118,6 +120,22 @@ def test_sieve_matches_the_least_divisor_scan():
     for n in [*range(3001), 65536]:
         assert smallest_prime_factors(n) == least[: n + 1], n
         assert primes_upto(n) == [k for k in range(2, n + 1) if least[k] == k], n
+
+
+def test_sieve_makes_no_int_per_composite():
+    """The sieve starts from zeros, so its peak is about its list and the
+    largest slice: ``range(n + 1)`` made an int for every index above 256,
+    about 2 MiB more at 65536."""
+    n = 65536
+    gc.collect()
+    tracemalloc.start()
+    try:
+        spf = smallest_prime_factors(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spf[-1] == 2 and spf[65521] == 65521
+    assert peak < 3 * 8 * (n + 1)  # three times the list's pointer array
 
 
 def test_nth_prime_sequence():
