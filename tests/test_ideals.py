@@ -452,7 +452,14 @@ def _hand_draws(monkeypatch, *draws):
     monkeypatch.setattr(ideals, "random_func", lambda rng, n: next(queue))
 
 
-def test_probe_prime_skips_pairs_whose_violation_leaves_the_window(monkeypatch):
+@pytest.mark.parametrize("seed", [63, 93, 182, 354, 395])
+def test_probe_prime_skips_pairs_whose_violation_leaves_the_window(seed):
+    # each seed samples a pair with first violations k1 * k2 at 65 or 77
+    w = probe_prime(IdealSpec.coprime_vanishing(6), trials=40, seed=seed, window=64)
+    assert w.verdict == UNDECIDED
+
+
+def test_probe_prime_skips_a_drawn_pair_whose_violation_leaves_the_window(monkeypatch):
     # the violations at 5 and 13 multiply to 65, so delta_5 * delta_13 is
     # 0 on the window only because the window cuts it off
     spec = IdealSpec.coprime_vanishing(6)
