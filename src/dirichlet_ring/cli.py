@@ -271,8 +271,11 @@ def _cmd_ideal_decompose(args, name, f):
 def _cmd_chain(args, n):
     from .ideals import chain
     report = chain(args.family, args.length, n)
-    if args.dot:
-        return report.to_dot() + "\n"
+    if args.dot:  # a DOT digraph whose edges point small -> large
+        return "".join(["digraph chain {\n  rankdir=LR;\n"]
+                       + [f'  "{spec}";\n' for spec in report.specs]
+                       + [f'  "{link.smaller}" -> "{link.larger}" [label="{link.separator_label}"];\n'
+                          for link in report.links] + ["}\n"])
     if args.format != "json":
         return "".join([f"family: {report.family}\n"] + [
             f"{link.smaller.label()} < {link.larger.label()}  (separator {link.separator_label})\n"

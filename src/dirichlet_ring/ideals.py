@@ -7,9 +7,11 @@ defining condition forces a member to vanish, cached per (spec, window).
 Each family is decided once over the whole window from the window's
 primes: ``K_n`` reads them off the sieve, and the prime-divisor
 families bound a count of each index's distinct primes from a chosen
-set, built by one slice of multiples per chosen prime.  Membership
-verdicts are therefore statements about the truncation window, never
-about the full ring.
+set, built by one slice of multiples per chosen prime.  Each family is
+the support ideal of those indices, so chains are decided from the index
+sets on 1..n, with no indicator built.  Membership verdicts are
+therefore statements about the truncation window, never about the full
+ring.
 """
 
 from __future__ import annotations
@@ -241,14 +243,12 @@ def decompose_coprime_vanishing(m: int, f: ArithFunc) -> Decomposition:
 
 
 class ChainLink(NamedTuple):
-    """A strict inclusion between adjacent chain members, with its separator."""
+    """A strict inclusion between adjacent chain members, decided from their
+    index sets on 1..n; delta at the separator lies in the larger, not the smaller."""
 
     smaller: IdealSpec
     larger: IdealSpec
-    separator: ArithFunc
     separator_label: str
-    in_larger: Witness
-    not_in_smaller: Witness
 
 
 class ChainReport(NamedTuple):
@@ -256,32 +256,18 @@ class ChainReport(NamedTuple):
     specs: tuple[IdealSpec, ...]
     links: tuple[ChainLink, ...]
 
-    def to_dot(self) -> str:
-        """Render the chain as a DOT digraph: edges point small -> large."""
-        lines = ["digraph chain {", "  rankdir=LR;"]
-        for spec in self.specs:
-            lines.append(f'  "{spec.label()}";')
-        for link in self.links:
-            lines.append(
-                f'  "{link.smaller.label()}" -> "{link.larger.label()}"'
-                f' [label="{link.separator_label}"];'
-            )
-        lines.append("}")
-        return "\n".join(lines)
-
 
 CHAIN_FAMILIES = ("P_ascending", "J_descending", "I_descending", "K_ascending")
 
 
-def _chain_specs_and_points(family: str, length: int, window: int):
-    """The specs in listed order, the separator point between each pair of
-    neighbours, and whether the ideals grow along the list.  A window too
-    small to hold every separator fails before any spec is built."""
+def _chain_specs(family: str, length: int, window: int):
+    """The specs in listed order, and whether the ideals grow along the list.
+    A window too small to hold every separator fails before any spec is built."""
     if family not in CHAIN_FAMILIES:
         raise ValueError(f"unknown chain family {family!r}; choose from {CHAIN_FAMILIES}")
     if window < 1:
         raise ValueError("window length must be at least 1")
-    # the points are the integers 1..length-1 (I), the primes p_1..p_(length-1)
+    # the separators are the integers 1..length-1 (I), the primes p_1..p_(length-1)
     # (K) or p_2..p_length (P, J); the first `held` of the sequence fit
     first, last = (2, length) if family[0] in "PJ" else (1, length - 1)
     held = window if family == "I_descending" else len(primes_upto(window))
@@ -289,36 +275,42 @@ def _chain_specs_and_points(family: str, length: int, window: int):
         k = max(first, held + 1)
         label = f"delta_{k if family == 'I_descending' else nth_prime(k)}"
         raise WindowError(f"window {window} too small to hold separator {label}")
-    ps = primes_upto(nth_prime(length + 1))
+    ps = primes_upto(nth_prime(length))
     if family == "P_ascending":
-        specs = [IdealSpec.coprime_vanishing(m) for m in accumulate(ps[:length], mul)]
-        return specs, ps[1:length], True
+        return [IdealSpec.coprime_vanishing(m) for m in accumulate(ps, mul)], True
     if family == "J_descending":
-        return [IdealSpec.prime_products(ps[:i]) for i in range(1, length + 1)], ps[1:length], False
+        return [IdealSpec.prime_products(ps[:i]) for i in range(1, length + 1)], False
     if family == "I_descending":
-        return [IdealSpec.norm_floor(i) for i in range(1, length + 1)], range(1, length), False
-    return [IdealSpec.prime_tail(i) for i in range(1, length + 1)], ps[: length - 1], True
+        return [IdealSpec.norm_floor(i) for i in range(1, length + 1)], False
+    return [IdealSpec.prime_tail(i) for i in range(1, length + 1)], True
+
+
+def first_difference(a: IdealSpec, b: IdealSpec, n: int, subset: bool = False) -> int | None:
+    """The least k <= n that exactly one of a and b constrains (with ``subset``, that
+    only b constrains), or None.  Each family is a support ideal, so delta_k lies in
+    exactly one of them (in a and not in b), and None means a = b (a in b) on 1..n."""
+    sa, sb = set(a.constrained_indices(n)), set(b.constrained_indices(n))
+    return min(sb - sa if subset else sa ^ sb, default=None)
 
 
 def chain(family: str, length: int, window: int) -> ChainReport:
     """Build a finite stretch of one of the four chain constructions.
 
-    Each adjacent pair comes with a separator, the indicator of its
-    separator point, that the membership oracle confirms to lie in the
-    larger ideal and not in the smaller one.
+    Each adjacent pair is decided from the two index sets on 1..window: the
+    smaller ideal lies in the larger when no index is constrained by the
+    larger alone, and the separator delta_k, at the least index k constrained
+    by the smaller alone, lies in the larger and not in the smaller.
     """
     if length < 2:
         raise ValueError("a chain needs at least two members")
-    specs, points, ascending = _chain_specs_and_points(family, length, window)
+    specs, ascending = _chain_specs(family, length, window)
     links = []
-    for i, p in enumerate(points):
+    for i in range(length - 1):
         smaller, larger = (specs[i], specs[i + 1]) if ascending else (specs[i + 1], specs[i])
-        sep, label = delta(p, window), f"delta_{p}"
-        in_larger = member(larger, sep)
-        not_in_smaller = member(smaller, sep)
-        if not in_larger.is_member or not_in_smaller.is_member:
-            raise AssertionError(f"separator {label} fails to separate")
-        links.append(ChainLink(smaller, larger, sep, label, in_larger, not_in_smaller))
+        k = first_difference(larger, smaller, window, subset=True)
+        if k is None or first_difference(smaller, larger, window, subset=True) is not None:
+            raise AssertionError(f"{smaller} is not strictly inside {larger} on 1..{window}")
+        links.append(ChainLink(smaller, larger, f"delta_{k}"))
     return ChainReport(family=family, specs=tuple(specs), links=tuple(links))
 
 

@@ -11,8 +11,9 @@ ring kernels, on numerator and denominator columns, is checked by the
 test suite instead: by its comparisons with the independent evaluators
 and by the pinned wide-kernel digests.  A wide sample here would slow
 every run for a path the tests already cover.  Ideals are decided over the
-whole window, not sampled: primality by ``ideals.window_prime``, equality and
-inclusion by comparing the index sets where members must vanish.
+whole window, not sampled: primality by ``ideals.window_prime``; equality,
+inclusion and the chains' strict inclusions by ``ideals.first_difference``,
+which compares the index sets on 1..n where members must vanish.
 
 A detail line or failure message prints only values its check ran with:
 a count is its loop's bound, an ideal its spec's label, an indicator
@@ -293,21 +294,13 @@ def _check_not_bezout(ctx: _Ctx) -> str:
             f"({units} units rejected since {spec} is proper)")
 
 
-def _first_difference(a: IdealSpec, b: IdealSpec, n: int, subset: bool = False) -> int | None:
-    """The least k <= n that exactly one of a and b constrains (with ``subset``, that
-    only b constrains), or None.  Each family is a support ideal, so delta_k lies in
-    exactly one of them (in a and not in b), and None means a = b (a in b) on 1..n."""
-    sa, sb = set(a.constrained_indices(n)), set(b.constrained_indices(n))
-    return min(sb - sa if subset else sa ^ sb, default=None)
-
-
 def _check_prime_products_ideal(ctx: _Ctx) -> str:
     allow = IdealSpec.prime_products((2, 3))
     verdict = window_prime(allow, ctx.n)
     _require(verdict.is_member, f"{allow} is not prime on the window: {verdict.note}")
     co = IdealSpec.prime_products(allow.primes, complement=True)
     same = IdealSpec.coprime_vanishing(prod(allow.primes))
-    idx = _first_difference(co, same, ctx.n)
+    idx = ideals.first_difference(co, same, ctx.n)
     _require(idx is None, f"complement-mode J and {same} disagree on delta_{idx}")
     return f"{allow}: {verdict.note}; finite-complement J agrees with {same} on 1..{ctx.n}"
 
@@ -320,14 +313,14 @@ def _check_inclusion_chain(ctx: _Ctx) -> str:
         IdealSpec.prime_products((5,)),
     ]
     for small, large in zip(specs, specs[1:]):
-        idx = _first_difference(small, large, ctx.n, subset=True)
+        idx = ideals.first_difference(small, large, ctx.n, subset=True)
         _require(idx is None, f"{small} escaped {large} at delta_{idx}")
     return f"inclusions {' in '.join(map(str, specs))} hold on 1..{ctx.n}"
 
 
 def _check_same_ideal_criterion(ctx: _Ctx) -> str:
     p6, p12, p10 = (IdealSpec.coprime_vanishing(m) for m in (6, 12, 10))
-    idx = _first_difference(p6, p12, ctx.n)
+    idx = ideals.first_difference(p6, p12, ctx.n)
     _require(idx is None, f"{p6} and {p12} disagree on delta_{idx}")
     d = delta(k := 5, MIN_WINDOW)
     _require(member(p10, d).is_member and not member(p6, d).is_member,
@@ -370,9 +363,9 @@ def _check_semiprime_boundaries(ctx: _Ctx) -> str:
     k0 = IdealSpec.gcd_count(base.m, 0)
     k_big = IdealSpec.gcd_count(base.m, 2)
     zero = IdealSpec.norm_floor(ctx.n + 1)  # constrains every index of 1..n
-    idx = _first_difference(k0, base, ctx.n)
+    idx = ideals.first_difference(k0, base, ctx.n)
     _require(idx is None, f"{k0} and {base} disagree on delta_{idx}")
-    idx = _first_difference(k_big, zero, ctx.n)
+    idx = ideals.first_difference(k_big, zero, ctx.n)
     _require(idx is None, f"{k_big} admitted delta_{idx}")
     return f"{k0} = {base} and {k_big} = 0 on 1..{ctx.n}"
 

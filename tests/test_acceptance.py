@@ -146,8 +146,9 @@ def test_criterion_04_chains_with_separators():
             assert len(report.specs) == length
             assert len(report.links) == length - 1
             for link in report.links:
-                assert member(link.larger, link.separator).verdict == MEMBER
-                assert member(link.smaller, link.separator).verdict == NON_MEMBER
+                separator = delta(int(link.separator_label.removeprefix("delta_")), n)
+                assert member(link.larger, separator).verdict == MEMBER
+                assert member(link.smaller, separator).verdict == NON_MEMBER
 
 
 def test_criterion_05_principal_quotient_round_trip():

@@ -231,6 +231,21 @@ def test_ideal_chain_command_table_and_dot():
     assert '"K_1" -> "K_2" [label="delta_2"];' in out
 
 
+def test_chain_dot_output():
+    code, out = run_cli("chain", "P_ascending", "--length", "3", "--n", "64", "--dot")
+    assert code == 0
+    assert out == ('digraph chain {\n  rankdir=LR;\n  "P_2";\n  "P_6";\n  "P_30";\n'
+                   '  "P_2" -> "P_6" [label="delta_3"];\n  "P_6" -> "P_30" [label="delta_5"];\n}\n')
+
+
+def test_chain_cost_does_not_grow_with_the_window():
+    # the links are decided from I_1..I_8's index sets, which hold at most 7 indices
+    code, out = run_cli("chain", "I_descending", "--length", "8", "--n", str(10**12))
+    assert code == 0
+    assert [link["separator"] for link in json.loads(out)["links"]] == [
+        f"delta_{k}" for k in range(1, 8)]
+
+
 def test_ideal_probe_command():
     code, out = run_cli("ideal", "probe", "K:3", "--trials", "0", "--n", "32")
     obj = json.loads(out)

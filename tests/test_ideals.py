@@ -3,6 +3,7 @@ window decisions of primality and semi-primality, and the primality
 probe."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -10,6 +11,7 @@ import pytest
 
 from dirichlet_ring import (
     ArithFunc,
+    ChainLink,
     EXACT,
     FLOAT,
     IdealSpec,
@@ -352,13 +354,20 @@ def test_generator_evaluations_are_standard_basis():
 # chains --------------------------------------------------------------------------
 
 
+def _assert_separates(link, window):
+    """delta_k, with k read from the link's label, lies in the larger spec only."""
+    sep = delta(int(link.separator_label.removeprefix("delta_")), window)
+    assert member(link.larger, sep).verdict == MEMBER
+    assert member(link.smaller, sep).verdict == NON_MEMBER
+
+
 def test_ascending_coprime_chain():
     report = chain("P_ascending", 3, 64)
     assert [s.label() for s in report.specs] == ["P_2", "P_6", "P_30"]
     assert [l.separator_label for l in report.links] == ["delta_3", "delta_5"]
+    assert ChainLink._fields == ("smaller", "larger", "separator_label")
     for link in report.links:
-        assert link.in_larger.verdict == MEMBER
-        assert link.not_in_smaller.verdict == NON_MEMBER
+        _assert_separates(link, 64)
 
 
 def test_descending_norm_chain():
@@ -372,8 +381,7 @@ def test_ascending_prime_tail_chain():
     assert [l.separator_label for l in report.links] == ["delta_2", "delta_3"]
     # the separator delta_{pi_k} lies in K_{k+1} and not in K_k
     for link in report.links:
-        assert link.in_larger.verdict == MEMBER
-        assert link.not_in_smaller.verdict == NON_MEMBER
+        _assert_separates(link, 64)
 
 
 def test_descending_prime_products_chain():
@@ -385,8 +393,7 @@ def test_descending_prime_products_chain():
         "J_{2,3,5,7}",
     ]
     for link in report.links:
-        assert link.in_larger.verdict == MEMBER
-        assert link.not_in_smaller.verdict == NON_MEMBER
+        _assert_separates(link, 64)
 
 
 def test_chain_window_guard(monkeypatch):
@@ -396,10 +403,66 @@ def test_chain_window_guard(monkeypatch):
         chain("P_ascending", 1, 64)
     with pytest.raises(ValueError):
         chain("sideways", 3, 64)
-    # an oracle that calls every function a member refutes the first separator
-    monkeypatch.setattr(ideals, "member", lambda spec, f: Witness(MEMBER))
-    with pytest.raises(AssertionError, match=r"^separator delta_3 fails to separate$"):
-        chain("P_ascending", 3, 64)
+    # K_1 and K_2 differ at index 2 alone, so a K_2 that constrains it has no separator
+    constrained = IdealSpec.constrained_indices
+    monkeypatch.setattr(IdealSpec, "constrained_indices", lambda self, window: tuple(
+        sorted({*constrained(self, window), 2})) if self == IdealSpec.prime_tail(2) else
+        constrained(self, window))
+    with pytest.raises(AssertionError, match=r"^K_1 is not strictly inside K_2 on 1\.\.64$"):
+        chain("K_ascending", 3, 64)
+
+
+def test_chain_builds_no_indicator_and_asks_no_member(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("chain built an indicator or asked member")
+
+    monkeypatch.setattr(ideals, "delta", refuse)
+    monkeypatch.setattr(ideals, "member", refuse)
+    for family in ideals.CHAIN_FAMILIES:
+        assert len(chain(family, 5, 64).links) == 4
+
+
+def _fitting_chains(family, window):
+    """The family's chains at every length from 2 that fits the window."""
+    reports = []
+    while True:
+        try:
+            reports.append(chain(family, len(reports) + 2, window))
+        except WindowError:
+            return reports
+
+
+@pytest.mark.parametrize("window", [*range(1, 65), 300])
+def test_chain_links_match_the_definition_scan(monkeypatch, window):
+    scanned = {}  # each spec's constrained indices, by the divisor scans
+
+    def scan(spec):
+        if spec not in scanned:
+            scanned[spec] = set(_constrained_by_scan(spec, window))
+        return scanned[spec]
+
+    constrained = IdealSpec.constrained_indices
+    for family in ideals.CHAIN_FAMILIES:
+        reports = _fitting_chains(family, window)
+        for report in reports:
+            for link in report.links:
+                small, large = scan(link.smaller), scan(link.larger)
+                assert large <= small, link  # I_S lies in I_T exactly when T lies in S
+                assert link.separator_label == f"delta_{min(small - large)}", link
+        if not reports:
+            continue
+        # a larger spec that also constrains an index the smaller leaves free
+        # breaks the inclusion, though a separator remains
+        smaller, larger = reports[-1].links[0].smaller, reports[-1].links[0].larger
+        free = min(set(range(1, window + 1)) - scan(smaller), default=None)
+        if free is None:
+            continue
+        message = f"{smaller} is not strictly inside {larger} on 1..{window}"
+        with monkeypatch.context() as m:
+            m.setattr(IdealSpec, "constrained_indices", lambda self, n: tuple(
+                sorted({*constrained(self, n), free})) if self == larger else constrained(self, n))
+            with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+                chain(family, len(reports[-1].specs), window)
 
 
 # the longest chain each family fits in a window of 64, and the separator
@@ -415,12 +478,6 @@ def test_chain_window_boundary(family):
     for length in (longest + 1, 10**5):  # the check comes before any spec is built
         with pytest.raises(WindowError, match=rf"^window 64 too small to hold separator delta_{missed}$"):
             chain(family, length, 64)
-
-
-def test_chain_dot_output():
-    dot = chain("P_ascending", 3, 64).to_dot()
-    assert dot.startswith("digraph chain {")
-    assert '"P_2" -> "P_6" [label="delta_3"];' in dot
 
 
 # probes -----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from dirichlet_ring import verify
+from dirichlet_ring import ideals, verify
 from dirichlet_ring.ideals import IdealSpec, member
 from dirichlet_ring.ring import ArithFunc, delta, dirichlet_product
 
@@ -44,9 +44,9 @@ def test_invertibility_check_counts_only_non_unit_rejections(monkeypatch):
 
 def test_first_difference_names_the_separating_delta(monkeypatch):
     p6, p10 = IdealSpec.coprime_vanishing(6), IdealSpec.coprime_vanishing(10)
-    assert verify._first_difference(p6, p10, 64) == 3  # delta_3 lies in P_6, not in P_10
-    assert verify._first_difference(p10, p6, 64, subset=True) == 5
-    assert verify._first_difference(p6, IdealSpec.coprime_vanishing(12), 64) is None
+    assert ideals.first_difference(p6, p10, 64) == 3  # delta_3 lies in P_6, not in P_10
+    assert ideals.first_difference(p10, p6, 64, subset=True) == 5
+    assert ideals.first_difference(p6, IdealSpec.coprime_vanishing(12), 64) is None
     # the same-ideal check, handed P_10 for P_12, names the least separating delta
     coprime_vanishing = IdealSpec.coprime_vanishing
     monkeypatch.setattr(IdealSpec, "coprime_vanishing",
@@ -75,7 +75,7 @@ def test_first_difference_agrees_with_delta_by_delta_membership(n):
         for subset in (False, True):  # with subset, the least delta_k in a and not in b
             expected = next((k for k, (in_a, in_b) in enumerate(zip(holds[a], holds[b]), 1)
                              if in_a != in_b and (in_a or not subset)), None)
-            assert verify._first_difference(a, b, n, subset) == expected, (a, b, subset)
+            assert ideals.first_difference(a, b, n, subset) == expected, (a, b, subset)
 
 
 @pytest.mark.parametrize("check, spec, message", [
