@@ -5,6 +5,7 @@ probe."""
 import random
 import re
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import pytest
@@ -434,13 +435,7 @@ def _fitting_chains(family, window):
 
 @pytest.mark.parametrize("window", [*range(1, 65), 300])
 def test_chain_links_match_the_definition_scan(monkeypatch, window):
-    scanned = {}  # each spec's constrained indices, by the divisor scans
-
-    def scan(spec):
-        if spec not in scanned:
-            scanned[spec] = set(_constrained_by_scan(spec, window))
-        return scanned[spec]
-
+    scan = cache(lambda spec: set(_constrained_by_scan(spec, window)))
     constrained = IdealSpec.constrained_indices
     for family in ideals.CHAIN_FAMILIES:
         reports = _fitting_chains(family, window)
@@ -453,7 +448,7 @@ def test_chain_links_match_the_definition_scan(monkeypatch, window):
             continue
         # a larger spec that also constrains an index the smaller leaves free
         # breaks the inclusion, though a separator remains
-        smaller, larger = reports[-1].links[0].smaller, reports[-1].links[0].larger
+        smaller, larger, _ = reports[-1].links[0]
         free = min(set(range(1, window + 1)) - scan(smaller), default=None)
         if free is None:
             continue
