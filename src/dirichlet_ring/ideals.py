@@ -285,11 +285,17 @@ def _chain_specs(family: str, length: int, window: int):
     return [IdealSpec.prime_tail(i) for i in range(1, length + 1)], True
 
 
+# the set of an index tuple, cached by the tuple's value: each (spec, window)
+# builds its set once, so a chain of L members builds L sets, and 32 fit, as
+# in constrained_indices' cache
+_index_set = lru_cache(maxsize=32)(frozenset)
+
+
 def first_difference(a: IdealSpec, b: IdealSpec, n: int, subset: bool = False) -> int | None:
     """The least k <= n that exactly one of a and b constrains (with ``subset``, that
     only b constrains), or None.  Each family is a support ideal, so delta_k lies in
     exactly one of them (in a and not in b), and None means a = b (a in b) on 1..n."""
-    sa, sb = set(a.constrained_indices(n)), set(b.constrained_indices(n))
+    sa, sb = _index_set(a.constrained_indices(n)), _index_set(b.constrained_indices(n))
     return min(sb - sa if subset else sa ^ sb, default=None)
 
 
@@ -331,7 +337,7 @@ def window_prime(spec: IdealSpec, window: int, squares: bool = False) -> Witness
     idxs = spec.constrained_indices(window)
     if not idxs:
         return Witness(NON_MEMBER, note=f"not {'semi-' * squares}prime (the whole ring)")
-    inside, pairs = set(idxs), 0
+    inside, pairs = _index_set(idxs), 0
     for i, a in enumerate(idxs):
         for b in (a,) if squares else idxs[i:]:
             if a * b > window:

@@ -38,7 +38,11 @@ the recursion, hold all the per-type arithmetic.
 ``_product`` is the convolution, split by Dirichlet's hyperbola method
 into one slice per i <= sqrt(n) and one per j <= n/(sqrt(n)+1); every
 product in the package goes through it, and ``ArithFunc.power`` squares
-and multiplies through ``ArithFunc.convolve``.  ``_solve`` is the
+and multiplies through ``ArithFunc.convolve``.  An exact square,
+``f.convolve(f)``, hands it one column set, and it then takes each
+unordered pair ij = k once, at about half the multiply-adds; a float
+square keeps the general split, since the symmetric pass sums each entry
+in another order and doubles would round differently.  ``_solve`` is the
 standard recursion for f * g = h (Apostol, *Introduction to Analytic
 Number Theory*, ch. 2) run in sieve order and in blocks: a block of g
 reads only earlier blocks, so its values are solved together and then
@@ -55,7 +59,8 @@ operation takes (Knuth, TAOCP vol. 2, 4.5.1); the recursion reduces
 each solved value once, a product each output pair once, and a narrow
 result is put in lowest terms by one gcd.  Every entry sums its terms
 in the order of a term-by-term loop, ascending i in a product and
-ascending m in the recursion, and a term with a zero factor adds
+ascending m in the recursion (only an exact square, whose sums are exact,
+takes its pairs in another order), and a term with a zero factor adds
 nothing, so float results do not depend on how the slices are cut.
 
 The verdict records live here too: ``NotDivisibleWitness`` for a
@@ -272,9 +277,25 @@ def _product(a: list, b: list, n: int, zero: tuple) -> list:
     Dirichlet's hyperbola split: one slice over b for each i <= isqrt(n),
     then one slice over a for each j <= n // (isqrt(n) + 1), j descending,
     so every entry sums its terms a(i) b(j) in ascending i.
+
+    When a is b, a square, each unordered pair ij = k is one term: a(i)^2
+    at i^2 and 2 a(i) a(j) at ij for i < j <= n/i, one slice per
+    i <= isqrt(n), or about half the multiply-adds.  Its terms sum in
+    another order, so only exact column sets may share one set: ints and
+    unreduced pairs add exactly, and floats would round differently.
     """
     acc = [[z] * n for z in zero]
     s = isqrt(n)
+    if a is b:
+        lead = list(compress(range(1, s + 1), a[0]))
+        for i in lead:  # before any pass, while acc holds zeros
+            for c, x in zip(acc, a):
+                c[i * i - 1] = x[i - 1] * x[i - 1]
+        twice = [[2 * x for x in a[0][:s]], *a[1:]]
+        for i in lead:
+            if i * (i + 1) <= n:
+                _step(acc, slice(i * (i + 1) - 1, n, i), a, slice(i, n // i), twice, i - 1)
+        return acc
     for i in compress(range(1, s + 1), a[0]):
         _step(acc, slice(i - 1, n, i), b, slice(n // i), a, i - 1)
     t = n // (s + 1)
@@ -501,11 +522,14 @@ class ArithFunc:
         return self.add(-other)
 
     def convolve(self, other: "ArithFunc") -> "ArithFunc":
-        """Dirichlet convolution: (f*g)(k) = sum of f(i)g(j) over ij = k."""
+        """Dirichlet convolution: (f*g)(k) = sum of f(i)g(j) over ij = k.
+
+        ``f.convolve(f)`` in exact mode hands ``_product`` one column set,
+        which squares in one symmetric pass."""
         self._require_same_mode(other)
         n = min(len(self._values), len(other._values))
         if self.mode == EXACT:
-            (a, da), (b, db) = _lift(n, self, other)
+            (a, da), (b, db) = _lift(n, self) * 2 if other is self else _lift(n, self, other)
             if da is None:
                 nums, dens = _lowest(*_product(a, b, n, (0, 1)))
                 return ArithFunc._of(nums, dens)

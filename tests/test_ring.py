@@ -362,6 +362,80 @@ def test_float_power_matches_sequential_convolutions():
             assert abs(x - y) <= 1e-12 * m
 
 
+def _square_cases(n):
+    """Narrow, wide (64-bit numerators over distinct 32-bit denominators),
+    mixed, sparse (vanishing at 1) and zero values on 1..n."""
+    rng = random.Random(n)
+    narrow = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    wide = [Fraction(rng.getrandbits(64) - (1 << 63) or 1, d)
+            for d in rng.sample(range(1 << 31, 1 << 32), n)]
+    mixed = [w if rng.random() < 0.3 else v for v, w in zip(narrow, wide)]
+    sparse = [Fraction(0)] + [v if rng.random() < 0.15 else Fraction(0) for v in narrow[1:]]
+    return {"narrow": narrow, "wide": wide, "mixed": mixed, "sparse": sparse, "zero": [0] * n}
+
+
+# n = s^2 - 1, s^2, s^2 + s - 1 and s^2 + s put the last diagonal and the
+# last off-diagonal slice of a square on each side of the window's end
+SQUARE_WINDOWS = sorted({n for s in range(1, 13) for n in (s * s - 1, s * s, s * s + s - 1, s * s + s)
+                         if n} | {1024})
+
+
+@pytest.mark.parametrize("n", SQUARE_WINDOWS)
+def test_squares_and_powers_equal_the_general_product(n):
+    # f * f and the squarings in f.power take the symmetric pass; f times a
+    # distinct equal copy takes the general one
+    for name, values in _square_cases(n).items():
+        f = ArithFunc(values)
+        copy = ArithFunc(f.values)
+        assert copy is not f and copy == f
+        if name == "wide" and n >= 3:
+            assert isinstance(f._den, tuple)
+        square = f.convolve(f)
+        assert square == f.convolve(copy), name
+        assert_stored_form(square, square.values)
+        seq = f
+        for r in range(2, 10):
+            seq = seq.convolve(copy)
+            assert f.power(r) == seq, (name, r)
+        if n <= 42:
+            expected = convolve_lists(values, values)
+            assert list(square.values) == expected, name
+            assert list(f.power(4).values) == convolve_lists(expected, expected), name
+
+
+@pytest.mark.parametrize("n", SQUARE_WINDOWS)
+def test_float_squares_equal_the_general_product_bit_for_bit(n):
+    rng = random.Random(n)
+    for pool in (_POOL, _SMALL_POOL):
+        values = _doubles(rng, n, pool)
+        f = ArithFunc(values)
+        copy = ArithFunc(f.values)
+        for square in (lambda: f.convolve(f), lambda: f.power(2)):
+            if _same_bits_or_refused(square, convolve_lists(values, values), n):
+                assert [v.hex() for v in square().values] == [v.hex() for v in (f * copy).values]
+
+
+def test_a_square_takes_each_unordered_pair_once(monkeypatch):
+    # the slices of f * f hold one term per i < j with ij <= n, the general
+    # product's one per ordered pair: about half, since a(i)^2 is written
+    # at i^2 outside the slices
+    n, terms = 1024, []
+
+    def counting(acc, at, col, cut, row, k):
+        terms.append(len(col[0][cut]))
+        step(acc, at, col, cut, row, k)
+
+    step = ring._step
+    monkeypatch.setattr(ring, "_step", counting)
+    for f in (ArithFunc(range(1, n + 1)), ArithFunc(_square_cases(n)["wide"])):
+        terms.clear()
+        f.convolve(f)
+        assert sum(terms) == sum(n // i - i for i in range(1, math.isqrt(n) + 1))
+        terms.clear()
+        f.convolve(ArithFunc(f.values))
+        assert sum(terms) == sum(n // i for i in range(1, n + 1))
+
+
 def test_only_trivial_idempotents_small_window():
     # exhaustive over entries {-1, 0, 1} at window 8
     import itertools
