@@ -2,14 +2,9 @@
 
 Entries are small rationals (numerator -3..3 over denominator 1..3) so
 that convolutions stay cheap and every failure reproduces from the seed.
-Entries come from one loop, ``_draws(rng, n)``, which binds
-``rng.getrandbits`` once and draws each entry as two rejection samples:
-3 bits until the value is below 7 for the numerator, then 2 bits until
-it is below 3 for the denominator.  That is how CPython's
-``randint(-3, 3)`` and ``randint(1, 3)`` draw, so the values and the
-generator's final state are those of n pairs of ``randint`` calls, and a
-single entry is ``_draws(rng, 1)[0]`` at the same point of the stream:
-``random_additive`` draws one that way per prime power, as
+Each entry is one uniform draw from the 21 (numerator, denominator)
+pairs: ``_draws(rng, n)`` draws n of them with one ``rng.choices`` call,
+and ``random_additive`` draws one with ``rng.choice`` per prime power, as
 ``primes.prime_power_fold`` reaches it.  Every such value is an integer
 number of sixths, so the samplers build narrow functions from integers
 over 6 and no entry becomes a Fraction.
@@ -24,36 +19,23 @@ from operator import add
 from .primes import prime_power_fold
 from .ring import ArithFunc
 
-# a narrow scalar times 6, by its two draws: (i - 3) * 6 / (j + 1)
-_NARROW = tuple(tuple((i - 3) * 6 // (j + 1) for j in range(3)) for i in range(7))
+# a narrow scalar times 6, one per pair: 6 * a / b for a in -3..3, b in 1..3
+_NARROW = tuple(a * 6 // b for a in range(-3, 4) for b in (1, 2, 3))
+_NONZERO = tuple(v for v in _NARROW if v)
 
 
 def _draws(rng: random.Random, n: int) -> list[int]:
-    """n narrow scalars times 6, each as ``randint(-3, 3)`` over ``randint(1, 3)``."""
-    bits = rng.getrandbits
-    out = []
-    append = out.append
-    for _ in range(n):
-        i = bits(3)
-        while i == 7:
-            i = bits(3)
-        j = bits(2)
-        while j == 3:
-            j = bits(2)
-        append(_NARROW[i][j])
-    return out
+    """n narrow scalars times 6."""
+    return rng.choices(_NARROW, k=n)
 
 
 def _nonzero(rng: random.Random) -> int:
-    """One nonzero narrow scalar times 6: ``_draws(rng, 1)`` until nonzero."""
-    v = _draws(rng, 1)[0]
-    while not v:
-        v = _draws(rng, 1)[0]
-    return v
+    """One nonzero narrow scalar times 6, uniform over the 18 nonzero pairs."""
+    return rng.choice(_NONZERO)
 
 
 def random_scalar(rng: random.Random) -> Fraction:
-    return Fraction(_draws(rng, 1)[0], 6)
+    return Fraction(rng.choice(_NARROW), 6)
 
 
 def random_func(rng: random.Random, n: int) -> ArithFunc:
@@ -75,7 +57,7 @@ def random_unit(rng: random.Random, n: int) -> ArithFunc:
 
 
 def random_non_unit(rng: random.Random, n: int) -> ArithFunc:
-    """Random nonzero function vanishing at 1."""
+    """Random function vanishing at 1, and nonzero when n > 1."""
     vals = _draws(rng, n)
     vals[0] = 0
     if n > 1 and not any(vals):
@@ -106,4 +88,4 @@ def random_additive(rng: random.Random, n: int) -> ArithFunc:
     """Random additive function: one entry per prime power, drawn through
     ``prime_power_fold`` as it reaches p^a, so in ascending order of p^a,
     and f(k) is the sum of the entries at the prime powers exactly dividing k."""
-    return ArithFunc._of(prime_power_fold(n, lambda p, a: _draws(rng, 1)[0], add, 0), 6)
+    return ArithFunc._of(prime_power_fold(n, lambda p, a: rng.choice(_NARROW), add, 0), 6)

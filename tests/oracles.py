@@ -6,8 +6,10 @@ every divisor of every index, divisibility depth divides by each power
 of the divisor in turn, the totient counts coprime integers one by
 one, tau comes from a schoolbook expansion of the eta product and from
 the divisor-sum recursion over a sieve of sigma, additivity
-is tested pair by pair, a narrow scalar is drawn with two ``randint``
-calls, and the constructor's input rules are checked one entry at a time.
+is tested pair by pair, a narrow scalar is drawn as one of its 21
+(numerator, denominator) pairs and built as a Fraction (or, for the
+operands of the pinned kernel digests, with two ``randint`` calls), and
+the constructor's input rules are checked one entry at a time.
 """
 
 from __future__ import annotations
@@ -102,10 +104,34 @@ def additivity_pair_scan(values: list, coprime_only: bool, slack: float = 0.0):
     return "member", None, f"all pairs with product <= {n} pass"
 
 
+# a narrow scalar's (numerator, denominator) pairs, numerator outer
+NARROW_PAIRS = [(a, b) for a in range(-3, 4) for b in (1, 2, 3)]
+
+
+def choices_scalars(rng, k: int) -> list[Fraction]:
+    """k narrow scalars drawn with one ``choices`` call over ``NARROW_PAIRS``."""
+    return [Fraction(a, b) for a, b in rng.choices(NARROW_PAIRS, k=k)]
+
+
+def choice_scalar(rng, nonzero: bool = False) -> Fraction:
+    """One narrow scalar drawn with ``choice`` over ``NARROW_PAIRS``, or over
+    its 18 pairs with a nonzero numerator."""
+    a, b = rng.choice([(a, b) for a, b in NARROW_PAIRS if a or not nonzero])
+    return Fraction(a, b)
+
+
 def randint_scalar(rng) -> Fraction:
     """A narrow scalar (numerator -3..3 over denominator 1..3) drawn with
     two ``randint`` calls, numerator first."""
     return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def randint_nonzero(rng) -> Fraction:
+    """``randint_scalar`` drawn again until it is nonzero."""
+    v = randint_scalar(rng)
+    while not v:
+        v = randint_scalar(rng)
+    return v
 
 
 class Refused(Exception):

@@ -200,8 +200,9 @@ ORACLE_COMPARISONS = {"oracle: convolve": _convolve_agrees, "oracle: try_divide"
 # generator, since a reconstruction reads the points and the cofactors.
 
 KILLS = {
-    "product skips i = j > 1": {"invertibility", "units_group", "integral_domain", "semiprime",
-                                "mobius_inversion", "oracle: convolve"},
+    "product skips i = j > 1": {"invertibility", "units_group", "norm_homomorphism",
+                                "integral_domain", "semiprime", "mobius_inversion",
+                                "oracle: convolve"},
     "_solve doubles g(47)": {"invertibility", "units_group", "mobius_inversion"},
     "leftover scan stops one short": {"oracle: try_divide"},
     "P_m loses its last index": {"principal_prime", "generator_count", "prime_products_ideal",

@@ -38,9 +38,10 @@ from dirichlet_ring.sampling import random_func, random_nonzero, random_unit, ra
 from dirichlet_ring.zoo import big_omega, generate, log_function, mangoldt, mobius, unit
 
 from conftest import coprime_pair
-from oracles import (Refused, big_omega_scan, construct_reference, convolve_lists,
-                     distinct_count_scan, divide_lists, invert_floats, liouville_scan, mobius_scan,
-                     phi_count, psi_scan, randint_scalar)
+from oracles import (Refused, big_omega_scan, choices_scalars, construct_reference,
+                     convolve_lists, distinct_count_scan, divide_lists, invert_floats,
+                     liouville_scan, mobius_scan, phi_count, psi_scan, randint_nonzero,
+                     randint_scalar)
 
 # the 25 fractions in [-3, 3] with denominator at most 3, simplest first so
 # that a failing example shrinks towards 0; one draw each picks an index,
@@ -899,8 +900,9 @@ def test_every_path_builds_the_stored_form_of_its_values(n, width, seed, tag):
     assert_stored_form(indicator_shift(2, f, n), [fv[k // 2 - 1] if k % 2 == 0 else 0
                                                   for k in range(1, n + 1)])
     assert_stored_form(generate(tag, n), [ZOO_ORACLES[tag](k) for k in range(1, n + 1)])
-    draws = random.Random(seed)
-    assert_stored_form(random_func(random.Random(seed), n), [randint_scalar(draws) for _ in range(n)])
+    ours, draws = random.Random(seed), random.Random(seed)
+    assert_stored_form(random_func(ours, n), choices_scalars(draws, n))
+    assert ours.getstate() == draws.getstate()
     # a file's pairs, unreduced and with negative denominators
     scales = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
     obj = {"name": "f", "mode": EXACT, "n": n,
@@ -1003,15 +1005,28 @@ def _wide(rng, n):
     return ArithFunc([Fraction(rng.getrandbits(64) - (1 << 63) or 1, d) for d in dens], EXACT)
 
 
+def _randint_with_norm(rng, n, norm):
+    # the narrow operands' recipe when the kernel digest was recorded: a
+    # nonzero value at ``norm``, then two ``randint`` calls per entry
+    return ArithFunc([0] * (norm - 1) + [randint_nonzero(rng)]
+                     + [randint_scalar(rng) for _ in range(n - norm)])
+
+
+def _randint_unit(rng, n):
+    vals = [randint_scalar(rng) for _ in range(n)]
+    vals[0] = vals[0] or randint_nonzero(rng)
+    return ArithFunc(vals)
+
+
 def test_kernel_outputs_are_pinned():
     # digest recorded before the scaled-integer path existed: every exact
     # value, witness index and float bit of these kernel calls is fixed
     rng = random.Random(41)
-    f, g = random_unit(rng, 1024), random_unit(rng, 1024)
-    f2 = random_with_norm(rng, 1024, 2)
+    f, g = _randint_unit(rng, 1024), _randint_unit(rng, 1024)
+    f2 = _randint_with_norm(rng, 1024, 2)
     h2 = f2 * g
     a, b = _wide(rng, 256), _wide(rng, 256)
-    u = random_unit(rng, 1024).to_float()
+    u = _randint_unit(rng, 1024).to_float()
     results = [
         f * g,
         f.invert(),

@@ -4,10 +4,11 @@ its pinned report."""
 import hashlib
 import itertools
 import re
+from collections import Counter
 
 import pytest
 
-from dirichlet_ring import ideals, verify
+from dirichlet_ring import ideals, sampling, verify
 from dirichlet_ring.ideals import IdealSpec, member
 from dirichlet_ring.ring import ArithFunc, delta, dirichlet_product
 
@@ -124,6 +125,36 @@ def test_idempotent_check_takes_few_products(monkeypatch):
     # each of the two idempotent prefixes (0 and e) at windows 1..7 is
     # tried with all three next entries, after the three one-entry candidates
     assert len(calls) == 3 + 7 * 2 * 3
+
+
+def test_entries_drawn_per_check_are_pinned(monkeypatch):
+    # the entries each check draws through ``sampling._draws`` in
+    # run_all(1024, 0); local_dichotomy reads its g and h at index 1 only,
+    # and norm_homomorphism and integral_domain read their pairs on 1..ij,
+    # so a check that draws past what it reads raises its count
+    drawn, current = Counter(), [None]
+    draws = sampling._draws
+
+    def counted(rng, n):
+        drawn[current[0]] += n
+        return draws(rng, n)
+
+    def tagged(func):
+        def run(ctx):
+            current[0] = func.__name__.removeprefix("_check_")
+            return func(ctx)
+        return run
+
+    monkeypatch.setattr(sampling, "_draws", counted)
+    monkeypatch.setattr(verify, "CHECKS", tuple((name, tagged(f)) for name, f in verify.CHECKS))
+    assert all(r.passed for r in verify.run_all(1024, 0))
+    assert drawn == {
+        "invertibility": 30720, "units_group": 1536, "local_dichotomy": 20520,
+        "essential": 10240, "norm_homomorphism": 10516, "integral_domain": 9164,
+        "nonprime_norm_products": 30720, "coprime_ideal_prime": 20480,
+        "principal_prime": 18432, "generator_count": 12288, "not_bezout": 6400,
+        "divisibility_depth": 17512,
+    }
 
 
 @pytest.mark.parametrize("seed, digest", [

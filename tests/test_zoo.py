@@ -2,7 +2,6 @@
 the additivity oracles."""
 
 import gc
-import hashlib
 import math
 import random
 import tracemalloc
@@ -418,14 +417,6 @@ def test_float_zero_tests_read_the_stored_doubles():
     assert z.norm() == 10
     w = member(IdealSpec.coprime_vanishing(2), z)
     assert (w.verdict, w.index) == (NON_MEMBER, 33)
-
-
-def test_random_additive_draw_order_is_pinned():
-    # one draw per prime power, first needed at p^a, so the draws come in
-    # ascending order of p^a; a change in that order changes the digest
-    f = random_additive(random.Random(7), 256)
-    digest = hashlib.sha256(",".join(map(str, f.values)).encode()).hexdigest()
-    assert digest == "9a64d8ff361effa0111a0dac1a1e9480c2ae06b01c876c6a36cf1805cf026047"
 
 
 def test_prime_power_fold_calls_at_once_per_prime_power_in_ascending_order():
