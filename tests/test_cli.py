@@ -18,7 +18,7 @@ from dirichlet_ring.cli import DEFAULT_N, MAX_DIGITS, build_parser, main, parse_
 from dirichlet_ring.ideals import IdealSpec
 from dirichlet_ring.seqfile import FORMATS, load, save
 
-PINNED_CLI_DIGEST = "fc47db553967000c87810a2ccf5c98195f09c19263f33e4cab77ffb009fe519c"
+PINNED_CLI_DIGEST = "d9748cb5c87ddb47e3abdb04798ec1d6740a9f1f9f8abb42b65af4c3bd459473"
 
 SRC_DIR = str(Path(dirichlet_ring.__file__).resolve().parent.parent)
 

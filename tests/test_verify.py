@@ -158,8 +158,8 @@ def test_entries_drawn_per_check_are_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (0, "d72e47052f4cdfa011333766b61a2203066cb640bdf40a10521e2b6231a9e374"),
-    (1, "4bc6fd0d458753557617e60bc033eb0ed0c36485897a081c02e4f5bf1c322866"),
+    (0, "d06ed35eb172dca784c0e756c3b1ef7ca679bfb087bf6e4a6ac9949116475f6d"),
+    (1, "f839b7aef14eafc5d2145fdfc493a344a39eff4c0ec5615af36ffb0a71afc764"),
 ], ids=["seed0", "seed1"])  # ids without the digest, so a new digest keeps the test's name
 def test_report_at_256_is_pinned(seed, digest):
     # the whole verify-paper report, verdicts, witnesses and draws included;
@@ -171,5 +171,5 @@ def test_report_at_256_is_pinned(seed, digest):
 def test_report_at_1024_is_pinned():
     # the window of the benchmark's longest verify-paper run
     report = verify.render_report(verify.run_all(1024, 0), 1024, 0)
-    digest = "1ef04bb2987f068a6cf5df33dd8d701ff8d82c506f92e61f18bb1a1f62f2e483"
+    digest = "6288b4446aa2c91b2e40209bd3c0a4c3b1443fea36b0af6f3368b8b197bf8289"
     assert hashlib.sha256(report.encode()).hexdigest() == digest
