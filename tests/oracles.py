@@ -106,6 +106,7 @@ def additivity_pair_scan(values: list, coprime_only: bool, slack: float = 0.0):
 
 # a narrow scalar's (numerator, denominator) pairs, numerator outer
 NARROW_PAIRS = [(a, b) for a in range(-3, 4) for b in (1, 2, 3)]
+NONZERO_PAIRS = [(a, b) for a, b in NARROW_PAIRS if a]
 
 
 def choices_scalars(rng, k: int) -> list[Fraction]:
@@ -115,8 +116,8 @@ def choices_scalars(rng, k: int) -> list[Fraction]:
 
 def choice_scalar(rng, nonzero: bool = False) -> Fraction:
     """One narrow scalar drawn with ``choice`` over ``NARROW_PAIRS``, or over
-    its 18 pairs with a nonzero numerator."""
-    a, b = rng.choice([(a, b) for a, b in NARROW_PAIRS if a or not nonzero])
+    ``NONZERO_PAIRS``."""
+    a, b = rng.choice(NONZERO_PAIRS if nonzero else NARROW_PAIRS)
     return Fraction(a, b)
 
 

@@ -132,6 +132,7 @@ def test_entries_drawn_per_check_are_pinned(monkeypatch):
     # run_all(1024, 0); local_dichotomy reads its g and h at index 1 only,
     # and norm_homomorphism and integral_domain read their pairs on 1..ij,
     # so a check that draws past what it reads raises its count
+    # (additive_nonunits draws one ``rng.choice`` per prime power instead)
     drawn, current = Counter(), [None]
     draws = sampling._draws
 
