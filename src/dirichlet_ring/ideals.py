@@ -9,7 +9,9 @@ primes: ``K_n`` reads them off the sieve, and the prime-divisor
 families bound a count of each index's distinct primes from a chosen
 set, built by one slice of multiples per chosen prime.  Each family is
 the support ideal of those indices, so chains are decided from the index
-sets on 1..n, with no indicator built.  Membership verdicts are
+sets on 1..n, with no indicator built, and primality has one decider,
+``window_prime``'s scan of the pairs of indices, whose least failing pair
+is also the first pair ``probe_prime`` tries.  Membership verdicts are
 therefore statements about the truncation window, never about the full
 ring.
 """
@@ -18,8 +20,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
-from math import prod
+from itertools import accumulate, chain as concat, compress, repeat
 from operator import le, mul
 from typing import NamedTuple
 
@@ -337,8 +338,10 @@ def window_prime(spec: IdealSpec, window: int, squares: bool = False) -> Witness
     idxs = spec.constrained_indices(window)
     if not idxs:
         return Witness(NON_MEMBER, note=f"not {'semi-' * squares}prime (the whole ring)")
-    inside, pairs = _index_set(idxs), 0
-    for i, a in enumerate(idxs):
+    # a nonempty T holds 1, and the row a = 1 (|T| pairs, or 1 square) never fails
+    skip = 1 if idxs[0] == 1 else 0
+    inside, pairs = _index_set(idxs), skip * (1 if squares else len(idxs))
+    for i, a in enumerate(idxs[skip:], skip):
         for b in (a,) if squares else idxs[i:]:
             if a * b > window:
                 break
@@ -355,21 +358,6 @@ def window_prime(spec: IdealSpec, window: int, squares: bool = False) -> Witness
 # probes ------------------------------------------------------------------
 
 
-def _known_counterexample(spec: IdealSpec, window: int):
-    """Hand-built non-primality witnesses for the families that have one."""
-    if spec.tag == TAG_PRIME_TAIL:
-        f = ArithFunc._of([0] + [1] * (window - 1), 1)
-        return f, f
-    if spec.tag == TAG_GCD_COUNT:
-        qs = factorize(spec.m).distinct_primes
-        if 1 <= spec.k < len(qs):
-            return delta(prod(qs[: spec.k]), window), delta(qs[spec.k], window)
-    if spec.tag == TAG_NORM_FLOOR and spec.n >= 3:
-        d = delta(spec.n - 1, window)
-        return d, d
-    return None
-
-
 def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness:
     """Refutation search for primality of an ideal on the window.
 
@@ -378,35 +366,30 @@ def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness
     inside.  ``undecided_at_truncation`` means no counterexample was
     found; the window can never *prove* an ideal prime.
 
-    The hand-built pair goes first, then ``trials`` pairs of ``random_func``
-    draws, skipping each pair with a member.  The search never refutes what
-    the hand-built pairs miss: its refutation is a ``window_prime`` failure,
-    and each of those has a hand-built pair.
+    The first pair is ``window_prime``'s least failing pair delta_a, delta_b
+    (for K_n the all-ones-from-2 function twice), and there is none when the
+    scan passes; then come ``trials`` pairs of ``random_func`` draws.  Each
+    pair refutes only when both lie outside, with first violations kf and
+    kg, kf * kg <= window, and their product inside.  A refutation is thus
+    a ``window_prime`` failure, so probe and scan agree on every window.
     """
     if trials < 0:
         raise ValueError("trial count must be nonnegative")
-    if window < 1:
-        raise ValueError("window length must be at least 1")
-    refuted = "product of two non-members lies in the ideal"
-    known = _known_counterexample(spec, window)
-    if known is not None:
-        f, g = known
-        if (
-            not member(spec, f).is_member
-            and not member(spec, g).is_member
-            and member(spec, f.convolve(g)).is_member
-        ):
-            return Witness(NON_MEMBER, note=refuted, elements=known)
-    idxs = spec.constrained_indices(window)
+    scan = window_prime(spec, window)
+    first = [] if scan.pair is None else [scan.elements]  # no pair when the scan passes
+    if first and spec.tag == TAG_PRIME_TAIL:  # the all-ones-from-2 function, twice
+        ones = ArithFunc._of([0] + [1] * (window - 1), 1)
+        first = [(ones, ones)]
     rng = random.Random(seed)
-    drawn = trials if idxs else 0  # an ideal constraining nothing has no non-members
-    for _ in range(drawn):
-        f, g = random_func(rng, window), random_func(rng, window)
+    drawn = trials if spec.constrained_indices(window) else 0  # the whole ring has no non-members
+    draws = ((random_func(rng, window), random_func(rng, window)) for _ in range(drawn))
+    for f, g in concat(first, draws):
         kf, kg = member(spec, f).index, member(spec, g).index  # None for a member
         # f(kf) g(kg) lands at kf * kg; past the window the product can
         # look like a member only because its violation is cut off
         if kf and kg and kf * kg <= window and member(spec, f.convolve(g)).is_member:
-            return Witness(NON_MEMBER, note=refuted, elements=(f, g))
+            return Witness(NON_MEMBER, note="product of two non-members lies in the ideal",
+                           elements=(f, g))
     return Witness(UNDECIDED, note=f"no counterexample among {drawn} sampled pairs")
 
 

@@ -220,6 +220,9 @@ def _sep_labels(report) -> str:
 def _check_krull_chains(ctx: _Ctx) -> str:
     up = chain("P_ascending", 5, ctx.n)
     down = chain("J_descending", 5, ctx.n)
+    for spec in up.specs + down.specs:  # a chain of primes, not just of ideals
+        verdict = window_prime(spec, ctx.n)
+        _require(verdict.is_member, f"chain member {spec} is not prime on the window: {verdict.note}")
     return f"{_ends(up)} ascend strictly; {_ends(down)} descend strictly"
 
 

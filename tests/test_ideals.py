@@ -534,9 +534,9 @@ def test_probe_prime_counts_the_pairs_it_draws():
 
 @pytest.mark.parametrize("skipped", [1, 2])
 def test_probe_prime_random_search_refutes(monkeypatch, skipped):
-    # without the hand-built witness, the search skips each pair holding a
-    # member, then delta_2 twice refutes I_4: delta_4 lies in it
-    monkeypatch.setattr(ideals, "_known_counterexample", lambda spec, window: None)
+    # with a scan that passes, there is no first pair: the search skips each
+    # pair holding a member, then delta_2 twice refutes I_4: delta_4 lies in it
+    monkeypatch.setattr(ideals, "window_prime", lambda spec, window: Witness(MEMBER))
     spec, d2, zero = IdealSpec.norm_floor(4), delta(2, 64), zeros(64)
     pairs = [(zero, d2), (d2, zero)][:skipped] + [(d2, d2)]
     _hand_draws(monkeypatch, *(f for pair in pairs for f in pair))
@@ -550,7 +550,7 @@ def test_probe_norm_floor_refuted():
     assert w.verdict == NON_MEMBER
 
 
-PROBE_SPECS = ALL_FAMILY_SPECS + [  # each family at the edges of its hand-built pair
+PROBE_SPECS = ALL_FAMILY_SPECS + [  # each family near the windows where its scan starts to fail
     *(IdealSpec.norm_floor(n) for n in (1, 2, 3, 5, 6)),
     *(IdealSpec.coprime_vanishing(m) for m in (1, 2, 30, 210)),
     *(IdealSpec.gcd_count(m, k) for m, k in ((30, 1), (30, 2), (210, 1), (210, 2), (210, 3))),
@@ -561,19 +561,38 @@ PROBE_SPECS = ALL_FAMILY_SPECS + [  # each family at the edges of its hand-built
 ]
 
 
-def test_probe_search_never_refutes_beyond_the_hand_built_pairs():
-    # a search refutation is a window_prime failing pair, and each of those
-    # has a hand-built pair, so 25 sampled pairs decide what 0 pairs do
+def test_probe_refutes_exactly_when_the_scan_does():
+    # the first pair is the scan's failing pair (the all-ones pair for K_n),
+    # and a drawn pair refutes only on a scan failure, so 25 sampled pairs
+    # decide what 0 pairs do
     for spec in PROBE_SPECS:
         for window in range(1, 49):
             if spec.tag == "I" and spec.n > window + 1:
                 continue  # the window cannot hold the threshold
-            refuted = window_prime(spec, window).pair is not None  # None for the whole ring
+            scan = window_prime(spec, window)  # pair None when it passes, and for the whole ring
+            ones = ArithFunc([0] + [1] * (window - 1))
+            pair = (ones, ones) if spec.tag == "K" else scan.elements
             for seed in range(3):
-                known = probe_prime(spec, 0, seed, window)
-                searched = probe_prime(spec, 25, seed, window)
-                assert (searched.verdict, searched.elements) == (known.verdict, known.elements)
-                assert known.verdict == NON_MEMBER or not refuted, (spec, window)
+                for trials in (0, 25):
+                    w = probe_prime(spec, trials, seed, window)
+                    assert (w.verdict == NON_MEMBER) == (scan.pair is not None), (spec, window)
+                    assert w.elements == (pair if scan.pair else ()), (spec, window)
+
+
+@pytest.mark.parametrize("spec, pair", [(IdealSpec.norm_floor(5), (2, 3)),
+                                        (IdealSpec.gcd_count(30, 2), (2, 15))])
+def test_probe_prime_shows_the_scans_least_pair(spec, pair):
+    w = probe_prime(spec, trials=0, seed=0, window=64)
+    assert w == Witness(NON_MEMBER, note="product of two non-members lies in the ideal",
+                        elements=tuple(delta(k, 64) for k in pair))
+
+
+def test_probe_prime_does_not_refute_past_the_window():
+    # K_3's least failing pair is (5, 5), and 25 lies past the window, so the
+    # scan finds every pair outside and the probe has no first pair
+    assert window_prime(IdealSpec.prime_tail(3), 10).is_member
+    w = probe_prime(IdealSpec.prime_tail(3), 0, 0, 10)
+    assert w == Witness(UNDECIDED, note="no counterexample among 0 sampled pairs")
 
 
 # window decisions of primality ---------------------------------------------------
@@ -583,6 +602,13 @@ def test_probe_search_never_refutes_beyond_the_hand_built_pairs():
 def test_window_prime_needs_a_window(window):
     with pytest.raises(ValueError, match="window length"):
         window_prime(IdealSpec.maximal(), window)
+
+
+def test_window_prime_scans_a_first_row_other_than_1(monkeypatch):
+    # the row a = 1 is counted, not scanned, only when T holds 1, so a faulty
+    # index set without 1 is still scanned from its first index
+    monkeypatch.setattr(IdealSpec, "constrained_indices", lambda spec, window: (2, 3))
+    assert window_prime(IdealSpec.maximal(), 6).pair == (2, 2)
 
 
 def test_probe_semiprime_least_indices_track_powers():
