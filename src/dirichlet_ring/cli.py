@@ -322,9 +322,7 @@ def main(argv=None) -> int:
             result, status = result
         text = seqfile.render(result, getattr(args, "format", None))
         if args.out:
-            data = text.encode("utf-8")  # a text that cannot be encoded leaves no file
-            with open(args.out, "wb") as handle:
-                handle.write(data)
+            seqfile.write(text, args.out)
         else:
             sys.stdout.write(text)
         return status

@@ -9,11 +9,11 @@ primes: ``K_n`` reads them off the sieve, and the prime-divisor
 families bound a count of each index's distinct primes from a chosen
 set, built by one slice of multiples per chosen prime.  Each family is
 the support ideal of those indices, so chains are decided from the index
-sets on 1..n, with no indicator built, and primality has one decider,
-``window_prime``'s scan of the pairs of indices, whose least failing pair
-is also the first pair ``probe_prime`` tries.  Membership verdicts are
-therefore statements about the truncation window, never about the full
-ring.
+sets on 1..n, with no indicator built, as are the minimal generators,
+and primality has one decider, ``window_prime``'s scan of the pairs of
+indices, whose least failing pair is also the first pair ``probe_prime``
+tries.  Membership verdicts are therefore statements about the truncation
+window, never about the full ring.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import accumulate, chain as concat, compress, repeat
-from operator import le, mul
+from operator import add, le, mul
 from typing import NamedTuple
 
-from .primes import factorize, is_prime, nth_prime, primes_upto
+from .primes import factorize, is_prime, nth_prime, prime_power_fold, primes_upto
 from .ring import (MEMBER, NON_MEMBER, UNDECIDED, ArithFunc, NotDivisibleWitness, WindowError,
                    Witness, ZeroFunctionError, delta, indicator_shift, take, try_divide, zeros)
 from .sampling import random_func
@@ -322,6 +322,15 @@ def chain(family: str, length: int, window: int) -> ChainReport:
 
 
 # primality ---------------------------------------------------------------
+
+
+def minimal_generators(spec: IdealSpec, window: int) -> tuple[int, ...]:
+    """The s in 2..window outside T = ``spec.constrained_indices(window)`` with s/p in T for every
+    prime p | s: their delta_s span I / mI (m maximal), so by Nakayama a proper I needs that many."""
+    inside = _index_set(spec.constrained_indices(window))
+    primes = prime_power_fold(window, lambda p, a: (p,), add, ())  # each index's, off the sieve
+    return tuple(s for s in range(2, window + 1)
+                 if s not in inside and all(s // p in inside for p in primes[s - 1]))
 
 
 def window_prime(spec: IdealSpec, window: int, squares: bool = False) -> Witness:

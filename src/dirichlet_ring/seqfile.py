@@ -226,10 +226,10 @@ def load(path: str) -> tuple[str, ArithFunc]:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def save(f: ArithFunc, path: str, name: str = "sequence") -> None:
-    text = to_json(f, name)  # an integer past the digit limit leaves no file
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+def write(text: str, path: str) -> None:
+    data = text.encode("utf-8")  # a text that cannot be encoded leaves no file
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 def to_csv(f: ArithFunc) -> str:

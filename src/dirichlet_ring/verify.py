@@ -28,8 +28,7 @@ from typing import NamedTuple
 
 from . import ideals, sampling, structure, zoo
 from .ideals import IdealSpec, chain, divisibility_depth, member, probe_prime, window_prime
-from .ring import (MEMBER, NON_MEMBER, NonUnitError, NotDivisibleWitness, delta,
-                   dirichlet_product, identity, indicator_shift, try_divide)
+from .ring import MEMBER, NON_MEMBER, NonUnitError, delta, dirichlet_product, identity, indicator_shift
 from .structure import (
     CERT_COMPOSITE_NEXT,
     CERT_PRIME_NORM,
@@ -102,11 +101,12 @@ def _check_local_dichotomy(ctx: _Ctx) -> str:
         f = sampling.random_nonzero(ctx.rng, ctx.n)
         report = classify(f)
         _require(report.is_unit == bool(f(1)), "classify's unit verdict differs from f(1) != 0")
-        g = sampling.random_non_unit(ctx.rng, 1)
-        h = sampling.random_func(ctx.rng, 1)
+        g = sampling.random_non_unit(ctx.rng, 2)  # g(1) = 0 and g(2) != 0
+        h = sampling.random_unit(ctx.rng, 2)
         if not f(1):
             _require((f + g)(1) == 0, "maximal ideal not closed under +")
         _require((g * h)(1) == 0, "maximal ideal absorbed nothing")
+        _require((g * h)(2) == g(2) * h(1) != 0, "a unit multiple collapsed a maximal-ideal element")
     return f"{samples} samples: dichotomy and maximal-ideal closure hold"
 
 
@@ -280,21 +280,13 @@ def _check_generator_count(ctx: _Ctx) -> str:
 
 
 def _check_not_bezout(ctx: _Ctx) -> str:
-    window = MIN_WINDOW
-    d2, d3 = delta(2, window), delta(3, window)
+    d2, d3 = delta(2, MIN_WINDOW), delta(3, MIN_WINDOW)
     spec = IdealSpec.coprime_vanishing(6)
     _require(member(spec, d2).is_member and member(spec, d3).is_member, f"indicators not in {spec}")
-    _require(not member(spec, delta(k := 5, window)).is_member, f"{spec} swallowed delta_{k}")
-    units = 0
-    for _ in range(candidates := 100):
-        g = sampling.random_nonzero(ctx.rng, window)
-        if g(1):
-            units += 1
-            continue
-        divides_both = not any(isinstance(try_divide(d, g), NotDivisibleWitness) for d in (d2, d3))
-        _require(not divides_both, "a single non-unit divided both generators")
-    return (f"no common divisor among {candidates} candidates "
-            f"({units} units rejected since {spec} is proper)")
+    _require(not member(spec, delta(k := 5, MIN_WINDOW)).is_member, f"{spec} swallowed delta_{k}")
+    gens = ideals.minimal_generators(spec, ctx.n)  # a basis of P_6 modulo the maximal ideal times P_6
+    _require(gens == (2, 3), f"{spec} has minimal generators {gens} on 1..{ctx.n}")
+    return f"delta_{gens[0]}, delta_{gens[1]} span {spec} / m{spec} on 1..{ctx.n}; delta_{k} is outside"
 
 
 def _check_prime_products_ideal(ctx: _Ctx) -> str:
@@ -414,7 +406,7 @@ CHECKS = (
     ("P_m is prime: every pair in the window checked", _check_coprime_ideal_prime),
     ("P_p at a prime is principal with indicator generator", _check_principal_prime),
     ("P_m decomposes over its k prime indicators", _check_generator_count),
-    ("P_6 needs two generators: no sampled single divisor", _check_not_bezout),
+    ("P_6 needs two generators: its minimal generators", _check_not_bezout),
     ("J_Q is prime and collapses to P_m for finite complements", _check_prime_products_ideal),
     ("inclusions P_p in P_m in J_Q in J_q", _check_inclusion_chain),
     ("P_m1 = P_m2 exactly when prime divisors coincide", _check_same_ideal_criterion),

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from dirichlet_ring import seqfile
+
 
 @pytest.fixture
 def fractions_built(monkeypatch):
@@ -33,3 +35,8 @@ def coprime_pair(bits: int) -> tuple[int, int]:
         q += 1
     assert (p * q).bit_length() == bits
     return p, q
+
+
+def save(f, path, name: str = "sequence") -> None:
+    """Write the sequence file of ``f`` through the one writer ``--out`` uses."""
+    seqfile.write(seqfile.to_json(f, name), path)

@@ -83,6 +83,39 @@ def nu_p_scan(p: int, n: int) -> int:
     return a
 
 
+def constrained_scan(spec, window: int) -> list[int]:
+    """The indices 1..window where a member of ``spec``'s ideal must
+    vanish, from the family definitions by divisor scans.  The spec is read
+    through its fields; its tag is "I", "maximal", "P", "Pk", "K" or "J"."""
+    scanned_primes = [k for k in range(2, window + 1) if is_prime_scan(k)]
+
+    def constrains(idx):
+        ps = {p for p, _ in prime_factors_scan(idx)}
+        if spec.tag == "I":
+            return idx < spec.n
+        if spec.tag == "maximal":
+            return idx == 1
+        if spec.tag == "P":
+            return all(spec.m % p for p in ps)
+        if spec.tag == "Pk":
+            return sum(spec.m % p == 0 for p in ps) <= spec.k
+        if spec.tag == "K":
+            return idx == 1 or idx in scanned_primes[spec.n - 1 :]
+        if spec.complement:
+            return not ps & set(spec.primes)
+        return ps <= set(spec.primes)
+
+    return [idx for idx in range(1, window + 1) if constrains(idx)]
+
+
+def minimal_generators_scan(spec, window: int) -> tuple[int, ...]:
+    """The s in 2..window outside T = ``constrained_scan(spec, window)``
+    whose proper divisors all lie in T, each found by trying every d < s."""
+    inside = set(constrained_scan(spec, window))
+    return tuple(s for s in range(2, window + 1)
+                 if s not in inside and all(d in inside for d in range(1, s) if s % d == 0))
+
+
 def additivity_pair_scan(values: list, coprime_only: bool, slack: float = 0.0):
     """(verdict, pair, note) of the first pair m <= k, in order of m then k,
     with m*k in the window and |v(mk) - v(m) - v(k)| above ``slack`` times

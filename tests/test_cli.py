@@ -16,7 +16,9 @@ import dirichlet_ring
 from dirichlet_ring import ArithFunc, delta, generate, identity
 from dirichlet_ring.cli import DEFAULT_N, MAX_DIGITS, build_parser, main, parse_ideal_spec
 from dirichlet_ring.ideals import IdealSpec
-from dirichlet_ring.seqfile import FORMATS, load, save
+from dirichlet_ring.seqfile import FORMATS, load
+
+from conftest import save
 
 PINNED_CLI_DIGEST = "d9748cb5c87ddb47e3abdb04798ec1d6740a9f1f9f8abb42b65af4c3bd459473"
 

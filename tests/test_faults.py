@@ -205,14 +205,14 @@ KILLS = {
                                 "oracle: convolve"},
     "_solve doubles g(47)": {"invertibility", "units_group", "mobius_inversion"},
     "leftover scan stops one short": {"oracle: try_divide"},
-    "P_m loses its last index": {"principal_prime", "generator_count", "krull_chains",
+    "P_m loses its last index": {"principal_prime", "generator_count", "not_bezout", "krull_chains",
                                  "prime_products_ideal", "semiprime_boundaries"},
     "certificate fires at norms 2..6": {"atoms_every_norm"},
     "sieve calls 49 prime": {"nonprime_norm_products", "krull_chains", "prime_tail_not_prime",
                              "mobius_inversion"},
     "generators one index late": {"generator_count"},
-    "_lift shares one scale": {"invertibility", "units_group", "oracle: convolve",
-                               "oracle: try_divide"},
+    "_lift shares one scale": {"invertibility", "units_group", "local_dichotomy",
+                               "oracle: convolve", "oracle: try_divide"},
     "_Pair gcd branch keeps the gcd": {"oracle: convolve", "oracle: try_divide"},
 }
 

@@ -6,7 +6,8 @@ import random
 import re
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -42,8 +43,8 @@ from dirichlet_ring.sampling import (
 )
 from dirichlet_ring import MEMBER, NON_MEMBER, UNDECIDED, Witness
 
-from oracles import (convolve_lists, depth_power_chain, distinct_count_scan, is_prime_scan,
-                     prime_factors_scan, rank_over_q)
+from oracles import (constrained_scan, convolve_lists, depth_power_chain, distinct_count_scan,
+                     is_prime_scan, minimal_generators_scan, prime_factors_scan, rank_over_q)
 
 ALL_FAMILY_SPECS = [
     IdealSpec.norm_floor(4),
@@ -137,29 +138,6 @@ def test_member_prime_tail(monkeypatch):
     assert calls == []  # the primes are read off the window's sieve
 
 
-def _constrained_by_scan(spec, window):
-    """The constrained indices from the family definitions, by divisor scans."""
-    scanned_primes = [k for k in range(2, window + 1) if is_prime_scan(k)]
-
-    def constrains(idx):
-        ps = {p for p, _ in prime_factors_scan(idx)}
-        if spec.tag == ideals.TAG_NORM_FLOOR:
-            return idx < spec.n
-        if spec.tag == ideals.TAG_MAXIMAL:
-            return idx == 1
-        if spec.tag == ideals.TAG_COPRIME:
-            return all(spec.m % p for p in ps)
-        if spec.tag == ideals.TAG_GCD_COUNT:
-            return sum(spec.m % p == 0 for p in ps) <= spec.k
-        if spec.tag == ideals.TAG_PRIME_TAIL:
-            return idx == 1 or idx in scanned_primes[spec.n - 1 :]
-        if spec.complement:
-            return not ps & set(spec.primes)
-        return ps <= set(spec.primes)
-
-    return [idx for idx in range(1, window + 1) if constrains(idx)]
-
-
 SCAN_SPECS = [
     IdealSpec.norm_floor(1),
     IdealSpec.norm_floor(4),
@@ -186,7 +164,7 @@ SCAN_SPECS = [
 @pytest.mark.parametrize("window", [1, 2, 3, 64, 300, 1000])
 def test_constrained_indices_match_definition_scan(window):
     for spec in SCAN_SPECS:
-        assert spec.constrained_indices(window) == tuple(_constrained_by_scan(spec, window)), spec
+        assert spec.constrained_indices(window) == tuple(constrained_scan(spec, window)), spec
 
 
 def test_member_prime_products_allow_mode():
@@ -435,7 +413,7 @@ def _fitting_chains(family, window):
 
 @pytest.mark.parametrize("window", [*range(1, 65), 300])
 def test_chain_links_match_the_definition_scan(monkeypatch, window):
-    scan = cache(lambda spec: set(_constrained_by_scan(spec, window)))
+    scan = cache(lambda spec: set(constrained_scan(spec, window)))
     constrained = IdealSpec.constrained_indices
     for family in ideals.CHAIN_FAMILIES:
         reports = _fitting_chains(family, window)
@@ -645,7 +623,7 @@ def _brute_prime(spec, window, squares, indicators, products):
     lies inside, and the number of pairs before it, by the product of
     every two indicators on the window and the definition scan; ab > window
     leaves the product zero on the window, so such a pair decides nothing."""
-    constrained = _constrained_by_scan(spec, window)
+    constrained = constrained_scan(spec, window)
     outside = [a for a, d in indicators.items() if any(d[k - 1] for k in constrained)]
     count = 0
     for i, a in enumerate(outside):
@@ -671,7 +649,7 @@ def test_window_prime_matches_brute_force(squares):
                 continue
             w = window_prime(spec, window, squares)
             pair, count = _brute_prime(spec, window, squares, indicators, products)
-            if not _constrained_by_scan(spec, window):  # the whole ring never passes vacuously
+            if not constrained_scan(spec, window):  # the whole ring never passes vacuously
                 kind = "semi-prime" if squares else "prime"
                 assert w == Witness(NON_MEMBER, note=f"not {kind} (the whole ring)"), (spec, window)
             elif pair is None:
@@ -715,6 +693,60 @@ def test_non_members_never_contradict_a_window_decision(squares):
                     assert product.index == a * b, (spec, window, f, g)
                     checked += 1
     assert checked > 1000
+
+
+# minimal generators and the family classification ---------------------------------
+
+
+def test_minimal_generators_match_the_divisor_scan():
+    # every family's T on 1..w is its T on 1..300 cut at w, and a generator's
+    # divisors are at most itself, so the scan's generators at window w are
+    # those at 300 up to w; I_1 is the whole ring, with none in 2..w
+    for spec in SCAN_SPECS:
+        scanned = minimal_generators_scan(spec, 300)
+        for window in range(1, 301):
+            expected = tuple(s for s in scanned if s <= window)
+            assert ideals.minimal_generators(spec, window) == expected, (spec, window)
+
+
+def test_p_m_needs_one_generator_per_prime_of_m():
+    # Nakayama: P_m needs |G(P_m)| = omega(m) generators, the delta_p with p | m
+    for m in (1, 2, 6, 12, 30, 210, 2310, 30030):
+        primes = tuple(p for p, _ in prime_factors_scan(m))
+        assert ideals.minimal_generators(IdealSpec.coprime_vanishing(m), 1024) == primes, m
+
+
+def test_family_classification_grid_at_1024():
+    n = 1024
+    # P_{m,k}, m squarefree: prime exactly when k = 0, k >= omega(m) (the
+    # zero ideal), or the product of m's k + 1 least primes, the least
+    # product of two indices in T that leaves T, is past n; always semi-prime
+    for m in range(1, 2311):
+        factors = prime_factors_scan(m)
+        if any(a > 1 for _, a in factors):
+            continue
+        ps = [p for p, _ in factors]
+        for k in range(len(ps) + 1):
+            spec = IdealSpec.gcd_count(m, k)
+            prime = k == 0 or k >= len(ps) or prod(ps[: k + 1]) > n
+            assert window_prime(spec, n).is_member == prime, spec
+            assert window_prime(spec, n, squares=True).is_member, spec
+    # J_Q and J_~Q over the primes <= 13 are prime
+    small = [p for p in range(2, 14) if is_prime_scan(p)]
+    for r in range(1, len(small) + 1):
+        for q in combinations(small, r):
+            for complement in (False, True):
+                spec = IdealSpec.prime_products(q, complement)
+                assert window_prime(spec, n).is_member, spec
+    # K_j fails at (p_j, p_j), so it is refuted, and not semi-prime, exactly
+    # when p_j^2 <= n: K_11 (31^2 = 961) is, K_12 (37^2 = 1369) is not
+    for j, p in enumerate([p for p in range(2, 60) if is_prime_scan(p)], 1):
+        for squares in (False, True):
+            assert window_prime(IdealSpec.prime_tail(j), n, squares).is_member == (p * p > n), j
+    # I_t is neither prime nor semi-prime
+    for t in (3, 4, 5, 33):
+        for squares in (False, True):
+            assert not window_prime(IdealSpec.norm_floor(t), n, squares).is_member, t
 
 
 # divisibility depth ---------------------------------------------------------------

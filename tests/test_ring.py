@@ -37,7 +37,7 @@ from dirichlet_ring.ring import dirichlet_product
 from dirichlet_ring.sampling import random_func, random_nonzero, random_unit, random_with_norm
 from dirichlet_ring.zoo import big_omega, generate, log_function, mangoldt, mobius, unit
 
-from conftest import coprime_pair
+from conftest import coprime_pair, save
 from oracles import (Refused, big_omega_scan, choices_scalars, construct_reference,
                      convolve_lists, distinct_count_scan, divide_lists, invert_floats,
                      liouville_scan, mobius_scan, phi_count, psi_scan, randint_nonzero,
@@ -604,8 +604,8 @@ def test_common_denominator_switch_at_shared_bits(tmp_path, monkeypatch, fractio
         assert list(product.values) == convolve_lists(xv, list(over_q.values))
         assert try_divide(product, over_q) == ArithFunc(xv)
     # the loader, with no Fraction built for either file
-    seqfile.save(f, tmp_path / "f.json")
-    seqfile.save(f2, tmp_path / "f2.json")
+    save(f, tmp_path / "f.json")
+    save(f2, tmp_path / "f2.json")
     made = fractions_built.made
     f2_loaded = seqfile.load(tmp_path / "f2.json")[1]
     f_loaded = seqfile.load(tmp_path / "f.json")[1]
@@ -956,12 +956,12 @@ def test_exact_of_reads_the_gcd_without_copying_the_window():
 
 def test_loaded_file_is_stored_as_integers(tmp_path):
     path = tmp_path / "mu.json"
-    seqfile.save(mobius(200), path, "mu")
+    save(mobius(200), path, "mu")
     _, f = seqfile.load(path)
     assert f == mobius(200) and hash(f) == hash(mobius(200))
     assert f._den == 1 and all(type(v) is int for v in f._values)
     thirds = ArithFunc([Fraction(k, 3) for k in range(-4, 5)])
-    seqfile.save(thirds, path)
+    save(thirds, path)
     assert_stored_form(seqfile.load(path)[1], [Fraction(k, 3) for k in range(-4, 5)])
 
 
@@ -986,7 +986,7 @@ def test_wide_kernels_and_sequence_files_build_no_fraction(tmp_path, fractions_b
     c, cw = a * b, a2 * b + delta(101, 256)
     made = fractions_built.made
     results = [a * b, a.invert(), try_divide(c, b), try_divide(cw, a2), a.power(3)]
-    seqfile.save(a, tmp_path / "a.json")
+    save(a, tmp_path / "a.json")
     loaded = seqfile.load(tmp_path / "a.json")[1]
     assert fractions_built.made == made
     assert results[0] == c and results[2] == a and loaded == a

@@ -21,15 +21,15 @@ from dirichlet_ring.seqfile import (
     is_decimal,
     load,
     render,
-    save,
     to_csv,
     to_json,
     to_json_obj,
     to_table,
+    write,
 )
 from dirichlet_ring.zoo import euler_phi, log_function, mangoldt, mobius
 
-from conftest import coprime_pair
+from conftest import coprime_pair, save
 
 
 def test_exact_round_trip(tmp_path):
@@ -47,6 +47,18 @@ def test_float_round_trip(tmp_path):
     save(f, path, name="mangoldt")
     _, back = load(path)
     assert back == f  # repr round-trip of doubles is exact
+
+
+def test_write_encodes_the_text_before_it_opens_the_file(tmp_path):
+    # the writer of ``--out`` and of the tests' ``save``: the file holds the
+    # text's UTF-8 bytes, and a text that cannot be encoded leaves no file
+    path, bad = tmp_path / "f.json", tmp_path / "bad.json"
+    text = to_table(ArithFunc([Fraction(1, 3), 2]), "caf\xe9")
+    write(text, path)
+    assert path.read_bytes() == text.encode("utf-8") and b"caf\xc3\xa9" in path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        write(text.replace("caf\xe9", "\ud800"), bad)
+    assert not bad.exists()
 
 
 def test_exact_values_serialized_as_string_pairs():

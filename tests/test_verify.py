@@ -129,8 +129,8 @@ def test_idempotent_check_takes_few_products(monkeypatch):
 
 def test_entries_drawn_per_check_are_pinned(monkeypatch):
     # the entries each check draws through ``sampling._draws`` in
-    # run_all(1024, 0); local_dichotomy reads its g and h at index 1 only,
-    # and norm_homomorphism and integral_domain read their pairs on 1..ij,
+    # run_all(1024, 0); local_dichotomy reads its g and h at indices 1 and 2
+    # only, and norm_homomorphism and integral_domain read their pairs on 1..ij,
     # so a check that draws past what it reads raises its count
     # (additive_nonunits draws one ``rng.choice`` per prime power instead)
     drawn, current = Counter(), [None]
@@ -150,11 +150,10 @@ def test_entries_drawn_per_check_are_pinned(monkeypatch):
     monkeypatch.setattr(verify, "CHECKS", tuple((name, tagged(f)) for name, f in verify.CHECKS))
     assert all(r.passed for r in verify.run_all(1024, 0))
     assert drawn == {
-        "invertibility": 30720, "units_group": 1536, "local_dichotomy": 20520,
+        "invertibility": 30720, "units_group": 1536, "local_dichotomy": 20560,
         "essential": 10240, "norm_homomorphism": 10516, "integral_domain": 9164,
         "nonprime_norm_products": 30720, "coprime_ideal_prime": 20480,
-        "principal_prime": 18432, "generator_count": 12288, "not_bezout": 6400,
-        "divisibility_depth": 17512,
+        "principal_prime": 18432, "generator_count": 12288, "divisibility_depth": 17512,
     }
 
 
