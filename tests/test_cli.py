@@ -20,7 +20,7 @@ from dirichlet_ring.seqfile import FORMATS, load
 
 from conftest import save
 
-PINNED_CLI_DIGEST = "d9748cb5c87ddb47e3abdb04798ec1d6740a9f1f9f8abb42b65af4c3bd459473"
+PINNED_CLI_DIGEST = "6af19da9de40ee99e012db0ecd35456f0681c3ac9b03e37853e141d567e8cb72"
 
 SRC_DIR = str(Path(dirichlet_ring.__file__).resolve().parent.parent)
 

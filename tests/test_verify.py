@@ -158,8 +158,8 @@ def test_entries_drawn_per_check_are_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (0, "d06ed35eb172dca784c0e756c3b1ef7ca679bfb087bf6e4a6ac9949116475f6d"),
-    (1, "f839b7aef14eafc5d2145fdfc493a344a39eff4c0ec5615af36ffb0a71afc764"),
+    (0, "3302b26dc79c4a96da3f61296dfe0ee006cbcfa9c2c37985b4f32b10b142a90e"),
+    (1, "c4fb993aacbd454ef7d6f530dcf78d27ed8c51692bac65cff5ea1f90238dca72"),
 ], ids=["seed0", "seed1"])  # ids without the digest, so a new digest keeps the test's name
 def test_report_at_256_is_pinned(seed, digest):
     # the whole verify-paper report, verdicts, witnesses and draws included;
@@ -171,5 +171,5 @@ def test_report_at_256_is_pinned(seed, digest):
 def test_report_at_1024_is_pinned():
     # the window of the benchmark's longest verify-paper run
     report = verify.render_report(verify.run_all(1024, 0), 1024, 0)
-    digest = "6288b4446aa2c91b2e40209bd3c0a4c3b1443fea36b0af6f3368b8b197bf8289"
+    digest = "04c60aa19d6f58d1c9f760f6f598683a84b6a2fe14d37f9e19a61f70bd63ae51"
     assert hashlib.sha256(report.encode()).hexdigest() == digest
