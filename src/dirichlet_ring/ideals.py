@@ -24,7 +24,7 @@ from itertools import accumulate, chain as concat, compress, repeat
 from operator import add, le, mul
 from typing import NamedTuple
 
-from .primes import factorize, is_prime, nth_prime, prime_power_fold, primes_upto
+from .primes import factorize, is_prime, nth_prime, prime_factors_upto, prime_power_fold, primes_upto
 from .ring import (MEMBER, NON_MEMBER, UNDECIDED, ArithFunc, NotDivisibleWitness, WindowError,
                    Witness, ZeroFunctionError, delta, indicator_shift, take, try_divide, zeros)
 from .sampling import random_func
@@ -129,7 +129,7 @@ class IdealSpec(NamedTuple):
         """The indices 1..window, ascending, where members must vanish;
         cached per (spec, window), since ``member``, the probes and
         ``random_in_ideal`` ask again and again for the same few.  P_m and
-        P_{m,k} test m % p at most once per prime of the window and never factor m."""
+        P_{m,k} divide m by trial only up to the window, and never factor m in full."""
         if self.tag == TAG_NORM_FLOOR:
             return tuple(range(1, min(self.n, window + 1)))
         if self.tag == TAG_MAXIMAL:
@@ -144,8 +144,8 @@ class IdealSpec(NamedTuple):
             chosen = [p for p in self.primes if p <= window]
         elif self.tag == TAG_PRIME_PRODUCTS:
             chosen = set(primes_upto(window)).difference(self.primes)
-        else:  # a prime dividing m is at most m
-            chosen = [p for p in primes_upto(min(window, self.m)) if self.m % p == 0]
+        else:  # m's primes up to the window, by trial division to min(window, sqrt(m))
+            chosen = [p for p, _ in prime_factors_upto(self.m, window)]
         counts = bytearray(window)  # at idx - 1; no index below 2**63 has 16 distinct primes
         for p in chosen:
             counts[p - 1 :: p] = counts[p - 1 :: p].translate(_PLUS_ONE)
@@ -380,7 +380,8 @@ def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness
     scan passes; then come ``trials`` pairs of ``random_func`` draws.  Each
     pair refutes only when both lie outside, with first violations kf and
     kg, kf * kg <= window, and their product inside.  A refutation is thus
-    a ``window_prime`` failure, so probe and scan agree on every window.
+    a ``window_prime`` failure, so probe and scan agree on every window, and
+    an undecided note leads with the scan's note: what it checked.
     """
     if trials < 0:
         raise ValueError("trial count must be nonnegative")
@@ -399,7 +400,7 @@ def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness
         if kf and kg and kf * kg <= window and member(spec, f.convolve(g)).is_member:
             return Witness(NON_MEMBER, note="product of two non-members lies in the ideal",
                            elements=(f, g))
-    return Witness(UNDECIDED, note=f"no counterexample among {drawn} sampled pairs")
+    return Witness(UNDECIDED, note=f"{scan.note}; no counterexample among {drawn} sampled pairs")
 
 
 def divisibility_depth(h: ArithFunc, f: ArithFunc) -> int:

@@ -1,6 +1,7 @@
 """Prime utilities: a memoized trial-division factorizer for single
-integers, and one smallest-prime-factor sieve, written by one slice
-assignment per prime up to the square root of the window, that lists
+integers, on a loop that can stop at a bound, and one
+smallest-prime-factor sieve, written by one slice assignment per prime
+up to the square root of the window, that lists
 the primes and builds multiplicative and additive functions on a whole
 window from their prime-power values."""
 
@@ -33,10 +34,17 @@ def factorize(n: int) -> Factorization:
     """Canonical factorization by trial division up to sqrt(n)."""
     if n < 1:
         raise ValueError("only positive integers factorize")
+    return Factorization(n, prime_factors_upto(n, n))
+
+
+def prime_factors_upto(n: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n >= 1 for its primes p <= bound, by
+    trial division up to min(bound, sqrt(n)): a cofactor left at most
+    ``bound`` has no prime below its square root, so it is prime."""
     factors = []
     m = n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p <= bound:
         if m % p == 0:
             a = 0
             while m % p == 0:
@@ -44,9 +52,9 @@ def factorize(n: int) -> Factorization:
                 a += 1
             factors.append((p, a))
         p += 1 if p == 2 else 2
-    if m > 1:
+    if 1 < m <= bound:
         factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
 def is_prime(n: int) -> bool:

@@ -123,11 +123,6 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
-def to_json(f: ArithFunc, name: str = "sequence") -> str:
-    """The sequence file text of ``f``."""
-    return dumps((f, name))
-
-
 def _all_decimal(nums: list) -> bool:
     """Whether every one of the strings ``nums`` is a decimal string, read
     as one string when each is an optional "-" and ASCII digits; a function

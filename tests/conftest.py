@@ -1,11 +1,19 @@
 # keeps this directory importable so tests can share the oracle helpers
+import gc
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from dirichlet_ring import seqfile
+
+SRC_DIR = str(Path(seqfile.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -39,4 +47,28 @@ def coprime_pair(bits: int) -> tuple[int, int]:
 
 def save(f, path, name: str = "sequence") -> None:
     """Write the sequence file of ``f`` through the one writer ``--out`` uses."""
-    seqfile.write(seqfile.to_json(f, name), path)
+    seqfile.write(seqfile.dumps((f, name)), path)
+
+
+def run_cli_subprocess(*argv):
+    """``python -m dirichlet_ring *argv`` in a child process, on this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "dirichlet_ring", *argv], capture_output=True, env=env)
+
+
+def traced_peak(call):
+    """The peak bytes ``call()`` allocates above what was live before it,
+    under tracemalloc, and its result."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -75,6 +75,14 @@ def distinct_count_scan(n: int) -> int:
     return len(prime_factors_scan(n))
 
 
+# the exact zoo generators that take no parameter, by tag, and their scans
+ZOO_SCANS = {
+    "mobius": mobius_scan, "euler_phi": phi_count, "liouville": liouville_scan,
+    "dedekind_psi": psi_scan, "big_omega": big_omega_scan,
+    "distinct_prime_count": distinct_count_scan, "unit_u": lambda k: 1, "natural_N": lambda k: k,
+}
+
+
 def nu_p_scan(p: int, n: int) -> int:
     a = 0
     while n % p == 0:
@@ -130,6 +138,8 @@ def additivity_pair_scan(values: list, coprime_only: bool, slack: float = 0.0):
             if coprime_only and gcd(m, k) != 1:
                 continue
             a, b, c = values[m * k - 1], values[m - 1], values[k - 1]
+            if type(a) is not float and a == b + c:
+                continue  # an exact pair that holds; doubles take the slack test
             if abs(a) + abs(b) + abs(c) == inf:
                 a, b, c = a / 4, b / 4, c / 4
             if abs(a - b - c) > slack * (abs(a) + abs(b) + abs(c)):

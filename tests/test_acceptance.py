@@ -4,72 +4,23 @@ Each test prints one PASS/FAIL line (run with -s to see them inline).
 All equalities are exact unless a float tolerance is called out.
 """
 
-import os
 import random
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 
-import dirichlet_ring
-from dirichlet_ring import (
-    ArithFunc,
-    EXACT,
-    IdealSpec,
-    NonUnitError,
-    NotDivisibleWitness,
-    chain,
-    check_nonprime_norm_product,
-    classify,
-    decompose_coprime_vanishing,
-    delta,
-    identity,
-    indicator_shift,
-    member,
-    principal_quotient,
-    try_divide,
-)
-from dirichlet_ring.sampling import (
-    random_func,
-    random_in_ideal,
-    random_non_unit,
-    random_nonzero,
-    random_scalar,
-    random_with_norm,
-)
-from dirichlet_ring.structure import (
-    CERT_COMPOSITE_NEXT,
-    CERT_PRIME_NORM,
-    certified_atom_factor_search,
-    nonunit_product_profiles,
-)
-from dirichlet_ring import MEMBER, NON_MEMBER
-from dirichlet_ring.zoo import (
-    big_omega,
-    distinct_prime_count,
-    euler_phi,
-    liouville,
-    dedekind_psi,
-    mobius,
-    natural,
-    p_adic_valuation,
-    ramanujan_tau,
-    unit,
-)
+from dirichlet_ring import (MEMBER, NON_MEMBER, ArithFunc, EXACT, IdealSpec, NonUnitError,
+                            NotDivisibleWitness, chain, check_nonprime_norm_product, classify,
+                            decompose_coprime_vanishing, delta, identity, indicator_shift, member,
+                            principal_quotient, try_divide)
+from dirichlet_ring.sampling import (random_func, random_in_ideal, random_non_unit, random_nonzero,
+                                     random_scalar, random_with_norm)
+from dirichlet_ring.structure import (CERT_COMPOSITE_NEXT, CERT_PRIME_NORM,
+                                      certified_atom_factor_search, nonunit_product_profiles)
+from dirichlet_ring.zoo import euler_phi, generate, mobius, natural, p_adic_valuation, ramanujan_tau, unit
 
-from oracles import (
-    big_omega_scan,
-    distinct_count_scan,
-    liouville_scan,
-    mobius_scan,
-    nu_p_scan,
-    phi_count,
-    psi_scan,
-    rank_over_q,
-    tau_eta_product,
-)
+from conftest import run_cli_subprocess
+from oracles import ZOO_SCANS, nu_p_scan, rank_over_q, tau_eta_product
 
 
 @contextmanager
@@ -262,28 +213,10 @@ def test_criterion_10_nonprime_norm_products():
 
 def test_criterion_11_zoo_golden_values():
     with criterion(11, "generators match brute force to 1000; tau to 50; inversions"):
-        n = 1000
-        assert [int(v) for v in mobius(n).values] == [
-            mobius_scan(k) for k in range(1, n + 1)
-        ]
-        assert [int(v) for v in euler_phi(n).values] == [
-            phi_count(k) for k in range(1, n + 1)
-        ]
-        assert [int(v) for v in liouville(n).values] == [
-            liouville_scan(k) for k in range(1, n + 1)
-        ]
-        assert [int(v) for v in dedekind_psi(n).values] == [
-            psi_scan(k) for k in range(1, n + 1)
-        ]
-        assert [int(v) for v in big_omega(n).values] == [
-            big_omega_scan(k) for k in range(1, n + 1)
-        ]
-        assert [int(v) for v in distinct_prime_count(n).values] == [
-            distinct_count_scan(k) for k in range(1, n + 1)
-        ]
-        assert [int(v) for v in p_adic_valuation(2, n).values] == [
-            nu_p_scan(2, k) for k in range(1, n + 1)
-        ]
+        ks = range(1, 1001)
+        for tag, scan in ZOO_SCANS.items():
+            assert [int(v) for v in generate(tag, 1000).values] == [scan(k) for k in ks], tag
+        assert [int(v) for v in p_adic_valuation(2, 1000).values] == [nu_p_scan(2, k) for k in ks]
         assert [int(v) for v in ramanujan_tau(50).values] == tau_eta_product(50)
         assert mobius(256) == unit(256).invert()
         assert mobius(256) * natural(256) == euler_phi(256)
@@ -314,18 +247,7 @@ def test_criterion_12_atom_certificates():
 
 def test_criterion_13_cli_determinism():
     with criterion(13, "verify-paper --n 128 --seed 7 is byte-identical and green"):
-        src = str(Path(dirichlet_ring.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        runs = [
-            subprocess.run(
-                [sys.executable, "-m", "dirichlet_ring", "verify-paper",
-                 "--n", "128", "--seed", "7"],
-                capture_output=True,
-                env=env,
-            )
-            for _ in range(2)
-        ]
+        runs = [run_cli_subprocess("verify-paper", "--n", "128", "--seed", "7") for _ in range(2)]
         assert runs[0].returncode == 0 and runs[1].returncode == 0
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout  # a real report came out

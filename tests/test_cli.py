@@ -3,8 +3,6 @@
 import hashlib
 import io
 import json
-import os
-import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -12,17 +10,14 @@ from pathlib import Path
 
 import pytest
 
-import dirichlet_ring
 from dirichlet_ring import ArithFunc, delta, generate, identity
 from dirichlet_ring.cli import DEFAULT_N, MAX_DIGITS, build_parser, main, parse_ideal_spec
 from dirichlet_ring.ideals import IdealSpec
 from dirichlet_ring.seqfile import FORMATS, load
 
-from conftest import save
+from conftest import run_cli_subprocess, save
 
-PINNED_CLI_DIGEST = "6af19da9de40ee99e012db0ecd35456f0681c3ac9b03e37853e141d567e8cb72"
-
-SRC_DIR = str(Path(dirichlet_ring.__file__).resolve().parent.parent)
+PINNED_CLI_DIGEST = "baee59bde515eb114207c58363899336f8bcefe23227aa5b125f9801c72e2b48"
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -30,16 +25,6 @@ def run_cli(*argv) -> tuple[int, str]:
     with redirect_stdout(buf):
         code = main(list(argv))
     return code, buf.getvalue()
-
-
-def run_cli_subprocess(*argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "dirichlet_ring", *argv],
-        capture_output=True,
-        env=env,
-    )
 
 
 # spec string parsing ---------------------------------------------------------
@@ -259,7 +244,8 @@ def test_ideal_probe_command():
                         "--n", "32")
     assert json.loads(out)["verdict"] == "undecided_at_truncation"
     code, out = run_cli("ideal", "probe", "I:1", "--trials", "3", "--n", "4")
-    assert (code, json.loads(out)["note"]) == (0, "no counterexample among 0 sampled pairs")
+    assert (code, json.loads(out)["note"]) == (
+        0, "not prime (the whole ring); no counterexample among 0 sampled pairs")
 
 
 # exit codes and determinism ------------------------------------------------------------

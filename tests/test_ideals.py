@@ -11,37 +11,13 @@ from math import gcd, prod
 
 import pytest
 
-from dirichlet_ring import (
-    ArithFunc,
-    ChainLink,
-    EXACT,
-    FLOAT,
-    IdealSpec,
-    NotInIdealError,
-    WindowError,
-    ZeroFunctionError,
-    chain,
-    decompose_coprime_vanishing,
-    delta,
-    divisibility_depth,
-    ideals,
-    identity,
-    indicator_shift,
-    member,
-    principal_quotient,
-    probe_prime,
-    window_prime,
-    zeros,
-)
-from dirichlet_ring import ring
+from dirichlet_ring import (MEMBER, NON_MEMBER, UNDECIDED, ArithFunc, ChainLink, EXACT, FLOAT,
+                            IdealSpec, NotInIdealError, WindowError, Witness, ZeroFunctionError,
+                            chain, decompose_coprime_vanishing, delta, divisibility_depth, ideals,
+                            identity, indicator_shift, member, principal_quotient, probe_prime,
+                            ring, window_prime, zeros)
 from dirichlet_ring.primes import nth_prime
-from dirichlet_ring.sampling import (
-    random_func,
-    random_in_ideal,
-    random_scalar,
-    random_with_norm,
-)
-from dirichlet_ring import MEMBER, NON_MEMBER, UNDECIDED, Witness
+from dirichlet_ring.sampling import random_func, random_in_ideal, random_scalar, random_with_norm
 
 from oracles import (constrained_scan, convolve_lists, depth_power_chain, distinct_count_scan,
                      is_prime_scan, minimal_generators_scan, prime_factors_scan, rank_over_q)
@@ -158,6 +134,9 @@ SCAN_SPECS = [
     IdealSpec.gcd_count(1, 0),
     *(IdealSpec.gcd_count(6, k) for k in range(3)),
     *(IdealSpec.gcd_count(30, k) for k in range(4)),
+    IdealSpec.coprime_vanishing(10**18 + 3),  # a prime: trial division stops at the window
+    IdealSpec.coprime_vanishing(9699690),  # the primorial 2 * 3 * ... * 19
+    IdealSpec.gcd_count(9699690, 2),
 ]
 
 
@@ -495,7 +474,8 @@ def test_probe_prime_skips_a_drawn_pair_whose_violation_leaves_the_window(monkey
     spec = IdealSpec.coprime_vanishing(6)
     _hand_draws(monkeypatch, delta(2, 64) + delta(5, 64), delta(13, 64))
     w = probe_prime(spec, trials=1, seed=0, window=64)
-    assert w == Witness(UNDECIDED, note="no counterexample among 1 sampled pairs")
+    assert w == Witness(UNDECIDED, note="every one of 25 pairs with product <= 64 stays outside; "
+                                        "no counterexample among 1 sampled pairs")
 
 
 def test_probe_prime_maximal_stays_undecided():
@@ -504,10 +484,13 @@ def test_probe_prime_maximal_stays_undecided():
 
 
 def test_probe_prime_counts_the_pairs_it_draws():
-    # I_1, the whole ring, constrains no index: it has no non-member to draw
-    for spec, drawn in ((IdealSpec.norm_floor(1), 0), (IdealSpec.maximal(), 3)):
+    # I_1, the whole ring, constrains no index: it has no non-member to draw;
+    # the note leads with what the scan checked
+    for spec, scan, drawn in (
+            (IdealSpec.norm_floor(1), "not prime (the whole ring)", 0),
+            (IdealSpec.maximal(), "every one of 1 pairs with product <= 4 stays outside", 3)):
         w = probe_prime(spec, trials=3, seed=1, window=4)
-        assert w == Witness(UNDECIDED, note=f"no counterexample among {drawn} sampled pairs")
+        assert w == Witness(UNDECIDED, note=f"{scan}; no counterexample among {drawn} sampled pairs")
 
 
 @pytest.mark.parametrize("skipped", [1, 2])
@@ -570,7 +553,8 @@ def test_probe_prime_does_not_refute_past_the_window():
     # scan finds every pair outside and the probe has no first pair
     assert window_prime(IdealSpec.prime_tail(3), 10).is_member
     w = probe_prime(IdealSpec.prime_tail(3), 0, 0, 10)
-    assert w == Witness(UNDECIDED, note="no counterexample among 0 sampled pairs")
+    assert w == Witness(UNDECIDED, note="every one of 3 pairs with product <= 10 stays outside; "
+                                        "no counterexample among 0 sampled pairs")
 
 
 # window decisions of primality ---------------------------------------------------

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -18,7 +17,7 @@ from dirichlet_ring import (ChainLink, ChainReport, Decomposition, ElementReport
 from dirichlet_ring.verify import CheckResult
 from dirichlet_ring import MEMBER, NON_MEMBER
 
-SRC_DIR = str(Path(dirichlet_ring.__file__).resolve().parent.parent)
+from conftest import SRC_DIR
 
 PINNED_EXPORTS = [
     "ArithFunc", "ChainLink", "ChainReport", "Decomposition", "EXACT", "ElementReport", "FLOAT",
@@ -66,16 +65,21 @@ def test_export_follows_a_patch_of_its_module(monkeypatch):
     assert dirichlet_ring.nth_prime is len
 
 
-def test_gen_loads_neither_verify_nor_structure():
-    script = ("import json, sys\nfrom dirichlet_ring import cli\ncli.main(['gen', 'mobius', '--n', '4'])\n"
+def _modules_loaded_by(argv) -> set:
+    """The modules a child process holds after ``cli.main(argv)``; with -S
+    no site hooks run, so the list is the package's own doing."""
+    script = (f"import json, sys\nfrom dirichlet_ring import cli\ncli.main({argv!r})\n"
               "print(json.dumps(sorted(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": SRC_DIR}
-    # -S: no site hooks, so the module list is the package's own doing
     result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, env=env)
     assert result.returncode == 0, result.stderr
-    loaded = json.loads(result.stdout.decode().splitlines()[-1])
+    return set(json.loads(result.stdout.decode().splitlines()[-1]))
+
+
+def test_gen_loads_neither_verify_nor_structure():
+    loaded = _modules_loaded_by(["gen", "mobius", "--n", "4"])
     assert "dirichlet_ring.zoo" in loaded
-    assert not {"dirichlet_ring.verify", "dirichlet_ring.structure", "dataclasses"} & set(loaded)
+    assert not {"dirichlet_ring.verify", "dirichlet_ring.structure", "dataclasses"} & loaded
 
 
 @pytest.mark.parametrize("command", ["gen", "norm", "classify", "ideal member"])
@@ -84,12 +88,7 @@ def test_gen_and_norm_load_no_ideal_code(tmp_path, command):
     path.write_text('{"name": "f", "mode": "exact", "n": 2, "values": [["1", "1"], ["1", "2"]]}')
     argv = {"gen": ["gen", "mobius", "--n", "4"],
             "ideal member": ["ideal", "member", "P:6", str(path)]}.get(command, [command, str(path)])
-    script = (f"import json, sys\nfrom dirichlet_ring import cli\ncli.main({argv!r})\n"
-              "print(json.dumps(sorted(sys.modules)))")
-    env = {**os.environ, "PYTHONPATH": SRC_DIR}
-    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, env=env)
-    assert result.returncode == 0, result.stderr
-    loaded = set(json.loads(result.stdout.decode().splitlines()[-1]))
+    loaded = _modules_loaded_by(argv)
     assert "dirichlet_ring.seqfile" in loaded
     assert ("dirichlet_ring.ideals" in loaded) == (command == "ideal member")
     if command == "gen":

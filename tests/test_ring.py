@@ -1,47 +1,31 @@
 """Core ring operations: construction, convolution, inversion, norm,
 powers, and exact trial division."""
 
-import gc
 import hashlib
 import json
 import math
 import operator
 import random
 import tempfile
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dirichlet_ring import (
-    ArithFunc,
-    EXACT,
-    FLOAT,
-    ModeMismatchError,
-    NonUnitError,
-    NotDivisibleWitness,
-    WindowError,
-    ZeroFunctionError,
-    delta,
-    identity,
-    indicator_shift,
-    try_divide,
-    zeros,
-)
+from dirichlet_ring import (ArithFunc, EXACT, FLOAT, ModeMismatchError, NonUnitError,
+                            NotDivisibleWitness, WindowError, ZeroFunctionError, delta, identity,
+                            indicator_shift, try_divide, zeros)
 from dirichlet_ring import ring, seqfile
 from dirichlet_ring.ideals import decompose_coprime_vanishing, principal_quotient
 from dirichlet_ring.ring import dirichlet_product
 from dirichlet_ring.sampling import random_func, random_nonzero, random_unit, random_with_norm
 from dirichlet_ring.zoo import big_omega, generate, log_function, mangoldt, mobius, unit
 
-from conftest import coprime_pair, save
-from oracles import (Refused, big_omega_scan, choices_scalars, construct_reference,
-                     convolve_lists, distinct_count_scan, divide_lists, invert_floats,
-                     liouville_scan, mobius_scan, phi_count, psi_scan, randint_nonzero,
-                     randint_scalar)
+from conftest import coprime_pair, save, traced_peak
+from oracles import (ZOO_SCANS, Refused, choices_scalars, construct_reference, convolve_lists,
+                     divide_lists, invert_floats, mobius_scan, randint_nonzero, randint_scalar)
 
 # the 25 fractions in [-3, 3] with denominator at most 3, simplest first so
 # that a failing example shrinks towards 0; one draw each picks an index,
@@ -70,11 +54,6 @@ def test_constructor_the_all_ones_from_two_function():
     assert f.mode == EXACT
 
 
-def test_constructor_rejects_mixed_modes():
-    with pytest.raises(ModeMismatchError):
-        ArithFunc([1, 0.0, -1])
-
-
 def test_constructor_rejects_empty():
     with pytest.raises(ValueError):
         ArithFunc([])
@@ -86,11 +65,6 @@ def test_explicit_float_mode_coerces_ints():
     f = ArithFunc([1, 0, -1], mode=FLOAT)
     assert f.mode == FLOAT and f.values == (1.0, 0.0, -1.0)
     assert f.to_float() is f
-
-
-def test_exact_mode_rejects_floats():
-    with pytest.raises(ModeMismatchError):
-        ArithFunc([1.5], mode=EXACT)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, Fraction(-(10**400), 3)])
@@ -117,13 +91,18 @@ class _Int(int):
     """An int subclass: both modes take it as an int."""
 
 
+# the values of st.fractions(max_denominator=12) and st.fractions(), built
+# from two integer draws: st.fractions draws each through a flatmap
 _exact_entries = st.one_of(st.integers(), st.integers().map(_Int),
-                           st.fractions(max_denominator=12), st.fractions())
+                           st.builds(Fraction, st.integers(), st.sampled_from(range(1, 13))),
+                           st.builds(Fraction, st.integers(), st.integers(min_value=1)))
 _float_entries = st.one_of(st.floats(), st.sampled_from([10**400, -(10**400), Fraction(10**400, 3)]))
 _any_entries = st.one_of(_exact_entries, _float_entries, st.booleans(), st.text(max_size=2), st.none())
 
 
 @settings(max_examples=400, deadline=None)
+@example([1, 0.0, -1], None)  # mixed exact and float entries
+@example([1.5], EXACT)  # a float in exact mode
 @given(st.one_of(st.lists(_exact_entries, max_size=8), st.lists(_float_entries, max_size=8),
                  st.lists(_any_entries, max_size=8)),
        st.sampled_from([None, EXACT, FLOAT, "decimal"]))
@@ -506,6 +485,15 @@ def test_division_soundness(f, g):
     assert q == g.truncate(len(q))
 
 
+def assert_divides_as_the_oracle(h, f):
+    """try_divide(h, f) gives divide_lists' quotient, or a witness at its index."""
+    expected, result = divide_lists(list(h.values), list(f.values)), try_divide(h, f)
+    if isinstance(expected, int):
+        assert result == NotDivisibleWitness(expected, result.note)
+    else:
+        assert list(result.values) == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 4),
@@ -518,14 +506,7 @@ def test_division_matches_divisor_scan_oracle(a, lead, tail, g, k):
     f = ArithFunc([0] * (a - 1) + [lead] + list(tail.values[a:]), EXACT)
     h = f * g
     assert list(try_divide(h, f).values) == divide_lists(list(h.values), list(f.values))
-    # delta_k may or may not break divisibility; the oracle says which
-    hk = h + delta(k, 24)
-    expected = divide_lists(list(hk.values), list(f.values))
-    result = try_divide(hk, f)
-    if isinstance(expected, int):
-        assert isinstance(result, NotDivisibleWitness) and result.index == expected
-    else:
-        assert list(result.values) == expected
+    assert_divides_as_the_oracle(h + delta(k, 24), f)  # delta_k may or may not break divisibility
 
 
 def test_division_soundness_reconvolution():
@@ -565,13 +546,7 @@ def test_exact_kernels_match_divisor_scan_oracles(n, a, lead, seed, k):
     h = f * g
     assert list(h.values) == convolve_lists(fv, list(g.values))
     assert list(try_divide(h, f).values) == divide_lists(list(h.values), fv)
-    hk = h + delta(k, n)
-    expected = divide_lists(list(hk.values), fv)
-    result = try_divide(hk, f)
-    if isinstance(expected, int):
-        assert isinstance(result, NotDivisibleWitness) and result.index == expected
-    else:
-        assert list(result.values) == expected
+    assert_divides_as_the_oracle(h + delta(k, n), f)
     if a == 1:
         assert list(f.invert().values) == divide_lists([1] + [0] * (n - 1), fv)
 
@@ -696,13 +671,7 @@ def test_recursion_matches_the_divisor_scan_on_block_edges(a):
         f, g = random_with_norm(rng, n, a), random_func(rng, n)
         fv, h = list(f.values), f * g
         assert list(try_divide(h, f).values) == divide_lists(list(h.values), fv), n
-        k = rng.randint(1, n)
-        hk = h + delta(k, n)
-        expected, result = divide_lists(list(hk.values), fv), try_divide(hk, f)
-        if isinstance(expected, int):
-            assert result == NotDivisibleWitness(expected, result.note), n
-        else:
-            assert list(result.values) == expected, n
+        assert_divides_as_the_oracle(h + delta(rng.randint(1, n), n), f)
         if a == 1:
             assert list(f.invert().values) == divide_lists([1] + [0] * (n - 1), fv), n
 
@@ -757,13 +726,7 @@ def test_wide_columns_with_zero_entries_match_the_oracles():
             p = x * y
             assert list(p.values) == convolve_lists(xv, yv)
             assert list(try_divide(p, y).values) == divide_lists(list(p.values), yv)
-            pk = p + delta(n - 1, n)
-            expected = divide_lists(list(pk.values), yv)
-            result = try_divide(pk, y)
-            if isinstance(expected, int):
-                assert result == NotDivisibleWitness(expected, result.note)
-            else:
-                assert list(result.values) == expected
+            assert_divides_as_the_oracle(p + delta(n - 1, n), y)
         assert list(w.invert().values) == divide_lists([1] + [0] * (n - 1), wv)
 
 
@@ -812,13 +775,7 @@ def test_pair_path_matches_divisor_scan_oracles(n, a, wide, seed, k):
     h = f * g
     assert list(h.values) == convolve_lists(fv, gv)
     assert list(try_divide(h, f).values) == divide_lists(list(h.values), fv)
-    hk = h + delta(k, n)
-    expected = divide_lists(list(hk.values), fv)
-    result = try_divide(hk, f)
-    if isinstance(expected, int):
-        assert isinstance(result, NotDivisibleWitness) and result.index == expected
-    else:
-        assert list(result.values) == expected
+    assert_divides_as_the_oracle(h + delta(k, n), f)
     if a == 1:
         inverse = f.invert()
         assert list(inverse.values) == divide_lists([1] + [0] * (n - 1), fv)
@@ -867,17 +824,9 @@ def _entries(rng, n, width):
     return [Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(n)]
 
 
-ZOO_ORACLES = {
-    "mobius": mobius_scan, "euler_phi": phi_count, "liouville": liouville_scan,
-    "dedekind_psi": psi_scan, "big_omega": big_omega_scan,
-    "distinct_prime_count": distinct_count_scan, "unit_u": lambda k: 1,
-    "natural_N": lambda k: k,
-}
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 40), st.sampled_from(["narrow", "wide"]), st.integers(0, 2**32),
-       st.sampled_from(sorted(ZOO_ORACLES)))
+       st.sampled_from(sorted(ZOO_SCANS)))
 def test_every_path_builds_the_stored_form_of_its_values(n, width, seed, tag):
     rng = random.Random(seed)
     fv, gv = _entries(rng, n, width), _entries(rng, n, "narrow")
@@ -899,7 +848,7 @@ def test_every_path_builds_the_stored_form_of_its_values(n, width, seed, tag):
     assert_stored_form(f.truncate(max(n // 2, 1)), fv[: max(n // 2, 1)])
     assert_stored_form(indicator_shift(2, f, n), [fv[k // 2 - 1] if k % 2 == 0 else 0
                                                   for k in range(1, n + 1)])
-    assert_stored_form(generate(tag, n), [ZOO_ORACLES[tag](k) for k in range(1, n + 1)])
+    assert_stored_form(generate(tag, n), [ZOO_SCANS[tag](k) for k in range(1, n + 1)])
     ours, draws = random.Random(seed), random.Random(seed)
     assert_stored_form(random_func(ours, n), choices_scalars(draws, n))
     assert ours.getstate() == draws.getstate()
@@ -941,15 +890,7 @@ def test_exact_of_reads_the_gcd_without_copying_the_window():
     # a tuple over 1 is kept as it is, and no argument tuple of the whole
     # window is built to find that it is in lowest terms
     entries = tuple(range(65536))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        f = ArithFunc._of(entries, 1)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak, f = traced_peak(lambda: ArithFunc._of(entries, 1))
     assert f._values is entries and f._den == 1
     assert peak < 65536  # an eighth of the window's 512 KiB pointer array
 

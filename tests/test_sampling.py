@@ -14,7 +14,7 @@ from dirichlet_ring.sampling import (_draws, random_additive, random_func, rando
                                      random_non_unit, random_nonzero, random_scalar, random_unit,
                                      random_with_norm)
 
-from oracles import NARROW_PAIRS, choice_scalar, choices_scalars
+from oracles import NARROW_PAIRS, choice_scalar, choices_scalars, prime_factors_scan
 
 
 def test_narrow_values_are_the_21_pairs():
@@ -94,25 +94,12 @@ def test_an_all_zero_draw_is_patched_nonzero(sampler, n, seed, first):
     assert not f.is_zero() and not any(f.values[:first])
 
 
-def _prime_power_parts(k):
-    """The prime powers p^a exactly dividing k, by trial division."""
-    parts, p = [], 2
-    while k > 1:
-        q = 1
-        while k % p == 0:
-            k, q = k // p, q * p
-        if q > 1:
-            parts.append(q)
-        p += 1
-    return parts
-
-
 @pytest.mark.parametrize("n", [1, 2, 10, 64, 300, 1024])
 def test_additive_sample_draws_one_choice_per_prime_power(n):
     # one draw per prime power p^a <= n, in ascending order of p^a, then
     # f(k) is the sum over the p^a exactly dividing k: the values and the
     # generator's final state of drawing one entry as the fold reaches p^a
-    parts = [_prime_power_parts(k) for k in range(1, n + 1)]
+    parts = [[p**a for p, a in prime_factors_scan(k)] for k in range(1, n + 1)]
     powers = [k for k, ps in enumerate(parts, 1) if ps == [k]]
     for seed in range(30):
         ours, ref = random.Random(seed), random.Random(seed)

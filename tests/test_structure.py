@@ -9,35 +9,16 @@ from operator import add
 
 import pytest
 
-from dirichlet_ring import (
-    EXACT,
-    ArithFunc,
-    ZeroFunctionError,
-    check_nonprime_norm_product,
-    classify,
-    delta,
-    essential_witness,
-    identity,
-    indicator_shift,
-    units_group_probe,
-    zeros,
-)
-from dirichlet_ring import zoo
+from dirichlet_ring import (MEMBER, NON_MEMBER, EXACT, ArithFunc, ZeroFunctionError,
+                            check_nonprime_norm_product, classify, delta, essential_witness,
+                            identity, indicator_shift, units_group_probe, zeros, zoo)
 from dirichlet_ring.primes import prime_power_fold
 from dirichlet_ring.sampling import random_additive, random_non_unit, random_nonzero
-from dirichlet_ring.structure import (
-    ADDITIVE,
-    CERT_COMPOSITE_NEXT,
-    CERT_NONE,
-    CERT_PRIME_NORM,
-    COMPLETELY_ADDITIVE,
-    NOT_ADDITIVE,
-    certified_atom_factor_search,
-    nonunit_product_profiles,
-)
-from dirichlet_ring import MEMBER, NON_MEMBER
-from dirichlet_ring.zoo import (FUNCTION_TAGS, big_omega, generate, is_additive,
-                                is_completely_additive, liouville, mangoldt, mobius)
+from dirichlet_ring.structure import (ADDITIVE, CERT_COMPOSITE_NEXT, CERT_NONE, CERT_PRIME_NORM,
+                                      COMPLETELY_ADDITIVE, NOT_ADDITIVE,
+                                      certified_atom_factor_search, nonunit_product_profiles)
+from dirichlet_ring.zoo import (FUNCTION_TAGS, big_omega, distinct_prime_count, generate,
+                                is_additive, is_completely_additive, liouville, mangoldt, mobius)
 
 from oracles import convolve_lists, is_prime_scan
 
@@ -70,8 +51,6 @@ def test_classify_additive_classes():
     assert classify(big_omega(32)).additive_class == COMPLETELY_ADDITIVE
     assert classify(mangoldt(32)).additive_class == NOT_ADDITIVE
     # additive but not completely: the distinct-prime counter
-    from dirichlet_ring.zoo import distinct_prime_count
-
     assert classify(distinct_prime_count(32)).additive_class == ADDITIVE
 
 
@@ -118,8 +97,6 @@ def test_classify_rejects_zero():
 
 def test_additive_implies_in_maximal():
     rng = random.Random(3)
-    from dirichlet_ring.sampling import random_additive
-
     for _ in range(8):
         f = random_additive(rng, 48)
         if f.is_zero():

@@ -1,10 +1,8 @@
 """Function generators against independent brute-force evaluators, plus
 the additivity oracles."""
 
-import gc
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 from operator import add
 
@@ -12,88 +10,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichlet_ring import (
-    ArithFunc,
-    IdealSpec,
-    zoo,
-    FLOAT,
-    classify,
-    member,
-    delta,
-    generate,
-    identity,
-    is_additive,
-    is_completely_additive,
-    ring,
-)
-from dirichlet_ring.primes import (
-    factorize,
-    is_prime,
-    nth_prime,
-    prime_power_fold,
-    primes_upto,
-    smallest_prime_factors,
-)
+from dirichlet_ring import (MEMBER, NON_MEMBER, ArithFunc, FLOAT, IdealSpec, classify, delta,
+                            generate, identity, is_additive, is_completely_additive, member, ring,
+                            zoo)
+from dirichlet_ring.primes import (factorize, is_prime, nth_prime, prime_power_fold, primes_upto,
+                                   smallest_prime_factors)
 from dirichlet_ring.sampling import random_additive
-from dirichlet_ring import MEMBER, NON_MEMBER
-from dirichlet_ring.zoo import (
-    big_omega,
-    dedekind_psi,
-    distinct_prime_count,
-    euler_phi,
-    liouville,
-    log_function,
-    mangoldt,
-    mobius,
-    natural,
-    p_adic_valuation,
-    ramanujan_tau,
-    unit,
-)
+from dirichlet_ring.zoo import (big_omega, dedekind_psi, distinct_prime_count, euler_phi, liouville,
+                                log_function, mangoldt, mobius, natural, p_adic_valuation,
+                                ramanujan_tau, unit)
 
-from oracles import (
-    additivity_pair_scan,
-    big_omega_scan,
-    distinct_count_scan,
-    is_prime_scan,
-    least_prime_factor_scan,
-    liouville_scan,
-    mobius_scan,
-    nu_p_scan,
-    phi_count,
-    prime_factors_scan,
-    psi_scan,
-    sigma_scan,
-    sigma_sieve,
-    tau_eta_product,
-    tau_sigma_recursion,
-)
+from conftest import traced_peak
+from oracles import (ZOO_SCANS, additivity_pair_scan, is_prime_scan, least_prime_factor_scan,
+                     nu_p_scan, prime_factors_scan, sigma_scan, sigma_sieve, tau_eta_product,
+                     tau_sigma_recursion)
 
 # factorization -------------------------------------------------------------
 
 
-def test_factorize_one_is_empty():
-    assert factorize(1).factors == ()
-
-
-def test_factorize_twelve():
-    assert factorize(12).factors == ((2, 2), (3, 1))
-
-
-def test_factorize_prime():
-    assert factorize(97).factors == ((97, 1),)
-
-
 def test_factorize_invariants_small_range():
+    # 1 factors as (), 12 as ((2, 2), (3, 1)) and the prime 97 as ((97, 1),)
     for n in range(1, 400):
         fac = factorize(n)
-        prod = 1
-        for p, a in fac.factors:
-            assert is_prime_scan(p)
-            assert a >= 1
-            prod *= p**a
-        assert prod == n
-        assert list(fac.distinct_primes) == sorted(fac.distinct_primes)
+        assert fac.factors == tuple(prime_factors_scan(n))
+        assert fac.distinct_primes == tuple(p for p, _ in prime_factors_scan(n))
 
 
 def test_factorize_rejects_nonpositive():
@@ -126,13 +66,7 @@ def test_sieve_makes_no_int_per_composite():
     largest slice: ``range(n + 1)`` made an int for every index above 256,
     about 2 MiB more at 65536."""
     n = 65536
-    gc.collect()
-    tracemalloc.start()
-    try:
-        spf = smallest_prime_factors(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, spf = traced_peak(lambda: smallest_prime_factors(n))
     assert spf[-1] == 2 and spf[65521] == 65521
     assert peak < 3 * 8 * (n + 1)  # three times the list's pointer array
 
@@ -148,16 +82,8 @@ def test_nth_prime_sequence():
 # golden generator values ----------------------------------------------------
 
 
-def test_mobius_first_six():
-    assert [int(v) for v in mobius(6).values] == [1, -1, -1, 0, -1, 1]
-
-
 def test_identity_shape():
     assert [int(v) for v in identity(4).values] == [1, 0, 0, 0]
-
-
-def test_euler_phi_first_six():
-    assert [int(v) for v in euler_phi(6).values] == [1, 1, 2, 2, 4, 2]
 
 
 def test_tau_starts_at_one_minus_twentyfour():
@@ -173,20 +99,12 @@ def test_tau_against_schoolbook_expansion():
 
 
 def test_generators_match_scans_to_200():
-    for n in (1, 2, 3, 200, 1000):
+    for n in (1, 2, 3, 6, 200, 1000):
         ks = range(1, n + 1)
-        assert [int(v) for v in mobius(n).values] == [mobius_scan(k) for k in ks]
-        assert [int(v) for v in euler_phi(n).values] == [phi_count(k) for k in ks]
-        assert [int(v) for v in liouville(n).values] == [liouville_scan(k) for k in ks]
-        assert [int(v) for v in dedekind_psi(n).values] == [psi_scan(k) for k in ks]
-        assert [int(v) for v in big_omega(n).values] == [big_omega_scan(k) for k in ks]
-        assert [int(v) for v in distinct_prime_count(n).values] == [
-            distinct_count_scan(k) for k in ks
-        ]
+        for tag, scan in ZOO_SCANS.items():
+            assert [int(v) for v in generate(tag, n).values] == [scan(k) for k in ks], tag
         for p in (2, 3):
-            assert [int(v) for v in p_adic_valuation(p, n).values] == [
-                nu_p_scan(p, k) for k in ks
-            ]
+            assert [int(v) for v in p_adic_valuation(p, n).values] == [nu_p_scan(p, k) for k in ks]
         assert sigma_sieve(n) == [sigma_scan(k) for k in ks]
 
 
@@ -301,7 +219,9 @@ def test_sampled_additive_functions_form_a_group():
         assert is_additive(-f).verdict == MEMBER
 
 
-scalars = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+# the 15 values of Fraction(-3..3, 1..3), simplest first, one draw each
+scalars = st.sampled_from(sorted({Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)},
+                                 key=lambda x: (x.denominator, abs(x), x < 0)))
 # three or more distinct denominators of half SHARED_BITS put the common
 # denominator past it, where the scan compares the stored numerator/denominator
 # columns
