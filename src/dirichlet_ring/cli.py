@@ -164,11 +164,11 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
         add_chain(ideal_sub, "build a chain with separator witnesses", 1)
 
-        p, chosen = command(ideal_sub, "probe", "randomized primality refutation search", 1)
+        p, chosen = command(ideal_sub, "probe", "primality refutation from the window scan", 1)
         if chosen:
             p.add_argument("spec")
-            p.add_argument("--trials", type=integer, default=100)
-            p.add_argument("--seed", type=integer, default=DEFAULT_SEED)
+            for option in ("--trials", "--seed"):
+                p.add_argument(option, type=integer, help="accepted; has no effect")
             add_common(p, _cmd_ideal_probe, window=True)
 
     add_chain(sub, "alias for 'ideal chain'", 0)
@@ -290,7 +290,7 @@ def _cmd_chain(args, n):
 
 def _cmd_ideal_probe(args, spec, n):
     from .ideals import probe_prime
-    verdict = probe_prime(spec, args.trials, args.seed, n)
+    verdict = probe_prime(spec, n)
     obj = verdict.to_dict()
     if verdict.elements and args.format == "json":
         obj["witness_pair"] = [(f, f"witness_{i}") for i, f in enumerate(verdict.elements)]

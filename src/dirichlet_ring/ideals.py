@@ -11,23 +11,20 @@ set, built by one slice of multiples per chosen prime.  Each family is
 the support ideal of those indices, so chains are decided from the index
 sets on 1..n, with no indicator built, as are the minimal generators,
 and primality has one decider, ``window_prime``'s scan of the pairs of
-indices, whose least failing pair is also the first pair ``probe_prime``
-tries.  Membership verdicts are therefore statements about the truncation
-window, never about the full ring.
+indices, whose verdict ``probe_prime`` reports.  Membership verdicts are
+therefore statements about the truncation window, never about the full ring.
 """
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
-from itertools import accumulate, chain as concat, compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, le, mul
 from typing import NamedTuple
 
 from .primes import factorize, is_prime, nth_prime, prime_factors_upto, prime_power_fold, primes_upto
 from .ring import (MEMBER, NON_MEMBER, UNDECIDED, ArithFunc, NotDivisibleWitness, WindowError,
                    Witness, ZeroFunctionError, delta, indicator_shift, take, try_divide, zeros)
-from .sampling import random_func
 
 
 class NotInIdealError(ValueError):
@@ -214,20 +211,20 @@ class Decomposition(NamedTuple):
 
 
 def decompose_coprime_vanishing(m: int, f: ArithFunc) -> Decomposition:
-    """Split f over the indicator generators at m's distinct primes.
+    """Split f over the indicator generators at m's distinct primes up to f's window,
+    which are ``minimal_generators(P_m, len(f))``; m is never factored in full.
 
     A member of P_m vanishes off the multiples of m's primes, so cofactor
     q reads f at q, 2q, ..., with the multiples of each larger prime of m
     set to 0 by one slice each: f(k) goes to the largest prime of m that
-    divides k, at k/q.  A cofactor's window is floor(len(f)/q), or a
-    single zero when no multiple of q fits in the window.
+    divides k, at k/q.  A cofactor's window is floor(len(f)/q).
     """
     _require_member(IdealSpec.coprime_vanishing(m), f)
-    qs = factorize(m).distinct_primes
     window = len(f)
+    qs = tuple(p for p, _ in prime_factors_upto(m, window))
     cofactors = []
     for i, q in enumerate(qs):
-        ks = list(range(q, window + 1, q)) or [0]  # the k of each f(k) read, or 0
+        ks = list(range(q, window + 1, q))  # the k of each f(k) read, or 0
         for r in qs[i + 1 :]:  # r divides k = jq exactly when r divides j
             ks[r - 1 :: r] = [0] * (len(ks) // r)
         cofactors.append(take(f, ks))
@@ -367,40 +364,28 @@ def window_prime(spec: IdealSpec, window: int, squares: bool = False) -> Witness
 # probes ------------------------------------------------------------------
 
 
-def probe_prime(spec: IdealSpec, trials: int, seed: int, window: int) -> Witness:
-    """Refutation search for primality of an ideal on the window.
+def probe_prime(spec: IdealSpec, window: int) -> Witness:
+    """Refute primality on the window from ``window_prime``'s scan; never certify it.
 
-    A ``non_member`` verdict means primality is refuted: the attached
-    pair of elements lies outside the ideal while their product lands
-    inside.  ``undecided_at_truncation`` means no counterexample was
-    found; the window can never *prove* an ideal prime.
-
-    The first pair is ``window_prime``'s least failing pair delta_a, delta_b
-    (for K_n the all-ones-from-2 function twice), and there is none when the
-    scan passes; then come ``trials`` pairs of ``random_func`` draws.  Each
-    pair refutes only when both lie outside, with first violations kf and
-    kg, kf * kg <= window, and their product inside.  A refutation is thus
-    a ``window_prime`` failure, so probe and scan agree on every window, and
-    an undecided note leads with the scan's note: what it checked.
+    ``non_member`` carries the scan's least failing pair delta_a, delta_b (for
+    K_n the all-ones-from-2 function twice), checked to lie outside, with first
+    violations kf * kg <= window, and to have its product inside; the whole ring
+    has no pair.  ``undecided_at_truncation`` carries the scan's note.  No other
+    pair can refute: T is divisor-closed, so (f*g)(kf kg) = f(kf) g(kg) != 0
+    when kf kg is in T.
     """
-    if trials < 0:
-        raise ValueError("trial count must be nonnegative")
     scan = window_prime(spec, window)
-    first = [] if scan.pair is None else [scan.elements]  # no pair when the scan passes
-    if first and spec.tag == TAG_PRIME_TAIL:  # the all-ones-from-2 function, twice
-        ones = ArithFunc._of([0] + [1] * (window - 1), 1)
-        first = [(ones, ones)]
-    rng = random.Random(seed)
-    drawn = trials if spec.constrained_indices(window) else 0  # the whole ring has no non-members
-    draws = ((random_func(rng, window), random_func(rng, window)) for _ in range(drawn))
-    for f, g in concat(first, draws):
-        kf, kg = member(spec, f).index, member(spec, g).index  # None for a member
-        # f(kf) g(kg) lands at kf * kg; past the window the product can
-        # look like a member only because its violation is cut off
-        if kf and kg and kf * kg <= window and member(spec, f.convolve(g)).is_member:
-            return Witness(NON_MEMBER, note="product of two non-members lies in the ideal",
-                           elements=(f, g))
-    return Witness(UNDECIDED, note=f"{scan.note}; no counterexample among {drawn} sampled pairs")
+    if scan.pair is None:  # the scan passes, or the ideal is the whole ring
+        return Witness(UNDECIDED, note=scan.note) if scan.is_member else scan
+    f, g = scan.elements
+    if spec.tag == TAG_PRIME_TAIL:  # the all-ones-from-2 function, twice
+        f = g = ArithFunc._of([0] + [1] * (window - 1), 1)
+    kf, kg = member(spec, f).index, member(spec, g).index  # None for a member
+    # f(kf) g(kg) lands at kf * kg; past the window the product can
+    # look like a member only because its violation is cut off
+    if not (kf and kg and kf * kg <= window and member(spec, f.convolve(g)).is_member):
+        raise AssertionError(f"the scan's pair does not refute {spec.label()} on 1..{window}")
+    return Witness(NON_MEMBER, note="product of two non-members lies in the ideal", elements=(f, g))
 
 
 def divisibility_depth(h: ArithFunc, f: ArithFunc) -> int:

@@ -232,7 +232,7 @@ def _check_krull_chains(ctx: _Ctx) -> str:
 def _check_prime_tail_not_prime(ctx: _Ctx) -> str:
     specs = [IdealSpec.prime_tail(t) for t in (1, 2, 3)]
     for spec in specs:
-        verdict = probe_prime(spec, trials=0, seed=ctx.seed, window=ctx.n)
+        verdict = probe_prime(spec, ctx.n)
         _require(verdict.verdict == NON_MEMBER, f"no witness for the tail ideal {spec}")
         f, g = verdict.elements
         _require(f(1) == 0 and f(2) == 1, "unexpected witness shape")

@@ -240,12 +240,16 @@ def test_ideal_probe_command():
     assert obj["verdict"] == "non_member"
     assert len(obj["witness_pair"]) == 2
     assert out == json.dumps(obj, indent=2) + "\n"  # the bytes json writes
-    code, out = run_cli("ideal", "probe", "P:6", "--trials", "25", "--seed", "5",
-                        "--n", "32")
-    assert json.loads(out)["verdict"] == "undecided_at_truncation"
-    code, out = run_cli("ideal", "probe", "I:1", "--trials", "3", "--n", "4")
-    assert (code, json.loads(out)["note"]) == (
-        0, "not prime (the whole ring); no counterexample among 0 sampled pairs")
+    code, out = run_cli("ideal", "probe", "P:6", "--n", "32")
+    assert json.loads(out) == {"verdict": "undecided_at_truncation",
+                               "note": "every one of 12 pairs with product <= 32 stays outside"}
+    # --trials and --seed are parsed as integers and change nothing, -1 included
+    for extra in (["--trials", "25", "--seed", "5"], ["--trials", "-1", "--seed", "-1"]):
+        assert run_cli("ideal", "probe", "P:6", "--n", "32", *extra) == (0, out)
+    # the whole ring is not prime by definition, and has no pair to show
+    code, out = run_cli("ideal", "probe", "I:1", "--n", "4")
+    assert (code, json.loads(out)) == (0, {"verdict": "non_member",
+                                           "note": "not prime (the whole ring)"})
 
 
 # exit codes and determinism ------------------------------------------------------------
@@ -408,10 +412,6 @@ def test_window_past_an_index_is_a_one_line_error(capsys, argv):
 ])
 def test_zero_window_is_a_one_line_error(capsys, argv):
     _assert_one_line_error(capsys, main(argv))
-
-
-def test_negative_trial_count_is_a_one_line_error(capsys):
-    _assert_one_line_error(capsys, main(["ideal", "probe", "P:6", "--trials", "-1", "--n", "16"]))
 
 
 @pytest.mark.parametrize("raw", ["5"])  # a window the package once read from DIRICHLET_N

@@ -268,21 +268,21 @@ def _member_of_coprime_family(m, window, mode):
 
 def test_decompose_cofactors_are_pinned():
     # each f(k) sits in the cofactor of the largest prime of m dividing k;
-    # a prime beyond the window gets the single zero [0]
+    # a prime of m past the window has no generator
     cases = [
         (30, _member_of_coprime_family(30, 20, EXACT), [
             ["2/3", "4/5", "0", "8/9", "0", "0", "14/15", "16/17", "0", "0"],
             ["3/4", "6/7", "9/10", "12/13", "0", "18/19"],
             ["5/6", "10/11", "15/16", "20/21"],
         ]),
-        (30, _member_of_coprime_family(30, 4, EXACT), [["2/3", "4/5"], ["3/4"], ["0"]]),
-        (35, _member_of_coprime_family(35, 6, EXACT), [["5/6"], ["0"]]),
+        (30, _member_of_coprime_family(30, 4, EXACT), [["2/3", "4/5"], ["3/4"]]),
+        (35, _member_of_coprime_family(35, 6, EXACT), [["5/6"]]),
         (12, _member_of_coprime_family(12, 13, FLOAT), [
             ["0.5", "0.25", "0.0", "0.125", "0.1", "0.0"],
             ["-0.3333333333333333", "0.16666666666666666", "-0.1111111111111111",
              "0.08333333333333333"],
         ]),
-        (30, _member_of_coprime_family(30, 4, FLOAT), [["0.5", "0.25"], ["-0.3333333333333333"], ["0.0"]]),
+        (30, _member_of_coprime_family(30, 4, FLOAT), [["0.5", "0.25"], ["-0.3333333333333333"]]),
     ]
     signed = list(_member_of_coprime_family(30, 12, FLOAT).values)
     signed[5] = signed[9] = -0.0  # the sign of a zero is read through
@@ -435,82 +435,6 @@ def test_chain_window_boundary(family):
 # probes -----------------------------------------------------------------------
 
 
-def test_probe_prime_tail_uses_the_known_witness():
-    w = probe_prime(IdealSpec.prime_tail(3), trials=0, seed=1, window=64)
-    assert w.verdict == NON_MEMBER
-    f, g = w.elements
-    assert f == g == ArithFunc([0] + [1] * 63)
-
-
-def test_probe_gcd_count_uses_indicator_pair():
-    w = probe_prime(IdealSpec.gcd_count(6, 1), trials=0, seed=1, window=64)
-    assert w.verdict == NON_MEMBER
-    a, b = w.elements
-    assert a == delta(2, 64) and b == delta(3, 64)
-    assert member(IdealSpec.gcd_count(6, 1), a * b).verdict == MEMBER
-
-
-def test_probe_prime_coprime_family_stays_undecided():
-    w = probe_prime(IdealSpec.coprime_vanishing(6), trials=500, seed=3, window=128)
-    assert w.verdict == UNDECIDED
-
-
-def _hand_draws(monkeypatch, *draws):
-    """Make the probe's search draw the given functions, in order."""
-    queue = iter(draws)
-    monkeypatch.setattr(ideals, "random_func", lambda rng, n: next(queue))
-
-
-@pytest.mark.parametrize("seed", [63, 93, 182, 354, 395])
-def test_probe_prime_skips_pairs_whose_violation_leaves_the_window(seed):
-    # each seed samples a pair with first violations k1 * k2 at 65 or 77
-    w = probe_prime(IdealSpec.coprime_vanishing(6), trials=40, seed=seed, window=64)
-    assert w.verdict == UNDECIDED
-
-
-def test_probe_prime_skips_a_drawn_pair_whose_violation_leaves_the_window(monkeypatch):
-    # the violations at 5 and 13 multiply to 65, so delta_5 * delta_13 is
-    # 0 on the window only because the window cuts it off
-    spec = IdealSpec.coprime_vanishing(6)
-    _hand_draws(monkeypatch, delta(2, 64) + delta(5, 64), delta(13, 64))
-    w = probe_prime(spec, trials=1, seed=0, window=64)
-    assert w == Witness(UNDECIDED, note="every one of 25 pairs with product <= 64 stays outside; "
-                                        "no counterexample among 1 sampled pairs")
-
-
-def test_probe_prime_maximal_stays_undecided():
-    w = probe_prime(IdealSpec.maximal(), trials=30, seed=3, window=32)
-    assert w.verdict == UNDECIDED
-
-
-def test_probe_prime_counts_the_pairs_it_draws():
-    # I_1, the whole ring, constrains no index: it has no non-member to draw;
-    # the note leads with what the scan checked
-    for spec, scan, drawn in (
-            (IdealSpec.norm_floor(1), "not prime (the whole ring)", 0),
-            (IdealSpec.maximal(), "every one of 1 pairs with product <= 4 stays outside", 3)):
-        w = probe_prime(spec, trials=3, seed=1, window=4)
-        assert w == Witness(UNDECIDED, note=f"{scan}; no counterexample among {drawn} sampled pairs")
-
-
-@pytest.mark.parametrize("skipped", [1, 2])
-def test_probe_prime_random_search_refutes(monkeypatch, skipped):
-    # with a scan that passes, there is no first pair: the search skips each
-    # pair holding a member, then delta_2 twice refutes I_4: delta_4 lies in it
-    monkeypatch.setattr(ideals, "window_prime", lambda spec, window: Witness(MEMBER))
-    spec, d2, zero = IdealSpec.norm_floor(4), delta(2, 64), zeros(64)
-    pairs = [(zero, d2), (d2, zero)][:skipped] + [(d2, d2)]
-    _hand_draws(monkeypatch, *(f for pair in pairs for f in pair))
-    w = probe_prime(spec, trials=skipped + 1, seed=0, window=64)
-    assert w == Witness(NON_MEMBER, note="product of two non-members lies in the ideal",
-                        elements=(d2, d2))
-
-
-def test_probe_norm_floor_refuted():
-    w = probe_prime(IdealSpec.norm_floor(4), trials=0, seed=1, window=32)
-    assert w.verdict == NON_MEMBER
-
-
 PROBE_SPECS = ALL_FAMILY_SPECS + [  # each family near the windows where its scan starts to fail
     *(IdealSpec.norm_floor(n) for n in (1, 2, 3, 5, 6)),
     *(IdealSpec.coprime_vanishing(m) for m in (1, 2, 30, 210)),
@@ -523,38 +447,50 @@ PROBE_SPECS = ALL_FAMILY_SPECS + [  # each family near the windows where its sca
 
 
 def test_probe_refutes_exactly_when_the_scan_does():
-    # the first pair is the scan's failing pair (the all-ones pair for K_n),
-    # and a drawn pair refutes only on a scan failure, so 25 sampled pairs
-    # decide what 0 pairs do
+    # the probe reports the scan's verdict: its least failing pair (the all-ones
+    # pair for K_n), which refutes on the window, or else its note
     for spec in PROBE_SPECS:
-        for window in range(1, 49):
+        for window in (*range(1, 49), 64, 128):
             if spec.tag == "I" and spec.n > window + 1:
                 continue  # the window cannot hold the threshold
             scan = window_prime(spec, window)  # pair None when it passes, and for the whole ring
+            w = probe_prime(spec, window)
+            if scan.pair is None:
+                assert w == (Witness(UNDECIDED, note=scan.note) if scan.is_member else scan), (spec, window)
+                continue
             ones = ArithFunc([0] + [1] * (window - 1))
-            pair = (ones, ones) if spec.tag == "K" else scan.elements
-            for seed in range(3):
-                for trials in (0, 25):
-                    w = probe_prime(spec, trials, seed, window)
-                    assert (w.verdict == NON_MEMBER) == (scan.pair is not None), (spec, window)
-                    assert w.elements == (pair if scan.pair else ()), (spec, window)
+            assert w == Witness(NON_MEMBER, note="product of two non-members lies in the ideal",
+                                elements=(ones, ones) if spec.tag == "K" else scan.elements), (spec, window)
+            f, g = w.elements
+            assert not member(spec, f).is_member and not member(spec, g).is_member
+            assert member(spec, f * g).is_member, (spec, window)
+
+
+@pytest.mark.parametrize("pair", [(2, 5), (5, 13), (5, 7)])
+def test_probe_prime_checks_the_scans_pair(monkeypatch, pair):
+    # a faulty scan's pair for P_6 at 64: delta_2 is a member; 5 * 13 = 65 lies
+    # past the window; delta_35 lies outside
+    elements = tuple(delta(k, 64) for k in pair)
+    monkeypatch.setattr(ideals, "window_prime", lambda spec, window: Witness(
+        NON_MEMBER, pair=pair, elements=elements))
+    with pytest.raises(AssertionError, match=r"^the scan's pair does not refute P_6 on 1\.\.64$"):
+        probe_prime(IdealSpec.coprime_vanishing(6), 64)
 
 
 @pytest.mark.parametrize("spec, pair", [(IdealSpec.norm_floor(5), (2, 3)),
                                         (IdealSpec.gcd_count(30, 2), (2, 15))])
 def test_probe_prime_shows_the_scans_least_pair(spec, pair):
-    w = probe_prime(spec, trials=0, seed=0, window=64)
+    w = probe_prime(spec, 64)
     assert w == Witness(NON_MEMBER, note="product of two non-members lies in the ideal",
                         elements=tuple(delta(k, 64) for k in pair))
 
 
 def test_probe_prime_does_not_refute_past_the_window():
     # K_3's least failing pair is (5, 5), and 25 lies past the window, so the
-    # scan finds every pair outside and the probe has no first pair
+    # scan finds every pair outside and the probe has no pair
     assert window_prime(IdealSpec.prime_tail(3), 10).is_member
-    w = probe_prime(IdealSpec.prime_tail(3), 0, 0, 10)
-    assert w == Witness(UNDECIDED, note="every one of 3 pairs with product <= 10 stays outside; "
-                                        "no counterexample among 0 sampled pairs")
+    w = probe_prime(IdealSpec.prime_tail(3), 10)
+    assert w == Witness(UNDECIDED, note="every one of 3 pairs with product <= 10 stays outside")
 
 
 # window decisions of primality ---------------------------------------------------
@@ -815,13 +751,10 @@ def test_coprime_family_never_factors_its_modulus(monkeypatch, m):
     assert member(spec, f).is_member
     outside = member(spec, f + delta(coprime[-1], 64))
     assert (outside.verdict, outside.index) == (NON_MEMBER, coprime[-1])
-    verdict = probe_prime(spec, 20, 3, 64)
-    if verdict.verdict == NON_MEMBER:
-        g, h = verdict.elements
-        assert not member(spec, g).is_member and not member(spec, h).is_member
-        assert member(spec, g * h).is_member
-    else:
-        assert verdict.verdict == UNDECIDED
+    assert probe_prime(spec, 64).verdict == UNDECIDED  # T is closed under products
+    dec = decompose_coprime_vanishing(m, f)  # over m's primes up to the window
+    assert dec.generator_points == minimal_generators_scan(spec, 64)
+    assert dec.reconstruction() == f
 
 
 @pytest.mark.parametrize("m, k", [(6, 1), (30030, 2), (30030 * 1000003, 3)])
