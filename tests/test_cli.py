@@ -17,7 +17,7 @@ from dirichlet_ring.seqfile import FORMATS, load
 
 from conftest import run_cli_subprocess, save
 
-PINNED_CLI_DIGEST = "baee59bde515eb114207c58363899336f8bcefe23227aa5b125f9801c72e2b48"
+PINNED_CLI_DIGEST = "24b251f12979f1b522ee9f07b2f07b323dec7639f291b7fd4839c52688dafe7c"
 
 
 def run_cli(*argv) -> tuple[int, str]:
